@@ -63,8 +63,7 @@ from .partitions import (
     partitions_with_weight_at_most,
 )
 from .shapes import (
-    SkewShape,
-    column_heights,
+    count_r_strips,
     enumerate_r_strips,
     format_strip,
     parse_shape,
@@ -73,6 +72,7 @@ from .shapes import (
     rectangle,
     strip_type,
     stretched_staircase,
+    strip_art,
 )
 from .verification import CAP_A, CAP_B, CAP_PARKING, verify_theorem
 
@@ -97,7 +97,7 @@ def _max_objects() -> int:
     try:
         return int(raw) if raw else DEFAULT_MAX_OBJECTS
     except ValueError:
-        raise CapExceeded(f"NCSTRIP_MAX_OBJECTS={raw!r} is not an integer")
+        raise SystemExit2(f"NCSTRIP_MAX_OBJECTS={raw!r} is not an integer")
 
 
 def _guard(expected: int, what: str) -> None:
@@ -107,31 +107,6 @@ def _guard(expected: int, what: str) -> None:
             f"{what} would produce {expected} objects, over the cap of {cap} "
             "(raise NCSTRIP_MAX_OBJECTS to override)"
         )
-
-
-def count_r_strips(shape: SkewShape) -> int:
-    """Monotone-path count across the shape, by column DP."""
-    heights = column_heights(shape)
-    cols = sorted(heights)
-    if not cols:
-        return 1
-    counts: dict[int, int] = {}
-    lo0, hi0 = heights[cols[0]]
-    for y in range(lo0, hi0 + 2):
-        counts[y] = 1
-    for c in cols[1:]:
-        lo, hi = heights[c]
-        nxt = {}
-        running = 0
-        prev_sorted = sorted(counts)
-        idx = 0
-        for y in range(lo, hi + 2):
-            while idx < len(prev_sorted) and prev_sorted[idx] <= y:
-                running += counts[prev_sorted[idx]]
-                idx += 1
-            nxt[y] = running
-        counts = nxt
-    return sum(counts.values())
 
 
 def _emit(payload: dict, fmt: str, table_lines) -> None:
@@ -219,6 +194,9 @@ def cmd_count(args) -> int:
     n = args.n
     if n is None:
         raise SystemExit2("count requires -n")
+    # nca is the k = 1 case and pf has no k; the other families default to 1
+    k = 1 if family in ("nca", "pf") or args.k is None else args.k
+    _check_nk(n, k)
     if family == "pf":
         if args.by == "reduced-type":
             raise SystemExit2("parking functions have no reduced type")
@@ -240,9 +218,6 @@ def cmd_count(args) -> int:
                 _guard((n + 1) ** (n - 1), "parking function enumeration")
                 checked = len(enumerate_parking_functions(n)) == counts[()]
         return _finish_count(args, counts, checked, total_label="count")
-    k = args.k if args.k is not None else 1
-    if family == "nca":
-        k = 1
     if family in ("nca", "nca-k"):
         by = args.by or "type"
         if args.lam is not None:
@@ -438,6 +413,8 @@ def cmd_verify(args) -> int:
     lim_n, lim_k = VERIFY_LIMITS[theorem]
     n_max = args.n_max if args.n_max is not None else lim_n
     k_max = args.k_max if args.k_max is not None else (lim_k or 1)
+    if n_max < 1 or k_max < 1:
+        raise SystemExit2("verify needs --n-max >= 1 and --k-max >= 1")
     if n_max > lim_n or (lim_k is not None and k_max > lim_k):
         raise CapExceeded(
             f"verify --theorem {theorem} accepts n-max <= {lim_n}"
@@ -481,29 +458,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_MISMATCH
 
 
-def _ascii_strip(strip) -> list[str]:
-    shape = strip.shape
-    heights = column_heights(shape)
-    if not heights:
-        return ["(empty shape)"]
-    cols = sorted(heights)
-    top = max(hi for _, hi in heights.values())
-    boxes = set(strip.boxes)
-    art = []
-    for y in range(top, -1, -1):
-        line = []
-        for c in cols:
-            lo, hi = heights[c]
-            if (c, y) in boxes:
-                line.append("#")
-            elif lo <= y <= hi:
-                line.append(".")
-            else:
-                line.append(" ")
-        art.append("".join(line).rstrip())
-    return art
-
-
 def cmd_enumerate(args) -> int:
     obj = args.object
     fmt = args.format
@@ -532,7 +486,7 @@ def cmd_enumerate(args) -> int:
                 [format_strip(strip), path_from_strip(strip), format_partition(t)]
             )
             if args.ascii_art:
-                art_blocks.append(_ascii_strip(strip))
+                art_blocks.append(strip_art(strip))
     elif obj in ("fuss-catalan", "binomial"):
         n, k = _require_nk(args)
         params.update(n=n, k=k)
@@ -646,11 +600,15 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _check_nk(n: int, k: int) -> None:
+    if n < 0 or k < 1:
+        raise SystemExit2("need n >= 0 and k >= 1")
+
+
 def _require_nk(args) -> tuple[int, int]:
     if args.n is None or args.k is None:
         raise SystemExit2("this invocation requires -n and -k")
-    if args.n < 0 or args.k < 1:
-        raise SystemExit2("need n >= 0 and k >= 1")
+    _check_nk(args.n, args.k)
     return args.n, args.k
 
 

@@ -20,7 +20,7 @@ from .partitions import (
     partitions_of,
     partitions_with_weight_at_most,
 )
-from .shapes import SkewShape, iter_strip_heights, strip_type_of_heights
+from .shapes import SkewShape, iter_strip_heights, run_type
 
 HExpansion = dict[Partition, int]
 
@@ -29,7 +29,7 @@ def expand_skew(shape: SkewShape) -> HExpansion:
     """Coefficient of h_lam = number of r-strips of type lam in the shape."""
     census: Counter[Partition] = Counter()
     for heights in iter_strip_heights(shape):
-        census[strip_type_of_heights(shape, heights)] += 1
+        census[run_type(shape.lo, heights)] += 1
     return dict(census)
 
 

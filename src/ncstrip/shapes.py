@@ -16,7 +16,7 @@ box sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .partitions import Partition, as_partition
 
@@ -25,6 +25,11 @@ from .partitions import Partition, as_partition
 class SkewShape:
     outer: Partition
     inner: Partition
+    # The column profile, filled once by __post_init__: the nonempty columns
+    # in order and their inclusive (lo, hi) height intervals.
+    cols: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    lo: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    hi: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "outer", as_partition(self.outer))
@@ -36,6 +41,14 @@ class SkewShape:
                 raise ValueError(
                     f"inner row {i + 1} ({v}) exceeds outer row ({self.outer[i]})"
                 )
+        profile = [
+            (c, iv)
+            for c in range(1, self.width + 1)
+            if (iv := self.column_interval(c))
+        ]
+        object.__setattr__(self, "cols", tuple(c for c, _ in profile))
+        object.__setattr__(self, "lo", tuple(iv[0] for _, iv in profile))
+        object.__setattr__(self, "hi", tuple(iv[1] for _, iv in profile))
 
     @property
     def rows(self) -> int:
@@ -62,12 +75,11 @@ class SkewShape:
         return sum(self.outer) - sum(self.inner)
 
     def boxes(self) -> list[tuple[int, int]]:
-        out = []
-        for c in range(1, self.width + 1):
-            iv = self.column_interval(c)
-            if iv:
-                out.extend((c, h) for h in range(iv[0], iv[1] + 1))
-        return out
+        return [
+            (c, h)
+            for c, l, u in zip(self.cols, self.lo, self.hi)
+            for h in range(l, u + 1)
+        ]
 
 
 def stretched_staircase(n: int, k: int) -> SkewShape:
@@ -87,37 +99,57 @@ def rectangle(n: int, k: int) -> SkewShape:
 
 def column_heights(shape: SkewShape) -> dict[int, tuple[int, int]]:
     """Map each nonempty column to its inclusive (lo, hi) height interval."""
-    out = {}
-    for c in range(1, shape.width + 1):
-        iv = shape.column_interval(c)
-        if iv:
-            out[c] = iv
-    return out
+    return dict(zip(shape.cols, zip(shape.lo, shape.hi)))
 
 
-def _profile(shape: SkewShape) -> tuple[list[int], list[int], list[int]]:
-    """(columns, lo, hi) over nonempty columns; requires contiguous support."""
-    cols = sorted(column_heights(shape))
-    if cols and cols != list(range(cols[0], cols[-1] + 1)):
-        raise ValueError(f"column support is not contiguous: {cols}")
-    lo = [shape.column_interval(c)[0] for c in cols]
-    hi = [shape.column_interval(c)[1] for c in cols]
-    return cols, lo, hi
+def _require_contiguous(shape: SkewShape) -> None:
+    """Monotone paths cross the shape only if its columns have no gap."""
+    cols = shape.cols
+    if cols and cols[-1] - cols[0] + 1 != len(cols):
+        raise ValueError(f"column support is not contiguous: {list(cols)}")
+
+
+def _check_heights(shape: SkewShape, heights: tuple[int, ...]) -> None:
+    """Raise unless heights are the east steps of a monotone path across the
+    shape: one per column, lo_c <= y_c <= hi_c + 1, weakly increasing."""
+    _require_contiguous(shape)
+    if len(heights) != len(shape.cols):
+        raise ValueError(
+            f"need one east-step height per column ({len(shape.cols)}), "
+            f"got {len(heights)}"
+        )
+    prev = shape.lo[0] if shape.lo else 0
+    for c, l, h, y in zip(shape.cols, shape.lo, shape.hi, heights):
+        if not max(l, prev) <= y <= h + 1:
+            raise ValueError(
+                f"east step over column {c} at height {y} is outside "
+                f"[{max(l, prev)}, {h + 1}]"
+            )
+        prev = y
 
 
 @dataclass(frozen=True)
 class RStrip:
-    """A right-aligned partial horizontal strip; boxes sorted by column."""
+    """A right-aligned partial horizontal strip, stored as the east-step
+    heights of its lattice path, one per nonempty column."""
 
     shape: SkewShape
-    boxes: tuple[tuple[int, int], ...]
+    heights: tuple[int, ...]
 
     def __post_init__(self):
-        boxes = tuple(sorted((int(c), int(h)) for c, h in self.boxes))
-        object.__setattr__(self, "boxes", boxes)
-        ok, why = _check_r_strip(self.shape, boxes)
-        if not ok:
-            raise ValueError(f"not an r-strip: {why}")
+        heights = tuple(self.heights)
+        object.__setattr__(self, "heights", heights)
+        _check_heights(self.shape, heights)
+
+    @property
+    def boxes(self) -> tuple[tuple[int, int], ...]:
+        """The strip's boxes (column, height), sorted by column."""
+        shape = self.shape
+        return tuple(
+            (c, y - 1)
+            for c, l, y in zip(shape.cols, shape.lo, self.heights)
+            if y > l
+        )
 
 
 def _is_partial_horizontal_strip(shape: SkewShape, boxes) -> bool:
@@ -131,10 +163,11 @@ def _is_partial_horizontal_strip(shape: SkewShape, boxes) -> bool:
     return all(shape.contains_box(c, h) for c, h in boxes)
 
 
-def _check_r_strip(shape: SkewShape, boxes) -> tuple[bool, str]:
+def is_r_strip(shape: SkewShape, boxes) -> bool:
+    """Direct definition check: the oracle for the path characterization."""
     boxes = sorted(boxes)
     if not _is_partial_horizontal_strip(shape, boxes):
-        return False, "not a partial horizontal strip inside the shape"
+        return False
     box_set = set(boxes)
     for c, h in boxes:
         candidate = (c + 1, h)
@@ -143,13 +176,8 @@ def _check_r_strip(shape: SkewShape, boxes) -> tuple[bool, str]:
         if shape.contains_box(*candidate) and _is_partial_horizontal_strip(
             shape, boxes + [candidate]
         ):
-            return False, f"box {candidate} can be added to the right of ({c}, {h})"
-    return True, ""
-
-
-def is_r_strip(shape: SkewShape, boxes) -> bool:
-    """Direct definition check: the oracle for the path characterization."""
-    return _check_r_strip(shape, boxes)[0]
+            return False
+    return True
 
 
 def iter_strip_heights(shape: SkewShape):
@@ -158,8 +186,9 @@ def iter_strip_heights(shape: SkewShape):
     Yields tuples (y_c) with lo_c <= y_c <= hi_c + 1, weakly increasing,
     in lexicographic order.  Each vector corresponds to exactly one r-strip.
     """
-    cols, lo, hi = _profile(shape)
-    w = len(cols)
+    _require_contiguous(shape)
+    lo, hi = shape.lo, shape.hi
+    w = len(lo)
     if w == 0:
         yield ()
         return
@@ -176,81 +205,59 @@ def iter_strip_heights(shape: SkewShape):
     yield from rec(0, lo[0])
 
 
-def _boxes_from_heights(shape: SkewShape, heights) -> tuple[tuple[int, int], ...]:
-    cols, lo, _ = _profile(shape)
-    return tuple(
-        (c, y - 1) for c, l, y in zip(cols, lo, heights) if y > l
-    )
+def count_r_strips(shape: SkewShape) -> int:
+    """Number of r-strips (monotone paths across the shape), by column DP."""
+    _require_contiguous(shape)
+    lo, hi = shape.lo, shape.hi
+    if not lo:
+        return 1
+    # ways[y]: paths across the columns so far whose last east step is at y
+    ways = dict.fromkeys(range(lo[0], hi[0] + 2), 1)
+    for prev_lo, l, h in zip(lo, lo[1:], hi[1:]):
+        total, nxt = 0, {}
+        for y in range(prev_lo, h + 2):
+            total += ways.get(y, 0)
+            if y >= l:
+                nxt[y] = total
+        ways = nxt
+    return sum(ways.values())
 
 
-def strip_type_of_heights(shape: SkewShape, heights) -> Partition:
-    """Type of the strip encoded by an east-step height vector."""
-    cols, lo, _ = _profile(shape)
-    sizes = []
-    run = 0
-    prev_boxed_height = None
-    for c, l, y in zip(cols, lo, heights):
-        if y > l:
-            if run and y - 1 == prev_boxed_height:
-                run += 1
-            else:
-                if run:
-                    sizes.append(run)
-                run = 1
-            prev_boxed_height = y - 1
+def run_type(lo: tuple[int, ...], heights) -> Partition:
+    """Type of the strip with east-step heights over columns with bottoms lo:
+    sorted sizes of its blocks (maximal runs of adjacent boxed columns whose
+    boxes share a height)."""
+    sizes: list[int] = []
+    prev = None  # east-step height of the previous column, if it has a box
+    for l, y in zip(lo, heights):
+        if y <= l:
+            prev = None
+        elif y == prev:
+            sizes[-1] += 1
         else:
-            if run:
-                sizes.append(run)
-            run = 0
-            prev_boxed_height = None
-    if run:
-        sizes.append(run)
+            sizes.append(1)
+            prev = y
     return tuple(sorted(sizes, reverse=True))
-
-
-def enumerate_r_strips(shape: SkewShape) -> list[RStrip]:
-    """All r-strips of the shape, in path (height-vector) lexicographic order."""
-    return [
-        RStrip(shape, _boxes_from_heights(shape, hs))
-        for hs in iter_strip_heights(shape)
-    ]
 
 
 def strip_type(strip: RStrip) -> Partition:
     """Sorted sizes of the strip's blocks (maximal equal-height column runs)."""
-    sizes = []
-    run = 0
-    prev = None
-    for c, h in strip.boxes:
-        if prev is not None and c == prev[0] + 1 and h == prev[1]:
-            run += 1
-        else:
-            if run:
-                sizes.append(run)
-            run = 1
-        prev = (c, h)
-    if run:
-        sizes.append(run)
-    return tuple(sorted(sizes, reverse=True))
+    return run_type(strip.shape.lo, strip.heights)
 
 
-def _heights_from_strip(strip: RStrip) -> tuple[int, ...]:
-    cols, lo, _ = _profile(strip.shape)
-    by_col = dict(strip.boxes)
-    return tuple(
-        by_col[c] + 1 if c in by_col else l for c, l in zip(cols, lo)
-    )
+def enumerate_r_strips(shape: SkewShape) -> list[RStrip]:
+    """All r-strips of the shape, in path (height-vector) lexicographic order."""
+    return [RStrip(shape, hs) for hs in iter_strip_heights(shape)]
 
 
 def path_from_strip(strip: RStrip) -> str:
     """E/N word of the strip's lattice path, bottom-left to top-right corner."""
-    cols, lo, hi = _profile(strip.shape)
-    if not cols:
+    lo, hi = strip.shape.lo, strip.shape.hi
+    if not lo:
         return ""
-    heights = _heights_from_strip(strip)
     word = []
     y = lo[0]
-    for yc in heights:
+    for yc in strip.heights:
         word.append("N" * (yc - y))
         word.append("E")
         y = yc
@@ -260,55 +267,45 @@ def path_from_strip(strip: RStrip) -> str:
 
 def heights_from_path(shape: SkewShape, word: str) -> tuple[int, ...]:
     """Parse a path word into its east-step height vector, validating bounds."""
-    cols, lo, hi = _profile(shape)
+    lo, hi = shape.lo, shape.hi
     if set(word) - {"E", "N"}:
         raise ValueError(f"path word must be over {{E, N}}: {word!r}")
-    if word.count("E") != len(cols):
-        raise ValueError(
-            f"path must have one E step per column ({len(cols)}), got {word.count('E')}"
-        )
-    span = (hi[-1] + 1 - lo[0]) if cols else 0
+    span = (hi[-1] + 1 - lo[0]) if lo else 0
     if word.count("N") != span:
         raise ValueError(f"path must have {span} N steps, got {word.count('N')}")
     heights = []
-    y = lo[0] if cols else 0
+    y = lo[0] if lo else 0
     for step in word:
         if step == "N":
             y += 1
         else:
             heights.append(y)
-    for i, (l, h, yc) in enumerate(zip(lo, hi, heights)):
-        if not l <= yc <= h + 1:
-            raise ValueError(
-                f"east step over column {cols[i]} at height {yc} leaves the shape"
-            )
-    return tuple(heights)
+    heights = tuple(heights)
+    _check_heights(shape, heights)
+    return heights
 
 
 def strip_from_path(shape: SkewShape, word: str) -> RStrip:
-    heights = heights_from_path(shape, word)
-    return RStrip(shape, _boxes_from_heights(shape, heights))
+    return RStrip(shape, heights_from_path(shape, word))
 
 
 def enumerate_horizontal_strips(shape: SkewShape) -> list[tuple[int, ...]]:
     """Height sequences of all strips with exactly one box per column."""
-    cols, lo, hi = _profile(shape)
-    if len(cols) != len(column_heights(shape)) or (
-        shape.width and len(cols) != shape.width
-    ):
+    lo, hi = shape.lo, shape.hi
+    if len(lo) != shape.width:
         raise ValueError("shape has an empty column")
     out: list[tuple[int, ...]] = []
-    vec = [0] * len(cols)
+    vec = [0] * len(lo)
 
     def rec(i: int, prev: int):
-        if i == len(cols):
+        if i == len(lo):
             out.append(tuple(vec))
             return
         for h in range(max(lo[i], prev), hi[i] + 1):
             vec[i] = h
             rec(i + 1, h)
 
-    if cols:
+    if lo:
         rec(0, lo[0])
     else:
         out.append(())
@@ -334,19 +331,38 @@ def parse_shape(text: str) -> SkewShape:
 
 def format_strip(strip: RStrip) -> str:
     """Per-column literal, "-" for a boxless column: "-,0,1"."""
-    cols, _, _ = _profile(strip.shape)
-    by_col = dict(strip.boxes)
-    return ",".join(str(by_col[c]) if c in by_col else "-" for c in cols)
+    return ",".join(
+        str(y - 1) if y > l else "-" for l, y in zip(strip.shape.lo, strip.heights)
+    )
 
 
 def parse_strip(shape: SkewShape, text: str) -> RStrip:
-    cols, _, _ = _profile(shape)
     entries = [e.strip() for e in text.strip().split(",")] if text.strip() else []
-    if len(entries) != len(cols):
+    if len(entries) != len(shape.cols):
         raise ValueError(
-            f"strip literal needs {len(cols)} entries (one per column), got {len(entries)}"
+            f"strip literal needs {len(shape.cols)} entries (one per column), "
+            f"got {len(entries)}"
         )
-    boxes = [
-        (c, int(e)) for c, e in zip(cols, entries) if e != "-"
+    heights = []
+    for c, l, e in zip(shape.cols, shape.lo, entries):
+        if e == "-":
+            heights.append(l)
+        elif int(e) < l:
+            raise ValueError(f"box ({c}, {e}) lies below the shape")
+        else:
+            heights.append(int(e) + 1)
+    return RStrip(shape, tuple(heights))
+
+
+def strip_art(strip: RStrip) -> list[str]:
+    """The shape drawn top row first: "#" a strip box, "." any other box."""
+    shape = strip.shape
+    if not shape.cols:
+        return ["(empty shape)"]
+    return [
+        "".join(
+            "#" if l <= y == step - 1 else "." if l <= y <= h else " "
+            for l, h, step in zip(shape.lo, shape.hi, strip.heights)
+        ).rstrip()
+        for y in range(max(shape.hi), -1, -1)
     ]
-    return RStrip(shape, tuple(boxes))

@@ -27,8 +27,8 @@ from ncstrip.noncrossing_a import (
 from ncstrip.noncrossing_b import enumerate_nc_b, parse_blocks_b, type_b
 from ncstrip.partitions import fuss_catalan
 from ncstrip.shapes import (
-    RStrip,
     enumerate_r_strips,
+    parse_strip,
     rectangle,
     stretched_staircase,
     strip_type,
@@ -121,7 +121,7 @@ class TestLabelingMapA:
 
 class TestStaircaseStrips:
     def test_empty_strip_maps_to_bottom_path(self):
-        strip = RStrip(stretched_staircase(2, 1), ())
+        strip = parse_strip(stretched_staircase(2, 1), "-,-")
         assert staircase_strip_to_path(strip) == "EEENNN"
 
     def test_single_column_case(self):
@@ -148,7 +148,7 @@ class TestStaircaseStrips:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            staircase_strip_to_path(RStrip(rectangle(2, 1), ()))
+            staircase_strip_to_path(parse_strip(rectangle(2, 1), "-,-"))
         with pytest.raises(ValueError):
             staircase_path_to_strip("ENNEEN", 2, 1)  # leaves 0 <= y <= x
 
@@ -156,9 +156,9 @@ class TestStaircaseStrips:
 class TestRectangleStrips:
     def test_type_contracts(self):
         shape = rectangle(3, 1)
-        empty = RStrip(shape, ())
+        empty = parse_strip(shape, "-,-,-")
         assert fb_type(rectangle_strip_to_path(empty)) == ()
-        bottom = RStrip(shape, ((1, 0), (2, 0), (3, 0)))
+        bottom = parse_strip(shape, "0,0,0")
         word = rectangle_strip_to_path(bottom)
         assert fb_type(word) == (3,)
         assert word == "NEEENN"

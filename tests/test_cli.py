@@ -136,6 +136,29 @@ def test_verify_cap_refusal():
     assert "refused" in r.stderr
 
 
+@pytest.mark.parametrize("bound", [("--n-max", "0"), ("--k-max", "-3")])
+def test_verify_rejects_empty_ranges(bound):
+    r = run_cli("verify", "--theorem", "1.1", *bound)
+    assert r.returncode == 2
+    assert "usage error" in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--family", "nca-k", "-n", "4", "-k", "0"),
+        ("--family", "ncb-k", "-n", "3", "-k", "0"),
+        ("--family", "nca-k", "-n", "-2", "-k", "1"),
+        ("--family", "pf", "-n", "-2"),
+    ],
+)
+def test_count_rejects_bad_n_and_k(args):
+    r = run_cli("count", *args)
+    assert r.returncode == 2
+    assert "usage error: need n >= 0 and k >= 1" in r.stderr
+
+
 def test_enumerate_rstrips():
     r = run_cli("enumerate", "--object", "rstrips", "--shape", "3,2/1")
     body = json.loads(r.stdout)["result"]
@@ -180,3 +203,12 @@ def test_byte_identical_reruns(args):
     second = run_cli(*args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_non_integer_cap_is_a_usage_error():
+    r = run_cli(
+        "enumerate", "--object", "pf", "-n", "3",
+        env={"NCSTRIP_MAX_OBJECTS": "abc"},
+    )
+    assert r.returncode == 2
+    assert "usage error" in r.stderr

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -7,6 +7,7 @@ from ncstrip.shapes import (
     RStrip,
     SkewShape,
     column_heights,
+    count_r_strips,
     enumerate_horizontal_strips,
     enumerate_r_strips,
     format_shape,
@@ -82,11 +83,11 @@ def test_is_r_strip_examples():
 
 
 def test_strip_type_examples():
-    assert strip_type(RStrip(SHAPE_32_1, ())) == ()
-    assert strip_type(RStrip(SHAPE_32_1, ((1, 0), (2, 0), (3, 1)))) == (2, 1)
-    assert strip_type(RStrip(SHAPE_32_1, ((1, 0), (2, 1), (3, 1)))) == (2, 1)
-    assert strip_type(RStrip(SHAPE_32_1, ((2, 0), (3, 1)))) == (1, 1)
-    assert strip_type(RStrip(rectangle(3, 1), ((1, 0), (2, 0), (3, 0)))) == (3,)
+    assert strip_type(parse_strip(SHAPE_32_1, "-,-,-")) == ()
+    assert strip_type(parse_strip(SHAPE_32_1, "0,0,1")) == (2, 1)
+    assert strip_type(parse_strip(SHAPE_32_1, "0,1,1")) == (2, 1)
+    assert strip_type(parse_strip(SHAPE_32_1, "-,0,1")) == (1, 1)
+    assert strip_type(parse_strip(rectangle(3, 1), "0,0,0")) == (3,)
 
 
 def test_path_strip_correspondence_on_32_1():
@@ -142,6 +143,46 @@ def test_path_strip_round_trip(shape):
         assert weight(t) == len(strip.boxes)
 
 
+@pytest.mark.parametrize("shape", TEST_SHAPES, ids=format_shape)
+def test_strip_literal_validation_equals_definition(shape):
+    """parse_strip accepts a literal exactly when its boxes form an r-strip.
+
+    Each column gets no box or one box at any height from one below the
+    column to one above it, so boxes outside the shape are tried too.
+    """
+    columns = column_heights(shape)
+    choices = [["-", *range(lo - 1, hi + 2)] for lo, hi in columns.values()]
+    accepted = 0
+    for entries in product(*choices):
+        boxes = tuple((c, h) for c, h in zip(columns, entries) if h != "-")
+        literal = ",".join(map(str, entries))
+        try:
+            strip = parse_strip(shape, literal)
+        except ValueError:
+            assert not is_r_strip(shape, boxes), literal
+            continue
+        assert is_r_strip(shape, boxes), literal
+        assert strip.boxes == boxes
+        accepted += 1
+    assert accepted == count_r_strips(shape) == len(enumerate_r_strips(shape))
+
+
+def test_rstrip_is_its_height_vector():
+    strip = RStrip(SHAPE_32_1, (0, 1, 2))
+    assert strip.heights == (0, 1, 2)
+    assert strip.boxes == ((2, 0), (3, 1))
+    assert strip == parse_strip(SHAPE_32_1, "-,0,1")
+    for bad in [(0, 1), (0, 2, 1), (1, 0, 2), (0, 1, 3), (-1, 0, 1)]:
+        with pytest.raises(ValueError):
+            RStrip(SHAPE_32_1, bad)
+
+
+def test_shape_profile_is_not_part_of_identity():
+    assert repr(SHAPE_32_1) == "SkewShape(outer=(3, 2), inner=(1,))"
+    assert hash(SHAPE_32_1) == hash(SkewShape((3, 2), (1,)))
+    assert SHAPE_32_1.boxes() == [(1, 0), (2, 0), (2, 1), (3, 1)]
+
+
 def test_horizontal_strips():
     staircase3 = stretched_staircase(3, 1)
     assert len(enumerate_horizontal_strips(staircase3)) == 5
@@ -161,7 +202,7 @@ def test_horizontal_strips():
 
 
 def test_strip_literals():
-    strip = RStrip(SHAPE_32_1, ((2, 0), (3, 1)))
+    strip = parse_strip(SHAPE_32_1, "-,0,1")
     assert format_strip(strip) == "-,0,1"
     assert parse_strip(SHAPE_32_1, "-,0,1") == strip
     with pytest.raises(ValueError):
@@ -173,3 +214,14 @@ def test_strip_literals():
 def test_disconnected_column_support_is_rejected():
     with pytest.raises(ValueError):
         enumerate_r_strips(SkewShape((3, 1), (2,)))
+
+
+def test_disconnected_column_support_is_rejected_by_strip_entry_points():
+    shape = SkewShape((3, 1), (2,))
+    assert column_heights(shape) == {1: (0, 0), 3: (1, 1)}
+    with pytest.raises(ValueError):
+        count_r_strips(shape)
+    with pytest.raises(ValueError):
+        parse_strip(shape, "-,-")
+    with pytest.raises(ValueError):
+        heights_from_path(shape, "EENN")
