@@ -22,12 +22,7 @@ from .lattice_paths import (
     validate_fuss_binomial,
     validate_fuss_catalan,
 )
-from .noncrossing_a import (
-    Blocks,
-    canonical_blocks,
-    is_noncrossing,
-    validate_set_partition,
-)
+from .noncrossing_a import Blocks, is_noncrossing, validate_set_partition
 from .noncrossing_b import (
     SignedBlocks,
     antipodal_block,
@@ -145,12 +140,9 @@ def path_to_noncrossing(word: str, n: int, k: int) -> Blocks:
     if n == 0:
         return ()
     rank, _, unit_ascents = _dyck_unit_tree(_unit_word(word, k))
-    blocks = canonical_blocks(
-        tuple(rank[u] for u in asc) for asc in unit_ascents
-    )
-    assert is_noncrossing(blocks, k * n), "labeling produced a crossing partition"
-    assert all(len(b) % k == 0 for b in blocks)
-    return blocks
+    # preorder labels rise along an ascent, and blocks have distinct first
+    # elements, so sorting the tuples orders them by first element
+    return tuple(sorted(tuple(rank[u] for u in asc) for asc in unit_ascents))
 
 
 def noncrossing_to_path(blocks, n: int, k: int) -> str:
@@ -162,15 +154,22 @@ def noncrossing_to_path(blocks, n: int, k: int) -> str:
     attachment order, and each ascent's height follows from its parent
     segment's diagonal region.
     """
-    kn = k * n
-    blocks = validate_set_partition(blocks, kn)
+    blocks = validate_set_partition(blocks, k * n)
     if not is_noncrossing(blocks):
         raise ValueError("partition is crossing")
     for b in blocks:
         if len(b) % k:
             raise ValueError(f"block size {len(b)} is not divisible by {k}")
+    out = _noncrossing_to_path(blocks, n, k)
+    validate_fuss_catalan(out, n, k)
+    return out
+
+
+def _noncrossing_to_path(blocks: Blocks, n: int, k: int) -> str:
+    """noncrossing_to_path on canonical blocks already known to be in NC_n^(k)."""
     if n == 0:
         return ""
+    kn = k * n
     s = len(blocks)
     block_of = {x: i for i, b in enumerate(blocks) for x in b}
     children: list[list[tuple[int, int]]] = [[] for _ in range(s)]
@@ -207,9 +206,7 @@ def noncrossing_to_path(blocks, n: int, k: int) -> str:
         word.append("E" * (len(blocks[b]) // k))
         y = height[b]
     word.append("N" * (kn - y))
-    out = "".join(word)
-    validate_fuss_catalan(out, n, k)
-    return out
+    return "".join(word)
 
 
 def _staircase_params(shape: SkewShape) -> tuple[int, int]:
@@ -267,11 +264,11 @@ def rectangle_path_to_strip(word: str, n: int, k: int) -> RStrip:
     return strip_from_path(rectangle(n, k), word)
 
 
-def _pieces(units: list, k: int):
+def _pieces(units: list) -> list[tuple[list[int], list[int]]]:
     """Split units into maximal runs by triangle sign of the diagonal walk.
 
-    Returns (pairs, n0): pairs is [(P_1, N_1), ..., (P_s, N_s)] of unit-index
-    lists (P_1 and/or N_s possibly empty), n0 the negative segment count.
+    Returns [(P_1, N_1), ..., (P_s, N_s)], lists of unit indices with P_1
+    and/or N_s possibly empty.
     """
     runs: list[tuple[str, list[int]]] = []
     d = 0
@@ -285,15 +282,12 @@ def _pieces(units: list, k: int):
         if not runs or runs[-1][0] != sign:
             runs.append((sign, []))
         runs[-1][1].append(i)
-    assert d == 0
     if runs and runs[0][0] == "N":
         runs.insert(0, ("P", []))
     if runs and runs[-1][0] == "P":
         runs.append(("N", []))
-    pairs = [(runs[i][1], runs[i + 1][1]) for i in range(0, len(runs), 2)]
-    assert all(sgn == "PN"[i % 2] for i, (sgn, _) in enumerate(runs))
-    n0 = sum(1 for _, neg in pairs for i in neg if units[i] != "n")
-    return pairs, n0
+    # consecutive runs differ in sign, so the runs now alternate P, N, ...
+    return [(runs[i][1], runs[i + 1][1]) for i in range(0, len(runs), 2)]
 
 
 def path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
@@ -319,7 +313,7 @@ def path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
         else:
             units.append("n")
     chars = ["n" if u == "n" else "e" for u in units]
-    pairs, n0 = _pieces(chars, k)
+    pairs = _pieces(chars)
     label: dict[tuple[int, int], int] = {}
 
     def label_piece(idxs: list[int], start: int, negative: bool) -> int:
@@ -339,10 +333,8 @@ def path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
     base = 0
     for _, neg in reversed(pairs):
         base += label_piece(neg, base + 1, negative=True)
-    assert base == n0
     for pos, _ in pairs:
         base += label_piece(pos, base + 1, negative=False)
-    assert base == m
 
     blocks: list[tuple[int, ...]] = []
     east = -1
@@ -356,8 +348,7 @@ def path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
         else:
             blocks.append(tuple(labs))
             blocks.append(tuple(-v for v in labs))
-    out = canonical_blocks_b(blocks, m)
-    return validate_nc_b(out, n, k)
+    return canonical_blocks_b(blocks, m)
 
 
 def signed_noncrossing_to_path(blocks, n: int, k: int) -> str:
@@ -448,7 +439,9 @@ def signed_noncrossing_to_path(blocks, n: int, k: int) -> str:
         groups: dict[int, list[int]] = {}
         for v in values:
             groups.setdefault(block_of[v], []).append(abs(v) - lo + 1)
-        local = noncrossing_to_path(groups.values(), size, 1)
+        # a piece is the restriction of a noncrossing partition to an arc,
+        # listed in increasing order, so its blocks are already canonical
+        local = _noncrossing_to_path(tuple(map(tuple, groups.values())), size, 1)
         return local[::-1] if negative else local
 
     parts = []

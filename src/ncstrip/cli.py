@@ -47,6 +47,7 @@ from .noncrossing_b import (
     type_b,
 )
 from .parking import (
+    count_parking_functions,
     enumerate_parking_functions,
     enumerate_primitive,
     is_primitive,
@@ -58,6 +59,7 @@ from .partitions import (
     format_partition,
     fuss_catalan,
     parse_partition,
+    partition_counts,
     partition_sort_key,
     partitions_of,
     partitions_with_weight_at_most,
@@ -100,13 +102,26 @@ def _max_objects() -> int:
         raise SystemExit2(f"NCSTRIP_MAX_OBJECTS={raw!r} is not an integer")
 
 
-def _guard(expected: int, what: str) -> None:
+def _guard(expected: int, what: str, at_least: bool = False) -> None:
     cap = _max_objects()
     if expected > cap:
         raise CapExceeded(
-            f"{what} would produce {expected} objects, over the cap of {cap} "
-            "(raise NCSTRIP_MAX_OBJECTS to override)"
+            f"{what} would produce {'at least ' if at_least else ''}{expected} "
+            f"objects, over the cap of {cap} (raise NCSTRIP_MAX_OBJECTS to override)"
         )
+
+
+def _guard_partitions(w_max: int, cumulative: bool, what: str) -> None:
+    """_guard on the number of partitions of w_max, or of every weight up to
+    w_max when cumulative, counted without listing them.  p(w) never
+    decreases, so the count stops at the first weight that passes the cap:
+    a huge w_max is refused at once."""
+    cap = _max_objects()
+    rows = 0
+    for w, p in zip(range(w_max + 1), partition_counts()):
+        rows = rows + p if cumulative else p
+        if rows > cap:
+            _guard(rows, what, at_least=w < w_max)
 
 
 def _emit(payload: dict, fmt: str, table_lines) -> None:
@@ -156,22 +171,18 @@ def cmd_expand(args) -> int:
         if not args.family:
             raise SystemExit2("need --shape or --family")
         n, k = _require_nk(args)
-        if args.family == "fuss-a":
+        fuss_a = args.family == "fuss-a"
+        if args.method == "formula":
+            # both formulas have one term per partition of weight <= n
+            _guard_partitions(n, True, "formula expansion")
+            formula = fuss_a_expansion_formula if fuss_a else fuss_b_expansion_formula
+            expansion = formula(n, k)
+        elif fuss_a:
             _guard(fuss_catalan(n + 1, k), "expansion of the stretched staircase")
-            shape = stretched_staircase(n, k)
-            expansion = (
-                fuss_a_expansion_formula(n, k)
-                if args.method == "formula"
-                else expand_skew(shape)
-            )
+            expansion = expand_skew(stretched_staircase(n, k))
         else:
             _guard(binomial((k + 1) * n, n), "expansion of the rectangle")
-            shape = rectangle(n, k)
-            expansion = (
-                fuss_b_expansion_formula(n, k)
-                if args.method == "formula"
-                else expand_skew(shape)
-            )
+            expansion = expand_skew(rectangle(n, k))
         params = {"family": args.family, "n": n, "k": k, "method": args.method}
     body, rows = _expansion_payload(expansion)
     payload = {"command": "expand", "parameters": params, "result": body}
@@ -181,9 +192,11 @@ def cmd_expand(args) -> int:
 
 def _count_table_a(n: int, k: int, by: str):
     if by == "type":
+        _guard_partitions(n, False, "count table")
         lams = list(partitions_of(n))
         counts = {lam: count_by_type(n, k, lam) for lam in lams}
     else:
+        _guard_partitions(n - 1, True, "count table")
         lams = partitions_with_weight_at_most(n - 1)
         counts = {lam: count_by_reduced_type(n, k, lam) for lam in lams}
     return counts
@@ -212,10 +225,10 @@ def cmd_count(args) -> int:
                     census[pf_type(p)] = census.get(pf_type(p), 0) + 1
                 checked = census == counts
         else:
-            counts = {(): (n + 1) ** (n - 1)}
+            counts = {(): count_parking_functions(n)}
             checked = None
             if args.check:
-                _guard((n + 1) ** (n - 1), "parking function enumeration")
+                _guard(counts[()], "parking function enumeration")
                 checked = len(enumerate_parking_functions(n)) == counts[()]
         return _finish_count(args, counts, checked, total_label="count")
     if family in ("nca", "nca-k"):
@@ -243,6 +256,7 @@ def cmd_count(args) -> int:
             lam = parse_partition(args.lam)
             counts = {lam: count_by_type_b(n, k, lam)}
         else:
+            _guard_partitions(n, True, "count table")
             counts = {
                 lam: count_by_type_b(n, k, lam)
                 for lam in partitions_with_weight_at_most(n)
@@ -560,7 +574,7 @@ def cmd_enumerate(args) -> int:
         if n is None:
             raise SystemExit2("enumerate --object pf requires -n")
         params.update(n=n, primitive=bool(args.primitive))
-        expected = catalan(n) if args.primitive else (n + 1) ** (n - 1)
+        expected = catalan(n) if args.primitive else count_parking_functions(n)
         _guard(expected, "parking function enumeration")
         seqs = (
             enumerate_primitive(n)

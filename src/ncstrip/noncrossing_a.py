@@ -26,37 +26,64 @@ def canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
 
 
 def validate_set_partition(blocks, n: int) -> Blocks:
-    blocks = canonical_blocks(blocks)
-    seen: list[int] = []
-    for b in blocks:
-        if not b:
+    """Canonical blocks of a set partition of [n], checked in one pass.
+
+    Raises ValueError on an empty block or when the blocks do not cover
+    [1..n] exactly once.
+    """
+    owner = [-1] * (n + 1)
+    count = 0
+    for i, b in enumerate(blocks):
+        size = 0
+        for x in b:
+            if not 1 <= x <= n or owner[x] >= 0:
+                raise ValueError(f"blocks do not partition [1..{n}]")
+            owner[x] = i
+            size += 1
+        if not size:
             raise ValueError("empty block")
-        seen.extend(b)
-    if sorted(seen) != list(range(1, n + 1)):
+        count += size
+    if count != n:
         raise ValueError(f"blocks do not partition [1..{n}]")
-    return blocks
+    out: dict[int, list[int]] = {}
+    for x in range(1, n + 1):
+        out.setdefault(owner[x], []).append(x)
+    return tuple(tuple(b) for b in out.values())
+
+
+def owners_noncrossing(owners, sizes) -> bool:
+    """Stack scan of a ground set read in increasing order.
+
+    owners[j] is the index of the block holding the j-th smallest element
+    and sizes[i] is the size of block i.  The partition is noncrossing iff
+    every block that is revisited is the most recently opened block that
+    is not yet finished.
+    """
+    left = list(sizes)
+    stack: list[int] = []
+    for i in owners:
+        left[i] -= 1
+        if left[i] == sizes[i] - 1:  # first element: open the block
+            if left[i]:
+                stack.append(i)
+        elif stack[-1] != i:
+            return False
+        elif not left[i]:
+            stack.pop()
+    return True
 
 
 def blocks_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
     """No quadruple a < b < c < d with a,c in one block and b,d in another.
 
-    Works for blocks over any integer ground set (used for type B too, on
-    polygon positions).  Equivalent to the quadruple scan: between any two
-    consecutive members of a block, only whole blocks may appear.
+    Works for disjoint blocks over any integer ground set (type B uses it on
+    polygon positions).
     """
-    blocks = [sorted(b) for b in blocks]
-    lo = {}
-    hi = {}
-    for i, b in enumerate(blocks):
-        for x in b:
-            lo[x] = b[0]
-            hi[x] = b[-1]
-    for b in blocks:
-        for a, c in zip(b, b[1:]):
-            for x in range(a + 1, c):
-                if x in lo and not (a < lo[x] and hi[x] < c):
-                    return False
-    return True
+    blocks = [tuple(b) for b in blocks]
+    owner = {x: i for i, b in enumerate(blocks) for x in b}
+    return owners_noncrossing(
+        [owner[x] for x in sorted(owner)], [len(b) for b in blocks]
+    )
 
 
 def is_noncrossing(blocks, n: int | None = None) -> bool:
@@ -67,18 +94,19 @@ def is_noncrossing(blocks, n: int | None = None) -> bool:
 
 
 def noncrossing_partitions_of_seq(seq, k: int = 1) -> Iterator[Blocks]:
-    """Noncrossing partitions of a linearly ordered ground sequence.
+    """Noncrossing partitions of an increasing ground sequence.
 
     Every block size must be divisible by k.  Each partition is yielded
-    exactly once, as canonical blocks of the sequence's values.
+    exactly once, as canonical blocks: each block ascending, blocks ordered
+    by their first element (the order in which the scan opens them).
     """
     seq = list(seq)
     n = len(seq)
     if n == 0:
         yield ()
         return
-    done: list[list[int]] = []
-    stack: list[list[int]] = []
+    blocks: list[list[int]] = []  # every block, in the order it was opened
+    stack: list[list[int]] = []  # the open blocks
 
     def deficit() -> int:
         return sum((-len(b)) % k for b in stack)
@@ -87,13 +115,16 @@ def noncrossing_partitions_of_seq(seq, k: int = 1) -> Iterator[Blocks]:
         if deficit() > n - i:
             return
         if i == n:
-            yield canonical_blocks(done + stack)
+            yield tuple(tuple(b) for b in blocks)
             return
         x = seq[i]
         # start a new block
-        stack.append([x])
+        new = [x]
+        blocks.append(new)
+        stack.append(new)
         yield from rec(i + 1)
         stack.pop()
+        blocks.pop()
         # join an open block, closing everything nested above it
         if stack:
             stack[-1].append(x)
@@ -102,12 +133,10 @@ def noncrossing_partitions_of_seq(seq, k: int = 1) -> Iterator[Blocks]:
         closed = []
         while len(stack) > 1 and len(stack[-1]) % k == 0:
             closed.append(stack.pop())
-            done.append(closed[-1])
             stack[-1].append(x)
             yield from rec(i + 1)
             stack[-1].pop()
         while closed:
-            done.pop()
             stack.append(closed.pop())
 
     yield from rec(0)

@@ -9,6 +9,7 @@ listed clockwise starting from their minimal element in that order.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import Iterable
 
@@ -20,7 +21,11 @@ from .partitions import (
     multiplicity_product,
     weight,
 )
-from .noncrossing_a import blocks_noncrossing, noncrossing_partitions_of_seq
+from .noncrossing_a import (
+    blocks_noncrossing,
+    noncrossing_partitions_of_seq,
+    owners_noncrossing,
+)
 
 SignedBlocks = tuple[tuple[int, ...], ...]
 
@@ -44,22 +49,17 @@ def element_key(v: int) -> tuple[int, int]:
 
 def canonical_blocks_b(blocks: Iterable[Iterable[int]], m: int) -> SignedBlocks:
     """Blocks sorted by minimal element, each listed clockwise from it."""
-    out = []
+    keyed = []
     for b in blocks:
-        b = list(b)
-        start = min(b, key=element_key)
-        p0 = position(start, m)
-        out.append(tuple(sorted(b, key=lambda v: (position(v, m) - p0) % (2 * m))))
-    return tuple(sorted(out, key=lambda b: element_key(b[0])))
-
-
-def validate_signed_partition(blocks, m: int) -> SignedBlocks:
-    blocks = canonical_blocks_b(blocks, m)
-    seen = sorted(x for b in blocks for x in b)
-    expect = sorted(set(range(-m, 0)) | set(range(1, m + 1)))
-    if seen != expect:
-        raise ValueError(f"blocks do not partition the signed set [-{m}..{m}]")
-    return blocks
+        ps = sorted(position(v, m) for v in b)
+        if not ps:
+            raise ValueError("empty block")
+        # the minimal element is the first negative label, if there is one
+        i = bisect.bisect_right(ps, m) % len(ps)
+        ps = ps[i:] + ps[:i]
+        keyed.append(((ps[0] - m - 1) % (2 * m), tuple(label_at(p, m) for p in ps)))
+    keyed.sort(key=lambda kb: kb[0])
+    return tuple(b for _, b in keyed)
 
 
 def is_invariant(blocks) -> bool:
@@ -90,16 +90,48 @@ def antipodal_block(blocks) -> tuple[int, ...] | None:
 
 
 def validate_nc_b(blocks, n: int, k: int) -> SignedBlocks:
+    """Canonical blocks of a member of NC_n^{B,(k)}, checked in one pass.
+
+    Every label is placed once on an array of the 2m polygon positions
+    (m = kn).  The checks run in this order, and the first that fails
+    raises ValueError: the blocks partition the signed set, the partition
+    is invariant under negation, it is noncrossing on the polygon, and every
+    block size is divisible by k.
+    """
     m = k * n
-    blocks = validate_signed_partition(blocks, m)
-    if not is_invariant(blocks):
-        raise ValueError("partition is not invariant under negation")
-    if not is_noncrossing_b(blocks, m):
+    owner = [-1] * (2 * m + 1)  # position -> block index
+    sizes: list[int] = []
+    overlap = False
+    for i, b in enumerate(blocks):
+        size = 0
+        for v in b:
+            p = position(v, m)
+            overlap = overlap or owner[p] >= 0
+            owner[p] = i
+            size += 1
+        sizes.append(size)
+    if overlap or 0 in sizes or sum(sizes) != 2 * m:
+        raise ValueError(f"blocks do not partition the signed set [-{m}..{m}]")
+    # invariant iff all members of a block have their negatives in one block
+    mirror = [-1] * len(sizes)
+    for p in range(1, m + 1):
+        for q, r in ((p, p + m), (p + m, p)):
+            i, j = owner[q], owner[r]
+            if mirror[i] < 0:
+                mirror[i] = j
+            elif mirror[i] != j:
+                raise ValueError("partition is not invariant under negation")
+    if not owners_noncrossing(owner[1:], sizes):
         raise ValueError("partition is crossing on the polygon")
-    for b in blocks:
+    # clockwise from position m + 1 (the label -1) meets every block at its
+    # minimal element first, so this is the canonical listing
+    out: dict[int, list[int]] = {}
+    for p in itertools.chain(range(m + 1, 2 * m + 1), range(1, m + 1)):
+        out.setdefault(owner[p], []).append(label_at(p, m))
+    for b in out.values():
         if len(b) % k:
             raise ValueError(f"block size {len(b)} is not divisible by {k}")
-    return blocks
+    return tuple(tuple(b) for b in out.values())
 
 
 def type_b(blocks, k: int = 1) -> Partition:

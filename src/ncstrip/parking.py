@@ -59,6 +59,13 @@ def enumerate_primitive(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def count_parking_functions(n: int) -> int:
+    """(n+1)^(n-1), as an exact integer: the empty sequence counts once."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return (n + 1) ** (n - 1) if n else 1
+
+
 def enumerate_parking_functions(n: int) -> list[tuple[int, ...]]:
     """All parking functions of length n; (n+1)^(n-1) of them."""
     out = set()

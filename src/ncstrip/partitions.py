@@ -60,6 +60,24 @@ def partitions_of(m: int, max_part: int | None = None) -> Iterator[Partition]:
             yield (first,) + rest
 
 
+def partition_counts() -> Iterator[int]:
+    """p(0), p(1), p(2), ... by Euler's pentagonal number recurrence."""
+    p = [1]
+    yield 1
+    while True:
+        m = len(p)
+        total = 0
+        j = 1
+        while j * (3 * j - 1) // 2 <= m:
+            sign = 1 if j % 2 else -1
+            total += sign * p[m - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= m:
+                total += sign * p[m - j * (3 * j + 1) // 2]
+            j += 1
+        p.append(total)
+        yield total
+
+
 def partitions_with_weight_at_most(n: int) -> list[Partition]:
     """Every partition of every 0 <= m <= n, in canonical order."""
     if n < 0:

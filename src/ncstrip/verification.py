@@ -33,6 +33,7 @@ from .noncrossing_a import (
 )
 from .noncrossing_b import enumerate_nc_b, type_b
 from .parking import (
+    count_parking_functions,
     enumerate_parking_functions,
     enumerate_primitive,
     pf_type,
@@ -130,9 +131,9 @@ def theorem_21_check(n: int) -> CheckResult:
     top = top_homogeneous_part(expand_skew(stretched_staircase(n, 1)), n)
     _expansions_must_match(result, "top part vs formula", top, expansion)
     if n <= 6:
-        total = len(enumerate_parking_functions(n))
-        if total != (n + 1) ** (n - 1):
-            result.fail(f"parking function count {total} != {(n + 1) ** (n - 1)}")
+        total, expected = len(enumerate_parking_functions(n)), count_parking_functions(n)
+        if total != expected:
+            result.fail(f"parking function count {total} != {expected}")
     return result
 
 

@@ -52,6 +52,23 @@ def crossing_quadruple_scan(blocks) -> bool:
     return False
 
 
+def crossing_pair_scan(blocks) -> bool:
+    """True iff some a < b < c < d has a,c in one block and b,d in another.
+
+    Checks every pair of blocks: merged in increasing order, two blocks
+    cross exactly when the merged sequence switches block three or more
+    times.  Quadratic in the number of blocks, so it reaches objects far
+    too large for the quadruple scan.
+    """
+    blocks = [list(b) for b in blocks]
+    for i, a in enumerate(blocks):
+        for b in blocks[i + 1 :]:
+            tags = [t for _, t in sorted([(x, 0) for x in a] + [(x, 1) for x in b])]
+            if sum(1 for s, t in zip(tags, tags[1:]) if s != t) >= 3:
+                return True
+    return False
+
+
 def pascal_binomial(n: int, k: int) -> int:
     """Pascal triangle, no factorials."""
     row = [1]

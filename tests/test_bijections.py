@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncstrip.bijections import (
     build_labeling_tree,
@@ -33,6 +34,8 @@ from ncstrip.shapes import (
     stretched_staircase,
     strip_type,
 )
+
+from conftest import crossing_pair_scan
 
 TYPE_A_EXAMPLE_WORD = "ENEENNNNENNNEENNNN"
 TYPE_A_EXAMPLE_BLOCKS = parse_blocks("1,6/2,3,4,5/7,10,11,12/8,9")
@@ -234,3 +237,63 @@ class TestLabelingMapB:
             signed_noncrossing_to_path([(1, 2), (-1,), (-2,)], 2, 1)
         with pytest.raises(ValueError):
             signed_noncrossing_to_path([(1, 3), (-1, -3), (2, -2)], 3, 1)
+
+
+@st.composite
+def fuss_catalan_words(draw):
+    """(word, n, k) with the word uniform in D_n^(k), by the cycle lemma.
+
+    A word with n E's (+k) and kn+1 N's (-1) sums to -1; its one rotation
+    whose proper prefix sums stay >= 0 starts just after the first minimal
+    prefix sum, and dropping its final N leaves a Fuss-Catalan path.
+    """
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, 3))
+    letters = draw(st.permutations("E" * n + "N" * (k * n + 1)))
+    s, low, cut = 0, 1, 0
+    for i, c in enumerate(letters, start=1):
+        s += k if c == "E" else -1
+        if s < low:
+            low, cut = s, i
+    return "".join(letters[cut:] + letters[:cut])[:-1], n, k
+
+
+@st.composite
+def binomial_words(draw):
+    """(word, n, k) with the word uniform in B_n^(k)."""
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, 3))
+    return "".join(draw(st.permutations("E" * n + "N" * (k * n)))), n, k
+
+
+LARGE_OBJECTS = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+@LARGE_OBJECTS
+@given(fuss_catalan_words())
+def test_psi_a_on_large_paths(case):
+    word, n, k = case
+    blocks = path_to_noncrossing(word, n, k)
+    assert blocks == tuple(sorted(tuple(sorted(b)) for b in blocks))  # canonical
+    assert sorted(x for b in blocks for x in b) == list(range(1, k * n + 1))
+    assert not crossing_pair_scan(blocks)
+    assert all(len(b) % k == 0 for b in blocks)
+    assert type_a(blocks, k) == fc_type(word)
+    assert reduced_type_a(blocks, k) == fc_reduced_type(word)
+    assert noncrossing_to_path(blocks, n, k) == word
+
+
+@LARGE_OBJECTS
+@given(binomial_words())
+def test_psi_b_on_large_paths(case):
+    word, n, k = case
+    m = k * n
+    blocks = path_to_signed_noncrossing(word, n, k)
+    ground = sorted(x for b in blocks for x in b)
+    assert ground == list(range(-m, 0)) + list(range(1, m + 1))
+    sets = {frozenset(b) for b in blocks}
+    assert all(frozenset(-x for x in b) in sets for b in sets)
+    assert not crossing_pair_scan([[v if v > 0 else m - v for v in b] for b in blocks])
+    assert all(len(b) % k == 0 for b in blocks)
+    assert type_b(blocks, k) == fb_type(word)
+    assert signed_noncrossing_to_path(blocks, n, k) == word

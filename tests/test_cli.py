@@ -5,15 +5,17 @@ import sys
 
 import pytest
 
+from ncstrip.partitions import fuss_catalan
+
 CLI = [sys.executable, "-m", "ncstrip.cli"]
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=full_env
+        CLI + list(args), capture_output=True, text=True, env=full_env, timeout=timeout
     )
 
 
@@ -212,3 +214,52 @@ def test_non_integer_cap_is_a_usage_error():
     )
     assert r.returncode == 2
     assert "usage error" in r.stderr
+
+
+def test_parking_count_at_zero_is_an_exact_integer():
+    r = run_cli("count", "--family", "pf", "-n", "0")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["result"]["count"] == "1"
+    r = run_cli("count", "--family", "pf", "-n", "0", "--format", "table")
+    assert r.stdout.splitlines()[-1].split() == ["count", "1"]
+
+
+@pytest.mark.parametrize(
+    "args,rows",
+    [
+        (("--family", "nca", "-n", "{}"), [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101]),
+        (("--family", "nca-k", "-k", "2", "--by", "reduced-type", "-n", "{}"), [0, 1, 2, 4, 7, 12, 19, 30, 45, 67, 97, 139]),
+        (("--family", "ncb-k", "-k", "1", "-n", "{}"), [1, 2, 4, 7, 12, 19, 30, 45, 67, 97, 139]),
+    ],
+)
+def test_count_table_is_guarded_by_its_row_count(args, rows):
+    # the table has one row per partition of n (nca by type), of each weight
+    # below n (by reduced type) or of each weight up to n (ncb-k)
+    cap = {"NCSTRIP_MAX_OBJECTS": "100"}
+    n_last = max(n for n, r in enumerate(rows) if r <= 100)
+    fill = lambda n: [a.format(n) for a in args]
+    r = run_cli("count", *fill(n_last), env=cap)
+    assert r.returncode == 0
+    assert len(json.loads(r.stdout)["result"]["entries"]) == rows[n_last]
+    r = run_cli("count", *fill(n_last + 1), env=cap)
+    assert r.returncode == 3
+    assert "refused" in r.stderr
+    # a huge n is refused at once: the count stops where it passes the cap
+    r = run_cli("count", *fill(10**9), timeout=60)
+    assert r.returncode == 3
+    assert "at least" in r.stderr
+
+
+def test_formula_expansion_is_guarded_by_its_term_count():
+    r = run_cli("expand", "--family", "fuss-a", "--method", "formula", "-n", "30", "-k", "1")
+    assert r.returncode == 0
+    result = json.loads(r.stdout)["result"]
+    assert result["coefficient_sum"] == str(fuss_catalan(31, 1))
+    assert result["term_count"] == 28629  # partitions of weight <= 30
+    for family in ("fuss-a", "fuss-b"):
+        r = run_cli(
+            "expand", "--family", family, "--method", "formula", "-n", str(10**9), "-k", "1",
+            timeout=60,
+        )
+        assert r.returncode == 3
+        assert "refused" in r.stderr

@@ -1,6 +1,7 @@
 import pytest
 
 from ncstrip.noncrossing_a import (
+    blocks_noncrossing,
     canonical_listing,
     count_by_reduced_type,
     count_by_type,
@@ -11,10 +12,11 @@ from ncstrip.noncrossing_a import (
     parse_blocks,
     reduced_type_a,
     type_a,
+    validate_set_partition,
 )
 from ncstrip.partitions import catalan, fuss_catalan, partitions_with_weight_at_most, weight
 
-from conftest import crossing_quadruple_scan, set_partitions
+from conftest import crossing_pair_scan, crossing_quadruple_scan, set_partitions
 
 
 def test_is_noncrossing_examples():
@@ -30,6 +32,30 @@ def test_is_noncrossing_matches_quadruple_scan(n):
         assert is_noncrossing(blocks, n) == (not crossing_quadruple_scan(blocks))
         agree_count += 1
     assert agree_count > 0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pair_scan_oracle_matches_quadruple_scan(n):
+    for blocks in set_partitions(range(1, n + 1)):
+        assert crossing_pair_scan(blocks) == crossing_quadruple_scan(blocks)
+
+
+def test_blocks_noncrossing_on_a_sparse_ground_set():
+    # the stack scan reads elements in increasing order, wherever they lie
+    assert blocks_noncrossing([(10, 40), (20, 30), (50,)])
+    assert not blocks_noncrossing([(10, 30), (40, 20)])
+    assert blocks_noncrossing([(7, -3), (-5, -4)])
+    assert not blocks_noncrossing([(-5, 0), (-3, 2)])
+
+
+def test_validate_set_partition_rejects_bad_input():
+    assert validate_set_partition([[3, 1], [2]], 3) == ((1, 3), (2,))
+    assert validate_set_partition((), 0) == ()
+    for blocks in ([(1, 2)], [(1, 2), (2,)], [(1, 2), (3, 4)], [(0, 1), (2, 3)]):
+        with pytest.raises(ValueError, match="do not partition"):
+            validate_set_partition(blocks, 3)
+    with pytest.raises(ValueError, match="empty block"):
+        validate_set_partition([(1, 2, 3), ()], 3)
 
 
 def test_enumeration_counts():

@@ -158,3 +158,59 @@ def test_canonical_listing_b():
     assert canonical_blocks_b([(1, -11, 7, 3)], 12)[0] == (-11, 1, 3, 7)
     text = "-1,-2,12/-3,-7,11/-4,-5,-6/-8,-9,-10,8,9,10/-11,3,7/-12,1,2/4,5,6"
     assert format_blocks_b(TYPE_B_EXAMPLE_PARTITION, 12) == text
+
+
+def _canonical_by_definition(blocks, m):
+    """Blocks sorted by minimal element, each listed clockwise from it."""
+    key = lambda v: (0, -v) if v < 0 else (1, v)
+    pos = lambda v: v if v > 0 else m - v
+    out = []
+    for b in blocks:
+        p0 = pos(min(b, key=key))
+        out.append(tuple(sorted(b, key=lambda v: (pos(v) - p0) % (2 * m))))
+    return tuple(sorted(out, key=lambda b: key(b[0])))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_validate_nc_b_matches_oracles(m):
+    ground = [x for x in range(1, m + 1)] + [-x for x in range(1, m + 1)]
+    for n, k in [(m // k, k) for k in range(1, m + 1) if m % k == 0]:
+        accepted = 0
+        for blocks in set_partitions(ground):
+            canon = _canonical_by_definition(blocks, m)
+            assert canonical_blocks_b(reversed(blocks), m) == canon
+            sets = {frozenset(b) for b in blocks}
+            pos_blocks = [[v if v > 0 else m - v for v in b] for b in blocks]
+            if not all(frozenset(-x for x in b) in sets for b in sets):
+                expect = "not invariant under negation"
+            elif crossing_quadruple_scan(pos_blocks):
+                expect = "crossing on the polygon"
+            elif any(len(b) % k for b in blocks):
+                expect = "not divisible"
+            else:
+                assert validate_nc_b(blocks, n, k) == canon
+                accepted += 1
+                continue
+            with pytest.raises(ValueError, match=expect):
+                validate_nc_b(blocks, n, k)
+        assert accepted == binomial((k + 1) * n, n)
+
+
+def test_validate_nc_b_messages_in_order():
+    cases = [
+        ([(1,), (-1,)], 2, 1, "do not partition the signed set"),
+        ([(1, 2), (-1,), (-2, 1)], 2, 1, "do not partition the signed set"),
+        # the right number of labels, but one repeated and one missing
+        ([(1,), (1,), (-1,), (-2,)], 2, 1, "do not partition the signed set"),
+        ([(1, 2), (-1,), (-2,)], 2, 1, "not invariant under negation"),
+        ([(1, 3), (-1, -3), (2, -2)], 3, 1, "crossing on the polygon"),
+        ([(1,), (-1,), (2,), (-2,)], 1, 2, "block size 1 is not divisible by 2"),
+        # a crossing that is also not invariant reports the invariance first
+        ([(1, 3), (2, -1), (-2,), (-3,)], 3, 1, "not invariant under negation"),
+    ]
+    for blocks, n, k, message in cases:
+        with pytest.raises(ValueError, match=message):
+            validate_nc_b(blocks, n, k)
+    with pytest.raises(ValueError, match="outside the signed ground set"):
+        validate_nc_b([(1, 3), (-1, -3)], 1, 1)
+    assert validate_nc_b((), 0, 2) == ()

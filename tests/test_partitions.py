@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from ncstrip import partitions
 from ncstrip.partitions import (
     as_partition,
     binomial,
@@ -107,6 +108,13 @@ def test_catalan_and_fuss():
     for n in range(13):
         for k in range(1, 5):
             fuss_catalan(n, k)  # exact divisibility must hold
+
+
+def test_partition_counts_match_the_listing():
+    counts = partitions.partition_counts()
+    for m in range(25):
+        assert next(counts) == sum(1 for _ in partitions_of(m))
+    assert next(counts) == 1958  # p(25)
 
 
 def test_exact_div_refuses_truncation():
