@@ -10,7 +10,6 @@ from .partitions import (
     factorial,
     format_partition,
     fuss_catalan,
-    length,
     multiplicity_product,
     parse_partition,
     partitions_of,
@@ -41,11 +40,9 @@ from .lattice_paths import (
     fc_type,
 )
 from .noncrossing_a import (
-    canonical_listing,
     count_by_reduced_type,
     count_by_type,
     enumerate_k_divisible,
-    enumerate_nc_a,
     format_blocks,
     is_noncrossing,
     parse_blocks,
@@ -88,7 +85,6 @@ from .expansions import (
     expansion_items,
     fuss_a_expansion_formula,
     fuss_b_expansion_formula,
-    h_expansions_equal,
     parking_expansion,
     top_homogeneous_part,
 )

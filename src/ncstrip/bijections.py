@@ -35,6 +35,7 @@ from .shapes import (
     SkewShape,
     path_from_strip,
     rectangle,
+    staircase_inner,
     stretched_staircase,
     strip_from_path,
 )
@@ -209,24 +210,16 @@ def _noncrossing_to_path(blocks: Blocks, n: int, k: int) -> str:
     return "".join(word)
 
 
-def _staircase_params(shape: SkewShape) -> tuple[int, int]:
-    if shape.outer:
-        n = shape.outer[0]
-        if n >= 1 and len(shape.outer) % n == 0:
-            k = len(shape.outer) // n
-            if shape == stretched_staircase(n, k):
-                return n, k
-    raise ValueError("strip does not live in a stretched staircase shape")
-
-
-def _rectangle_params(shape: SkewShape) -> tuple[int, int]:
-    if shape.outer:
-        n = shape.outer[0]
-        if n >= 1 and len(shape.outer) % n == 0:
-            k = len(shape.outer) // n
-            if shape == rectangle(n, k):
-                return n, k
-    raise ValueError("strip does not live in a rectangle shape")
+def _family_params(shape: SkewShape, inner, family: str) -> tuple[int, int]:
+    """(n, k) of a shape (n^{kn}) / inner(n, k), read off its outer partition
+    without building the family shape."""
+    outer = shape.outer
+    if outer:
+        n = outer[0]
+        k, rest = divmod(len(outer), n)
+        if not rest and outer == (n,) * len(outer) and shape.inner == inner(n, k):
+            return n, k
+    raise ValueError(f"strip does not live in a {family} shape")
 
 
 def staircase_strip_to_path(strip: RStrip) -> str:
@@ -235,7 +228,7 @@ def staircase_strip_to_path(strip: RStrip) -> str:
     Prepends the east step along y = 0 and appends the final k north steps
     up the right wall; the strip's type becomes the path's reduced type.
     """
-    n, k = _staircase_params(strip.shape)
+    n, k = _family_params(strip.shape, staircase_inner, "stretched staircase")
     word = "E" + path_from_strip(strip) + "N" * k
     validate_fuss_catalan(word, n + 1, k)
     return word
@@ -253,7 +246,7 @@ def rectangle_strip_to_path(strip: RStrip) -> str:
     ascent that fb_type discards is exactly the boxless prefix, and the
     strip's type equals the path's type.
     """
-    n, k = _rectangle_params(strip.shape)
+    n, k = _family_params(strip.shape, lambda n, k: (), "rectangle")
     word = path_from_strip(strip)
     validate_fuss_binomial(word, n, k)
     return word

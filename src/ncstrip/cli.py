@@ -13,6 +13,9 @@ import json
 import os
 import sys
 import time
+from collections import Counter
+from collections.abc import Callable
+from typing import NamedTuple
 
 from . import bijections as bij
 from .expansions import (
@@ -20,7 +23,6 @@ from .expansions import (
     expansion_items,
     fuss_a_expansion_formula,
     fuss_b_expansion_formula,
-    parking_expansion,
 )
 from .lattice_paths import (
     enumerate_fuss_binomial,
@@ -190,100 +192,145 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _count_table_a(n: int, k: int, by: str):
-    if by == "type":
-        _guard_partitions(n, False, "count table")
-        lams = list(partitions_of(n))
-        counts = {lam: count_by_type(n, k, lam) for lam in lams}
-    else:
-        _guard_partitions(n - 1, True, "count table")
-        lams = partitions_with_weight_at_most(n - 1)
-        counts = {lam: count_by_reduced_type(n, k, lam) for lam in lams}
-    return counts
+class Kind(NamedTuple):
+    """One kind of object: how its literal is read and written, and its
+    statistics, each a partition."""
+
+    parse: Callable
+    format: Callable
+    stats: dict[str, Callable]
+
+    def columns(self, header: str) -> dict[str, Callable]:
+        """The literal, as column `header`, then the statistics."""
+        return {header: self.format, **self.stats}
+
+
+def _word(text: str) -> str:
+    return text.strip().upper()
+
+
+def _kinds(n: int, k: int) -> dict[str, Kind]:
+    """Every kind of object at the family parameters (n, k), named as the
+    `enumerate` object where it is one."""
+
+    def strips(shape) -> Kind:
+        return Kind(
+            lambda text: parse_strip(shape(n, k), text),
+            format_strip,
+            {"type": strip_type},
+        )
+
+    return {
+        "fuss-catalan": Kind(
+            _word, str, {"type": fc_type, "reduced_type": fc_reduced_type}
+        ),
+        "binomial": Kind(_word, str, {"type": fb_type}),
+        "nca-k": Kind(
+            parse_blocks,
+            format_blocks,
+            {
+                "type": lambda blocks: type_a(blocks, k),
+                "reduced_type": lambda blocks: reduced_type_a(blocks, k),
+            },
+        ),
+        "ncb-k": Kind(
+            parse_blocks_b,
+            lambda blocks: format_blocks_b(blocks, k * n),
+            {"type": lambda blocks: type_b(blocks, k)},
+        ),
+        "staircase-strip": strips(stretched_staircase),
+        "rectangle-strip": strips(rectangle),
+    }
+
+
+def _census_a(n: int, k: int):
+    if k * n > CAP_A:
+        raise CapExceeded(f"census check needs kn <= {CAP_A}")
+    return enumerate_k_divisible(n, k)
+
+
+def _census_b(n: int, k: int):
+    if (k + 1) * n > CAP_B:
+        raise CapExceeded(f"census check needs (k+1)n <= {CAP_B}")
+    return enumerate_nc_b(n, k)
+
+
+def _census_primitive(n: int, k: int):
+    _guard(catalan(n), "primitive census")
+    return enumerate_primitive(n)
+
+
+def _census_parking(n: int, k: int):
+    _guard(count_parking_functions(n), "parking function enumeration")
+    return enumerate_parking_functions(n)
+
+
+# family -> {--by: (formula, rows, census, statistic)}; the first --by is the
+# default.  rows(n) gives the largest row weight and whether every lighter
+# weight has rows too; formula(n, k, lam) counts the row lam.  --check tallies
+# statistic(object, k) over census(n, k), which applies its own guard.
+_TYPE_A = (count_by_type, lambda n: (n, False), _census_a, type_a)
+_REDUCED_TYPE_A = (
+    count_by_reduced_type, lambda n: (n - 1, True), _census_a, reduced_type_a
+)
+COUNTS = {
+    "nca": {"type": _TYPE_A, "reduced-type": _REDUCED_TYPE_A},
+    "nca-k": {"type": _TYPE_A, "reduced-type": _REDUCED_TYPE_A},
+    "ncb-k": {"type": (count_by_type_b, lambda n: (n, True), _census_b, type_b)},
+    # Without --by, the one row, of the empty partition, counts every parking
+    # function.  By type, the parking function numbers are those of NC_A.
+    "pf": {
+        None: (
+            lambda n, k, lam: count_parking_functions(n),
+            lambda n: (0, False),
+            _census_parking,
+            lambda p, k: (),
+        ),
+        "type": (
+            count_by_type, lambda n: (n, False), _census_primitive, lambda p, k: pf_type(p)
+        ),
+    },
+}
+BY_REFUSALS = {
+    "ncb-k": "the signed type is already reduced; use --by type",
+    "pf": "parking functions have no reduced type",
+}
 
 
 def cmd_count(args) -> int:
-    family = args.family
     n = args.n
     if n is None:
         raise SystemExit2("count requires -n")
     # nca is the k = 1 case and pf has no k; the other families default to 1
-    k = 1 if family in ("nca", "pf") or args.k is None else args.k
+    k = 1 if args.family in ("nca", "pf") or args.k is None else args.k
     _check_nk(n, k)
-    if family == "pf":
-        if args.by == "reduced-type":
-            raise SystemExit2("parking functions have no reduced type")
-        if args.by == "type":
-            counts = {
-                lam: c for lam, c in expansion_items(parking_expansion(n))
-            }
-            checked = None
-            if args.check:
-                _guard(catalan(n), "primitive census")
-                census = {}
-                for p in enumerate_primitive(n):
-                    census[pf_type(p)] = census.get(pf_type(p), 0) + 1
-                checked = census == counts
-        else:
-            counts = {(): count_parking_functions(n)}
-            checked = None
-            if args.check:
-                _guard(counts[()], "parking function enumeration")
-                checked = len(enumerate_parking_functions(n)) == counts[()]
-        return _finish_count(args, counts, checked, total_label="count")
-    if family in ("nca", "nca-k"):
-        by = args.by or "type"
-        if args.lam is not None:
-            lam = parse_partition(args.lam)
-            fn = count_by_type if by == "type" else count_by_reduced_type
-            counts = {lam: fn(n, k, lam)}
-        else:
-            counts = _count_table_a(n, k, by)
-        checked = None
-        if args.check:
-            if k * n > CAP_A:
-                raise CapExceeded(f"census check needs kn <= {CAP_A}")
-            census: dict = {}
-            for blocks in enumerate_k_divisible(n, k):
-                key = type_a(blocks, k) if by == "type" else reduced_type_a(blocks, k)
-                census[key] = census.get(key, 0) + 1
-            checked = all(census.get(lam, 0) == c for lam, c in counts.items())
-        return _finish_count(args, counts, checked)
-    if family == "ncb-k":
-        if args.by == "reduced-type":
-            raise SystemExit2("the signed type is already reduced; use --by type")
-        if args.lam is not None:
-            lam = parse_partition(args.lam)
-            counts = {lam: count_by_type_b(n, k, lam)}
-        else:
-            _guard_partitions(n, True, "count table")
-            counts = {
-                lam: count_by_type_b(n, k, lam)
-                for lam in partitions_with_weight_at_most(n)
-            }
-        checked = None
-        if args.check:
-            if (k + 1) * n > CAP_B:
-                raise CapExceeded(f"census check needs (k+1)n <= {CAP_B}")
-            census = {}
-            for blocks in enumerate_nc_b(n, k):
-                key = type_b(blocks, k)
-                census[key] = census.get(key, 0) + 1
-            checked = all(census.get(lam, 0) == c for lam, c in counts.items())
-        return _finish_count(args, counts, checked)
-    raise SystemExit2(f"unknown family {family!r}")
-
-
-def _finish_count(args, counts, checked, total_label="sum") -> int:
-    items = sorted(counts.items(), key=lambda kv: partition_sort_key(kv[0]))
+    tallies = COUNTS[args.family]
+    by = args.by or next(iter(tallies))
+    if by not in tallies:
+        raise SystemExit2(BY_REFUSALS[args.family])
+    formula, rows, census, statistic = tallies[by]
+    if args.lam is not None:
+        if by is None:
+            raise SystemExit2("--lambda needs --by type")
+        lams = [parse_partition(args.lam)]
+    else:
+        w_max, cumulative = rows(n)
+        _guard_partitions(w_max, cumulative, "count table")
+        lams = (
+            partitions_with_weight_at_most(w_max) if cumulative else partitions_of(w_max)
+        )
+    items = [(lam, formula(n, k, lam)) for lam in sorted(lams, key=partition_sort_key)]
+    total = "count" if args.family == "pf" else "sum"
     body = {
-        "entries": [
-            {"lambda": list(lam), "count": str(c)} for lam, c in items
-        ],
-        total_label: str(sum(counts.values())),
+        "entries": [{"lambda": list(lam), "count": str(c)} for lam, c in items],
+        total: str(sum(c for _, c in items)),
     }
-    if checked is not None:
-        body["check"] = "pass" if checked else "fail"
+    table = [[format_partition(lam), str(c)] for lam, c in items]
+    table.append([total, body[total]])
+    if args.check:
+        tally = Counter(statistic(obj, k) for obj in census(n, k))
+        body["check"] = "pass" if all(tally[lam] == c for lam, c in items) else "fail"
+        table.append(["check", body["check"]])
     payload = {
         "command": "count",
         "parameters": {
@@ -295,121 +342,60 @@ def _finish_count(args, counts, checked, total_label="sum") -> int:
         },
         "result": body,
     }
-    rows = [[format_partition(lam), str(c)] for lam, c in items]
-    rows.append([total_label, str(sum(counts.values()))])
-    if checked is not None:
-        rows.append(["check", "pass" if checked else "fail"])
-    _emit(payload, args.format, _table(rows, ["lambda", "count"]))
-    return EXIT_OK if checked in (None, True) else EXIT_MISMATCH
+    _emit(payload, args.format, _table(table, ["lambda", "count"]))
+    return EXIT_MISMATCH if body.get("check") == "fail" else EXIT_OK
+
+
+# map -> (domain, codomain, forward, inverse), each map taking (object, n, k)
+MAPS = {
+    "phi-a": (
+        "staircase-strip",
+        "fuss-catalan",
+        lambda strip, n, k: bij.staircase_strip_to_path(strip),
+        bij.staircase_path_to_strip,
+    ),
+    "psi-a": ("fuss-catalan", "nca-k", bij.path_to_noncrossing, bij.noncrossing_to_path),
+    "phi-b": (
+        "rectangle-strip",
+        "binomial",
+        lambda strip, n, k: bij.rectangle_strip_to_path(strip),
+        bij.rectangle_path_to_strip,
+    ),
+    "psi-b": (
+        "binomial",
+        "ncb-k",
+        bij.path_to_signed_noncrossing,
+        bij.signed_noncrossing_to_path,
+    ),
+}
 
 
 def cmd_biject(args) -> int:
     n, k = _require_nk(args)
-    forward = not args.inverse
-    m = args.map
-    text = args.input
-    if m == "psi-a":
-        if forward:
-            word = text.strip().upper()
-            blocks = bij.path_to_noncrossing(word, n, k)
-            in_repr, out_repr = word, format_blocks(blocks)
-            in_stats = {
-                "type": fc_type(word),
-                "reduced_type": fc_reduced_type(word),
-            }
-            out_stats = {
-                "type": type_a(blocks, k),
-                "reduced_type": reduced_type_a(blocks, k),
-            }
-        else:
-            blocks = parse_blocks(text)
-            word = bij.noncrossing_to_path(blocks, n, k)
-            in_repr, out_repr = format_blocks(blocks), word
-            in_stats = {
-                "type": type_a(blocks, k),
-                "reduced_type": reduced_type_a(blocks, k),
-            }
-            out_stats = {
-                "type": fc_type(word),
-                "reduced_type": fc_reduced_type(word),
-            }
-    elif m == "psi-b":
-        if forward:
-            word = text.strip().upper()
-            blocks = bij.path_to_signed_noncrossing(word, n, k)
-            in_repr, out_repr = word, format_blocks_b(blocks, k * n)
-            in_stats = {"type": fb_type(word)}
-            out_stats = {"type": type_b(blocks, k)}
-        else:
-            blocks = parse_blocks_b(text)
-            word = bij.signed_noncrossing_to_path(blocks, n, k)
-            in_repr, out_repr = format_blocks_b(blocks, k * n), word
-            in_stats = {"type": type_b(blocks, k)}
-            out_stats = {"type": fb_type(word)}
-    elif m == "phi-a":
-        shape = stretched_staircase(n, k)
-        if forward:
-            strip = parse_strip(shape, text)
-            word = bij.staircase_strip_to_path(strip)
-            in_repr, out_repr = format_strip(strip), word
-            in_stats = {"type": strip_type(strip)}
-            out_stats = {
-                "type": fc_type(word),
-                "reduced_type": fc_reduced_type(word),
-            }
-        else:
-            word = text.strip().upper()
-            strip = bij.staircase_path_to_strip(word, n, k)
-            in_repr, out_repr = word, format_strip(strip)
-            in_stats = {
-                "type": fc_type(word),
-                "reduced_type": fc_reduced_type(word),
-            }
-            out_stats = {"type": strip_type(strip)}
-    elif m == "phi-b":
-        shape = rectangle(n, k)
-        if forward:
-            strip = parse_strip(shape, text)
-            word = bij.rectangle_strip_to_path(strip)
-            in_repr, out_repr = format_strip(strip), word
-            in_stats = {"type": strip_type(strip)}
-            out_stats = {"type": fb_type(word)}
-        else:
-            word = text.strip().upper()
-            strip = bij.rectangle_path_to_strip(word, n, k)
-            in_repr, out_repr = word, format_strip(strip)
-            in_stats = {"type": fb_type(word)}
-            out_stats = {"type": strip_type(strip)}
-    else:
-        raise SystemExit2(f"unknown map {m!r}")
-    fmt_stats = lambda st: {key: list(v) for key, v in st.items()}
+    source, target, forward, inverse = MAPS[args.map]
+    if args.inverse:
+        source, target, forward = target, source, inverse
+    kinds = _kinds(n, k)
+    obj = kinds[source].parse(args.input)
+    # the map validates its input before any statistic is computed
+    image = forward(obj, n, k)
+    result, rows = {}, []
+    for side, kind, x in (("input", source, obj), ("output", target, image)):
+        stats = {s: f(x) for s, f in kinds[kind].stats.items()}
+        result[side] = kinds[kind].format(x)
+        result[f"{side}_stats"] = {s: list(v) for s, v in stats.items()}
+        rows.append([side, result[side]])
+        rows.extend([f"{side} {s}", format_partition(v)] for s, v in stats.items())
     payload = {
         "command": "biject",
         "parameters": {
-            "map": m,
-            "direction": "forward" if forward else "inverse",
+            "map": args.map,
+            "direction": "inverse" if args.inverse else "forward",
             "n": n,
             "k": k,
         },
-        "result": {
-            "input": in_repr,
-            "input_stats": fmt_stats(in_stats),
-            "output": out_repr,
-            "output_stats": fmt_stats(out_stats),
-        },
+        "result": result,
     }
-    rows = [
-        ["input", in_repr],
-        *[
-            [f"input {key}", format_partition(v)]
-            for key, v in in_stats.items()
-        ],
-        ["output", out_repr],
-        *[
-            [f"output {key}", format_partition(v)]
-            for key, v in out_stats.items()
-        ],
-    ]
     _emit(payload, args.format, _table(rows, ["field", "value"]))
     return EXIT_OK
 
@@ -472,145 +458,120 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_MISMATCH
 
 
+def _nk_params(args) -> dict:
+    n, k = _require_nk(args)
+    return {"n": n, "k": k}
+
+
+def _shape_params(args) -> dict:
+    if not args.shape:
+        raise SystemExit2("enumerate --object rstrips requires --shape")
+    return {"shape": args.shape}
+
+
+def _pf_params(args) -> dict:
+    if args.n is None:
+        raise SystemExit2("enumerate --object pf requires -n")
+    return {"n": args.n, "primitive": bool(args.primitive)}
+
+
+class Listing(NamedTuple):
+    """One `enumerate --object`.  params(args) checks the options and returns
+    the parameters; count(**parameters) is the number of objects, checked
+    against the cap before objects(**parameters) lists them.  columns(kinds),
+    given the kinds at the parameters, maps each column header to its value
+    on an object; art(object) draws the object for --ascii-art."""
+
+    count: Callable
+    what: str
+    objects: Callable
+    columns: Callable
+    params: Callable = _nk_params
+    art: Callable | None = None
+
+
+def _fuss_binomial(n: int, k: int) -> int:
+    return binomial((k + 1) * n, n)
+
+
+LISTINGS = {
+    "rstrips": Listing(
+        lambda shape: count_r_strips(parse_shape(shape)),
+        "r-strip enumeration",
+        lambda shape: enumerate_r_strips(parse_shape(shape)),
+        lambda kinds: {"strip": format_strip, "path": path_from_strip, "type": strip_type},
+        params=_shape_params,
+        art=strip_art,
+    ),
+    "fuss-catalan": Listing(
+        fuss_catalan,
+        "path enumeration",
+        enumerate_fuss_catalan,
+        lambda kinds: kinds["fuss-catalan"].columns("path"),
+    ),
+    "binomial": Listing(
+        _fuss_binomial,
+        "path enumeration",
+        enumerate_fuss_binomial,
+        lambda kinds: kinds["binomial"].columns("path"),
+    ),
+    "nca-k": Listing(
+        fuss_catalan,
+        "noncrossing enumeration",
+        enumerate_k_divisible,
+        lambda kinds: kinds["nca-k"].columns("partition"),
+    ),
+    "ncb-k": Listing(
+        _fuss_binomial,
+        "noncrossing enumeration",
+        enumerate_nc_b,
+        lambda kinds: {**kinds["ncb-k"].columns("partition"), "antipodal": antipodal_block},
+    ),
+    "pf": Listing(
+        lambda n, primitive: catalan(n) if primitive else count_parking_functions(n),
+        "parking function enumeration",
+        lambda n, primitive: (
+            enumerate_primitive(n) if primitive else enumerate_parking_functions(n)
+        ),
+        lambda kinds: {"sequence": tuple, "type": pf_type, "primitive": is_primitive},
+        params=_pf_params,
+    ),
+}
+
+
+def _cell(value) -> tuple:
+    """The JSON value and the table text of a column value."""
+    if isinstance(value, bool):
+        return value, "yes" if value else "no"
+    if isinstance(value, str):
+        return value, value
+    if value is None:
+        return None, "-"
+    return list(value), format_partition(value)
+
+
 def cmd_enumerate(args) -> int:
-    obj = args.object
-    fmt = args.format
-    rows_json: list[dict] = []
-    rows_tab: list[list[str]] = []
-    header: list[str]
-    params: dict = {"object": obj}
-    art_blocks: list[list[str]] = []
-    if obj == "rstrips":
-        if not args.shape:
-            raise SystemExit2("enumerate --object rstrips requires --shape")
-        shape = parse_shape(args.shape)
-        params["shape"] = args.shape
-        _guard(count_r_strips(shape), "r-strip enumeration")
-        header = ["strip", "path", "type"]
-        for strip in enumerate_r_strips(shape):
-            t = strip_type(strip)
-            rows_json.append(
-                {
-                    "strip": format_strip(strip),
-                    "path": path_from_strip(strip),
-                    "type": list(t),
-                }
-            )
-            rows_tab.append(
-                [format_strip(strip), path_from_strip(strip), format_partition(t)]
-            )
-            if args.ascii_art:
-                art_blocks.append(strip_art(strip))
-    elif obj in ("fuss-catalan", "binomial"):
-        n, k = _require_nk(args)
-        params.update(n=n, k=k)
-        if obj == "fuss-catalan":
-            _guard(fuss_catalan(n, k), "path enumeration")
-            header = ["path", "type", "reduced_type"]
-            for word in enumerate_fuss_catalan(n, k):
-                rows_json.append(
-                    {
-                        "path": word,
-                        "type": list(fc_type(word)),
-                        "reduced_type": list(fc_reduced_type(word)),
-                    }
-                )
-                rows_tab.append(
-                    [
-                        word,
-                        format_partition(fc_type(word)),
-                        format_partition(fc_reduced_type(word)),
-                    ]
-                )
-        else:
-            _guard(binomial((k + 1) * n, n), "path enumeration")
-            header = ["path", "type"]
-            for word in enumerate_fuss_binomial(n, k):
-                rows_json.append({"path": word, "type": list(fb_type(word))})
-                rows_tab.append([word, format_partition(fb_type(word))])
-    elif obj == "nca-k":
-        n, k = _require_nk(args)
-        params.update(n=n, k=k)
-        _guard(fuss_catalan(n, k), "noncrossing enumeration")
-        header = ["partition", "type", "reduced_type"]
-        for blocks in enumerate_k_divisible(n, k):
-            rows_json.append(
-                {
-                    "partition": format_blocks(blocks),
-                    "type": list(type_a(blocks, k)),
-                    "reduced_type": list(reduced_type_a(blocks, k)),
-                }
-            )
-            rows_tab.append(
-                [
-                    format_blocks(blocks),
-                    format_partition(type_a(blocks, k)),
-                    format_partition(reduced_type_a(blocks, k)),
-                ]
-            )
-    elif obj == "ncb-k":
-        n, k = _require_nk(args)
-        params.update(n=n, k=k)
-        _guard(binomial((k + 1) * n, n), "noncrossing enumeration")
-        header = ["partition", "type", "antipodal"]
-        for blocks in enumerate_nc_b(n, k):
-            anti = antipodal_block(blocks)
-            rows_json.append(
-                {
-                    "partition": format_blocks_b(blocks, k * n),
-                    "type": list(type_b(blocks, k)),
-                    "antipodal": list(anti) if anti else None,
-                }
-            )
-            rows_tab.append(
-                [
-                    format_blocks_b(blocks, k * n),
-                    format_partition(type_b(blocks, k)),
-                    ",".join(map(str, anti)) if anti else "-",
-                ]
-            )
-    elif obj == "pf":
-        n = args.n
-        if n is None:
-            raise SystemExit2("enumerate --object pf requires -n")
-        params.update(n=n, primitive=bool(args.primitive))
-        expected = catalan(n) if args.primitive else count_parking_functions(n)
-        _guard(expected, "parking function enumeration")
-        seqs = (
-            enumerate_primitive(n)
-            if args.primitive
-            else enumerate_parking_functions(n)
-        )
-        header = ["sequence", "type", "primitive"]
-        for s in seqs:
-            rows_json.append(
-                {
-                    "sequence": list(s),
-                    "type": list(pf_type(s)),
-                    "primitive": is_primitive(s),
-                }
-            )
-            rows_tab.append(
-                [
-                    ",".join(map(str, s)),
-                    format_partition(pf_type(s)),
-                    "yes" if is_primitive(s) else "no",
-                ]
-            )
-    else:
-        raise SystemExit2(f"unknown object {obj!r}")
+    listing = LISTINGS[args.object]
+    params = listing.params(args)
+    _guard(listing.count(**params), listing.what)
+    columns = listing.columns(_kinds(params.get("n"), params.get("k")))
+    objects, rows, art = [], [], []
+    for obj in listing.objects(**params):
+        cells = [_cell(value(obj)) for value in columns.values()]
+        objects.append({h: value for h, (value, _) in zip(columns, cells)})
+        rows.append([text for _, text in cells])
+        if args.ascii_art and listing.art:
+            art.append(listing.art(obj))
     payload = {
         "command": "enumerate",
-        "parameters": params,
-        "result": {"count": len(rows_json), "objects": rows_json},
+        "parameters": {"object": args.object, **params},
+        "result": {"count": len(objects), "objects": objects},
     }
-    lines = _table(rows_tab, header)
-    lines.append(f"count: {len(rows_json)}")
-    if args.ascii_art and art_blocks:
-        for block in art_blocks:
-            lines.append("")
-            lines.extend(block)
-    _emit(payload, fmt, lines)
+    lines = _table(rows, list(columns))
+    lines.append(f"count: {len(objects)}")
+    for block in art:
+        lines += ["", *block]
+    _emit(payload, args.format, lines)
     return EXIT_OK
 
 
@@ -651,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("count", help="counting formulas, optionally census-checked")
-    p.add_argument("--family", choices=("nca", "nca-k", "ncb-k", "pf"), required=True)
+    p.add_argument("--family", choices=tuple(COUNTS), required=True)
     p.add_argument("--by", choices=("type", "reduced-type"), default=None)
     p.add_argument("--lambda", dest="lam", default=None, help='partition literal, e.g. "2,1"')
     p.add_argument("--check", action="store_true", help="cross-verify against enumeration")
@@ -659,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("biject", help="apply one of the four bijections")
-    p.add_argument("--map", choices=("phi-a", "psi-a", "phi-b", "psi-b"), required=True)
+    p.add_argument("--map", choices=tuple(MAPS), required=True)
     direction = p.add_mutually_exclusive_group()
     direction.add_argument("--forward", action="store_true")
     direction.add_argument("--inverse", action="store_true")
@@ -675,11 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("enumerate", help="stream objects with their statistics")
-    p.add_argument(
-        "--object",
-        choices=("rstrips", "fuss-catalan", "binomial", "nca-k", "ncb-k", "pf"),
-        required=True,
-    )
+    p.add_argument("--object", choices=tuple(LISTINGS), required=True)
     p.add_argument("--shape")
     p.add_argument("--primitive", action="store_true")
     p.add_argument("--ascii-art", action="store_true")
@@ -698,10 +655,7 @@ def main(argv=None) -> int:
     except CapExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_CAP
-    except SystemExit2 as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ArithmeticError) as e:
+    except (SystemExit2, ValueError, ArithmeticError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -90,11 +90,6 @@ def expansion_diff(
     return out
 
 
-def h_expansions_equal(a: HExpansion, b: HExpansion) -> tuple[bool, list]:
-    diffs = expansion_diff(a, b)
-    return (not diffs, diffs)
-
-
 def expansion_items(e: HExpansion) -> list[tuple[Partition, int]]:
     """(partition, coefficient) pairs in canonical partition order."""
     return sorted(e.items(), key=lambda kv: partition_sort_key(kv[0]))

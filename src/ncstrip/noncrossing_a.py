@@ -149,10 +149,6 @@ def enumerate_k_divisible(n: int, k: int) -> list[Blocks]:
     return sorted(noncrossing_partitions_of_seq(range(1, k * n + 1), k))
 
 
-def enumerate_nc_a(n: int) -> list[Blocks]:
-    return enumerate_k_divisible(n, 1)
-
-
 def type_a(blocks, k: int = 1) -> Partition:
     """Sorted block sizes, each divided by k."""
     sizes = sorted((len(b) for b in blocks), reverse=True)
@@ -168,11 +164,6 @@ def reduced_type_a(blocks, k: int = 1) -> Partition:
     if len(rest) != len(tuple(blocks)) - 1:
         raise ValueError("no unique block contains the symbol 1")
     return type_a(rest, k)
-
-
-def canonical_listing(blocks) -> Blocks:
-    """Blocks sorted by minimum, elements ascending."""
-    return canonical_blocks(blocks)
 
 
 def count_by_type(n: int, k: int, zeta: Partition) -> int:

@@ -30,10 +30,6 @@ def weight(p: Partition) -> int:
     return sum(p)
 
 
-def length(p: Partition) -> int:
-    return len(p)
-
-
 def multiplicity_product(p: Partition) -> int:
     """Product of factorials of the part multiplicities; 1 for ()."""
     out = 1

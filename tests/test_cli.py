@@ -230,6 +230,7 @@ def test_parking_count_at_zero_is_an_exact_integer():
         (("--family", "nca", "-n", "{}"), [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101]),
         (("--family", "nca-k", "-k", "2", "--by", "reduced-type", "-n", "{}"), [0, 1, 2, 4, 7, 12, 19, 30, 45, 67, 97, 139]),
         (("--family", "ncb-k", "-k", "1", "-n", "{}"), [1, 2, 4, 7, 12, 19, 30, 45, 67, 97, 139]),
+        (("--family", "pf", "--by", "type", "-n", "{}"), [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101]),
     ],
 )
 def test_count_table_is_guarded_by_its_row_count(args, rows):
@@ -248,6 +249,26 @@ def test_count_table_is_guarded_by_its_row_count(args, rows):
     r = run_cli("count", *fill(10**9), timeout=60)
     assert r.returncode == 3
     assert "at least" in r.stderr
+
+
+def test_parking_count_takes_one_type():
+    # --lambda picks one row of the --by type table, as for the other families
+    table = run_cli("count", "--family", "pf", "-n", "4", "--by", "type")
+    entries = json.loads(table.stdout)["result"]["entries"]
+    assert len(entries) == 5
+    for entry in entries:
+        lam = ",".join(map(str, entry["lambda"]))
+        r = run_cli("count", "--family", "pf", "-n", "4", "--by", "type", "--lambda", lam, "--check")
+        assert r.returncode == 0
+        result = json.loads(r.stdout)["result"]
+        assert result["entries"] == [entry]
+        assert result["check"] == "pass"
+    r = run_cli("count", "--family", "pf", "-n", "3", "--by", "type", "--lambda", "9,9")
+    assert r.returncode == 2
+    assert "type must be a partition of 3" in r.stderr
+    r = run_cli("count", "--family", "pf", "-n", "3", "--lambda", "2,1")
+    assert r.returncode == 2
+    assert "usage error" in r.stderr
 
 
 def test_formula_expansion_is_guarded_by_its_term_count():

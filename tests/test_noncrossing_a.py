@@ -2,11 +2,10 @@ import pytest
 
 from ncstrip.noncrossing_a import (
     blocks_noncrossing,
-    canonical_listing,
+    canonical_blocks,
     count_by_reduced_type,
     count_by_type,
     enumerate_k_divisible,
-    enumerate_nc_a,
     format_blocks,
     is_noncrossing,
     parse_blocks,
@@ -59,15 +58,15 @@ def test_validate_set_partition_rejects_bad_input():
 
 
 def test_enumeration_counts():
-    assert len(enumerate_nc_a(3)) == 5
-    assert enumerate_nc_a(0) == [()]
+    assert len(enumerate_k_divisible(3, 1)) == 5
+    assert enumerate_k_divisible(0, 1) == [()]
     assert enumerate_k_divisible(2, 2) == [
         ((1, 2), (3, 4)),
         ((1, 2, 3, 4),),
         ((1, 4), (2, 3)),
     ]
     for n in range(9):
-        assert len(enumerate_nc_a(n)) == catalan(n)
+        assert len(enumerate_k_divisible(n, 1)) == catalan(n)
     for n, k in [(1, 2), (2, 2), (3, 2), (2, 3), (4, 2), (2, 4)]:
         assert len(enumerate_k_divisible(n, k)) == fuss_catalan(n, k)
 
@@ -106,7 +105,7 @@ def test_reduced_type_is_type_minus_one_block():
 
 
 def test_canonical_listing():
-    assert canonical_listing([(3, 4), (1, 2, 5, 6), (7, 8)]) == (
+    assert canonical_blocks([(3, 4), (1, 2, 5, 6), (7, 8)]) == (
         (1, 2, 5, 6),
         (3, 4),
         (7, 8),

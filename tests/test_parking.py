@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from ncstrip.noncrossing_a import enumerate_nc_a, type_a
+from ncstrip.noncrossing_a import enumerate_k_divisible, type_a
 from ncstrip.parking import (
     enumerate_parking_functions,
     enumerate_primitive,
@@ -86,7 +86,7 @@ def test_primitive_to_noncrossing_is_a_type_preserving_bijection(n):
         assert type_a(ncp, 1) == pf_type(p)
         assert ncp not in images
         images.add(ncp)
-    assert images == set(enumerate_nc_a(n))
+    assert images == set(enumerate_k_divisible(n, 1))
 
 
 def test_shape_parking_functions():

@@ -13,7 +13,6 @@ from ncstrip.partitions import (
     factorial,
     format_partition,
     fuss_catalan,
-    length,
     multiplicity_product,
     parse_partition,
     partition_sort_key,
@@ -25,11 +24,10 @@ from ncstrip.partitions import (
 from conftest import pascal_binomial
 
 
-def test_weight_and_length():
-    assert weight(()) == 0 and length(()) == 0
-    assert weight((2, 1, 1)) == 4 and length((2, 1, 1)) == 3
+def test_weight():
+    assert weight(()) == 0
+    assert weight((2, 1, 1)) == 4
     assert weight((2, 2, 1)) == 5
-    assert length((1, 1)) == 2
 
 
 def test_as_partition_rejects_bad_input():
