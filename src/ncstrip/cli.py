@@ -265,14 +265,20 @@ def _census_parking(n: int, k: int):
     return enumerate_parking_functions(n)
 
 
+def _reduced_type_rows(n: int) -> tuple[int, bool]:
+    """Reduced types weigh less than n; the empty partition of NC_0 has none."""
+    if n < 1:
+        raise SystemExit2("the reduced type needs n >= 1")
+    return n - 1, True
+
+
 # family -> {--by: (formula, rows, census, statistic)}; the first --by is the
 # default.  rows(n) gives the largest row weight and whether every lighter
-# weight has rows too; formula(n, k, lam) counts the row lam.  --check tallies
-# statistic(object, k) over census(n, k), which applies its own guard.
+# weight has rows too, or refuses n; formula(n, k, lam) counts the row lam.
+# --check tallies statistic(object, k) over census(n, k), which applies its
+# own guard.
 _TYPE_A = (count_by_type, lambda n: (n, False), _census_a, type_a)
-_REDUCED_TYPE_A = (
-    count_by_reduced_type, lambda n: (n - 1, True), _census_a, reduced_type_a
-)
+_REDUCED_TYPE_A = (count_by_reduced_type, _reduced_type_rows, _census_a, reduced_type_a)
 COUNTS = {
     "nca": {"type": _TYPE_A, "reduced-type": _REDUCED_TYPE_A},
     "nca-k": {"type": _TYPE_A, "reduced-type": _REDUCED_TYPE_A},
@@ -309,12 +315,12 @@ def cmd_count(args) -> int:
     if by not in tallies:
         raise SystemExit2(BY_REFUSALS[args.family])
     formula, rows, census, statistic = tallies[by]
+    w_max, cumulative = rows(n)
     if args.lam is not None:
         if by is None:
             raise SystemExit2("--lambda needs --by type")
         lams = [parse_partition(args.lam)]
     else:
-        w_max, cumulative = rows(n)
         _guard_partitions(w_max, cumulative, "count table")
         lams = (
             partitions_with_weight_at_most(w_max) if cumulative else partitions_of(w_max)
@@ -429,6 +435,7 @@ def cmd_verify(args) -> int:
             "passed": r.passed,
             "objects": r.objects,
             "mismatches": r.mismatches,
+            "mismatch_count": r.mismatch_count,
         }
         for r in results
     ]
@@ -447,7 +454,9 @@ def cmd_verify(args) -> int:
             r.name,
             json.dumps(r.params),
             str(r.objects),
-            "pass" if r.passed else "FAIL: " + "; ".join(r.mismatches),
+            "pass"
+            if r.passed
+            else f"FAIL ({r.mismatch_count}): " + "; ".join(r.mismatches),
         ]
         for r in results
     ]

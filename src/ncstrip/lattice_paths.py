@@ -1,13 +1,16 @@
-"""Fuss-Catalan and Fuss binomial lattice paths and their ascent statistics.
+"""Fuss-Catalan and Fuss binomial lattice paths and their ascent statistics,
+and the one generator of monotone paths that every path-like enumerator uses.
 
 Paths are E/N words with E = (1,0) and N = (0,1).  A Fuss-Catalan path of
 parameters (n, k) runs from (0,0) to (n, kn) staying in 0 <= y <= kx (so it
 must start with E); a Fuss binomial path has the same endpoints and no
-region constraint.
+region constraint.  Lexicographic order on words (E < N) is lexicographic
+order on their east-step heights: at the first difference, E steps lower.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterator
 
 from .partitions import Partition
@@ -51,46 +54,52 @@ def validate_fuss_binomial(word: str, n: int, k: int) -> None:
         )
 
 
+def monotone_heights(lo, hi) -> Iterator[tuple[int, ...]]:
+    """Every weakly increasing integer vector y with lo_i <= y_i <= hi_i (the
+    east-step heights of a monotone path), in lexicographic order."""
+    # Raising each lower bound to those before it and lowering each upper
+    # bound to those after it keeps the vectors and makes every prefix extend.
+    low = list(accumulate(lo, max))
+    cap = list(accumulate(reversed(hi), min))[::-1]
+    if any(l > c for l, c in zip(low, cap)):
+        return
+    y = low[:]
+    while True:
+        yield tuple(y)
+        i = len(y) - 1  # raise the last entry below its cap, reset the rest
+        while i >= 0 and y[i] == cap[i]:
+            i -= 1
+        if i < 0:
+            return
+        v = y[i] = y[i] + 1
+        for j in range(i + 1, len(y)):
+            y[j] = max(low[j], v)
+
+
+def heights_word(heights, y0: int, y1: int) -> str:
+    """E/N word from height y0 to y1 with its east steps at the heights."""
+    parts = []
+    for h in heights:
+        parts.append("N" * (h - y0) + "E")
+        y0 = h
+    parts.append("N" * (y1 - y0))
+    return "".join(parts)
+
+
 def enumerate_fuss_catalan(n: int, k: int) -> Iterator[str]:
     """All paths of D_n^(k) in lexicographic order with E < N."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
-
-    def rec(prefix: list[str], e_left: int, n_left: int, x: int, y: int):
-        if not e_left and not n_left:
-            yield "".join(prefix)
-            return
-        if e_left:
-            prefix.append("E")
-            yield from rec(prefix, e_left - 1, n_left, x + 1, y)
-            prefix.pop()
-        if n_left and y + 1 <= k * x:
-            prefix.append("N")
-            yield from rec(prefix, e_left, n_left - 1, x, y + 1)
-            prefix.pop()
-
-    yield from rec([], n, k * n, 0, 0)
+    for heights in monotone_heights([0] * n, range(0, k * n, k)):  # y_i <= k(i-1)
+        yield heights_word(heights, 0, k * n)
 
 
 def enumerate_fuss_binomial(n: int, k: int) -> Iterator[str]:
     """All words with n E's and kn N's in lexicographic order with E < N."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
-
-    def rec(prefix: list[str], e_left: int, n_left: int):
-        if not e_left and not n_left:
-            yield "".join(prefix)
-            return
-        if e_left:
-            prefix.append("E")
-            yield from rec(prefix, e_left - 1, n_left)
-            prefix.pop()
-        if n_left:
-            prefix.append("N")
-            yield from rec(prefix, e_left, n_left - 1)
-            prefix.pop()
-
-    yield from rec([], n, k * n)
+    for heights in monotone_heights([0] * n, [k * n] * n):
+        yield heights_word(heights, 0, k * n)
 
 
 def ascents(word: str) -> list[tuple[int, int]]:

@@ -160,6 +160,8 @@ def type_a(blocks, k: int = 1) -> Partition:
 
 def reduced_type_a(blocks, k: int = 1) -> Partition:
     """Type after deleting the block containing the symbol 1."""
+    if not blocks:
+        raise ValueError("the reduced type needs n >= 1")
     rest = [b for b in blocks if 1 not in b]
     if len(rest) != len(tuple(blocks)) - 1:
         raise ValueError("no unique block contains the symbol 1")

@@ -135,22 +135,19 @@ def validate_nc_b(blocks, n: int, k: int) -> SignedBlocks:
 
 
 def type_b(blocks, k: int = 1) -> Partition:
-    """Sorted |B|/k over one block per {B, -B} orbit; antipodal block dropped."""
-    anti = antipodal_block(blocks)
-    sizes = []
-    seen = set()
-    for b in blocks:
-        key = frozenset(b)
-        if anti is not None and key == frozenset(anti):
-            continue
-        mirror = frozenset(-x for x in b)
-        if mirror in seen:
-            continue
-        seen.add(key)
-        if len(b) % k:
-            raise ValueError(f"block size {len(b)} is not divisible by {k}")
-        sizes.append(len(b) // k)
-    return tuple(sorted(sizes, reverse=True))
+    """Sorted |B|/k over one block per {B, -B} orbit; antipodal block dropped.
+
+    The blocks must be a member of NC_B (as `validate_nc_b` and
+    `enumerate_nc_b` give them).  There a block is antipodal exactly when it
+    holds the negative of its first element, and the other blocks come in
+    pairs B, -B of equal size, so every second size of the sorted rest is
+    one per orbit.
+    """
+    sizes = sorted((len(b) for b in blocks if -b[0] not in b), reverse=True)[::2]
+    for size in sizes:
+        if size % k:
+            raise ValueError(f"block size {size} is not divisible by {k}")
+    return tuple(size // k for size in sizes)
 
 
 def _mirror_pos(p: int, m: int) -> int:

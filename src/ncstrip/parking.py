@@ -13,6 +13,7 @@ from collections import Counter
 from itertools import permutations
 
 from .bijections import path_to_noncrossing
+from .lattice_paths import heights_word, monotone_heights
 from .noncrossing_a import Blocks
 from .partitions import Partition
 from .shapes import SkewShape, enumerate_horizontal_strips
@@ -44,19 +45,7 @@ def enumerate_primitive(n: int) -> list[tuple[int, ...]]:
     """Weakly increasing parking functions of length n; catalan(n) of them."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out: list[tuple[int, ...]] = []
-    seq = [0] * n
-
-    def rec(i: int, low: int):
-        if i == n:
-            out.append(tuple(seq))
-            return
-        for v in range(low, i + 2):  # b_{i+1} <= i+1
-            seq[i] = v
-            rec(i + 1, v)
-
-    rec(0, 1)
-    return out
+    return list(monotone_heights([1] * n, range(1, n + 1)))  # b_i <= i
 
 
 def count_parking_functions(n: int) -> int:
@@ -83,10 +72,8 @@ def primitive_pf_to_ncp(seq) -> Blocks:
     seq = list(seq)
     if not is_primitive(seq):
         raise ValueError(f"{seq} is not a primitive parking function")
-    n = len(seq)
-    mult = Counter(seq)
-    word = "".join("E" * mult.get(i, 0) + "N" for i in range(1, n + 1))
-    return path_to_noncrossing(word, n, 1)
+    word = heights_word([b - 1 for b in seq], 0, len(seq))
+    return path_to_noncrossing(word, len(seq), 1)
 
 
 def enumerate_shape_parking_functions(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .lattice_paths import heights_word, monotone_heights
 from .partitions import Partition, as_partition
 
 
@@ -192,22 +193,7 @@ def iter_strip_heights(shape: SkewShape):
     in lexicographic order.  Each vector corresponds to exactly one r-strip.
     """
     _require_contiguous(shape)
-    lo, hi = shape.lo, shape.hi
-    w = len(lo)
-    if w == 0:
-        yield ()
-        return
-    vec = [0] * w
-
-    def rec(i: int, prev: int):
-        if i == w:
-            yield tuple(vec)
-            return
-        for y in range(max(lo[i], prev), hi[i] + 2):
-            vec[i] = y
-            yield from rec(i + 1, y)
-
-    yield from rec(0, lo[0])
+    yield from monotone_heights(shape.lo, [h + 1 for h in shape.hi])
 
 
 def count_r_strips(shape: SkewShape) -> int:
@@ -258,16 +244,7 @@ def enumerate_r_strips(shape: SkewShape) -> list[RStrip]:
 def path_from_strip(strip: RStrip) -> str:
     """E/N word of the strip's lattice path, bottom-left to top-right corner."""
     lo, hi = strip.shape.lo, strip.shape.hi
-    if not lo:
-        return ""
-    word = []
-    y = lo[0]
-    for yc in strip.heights:
-        word.append("N" * (yc - y))
-        word.append("E")
-        y = yc
-    word.append("N" * (hi[-1] + 1 - y))
-    return "".join(word)
+    return heights_word(strip.heights, lo[0], hi[-1] + 1) if lo else ""
 
 
 def heights_from_path(shape: SkewShape, word: str) -> tuple[int, ...]:
@@ -296,25 +273,9 @@ def strip_from_path(shape: SkewShape, word: str) -> RStrip:
 
 def enumerate_horizontal_strips(shape: SkewShape) -> list[tuple[int, ...]]:
     """Height sequences of all strips with exactly one box per column."""
-    lo, hi = shape.lo, shape.hi
-    if len(lo) != shape.width:
+    if len(shape.lo) != shape.width:
         raise ValueError("shape has an empty column")
-    out: list[tuple[int, ...]] = []
-    vec = [0] * len(lo)
-
-    def rec(i: int, prev: int):
-        if i == len(lo):
-            out.append(tuple(vec))
-            return
-        for h in range(max(lo[i], prev), hi[i] + 1):
-            vec[i] = h
-            rec(i + 1, h)
-
-    if lo:
-        rec(0, lo[0])
-    else:
-        out.append(())
-    return out
+    return list(monotone_heights(shape.lo, shape.hi))
 
 
 def format_shape(shape: SkewShape) -> str:

@@ -52,6 +52,7 @@ from .shapes import enumerate_r_strips, rectangle, stretched_staircase, strip_ty
 CAP_A = 12  # k(n+1) cap for staircase-side checks
 CAP_B = 14  # (k+1)n cap for rectangle-side checks
 CAP_PARKING = 7
+MISMATCH_SAMPLE = 20  # messages a check keeps; mismatch_count counts them all
 
 
 @dataclass
@@ -61,10 +62,13 @@ class CheckResult:
     passed: bool = True
     objects: int = 0
     mismatches: list[str] = field(default_factory=list)
+    mismatch_count: int = 0
 
     def fail(self, message: str) -> None:
         self.passed = False
-        self.mismatches.append(message)
+        self.mismatch_count += 1
+        if len(self.mismatches) < MISMATCH_SAMPLE:
+            self.mismatches.append(message)
 
 
 def _expansions_must_match(result: CheckResult, tag: str, a, b) -> None:

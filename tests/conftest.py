@@ -3,6 +3,16 @@ implementations they check."""
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
+# pyproject.toml puts src/ on the path of the test process; the CLI tests'
+# child processes (`python -m ncstrip.cli`) get it through the environment.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH")))
+)
+
 
 def set_partitions(elements):
     """All set partitions of the given elements via restricted growth strings."""

@@ -284,3 +284,19 @@ def test_formula_expansion_is_guarded_by_its_term_count():
         )
         assert r.returncode == 3
         assert "refused" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("count", "--family", "nca", "-n", "0", "--by", "reduced-type"),
+        ("count", "--family", "nca-k", "-n", "0", "-k", "2", "--by", "reduced-type", "--lambda", ""),
+        ("enumerate", "--object", "nca-k", "-n", "0", "-k", "1"),
+        ("biject", "--map", "psi-a", "--forward", "-n", "0", "-k", "1", "--input="),
+        ("biject", "--map", "psi-a", "--inverse", "-n", "0", "-k", "1", "--input="),
+    ],
+)
+def test_reduced_type_at_zero_names_its_bound(args):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert "the reduced type needs n >= 1" in r.stderr

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +10,9 @@ from ncstrip.lattice_paths import (
     fb_type,
     fc_reduced_type,
     fc_type,
+    heights_word,
     is_fuss_catalan,
+    monotone_heights,
     validate_fuss_binomial,
     validate_fuss_catalan,
 )
@@ -113,3 +117,30 @@ def test_random_binomial_word_types(n, k, data):
     assert weight(t) <= n
     assert all(t[i] >= t[i + 1] for i in range(len(t) - 1))
     assert sum(ln for _, ln in ascents(word)) == n
+
+
+def test_monotone_heights_against_the_filtered_product():
+    """Every pair of bound vectors of length <= 3 with entries in 0..3, empty
+    ranges and length 0 included: the generator lists exactly the weakly
+    increasing vectors of the product of the ranges, in product order."""
+    for w in range(4):
+        for lo, hi in product(product(range(4), repeat=w), repeat=2):
+            expected = [
+                y
+                for y in product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+                if all(a <= b for a, b in zip(y, y[1:]))
+            ]
+            assert list(monotone_heights(lo, hi)) == expected, (lo, hi)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for k in (1, 2, 3) for n in range(5) if (k + 1) * n <= 8])
+def test_heights_word_inverts_the_height_reading(n, k):
+    m = (k + 1) * n
+    words = sorted(
+        "".join("E" if i in east else "N" for i in range(m))
+        for east in combinations(range(m), n)
+    )
+    assert list(enumerate_fuss_binomial(n, k)) == words
+    for word in words:
+        heights = [word[:i].count("N") for i, step in enumerate(word) if step == "E"]
+        assert heights_word(heights, 0, k * n) == word
