@@ -34,9 +34,7 @@ from .shapes import (
     RStrip,
     SkewShape,
     path_from_strip,
-    rectangle,
     staircase_inner,
-    stretched_staircase,
     strip_from_path,
 )
 
@@ -161,9 +159,7 @@ def noncrossing_to_path(blocks, n: int, k: int) -> str:
     for b in blocks:
         if len(b) % k:
             raise ValueError(f"block size {len(b)} is not divisible by {k}")
-    out = _noncrossing_to_path(blocks, n, k)
-    validate_fuss_catalan(out, n, k)
-    return out
+    return _noncrossing_to_path(blocks, n, k)
 
 
 def _noncrossing_to_path(blocks: Blocks, n: int, k: int) -> str:
@@ -228,15 +224,17 @@ def staircase_strip_to_path(strip: RStrip) -> str:
     Prepends the east step along y = 0 and appends the final k north steps
     up the right wall; the strip's type becomes the path's reduced type.
     """
-    n, k = _family_params(strip.shape, staircase_inner, "stretched staircase")
-    word = "E" + path_from_strip(strip) + "N" * k
-    validate_fuss_catalan(word, n + 1, k)
-    return word
+    _, k = _family_params(strip.shape, staircase_inner, "stretched staircase")
+    return "E" + path_from_strip(strip) + "N" * k
 
 
-def staircase_path_to_strip(word: str, n: int, k: int) -> RStrip:
+def staircase_path_to_strip(word: str, shape: SkewShape) -> RStrip:
+    """Fuss-Catalan path (n+1, k) -> strip in the stretched staircase (n, k),
+    given as `shape`: the path without its first east step and last k north
+    steps."""
+    n, k = _family_params(shape, staircase_inner, "stretched staircase")
     validate_fuss_catalan(word, n + 1, k)
-    return strip_from_path(stretched_staircase(n, k), word[1 : len(word) - k])
+    return strip_from_path(shape, word[1 : len(word) - k])
 
 
 def rectangle_strip_to_path(strip: RStrip) -> str:
@@ -246,15 +244,16 @@ def rectangle_strip_to_path(strip: RStrip) -> str:
     ascent that fb_type discards is exactly the boxless prefix, and the
     strip's type equals the path's type.
     """
-    n, k = _family_params(strip.shape, lambda n, k: (), "rectangle")
-    word = path_from_strip(strip)
-    validate_fuss_binomial(word, n, k)
-    return word
+    _family_params(strip.shape, lambda n, k: (), "rectangle")
+    return path_from_strip(strip)
 
 
-def rectangle_path_to_strip(word: str, n: int, k: int) -> RStrip:
+def rectangle_path_to_strip(word: str, shape: SkewShape) -> RStrip:
+    """Fuss binomial path (n, k) -> strip in the rectangle (n, k), given as
+    `shape`."""
+    n, k = _family_params(shape, lambda n, k: (), "rectangle")
     validate_fuss_binomial(word, n, k)
-    return strip_from_path(rectangle(n, k), word)
+    return strip_from_path(shape, word)
 
 
 def _pieces(units: list) -> list[tuple[list[int], list[int]]]:
@@ -463,6 +462,4 @@ def signed_noncrossing_to_path(blocks, n: int, k: int) -> str:
                 run = 0
             if c == "N":
                 word.append("N")
-    out = "".join(word)
-    validate_fuss_binomial(out, n, k)
-    return out
+    return "".join(word)

@@ -358,14 +358,14 @@ MAPS = {
         "staircase-strip",
         "fuss-catalan",
         lambda strip, n, k: bij.staircase_strip_to_path(strip),
-        bij.staircase_path_to_strip,
+        lambda word, n, k: bij.staircase_path_to_strip(word, stretched_staircase(n, k)),
     ),
     "psi-a": ("fuss-catalan", "nca-k", bij.path_to_noncrossing, bij.noncrossing_to_path),
     "phi-b": (
         "rectangle-strip",
         "binomial",
         lambda strip, n, k: bij.rectangle_strip_to_path(strip),
-        bij.rectangle_path_to_strip,
+        lambda word, n, k: bij.rectangle_path_to_strip(word, rectangle(n, k)),
     ),
     "psi-b": (
         "binomial",

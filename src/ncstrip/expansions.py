@@ -63,8 +63,8 @@ def fuss_b_expansion_formula(n: int, k: int) -> HExpansion:
 
 def parking_expansion(n: int) -> HExpansion:
     """The parking function symmetric function: support is partitions of n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return {
         lam: exact_div(
             factorial(n),

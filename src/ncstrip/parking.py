@@ -21,7 +21,7 @@ from .shapes import SkewShape, enumerate_horizontal_strips
 
 def is_parking_function(seq) -> bool:
     seq = list(seq)
-    if not seq or any(x < 1 for x in seq):
+    if any(x < 1 for x in seq):
         return False
     return all(b <= i for i, b in enumerate(sorted(seq), start=1))
 
@@ -43,8 +43,8 @@ def pf_type(seq) -> Partition:
 
 def enumerate_primitive(n: int) -> list[tuple[int, ...]]:
     """Weakly increasing parking functions of length n; catalan(n) of them."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return list(monotone_heights([1] * n, range(1, n + 1)))  # b_i <= i
 
 

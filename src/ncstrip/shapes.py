@@ -247,8 +247,8 @@ def path_from_strip(strip: RStrip) -> str:
     return heights_word(strip.heights, lo[0], hi[-1] + 1) if lo else ""
 
 
-def heights_from_path(shape: SkewShape, word: str) -> tuple[int, ...]:
-    """Parse a path word into its east-step height vector, validating bounds."""
+def strip_from_path(shape: SkewShape, word: str) -> RStrip:
+    """The strip whose lattice path across the shape is the word."""
     lo, hi = shape.lo, shape.hi
     if set(word) - {"E", "N"}:
         raise ValueError(f"path word must be over {{E, N}}: {word!r}")
@@ -262,13 +262,7 @@ def heights_from_path(shape: SkewShape, word: str) -> tuple[int, ...]:
             y += 1
         else:
             heights.append(y)
-    heights = tuple(heights)
-    _check_heights(shape, heights)
-    return heights
-
-
-def strip_from_path(shape: SkewShape, word: str) -> RStrip:
-    return RStrip(shape, heights_from_path(shape, word))
+    return RStrip(shape, heights)  # RStrip checks the heights
 
 
 def enumerate_horizontal_strips(shape: SkewShape) -> list[tuple[int, ...]]:

@@ -192,15 +192,19 @@ def labeling_bijection_check_b(n: int, k: int) -> CheckResult:
 def strip_bijection_check_a(n: int, k: int) -> CheckResult:
     """Strips of the stretched staircase <-> D_{n+1}^(k), type to reduced type."""
     result = CheckResult("strip-bijection-A", {"n": n, "k": k})
-    strips = enumerate_r_strips(stretched_staircase(n, k))
+    shape = stretched_staircase(n, k)
+    strips = enumerate_r_strips(shape)
     words = set()
+    strip_census = Counter()
     composite_census = Counter()
     for strip in strips:
+        lam = strip_type(strip)
+        strip_census[lam] += 1
         word = bij.staircase_strip_to_path(strip)
         words.add(word)
-        if fc_reduced_type(word) != strip_type(strip):
+        if fc_reduced_type(word) != lam:
             result.fail(f"reduced type mismatch on {strip.boxes}")
-        if bij.staircase_path_to_strip(word, n, k) != strip:
+        if bij.staircase_path_to_strip(word, shape) != strip:
             result.fail(f"inverse fails on {strip.boxes}")
         composite_census[
             reduced_type_a(bij.path_to_noncrossing(word, n + 1, k), k)
@@ -209,10 +213,7 @@ def strip_bijection_check_a(n: int, k: int) -> CheckResult:
     if words != set(enumerate_fuss_catalan(n + 1, k)):
         result.fail("strip paths do not exhaust the Fuss-Catalan set")
     _expansions_must_match(
-        result,
-        "composite census vs expansion",
-        dict(composite_census),
-        expand_skew(stretched_staircase(n, k)),
+        result, "composite census vs strip census", composite_census, strip_census
     )
     return result
 
@@ -220,15 +221,19 @@ def strip_bijection_check_a(n: int, k: int) -> CheckResult:
 def strip_bijection_check_b(n: int, k: int) -> CheckResult:
     """Strips of the rectangle <-> B_n^(k), type preserving."""
     result = CheckResult("strip-bijection-B", {"n": n, "k": k})
-    strips = enumerate_r_strips(rectangle(n, k))
+    shape = rectangle(n, k)
+    strips = enumerate_r_strips(shape)
     words = set()
+    strip_census = Counter()
     composite_census = Counter()
     for strip in strips:
+        lam = strip_type(strip)
+        strip_census[lam] += 1
         word = bij.rectangle_strip_to_path(strip)
         words.add(word)
-        if fb_type(word) != strip_type(strip):
+        if fb_type(word) != lam:
             result.fail(f"type mismatch on {strip.boxes}")
-        if bij.rectangle_path_to_strip(word, n, k) != strip:
+        if bij.rectangle_path_to_strip(word, shape) != strip:
             result.fail(f"inverse fails on {strip.boxes}")
         composite_census[
             type_b(bij.path_to_signed_noncrossing(word, n, k), k)
@@ -237,10 +242,7 @@ def strip_bijection_check_b(n: int, k: int) -> CheckResult:
     if words != set(enumerate_fuss_binomial(n, k)):
         result.fail("strip paths do not exhaust the binomial path set")
     _expansions_must_match(
-        result,
-        "composite census vs expansion",
-        dict(composite_census),
-        expand_skew(rectangle(n, k)),
+        result, "composite census vs strip census", composite_census, strip_census
     )
     return result
 

@@ -141,10 +141,11 @@ class TestStaircaseStrips:
     )
     def test_exhaustive(self, n, k):
         words = set()
-        for strip in enumerate_r_strips(stretched_staircase(n, k)):
+        shape = stretched_staircase(n, k)
+        for strip in enumerate_r_strips(shape):
             word = staircase_strip_to_path(strip)
             assert fc_reduced_type(word) == strip_type(strip)
-            assert staircase_path_to_strip(word, n, k) == strip
+            assert staircase_path_to_strip(word, shape) == strip
             words.add(word)
         assert words == set(enumerate_fuss_catalan(n + 1, k))
         assert len(words) == fuss_catalan(n + 1, k)
@@ -153,7 +154,10 @@ class TestStaircaseStrips:
         with pytest.raises(ValueError):
             staircase_strip_to_path(parse_strip(rectangle(2, 1), "-,-"))
         with pytest.raises(ValueError):
-            staircase_path_to_strip("ENNEEN", 2, 1)  # leaves 0 <= y <= x
+            # leaves 0 <= y <= x
+            staircase_path_to_strip("ENNEEN", stretched_staircase(2, 1))
+        with pytest.raises(ValueError):
+            staircase_path_to_strip("EEENNN", rectangle(2, 1))  # wrong family
 
 
 class TestRectangleStrips:
@@ -171,12 +175,21 @@ class TestRectangleStrips:
     )
     def test_exhaustive(self, n, k):
         words = set()
-        for strip in enumerate_r_strips(rectangle(n, k)):
+        shape = rectangle(n, k)
+        for strip in enumerate_r_strips(shape):
             word = rectangle_strip_to_path(strip)
             assert fb_type(word) == strip_type(strip)
-            assert rectangle_path_to_strip(word, n, k) == strip
+            assert rectangle_path_to_strip(word, shape) == strip
             words.add(word)
         assert words == set(enumerate_fuss_binomial(n, k))
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            rectangle_strip_to_path(parse_strip(stretched_staircase(2, 1), "-,-"))
+        with pytest.raises(ValueError):
+            rectangle_path_to_strip("EENN", stretched_staircase(2, 1))  # wrong family
+        with pytest.raises(ValueError):
+            rectangle_path_to_strip("EENNN", rectangle(2, 1))  # one N too many
 
     def test_type_census_equality_on_2_2(self):
         strips = [strip_type(s) for s in enumerate_r_strips(rectangle(2, 2))]

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from ncstrip.expansions import parking_expansion
 from ncstrip.noncrossing_a import enumerate_k_divisible, type_a
 from ncstrip.parking import (
     enumerate_parking_functions,
@@ -24,7 +25,7 @@ def test_predicates():
     assert is_parking_function((3, 1, 1))
     assert not is_primitive((3, 1, 1))
     assert not is_parking_function((0, 1))
-    assert not is_parking_function(())
+    assert is_parking_function(())  # the one parking function of length 0
 
 
 def test_pf_type():
@@ -44,6 +45,16 @@ def test_counts():
         assert len(enumerate_parking_functions(n)) == (n + 1) ** (n - 1)
     for n in range(1, 9):
         assert len(enumerate_primitive(n)) == catalan(n)
+
+
+def test_length_zero():
+    assert enumerate_primitive(0) == [()]
+    assert enumerate_parking_functions(0) == [()]
+    assert parking_expansion(0) == {(): 1}
+    assert primitive_pf_to_ncp(()) == ()
+    for f in (enumerate_primitive, parking_expansion):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            f(-1)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

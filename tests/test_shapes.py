@@ -12,7 +12,6 @@ from ncstrip.shapes import (
     enumerate_r_strips,
     format_shape,
     format_strip,
-    heights_from_path,
     is_r_strip,
     parse_shape,
     parse_strip,
@@ -98,7 +97,7 @@ def test_path_strip_correspondence_on_32_1():
     with pytest.raises(ValueError):
         strip_from_path(SHAPE_32_1, "NNEEE")  # leaves the shape
     with pytest.raises(ValueError):
-        heights_from_path(SHAPE_32_1, "EEN")
+        strip_from_path(SHAPE_32_1, "EEN")
 
 
 TEST_SHAPES = [
@@ -224,4 +223,4 @@ def test_disconnected_column_support_is_rejected_by_strip_entry_points():
     with pytest.raises(ValueError):
         parse_strip(shape, "-,-")
     with pytest.raises(ValueError):
-        heights_from_path(shape, "EENN")
+        strip_from_path(shape, "EENN")
