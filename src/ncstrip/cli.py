@@ -15,6 +15,7 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Callable
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import bijections as bij
@@ -62,7 +63,6 @@ from .partitions import (
     fuss_catalan,
     parse_partition,
     partition_counts,
-    partition_sort_key,
     partitions_of,
     partitions_with_weight_at_most,
 )
@@ -126,12 +126,53 @@ def _guard_partitions(w_max: int, cumulative: bool, what: str) -> None:
             _guard(rows, what, at_least=w < w_max)
 
 
-def _emit(payload: dict, fmt: str, table_lines) -> None:
+def _emit(payload: dict, fmt: str, table: Callable[[], list[str]]) -> None:
+    """Write the payload as JSON, or the lines table() builds."""
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        out: list[str] = []
+        _write_json(payload, out, "\n")
+        sys.stdout.write("".join(out) + "\n")
     else:
-        for line in table_lines:
+        for line in table():
             sys.stdout.write(line + "\n")
+
+
+def _write_json(value, out: list[str], pad: str) -> None:
+    """Append to out exactly what json.dumps(value, indent=2) writes, with
+    pad the newline and indent of the enclosing line.  The stdlib's C
+    encoder does not indent, and its Python one is several times slower."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True or value is False:
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif not isinstance(value, (dict, list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            # a key that is not a str raises TypeError here
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif all(type(x) is int for x in value):  # one join, not a call per number
+        inner = pad + "  "
+        out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]")
+    else:
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
 
 
 def _table(rows: list[list[str]], header: list[str]) -> list[str]:
@@ -145,7 +186,7 @@ def _table(rows: list[list[str]], header: list[str]) -> list[str]:
     return lines
 
 
-def _expansion_payload(expansion) -> tuple[dict, list[list[str]]]:
+def _expansion_payload(expansion) -> tuple[dict, Callable[[], list[str]]]:
     items = expansion_items(expansion)
     terms = [{"lambda": list(lam), "coeff": str(c)} for lam, c in items]
     total = sum(c for _, c in items)
@@ -154,9 +195,12 @@ def _expansion_payload(expansion) -> tuple[dict, list[list[str]]]:
         "term_count": len(items),
         "coefficient_sum": str(total),
     }
-    rows = [[format_partition(lam), str(c)] for lam, c in items]
-    rows.append(["sum", str(total)])
-    return payload, rows
+
+    def table() -> list[str]:
+        rows = [[format_partition(lam), str(c)] for lam, c in items]
+        return _table(rows + [["sum", str(total)]], ["lambda", "coeff"])
+
+    return payload, table
 
 
 def cmd_expand(args) -> int:
@@ -186,9 +230,9 @@ def cmd_expand(args) -> int:
             _guard(binomial((k + 1) * n, n), "expansion of the rectangle")
             expansion = expand_skew(rectangle(n, k))
         params = {"family": args.family, "n": n, "k": k, "method": args.method}
-    body, rows = _expansion_payload(expansion)
+    body, table = _expansion_payload(expansion)
     payload = {"command": "expand", "parameters": params, "result": body}
-    _emit(payload, args.format, _table(rows, ["lambda", "coeff"]))
+    _emit(payload, args.format, table)
     return EXIT_OK
 
 
@@ -325,18 +369,16 @@ def cmd_count(args) -> int:
         lams = (
             partitions_with_weight_at_most(w_max) if cumulative else partitions_of(w_max)
         )
-    items = [(lam, formula(n, k, lam)) for lam in sorted(lams, key=partition_sort_key)]
+    # the row listers give canonical order already
+    items = [(lam, formula(n, k, lam)) for lam in lams]
     total = "count" if args.family == "pf" else "sum"
     body = {
         "entries": [{"lambda": list(lam), "count": str(c)} for lam, c in items],
         total: str(sum(c for _, c in items)),
     }
-    table = [[format_partition(lam), str(c)] for lam, c in items]
-    table.append([total, body[total]])
     if args.check:
         tally = Counter(statistic(obj, k) for obj in census(n, k))
         body["check"] = "pass" if all(tally[lam] == c for lam, c in items) else "fail"
-        table.append(["check", body["check"]])
     payload = {
         "command": "count",
         "parameters": {
@@ -348,7 +390,13 @@ def cmd_count(args) -> int:
         },
         "result": body,
     }
-    _emit(payload, args.format, _table(table, ["lambda", "count"]))
+
+    def table() -> list[str]:
+        rows = [[format_partition(lam), str(c)] for lam, c in items]
+        rows += [[key, body[key]] for key in (total, "check") if key in body]
+        return _table(rows, ["lambda", "count"])
+
+    _emit(payload, args.format, table)
     return EXIT_MISMATCH if body.get("check") == "fail" else EXIT_OK
 
 
@@ -402,7 +450,7 @@ def cmd_biject(args) -> int:
         },
         "result": result,
     }
-    _emit(payload, args.format, _table(rows, ["field", "value"]))
+    _emit(payload, args.format, lambda: _table(rows, ["field", "value"]))
     return EXIT_OK
 
 
@@ -463,7 +511,7 @@ def cmd_verify(args) -> int:
     rows.append(
         ["overall", "", str(sum(r.objects for r in results)), "pass" if passed else "FAIL"]
     )
-    _emit(payload, args.format, _table(rows, ["check", "params", "objects", "status"]))
+    _emit(payload, args.format, lambda: _table(rows, ["check", "params", "objects", "status"]))
     return EXIT_OK if passed else EXIT_MISMATCH
 
 
@@ -576,11 +624,15 @@ def cmd_enumerate(args) -> int:
         "parameters": {"object": args.object, **params},
         "result": {"count": len(objects), "objects": objects},
     }
-    lines = _table(rows, list(columns))
-    lines.append(f"count: {len(objects)}")
-    for block in art:
-        lines += ["", *block]
-    _emit(payload, args.format, lines)
+
+    def table() -> list[str]:
+        lines = _table(rows, list(columns))
+        lines.append(f"count: {len(objects)}")
+        for block in art:
+            lines += ["", *block]
+        return lines
+
+    _emit(payload, args.format, table)
     return EXIT_OK
 
 

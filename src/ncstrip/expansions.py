@@ -9,13 +9,10 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .noncrossing_a import count_by_reduced_type
+from .noncrossing_a import count_by_reduced_type, count_by_type
 from .noncrossing_b import count_by_type_b
 from .partitions import (
     Partition,
-    exact_div,
-    factorial,
-    multiplicity_product,
     partition_sort_key,
     partitions_of,
     partitions_with_weight_at_most,
@@ -62,16 +59,14 @@ def fuss_b_expansion_formula(n: int, k: int) -> HExpansion:
 
 
 def parking_expansion(n: int) -> HExpansion:
-    """The parking function symmetric function: support is partitions of n."""
+    """The parking function symmetric function: support is partitions of n.
+
+    The h_lam coefficient is the number of noncrossing partitions of [n]
+    with type lam.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return {
-        lam: exact_div(
-            factorial(n),
-            multiplicity_product(lam) * factorial(n + 1 - len(lam)),
-        )
-        for lam in partitions_of(n)
-    }
+    return {lam: count_by_type(n, 1, lam) for lam in partitions_of(n)}
 
 
 def top_homogeneous_part(e: HExpansion, d: int) -> HExpansion:

@@ -6,13 +6,13 @@ of elements in increasing order, blocks sorted by their minimum.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 from .partitions import (
     Partition,
     as_partition,
     exact_div,
-    factorial,
     multiplicity_product,
     weight,
 )
@@ -174,8 +174,9 @@ def count_by_type(n: int, k: int, zeta: Partition) -> int:
     if weight(zeta) != n:
         raise ValueError(f"type must be a partition of {n}, got weight {weight(zeta)}")
     kn = k * n
+    # kn! / (mult (kn+1-l)!) as a falling factorial: l factors, not kn
     return exact_div(
-        factorial(kn), multiplicity_product(zeta) * factorial(kn + 1 - len(zeta))
+        math.perm(kn + 1, len(zeta)), (kn + 1) * multiplicity_product(zeta)
     )
 
 
@@ -192,8 +193,7 @@ def count_by_reduced_type(n: int, k: int, lam: Partition) -> int:
         )
     kn = k * n
     return exact_div(
-        factorial(kn) * (n - weight(lam)),
-        n * multiplicity_product(lam) * factorial(kn - len(lam)),
+        math.perm(kn, len(lam)) * (n - weight(lam)), n * multiplicity_product(lam)
     )
 
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from typing import Iterable
 
 from .partitions import (
     Partition,
     as_partition,
     exact_div,
-    factorial,
     multiplicity_product,
     weight,
 )
@@ -216,10 +216,7 @@ def count_by_type_b(n: int, k: int, lam: Partition) -> int:
     lam = as_partition(lam)
     if weight(lam) > n:
         raise ValueError(f"type weight must be <= n = {n}, got {weight(lam)}")
-    kn = k * n
-    return exact_div(
-        factorial(kn), multiplicity_product(lam) * factorial(kn - len(lam))
-    )
+    return exact_div(math.perm(k * n, len(lam)), multiplicity_product(lam))
 
 
 def format_blocks_b(blocks, m: int | None = None) -> str:

@@ -9,7 +9,6 @@ then reverse-lexicographic within a weight.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Iterator
 
 Partition = tuple[int, ...]
@@ -31,10 +30,14 @@ def weight(p: Partition) -> int:
 
 
 def multiplicity_product(p: Partition) -> int:
-    """Product of factorials of the part multiplicities; 1 for ()."""
-    out = 1
-    for m in Counter(p).values():
-        out *= math.factorial(m)
+    """Product of factorials of the part multiplicities; 1 for ().
+
+    Equal parts are adjacent, so the j-th part of a run multiplies by j.
+    """
+    out = run = 1
+    for prev, x in zip(p, p[1:]):
+        run = run + 1 if x == prev else 1
+        out *= run
     return out
 
 
@@ -43,17 +46,30 @@ def partition_sort_key(p: Partition):
     return (sum(p), tuple(-x for x in p))
 
 
-def partitions_of(m: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of m in reverse-lexicographic (descending) order."""
+def partitions_of(m: int) -> Iterator[Partition]:
+    """All partitions of m in reverse-lexicographic (descending) order.
+
+    The successor rule of Knuth, TAOCP 4A, 7.2.1.4, Algorithm P: lower the
+    last part x > 1 by one and refill the rest of the weight with parts of
+    at most x - 1.  `head` holds the parts above 1; `ones` counts the 1s.
+    """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        yield ()
-        return
-    top = m if max_part is None else min(m, max_part)
-    for first in range(top, 0, -1):
-        for rest in partitions_of(m - first, first):
-            yield (first,) + rest
+    head, ones = ([m], 0) if m > 1 else ([], m)
+    while True:
+        yield (*head, *(1,) * ones)
+        if not head:
+            return
+        x = head.pop() - 1
+        rest = ones + 1
+        if x == 1:
+            ones = rest + 1
+            continue
+        q, ones = divmod(rest, x)
+        head += [x] * (q + 1)
+        if ones > 1:
+            head.append(ones)
+            ones = 0
 
 
 def partition_counts() -> Iterator[int]:

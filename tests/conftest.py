@@ -3,6 +3,7 @@ implementations they check."""
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -85,3 +86,54 @@ def pascal_binomial(n: int, k: int) -> int:
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
     return row[k]
+
+
+# The closed forms as quotients of factorials, the way the counting papers
+# state them.  The library evaluates them as falling factorials.
+
+
+def _part_multiplicity_factorials(lam) -> int:
+    return math.prod(math.factorial(lam.count(x)) for x in set(lam))
+
+
+def _quotient(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    assert r == 0, f"{num} / {den} is not an integer"
+    return q
+
+
+def type_count_a(n: int, k: int, lam) -> int:
+    """|NC_n^(k)| of type lam, a partition of n: (kn)! / (m(lam) (kn+1-l)!)."""
+    kn, length = k * n, len(lam)
+    return _quotient(
+        math.factorial(kn),
+        _part_multiplicity_factorials(lam) * math.factorial(kn + 1 - length),
+    )
+
+
+def reduced_type_count_a(n: int, k: int, lam) -> int:
+    """|NC_n^(k)| of reduced type lam, of weight w < n:
+    (kn)! (n-w) / (n m(lam) (kn-l)!)."""
+    kn, length = k * n, len(lam)
+    return _quotient(
+        math.factorial(kn) * (n - sum(lam)),
+        n * _part_multiplicity_factorials(lam) * math.factorial(kn - length),
+    )
+
+
+def type_count_b(n: int, k: int, lam) -> int:
+    """|NC_n^{B,(k)}| of type lam, of weight <= n: (kn)! / (m(lam) (kn-l)!)."""
+    kn, length = k * n, len(lam)
+    return _quotient(
+        math.factorial(kn),
+        _part_multiplicity_factorials(lam) * math.factorial(kn - length),
+    )
+
+
+def parking_coefficient(n: int, lam) -> int:
+    """h_lam coefficient of the parking function symmetric function, lam a
+    partition of n: n! / (m(lam) (n+1-l)!)."""
+    return _quotient(
+        math.factorial(n),
+        _part_multiplicity_factorials(lam) * math.factorial(n + 1 - len(lam)),
+    )

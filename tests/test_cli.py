@@ -4,7 +4,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
+from ncstrip import cli
 from ncstrip.partitions import fuss_catalan
 
 CLI = [sys.executable, "-m", "ncstrip.cli"]
@@ -300,3 +302,67 @@ def test_reduced_type_at_zero_names_its_bound(args):
     r = run_cli(*args)
     assert r.returncode == 2
     assert "the reduced type needs n >= 1" in r.stderr
+
+
+def test_count_of_one_type_does_not_grow_with_kn():
+    # a falling factorial of length(lambda) factors, not two factorials of kn
+    r = run_cli(
+        "count", "--family", "nca-k", "-n", "3", "-k", "1000000", "--lambda", "2,1",
+        timeout=60,
+    )
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["result"]["entries"] == [{"lambda": [2, 1], "count": "3000000"}]
+    r = run_cli("count", "--family", "ncb-k", "-n", "1000000", "--lambda", "1", timeout=60)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["result"]["entries"] == [{"lambda": [1], "count": "1000000"}]
+
+
+def stdlib_indent_2(stdout: str) -> str:
+    return json.dumps(json.loads(stdout), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("count", "--family", "ncb-k", "--by", "type", "-n", "22", "-k", "3"),
+        ("enumerate", "--object", "ncb-k", "-n", "3", "-k", "2"),
+        ("verify", "--theorem", "bijections", "--n-max", "2"),
+    ],
+)
+def test_large_payloads_are_written_as_the_stdlib_writes_them(args):
+    r = run_cli(*args)
+    assert r.returncode == 0
+    assert r.stdout == stdlib_indent_2(r.stdout)
+
+
+def write_json(value) -> str:
+    out = []
+    cli._write_json(value, out, "\n")
+    return "".join(out)
+
+
+TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\xe9\U0001f600'))
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**64))
+    | TEXT
+    | st.lists(st.integers(min_value=-(2**70), max_value=2**70)),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(TEXT, children),
+    max_leaves=25,
+)
+
+
+@given(JSON_VALUES)
+def test_json_writer_equals_the_stdlib_indent_2_writer(value):
+    assert write_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, {"a": [0, 2.0]}, [[frozenset()]], {1: 0}])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        write_json(value)

@@ -41,3 +41,16 @@ def test_cli_replays_the_golden_requests(monkeypatch):
         if run(case["argv"]) != (case["exit"], case["stdout"]):
             differ.append(" ".join(case["argv"]))
     assert differ == []
+
+
+def test_golden_payloads_are_in_the_stdlib_indent_2_format():
+    # pins the recorded JSON to json.dumps(..., indent=2), whatever writes it
+    cases = [
+        case
+        for case in json.loads(GOLDEN.read_text())
+        if case["exit"] == 0 and "table" not in case["argv"]
+    ]
+    assert len(cases) > 80
+    for case in cases:
+        stdout = case["stdout"]
+        assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n", case["argv"]

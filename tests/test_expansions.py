@@ -11,11 +11,29 @@ from ncstrip.expansions import (
     parking_expansion,
     top_homogeneous_part,
 )
-from ncstrip.noncrossing_a import enumerate_k_divisible, reduced_type_a
-from ncstrip.noncrossing_b import enumerate_nc_b, type_b
+from ncstrip.noncrossing_a import (
+    count_by_reduced_type,
+    count_by_type,
+    enumerate_k_divisible,
+    reduced_type_a,
+)
+from ncstrip.noncrossing_b import count_by_type_b, enumerate_nc_b, type_b
 from ncstrip.parking import enumerate_primitive, pf_type
-from ncstrip.partitions import binomial, catalan, fuss_catalan
+from ncstrip.partitions import (
+    binomial,
+    catalan,
+    fuss_catalan,
+    partitions_of,
+    partitions_with_weight_at_most,
+)
 from ncstrip.shapes import parse_shape, rectangle, stretched_staircase
+
+from conftest import (
+    parking_coefficient,
+    reduced_type_count_a,
+    type_count_a,
+    type_count_b,
+)
 
 
 def test_skew_expansion_golden_case():
@@ -75,6 +93,28 @@ def test_parking_expansion_values():
     assert sum(parking_expansion(3).values()) == catalan(3)
     for n in range(1, 8):
         assert sum(parking_expansion(n).values()) == catalan(n)
+
+
+@pytest.mark.parametrize("n", range(31))
+def test_closed_forms_equal_the_factorial_quotients(n):
+    # every row of every count table and formula expansion, far past the
+    # census caps: type A of NC_n^(k), reduced type of NC_{n+1}^(k) (the
+    # fuss-a expansion), type B of NC_n^{B,(k)} (the fuss-b expansion)
+    rows = partitions_with_weight_at_most(n)
+    top = list(partitions_of(n))
+    assert parking_expansion(n) == {lam: parking_coefficient(n, lam) for lam in top}
+    for k in range(1, 5):
+        assert [count_by_type(n, k, lam) for lam in top] == [
+            type_count_a(n, k, lam) for lam in top
+        ]
+        reduced = {lam: reduced_type_count_a(n + 1, k, lam) for lam in rows}
+        signed = {lam: type_count_b(n, k, lam) for lam in rows}
+        if n == 0:  # the expansion formulas start at n = 1
+            assert count_by_reduced_type(1, k, ()) == reduced[()] == 1
+            assert count_by_type_b(0, k, ()) == signed[()] == 1
+        else:
+            assert fuss_a_expansion_formula(n, k) == reduced
+            assert fuss_b_expansion_formula(n, k) == signed
 
 
 def test_top_homogeneous_part():

@@ -53,7 +53,10 @@ def test_multiplicity_product_brute_force():
             assert multiplicity_product(p) == expect
 
 
-partition_counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]  # p(0)..p(10)
+partition_counts = [  # p(0)..p(20)
+    1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42,
+    56, 77, 101, 135, 176, 231, 297, 385, 490, 627,
+]
 
 
 def test_partitions_with_weight_at_most_examples():
@@ -62,7 +65,7 @@ def test_partitions_with_weight_at_most_examples():
     assert len(partitions_with_weight_at_most(3)) == 7
 
 
-@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("n", range(21))
 def test_partition_stream_against_filter_oracle(n):
     got = partitions_with_weight_at_most(n)
     assert len(got) == sum(partition_counts[: n + 1])
@@ -77,6 +80,17 @@ def test_partition_stream_against_filter_oracle(n):
     expect = {p for p in brute(n, n)}
     assert set(got) == expect
     assert got == sorted(got, key=partition_sort_key)
+
+
+@pytest.mark.parametrize("m", range(26))
+def test_partitions_of_is_strictly_reverse_lexicographic(m):
+    # `count` tables print the rows in this order without sorting them
+    got = list(partitions_of(m))
+    assert got[0] == ((m,) if m else ())
+    assert got[-1] == (1,) * m
+    for p in got:
+        assert sum(p) == m and as_partition(p) == p
+    assert all(p > q for p, q in zip(got, got[1:]))
 
 
 def test_factorial_binomial():

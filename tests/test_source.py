@@ -37,3 +37,17 @@ def test_library_has_no_process_wide_caches():
         and node.value.id == "functools"
     ]
     assert found == []
+
+
+def test_payloads_have_one_indenting_json_writer():
+    # every payload goes through the CLI's writer, which equals
+    # json.dumps(..., indent=2) and is several times faster
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "dumps"
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert found == []
