@@ -16,18 +16,16 @@ the ascents are the blocks of a noncrossing partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .lattice_paths import (
-    ascents,
     validate_fuss_binomial,
     validate_fuss_catalan,
 )
-from .noncrossing_a import Blocks, is_noncrossing, validate_set_partition
+from .noncrossing_a import Blocks, validate_nc_a
 from .noncrossing_b import (
     SignedBlocks,
-    antipodal_block,
-    canonical_blocks_b,
-    element_key,
+    listing_from_owners,
     validate_nc_b,
 )
 from .shapes import (
@@ -39,64 +37,71 @@ from .shapes import (
 )
 
 
+def _check_params(n: int, k: int) -> None:
+    if n < 0 or k < 1:
+        raise ValueError("need n >= 0 and k >= 1")
+
+
 def _unit_word(word: str, k: int) -> str:
     """'e' per 1/k segment of each east step, 'n' per north step."""
-    return "".join("e" * k if c == "E" else "n" for c in word)
+    return word.replace("E", "e" * k).replace("N", "n")
 
 
 def _dyck_unit_tree(units: str):
     """Labeling tree of a unit word whose walk stays at or below y = x.
 
-    Returns (rank, parent, unit_ascents): rank maps the unit index of each
-    'e' to its 1-based preorder label, parent maps it to its tree parent's
-    unit index (None at the root), unit_ascents lists the maximal 'e' runs.
+    Returns (rank, parent, unit_ascents), the first two indexed by unit:
+    rank[i] is the 1-based preorder label of the 'e' at i, parent[i] its
+    tree parent's unit index (None at the root), and unit_ascents lists the
+    maximal 'e' runs.  A segment starting at (x, y) lies in the diagonal
+    region numbered x - y, which is 0..x on such a walk.
     """
+    size = len(units)
     if not units:
-        return {}, {}, []
+        return [], [], []
     if units[0] != "e":
         raise ValueError("unit word must start with an east segment")
-    right: dict[int, int] = {}
-    attached: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
+    right = [-1] * size
+    attached = [-1] * size
+    parent: list[int | None] = [None] * size
+    last_in_region = [-1] * (size + 1)
     unit_ascents: list[list[int]] = []
-    last_in_region: dict[int, int] = {}
     x = y = 0
-    prev_e = False
+    run: list[int] = []
     for i, u in enumerate(units):
         if u == "e":
-            r = y - x - 1
-            if prev_e:
-                unit_ascents[-1].append(i)
-                right[unit_ascents[-1][-2]] = i
-                parent[i] = unit_ascents[-1][-2]
+            if run:  # continues an ascent
+                right[run[-1]] = i
+                parent[i] = run[-1]
+                run.append(i)
             else:
-                unit_ascents.append([i])
-                if len(unit_ascents) == 1:
-                    parent[i] = None
-                else:
-                    par = last_in_region.get(r)
-                    if par is None:
+                run = [i]
+                if unit_ascents:
+                    par = last_in_region[x - y]
+                    if par < 0:
                         raise ValueError("segment has no earlier segment in its region")
-                    if par in attached:
+                    if attached[par] >= 0:
                         raise ValueError("two ascents attach to one segment")
                     attached[par] = i
                     parent[i] = par
-            last_in_region[r] = i
+                unit_ascents.append(run)
+            last_in_region[x - y] = i
             x += 1
-            prev_e = True
         else:
             y += 1
-            prev_e = False
-    rank: dict[int, int] = {}
-    stack = [unit_ascents[0][0]]
+            run = []
+    rank = [0] * size
+    label = 0
+    stack = [0]
     while stack:
         v = stack.pop()
-        rank[v] = len(rank) + 1
-        if v in right:
+        label += 1
+        rank[v] = label
+        if right[v] >= 0:
             stack.append(right[v])
-        if v in attached:
+        if attached[v] >= 0:
             stack.append(attached[v])  # popped first: attached subtree leads
-    if len(rank) != units.count("e"):
+    if label != x:
         raise ValueError("labeling tree is not connected")
     return rank, parent, unit_ascents
 
@@ -112,6 +117,7 @@ class LabelingTree:
 
 
 def build_labeling_tree(word: str, n: int, k: int) -> LabelingTree:
+    _check_params(n, k)
     validate_fuss_catalan(word, n, k)
     units = _unit_word(word, k)
     rank, parent, unit_ascents = _dyck_unit_tree(units)
@@ -135,13 +141,14 @@ def path_to_noncrossing(word: str, n: int, k: int) -> Blocks:
     times the resulting block's share of the type, and the first ascent is
     the block containing the label 1.
     """
+    _check_params(n, k)
     validate_fuss_catalan(word, n, k)
     if n == 0:
         return ()
     rank, _, unit_ascents = _dyck_unit_tree(_unit_word(word, k))
     # preorder labels rise along an ascent, and blocks have distinct first
     # elements, so sorting the tuples orders them by first element
-    return tuple(sorted(tuple(rank[u] for u in asc) for asc in unit_ascents))
+    return tuple(sorted(tuple(map(rank.__getitem__, asc)) for asc in unit_ascents))
 
 
 def noncrossing_to_path(blocks, n: int, k: int) -> str:
@@ -153,55 +160,53 @@ def noncrossing_to_path(blocks, n: int, k: int) -> str:
     attachment order, and each ascent's height follows from its parent
     segment's diagonal region.
     """
-    blocks = validate_set_partition(blocks, k * n)
-    if not is_noncrossing(blocks):
-        raise ValueError("partition is crossing")
-    for b in blocks:
-        if len(b) % k:
-            raise ValueError(f"block size {len(b)} is not divisible by {k}")
-    return _noncrossing_to_path(blocks, n, k)
+    _check_params(n, k)
+    return _noncrossing_to_path(validate_nc_a(blocks, n, k), n, k)
 
 
-def _noncrossing_to_path(blocks: Blocks, n: int, k: int) -> str:
+def _noncrossing_to_path(blocks: Sequence[Sequence[int]], n: int, k: int) -> str:
     """noncrossing_to_path on canonical blocks already known to be in NC_n^(k)."""
     if n == 0:
         return ""
     kn = k * n
     s = len(blocks)
-    block_of = {x: i for i, b in enumerate(blocks) for x in b}
-    children: list[list[tuple[int, int]]] = [[] for _ in range(s)]
+    block_of = [0] * (kn + 1)  # element -> its block
+    pos_of = [0] * (kn + 1)  # element -> its index within that block
+    for i, b in enumerate(blocks):
+        for j, x in enumerate(b):
+            block_of[x] = i
+            pos_of[x] = j
+    # blocks come in order of their first elements, so each parent receives
+    # its children in attachment order
+    children: list[list[int]] = [[] for _ in range(s)]
     for bi in range(1, s):
-        a = blocks[bi][0]
-        pb = block_of[a - 1]
-        children[pb].append((blocks[pb].index(a - 1), bi))
-    order = []
+        children[block_of[blocks[bi][0] - 1]].append(bi)
+    # preorder with later attachments first; each ascent starts as high as
+    # its parent segment's diagonal region allows
+    units_before = [0] * s
+    height = [0] * s
+    total = 0
+    y = 0
+    word = []
     stack = [0]
     while stack:
         b = stack.pop()
-        order.append(b)
-        for _, ch in sorted(children[b]):  # later attachments pop first
-            stack.append(ch)
-    if len(order) != s:
-        raise ValueError("partition does not give a connected tree")
-    units_before = {}
-    total = 0
-    for b in order:
+        blk = blocks[b]
         units_before[b] = total
-        total += len(blocks[b])
-    height = {order[0]: 0}
-    word = []
-    y = 0
-    for b in order:
-        if b != order[0]:
-            a = blocks[b][0]
-            pb = block_of[a - 1]
-            pos = blocks[pb].index(a - 1)
-            height[b] = height[pb] - (units_before[pb] + pos) + units_before[b]
-            if height[b] <= y:
+        if b:
+            a = blk[0] - 1
+            pb = block_of[a]
+            h = height[pb] - units_before[pb] - pos_of[a] + total
+            if h <= y:
                 raise ValueError("partition is not in the labeling bijection's range")
-        word.append("N" * (height[b] - y))
-        word.append("E" * (len(blocks[b]) // k))
-        y = height[b]
+            height[b] = h
+            word.append("N" * (h - y))
+            y = h
+        word.append("E" * (len(blk) // k))
+        total += len(blk)
+        stack.extend(children[b])
+    if total != kn:
+        raise ValueError("partition does not give a connected tree")
     word.append("N" * (kn - y))
     return "".join(word)
 
@@ -256,30 +261,33 @@ def rectangle_path_to_strip(word: str, shape: SkewShape) -> RStrip:
     return strip_from_path(shape, word)
 
 
-def _pieces(units: list) -> list[tuple[list[int], list[int]]]:
-    """Split units into maximal runs by triangle sign of the diagonal walk.
+def _pieces(units: str) -> list[tuple[range, range]]:
+    """Split the unit indices into maximal runs by triangle sign of the
+    diagonal walk.
 
-    Returns [(P_1, N_1), ..., (P_s, N_s)], lists of unit indices with P_1
+    Returns [(P_1, N_1), ..., (P_s, N_s)], ranges of unit indices with P_1
     and/or N_s possibly empty.
     """
-    runs: list[tuple[str, list[int]]] = []
+    cuts = [0]  # run boundaries; the first run is positive, maybe empty
+    positive = True
     d = 0
     for i, u in enumerate(units):
         if u == "n":
-            sign = "N" if d >= 0 else "P"
+            sign = d < 0
             d += 1
         else:
-            sign = "P" if d <= 0 else "N"
+            sign = d <= 0
             d -= 1
-        if not runs or runs[-1][0] != sign:
-            runs.append((sign, []))
-        runs[-1][1].append(i)
-    if runs and runs[0][0] == "N":
-        runs.insert(0, ("P", []))
-    if runs and runs[-1][0] == "P":
-        runs.append(("N", []))
-    # consecutive runs differ in sign, so the runs now alternate P, N, ...
-    return [(runs[i][1], runs[i + 1][1]) for i in range(0, len(runs), 2)]
+        if sign != positive:
+            cuts.append(i)
+            positive = sign
+    cuts.append(len(units))
+    if positive:  # close with an empty negative run
+        cuts.append(len(units))
+    return [
+        (range(cuts[i], cuts[i + 1]), range(cuts[i + 1], cuts[i + 2]))
+        for i in range(0, len(cuts) - 1, 2)
+    ]
 
 
 def path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
@@ -292,55 +300,50 @@ def path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
     ascent off y = 0 yields a pair of opposite blocks; the y = 0 ascent, if
     present, yields the antipodal block.
     """
+    _check_params(n, k)
     validate_fuss_binomial(word, n, k)
     m = k * n
     if n == 0:
         return ()
-    units: list = []
-    east = -1
-    for c in word:
-        if c == "E":
-            east += 1
-            units.extend(("e", east, j) for j in range(k))
-        else:
-            units.append("n")
-    chars = ["n" if u == "n" else "e" for u in units]
-    pairs = _pieces(chars)
-    label: dict[tuple[int, int], int] = {}
+    units = _unit_word(word, k)
+    label = [0] * len(units)  # signed label of each 'e', 0 at each 'n'
 
-    def label_piece(idxs: list[int], start: int, negative: bool) -> int:
+    def label_piece(piece: range, start: int, negative: bool) -> int:
+        chars = units[piece.start : piece.stop]
+        rank = _dyck_unit_tree(chars[::-1] if negative else chars)[0]
+        values = [start - 1 + r if r else 0 for r in rank]
         if negative:
-            idxs = list(reversed(idxs))
-        piece = "".join(chars[i] for i in idxs)
-        rank, _, _ = _dyck_unit_tree(piece) if piece else ({}, {}, [])
-        count = 0
-        for local, i in enumerate(idxs):
-            if chars[i] == "e":
-                value = start + rank[local] - 1
-                _, e, j = units[i]
-                label[(e, j)] = -value if negative else value
-                count += 1
-        return count
+            values = [-v for v in reversed(values)]
+        label[piece.start : piece.stop] = values
+        return chars.count("e")
 
+    pairs = _pieces(units)
     base = 0
     for _, neg in reversed(pairs):
         base += label_piece(neg, base + 1, negative=True)
     for pos, _ in pairs:
         base += label_piece(pos, base + 1, negative=False)
 
-    blocks: list[tuple[int, ...]] = []
-    east = -1
-    for y, ln in ascents(word):
-        labs = []
-        for _ in range(ln):
-            east += 1
-            labs.extend(label[(east, j)] for j in range(k))
-        if y == 0:
-            blocks.append(tuple(labs) + tuple(-v for v in labs))
+    # each ascent is a block and its mirror, or one antipodal block on y = 0
+    owner = [0] * (2 * m + 1)  # polygon position -> block
+    count = here = there = 0
+    y = prev = 0
+    for v in label:
+        if not v:
+            y += 1
         else:
-            blocks.append(tuple(labs))
-            blocks.append(tuple(-v for v in labs))
-    return canonical_blocks_b(blocks, m)
+            if not prev:
+                here = count
+                there = count + 1 if y else count
+                count = there + 1
+            if v > 0:
+                owner[v] = here
+                owner[m + v] = there
+            else:
+                owner[m - v] = here
+                owner[-v] = there
+        prev = v
+    return listing_from_owners(owner, m)
 
 
 def signed_noncrossing_to_path(blocks, n: int, k: int) -> str:
@@ -354,43 +357,35 @@ def signed_noncrossing_to_path(blocks, n: int, k: int) -> str:
     minimal positive the positive sizes to its left.  Every piece is then
     rebuilt with the inverse labeling map and the pieces are concatenated.
     """
+    _check_params(n, k)
     m = k * n
     blocks = validate_nc_b(blocks, n, k)
     if n == 0:
         return ""
-    anti = antipodal_block(blocks)
+    # a canonical block lists its negatives (by absolute value) before its
+    # positives, so a block that mixes signs starts negative and ends positive
+    mixed = [b for b in blocks if b[0] < 0 < b[-1]]
+    anti = next((b for b in mixed if -b[0] in b), None)
     if anti is not None:
         a0 = min(x for x in anti if x > 0)
     else:
         qual = [
             b
-            for b in blocks
-            if any(x < 0 for x in b)
-            and any(x > 0 for x in b)
-            and max(abs(x) for x in b if x < 0) < min(x for x in b if x > 0)
+            for b in mixed
+            if max(-x for x in b if x < 0) < min(x for x in b if x > 0)
         ]
-        if qual:
-            last = max(qual, key=lambda b: element_key(min(b, key=element_key)))
-            a0 = min(x for x in last if x > 0)
-        else:
-            a0 = m + 1
+        # blocks come sorted by their minimal elements
+        a0 = min(x for x in qual[-1] if x > 0) if qual else m + 1
     n0 = a0 - 1
 
-    def in_a(v: int) -> bool:
-        return (v < 0 and -v <= n0) or v >= a0
-
-    restricted = [tuple(x for x in b if in_a(x)) for b in blocks]
-    restricted = [r for r in restricted if r]
-    if sum(len(r) for r in restricted) != m:
-        raise ValueError("partition is not in the type-B bijection's range")
-
-    junctions = []
-    for r in restricted:
-        negs = [x for x in r if x < 0]
-        poss = [x for x in r if x > 0]
-        if negs and poss:
-            junctions.append((max(negs), min(poss)))  # (nu, pi), |nu| minimal
-    junctions.sort()  # ascending nu = descending |nu| = path order
+    # A holds one of x, -x for every x, so the blocks restrict to m labels;
+    # a mixed block's restriction keeps both signs exactly when its first
+    # (least |negative|) label and its last (largest positive) lie in A
+    junctions = sorted(  # ascending nu = descending |nu| = path order
+        (b[0], min(x for x in b if x >= a0))  # (nu, pi), |nu| minimal
+        for b in mixed
+        if -b[0] <= n0 and b[-1] >= a0
+    )
     if [p for _, p in junctions] != sorted(p for _, p in junctions):
         raise ValueError("junction blocks are inconsistent")
     s = len(junctions) + 1
@@ -419,26 +414,34 @@ def signed_noncrossing_to_path(blocks, n: int, k: int) -> str:
     ):
         raise ValueError("piece sizes are inconsistent")
 
-    block_of = {}
+    owner = [0] * (2 * m + 1)  # polygon position -> block
     for i, b in enumerate(blocks):
-        for x in b:
-            block_of[x] = i
+        for v in b:
+            owner[v if v > 0 else m - v] = i
+
+    slot = [-1] * len(blocks)  # block -> its group in the current piece
 
     def piece_units(lo: int, size: int, negative: bool) -> str:
         if size == 0:
             return ""
-        values = [-(lo + t) if negative else lo + t for t in range(size)]
-        groups: dict[int, list[int]] = {}
-        for v in values:
-            groups.setdefault(block_of[v], []).append(abs(v) - lo + 1)
+        first = m + lo if negative else lo  # position of the label -lo or lo
+        members = owner[first : first + size]
+        groups: list[list[int]] = []
+        for t, b in enumerate(members, 1):
+            if slot[b] < 0:
+                slot[b] = len(groups)
+                groups.append([])
+            groups[slot[b]].append(t)
+        for b in members:
+            slot[b] = -1
         # a piece is the restriction of a noncrossing partition to an arc,
         # listed in increasing order, so its blocks are already canonical
-        local = _noncrossing_to_path(tuple(map(tuple, groups.values())), size, 1)
+        local = _noncrossing_to_path(groups, size, 1)
         return local[::-1] if negative else local
 
     parts = []
     pos_lo = n0 + 1
-    neg_lo_for = {}
+    neg_lo_for = [0] * s
     base = 1
     for i in range(s - 1, -1, -1):
         neg_lo_for[i] = base
@@ -447,19 +450,8 @@ def signed_noncrossing_to_path(blocks, n: int, k: int) -> str:
         parts.append(piece_units(pos_lo, p_sizes[i], negative=False))
         pos_lo += p_sizes[i]
         parts.append(piece_units(neg_lo_for[i], n_sizes[i], negative=True))
-    unit_word = "".join(parts)
-
-    word = []
-    run = 0
-    for c in unit_word + "$":
-        if c == "E":
-            run += 1
-        else:
-            if run:
-                if run % k:
-                    raise ValueError("segments do not regroup into east steps")
-                word.append("E" * (run // k))
-                run = 0
-            if c == "N":
-                word.append("N")
-    return "".join(word)
+    # the units regroup into east steps: every run between two north steps
+    runs = "".join(parts).split("N")
+    if any(len(r) % k for r in runs):
+        raise ValueError("segments do not regroup into east steps")
+    return "N".join("E" * (len(r) // k) for r in runs)

@@ -25,14 +25,15 @@ def canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
     return tuple(sorted(out, key=lambda b: b[0]))
 
 
-def validate_set_partition(blocks, n: int) -> Blocks:
-    """Canonical blocks of a set partition of [n], checked in one pass.
+def _owners(blocks, n: int) -> tuple[list[int], list[int]]:
+    """(owner, sizes) of a set partition of [n], each element placed once.
 
-    Raises ValueError on an empty block or when the blocks do not cover
-    [1..n] exactly once.
+    owner[x] is the index of the block holding x (owner[0] is unused) and
+    sizes[i] is the size of block i.  Raises ValueError on an empty block or
+    when the blocks do not cover [1..n] exactly once.
     """
     owner = [-1] * (n + 1)
-    count = 0
+    sizes: list[int] = []
     for i, b in enumerate(blocks):
         size = 0
         for x in b:
@@ -42,13 +43,45 @@ def validate_set_partition(blocks, n: int) -> Blocks:
             size += 1
         if not size:
             raise ValueError("empty block")
-        count += size
-    if count != n:
+        sizes.append(size)
+    if sum(sizes) != n:
         raise ValueError(f"blocks do not partition [1..{n}]")
+    return owner, sizes
+
+
+def _listing(owner: list[int], n: int) -> Blocks:
+    """Canonical blocks read off an owner array in increasing order."""
     out: dict[int, list[int]] = {}
     for x in range(1, n + 1):
         out.setdefault(owner[x], []).append(x)
     return tuple(tuple(b) for b in out.values())
+
+
+def validate_set_partition(blocks, n: int) -> Blocks:
+    """Canonical blocks of a set partition of [n], checked in one pass.
+
+    Raises ValueError on an empty block or when the blocks do not cover
+    [1..n] exactly once.
+    """
+    return _listing(_owners(blocks, n)[0], n)
+
+
+def validate_nc_a(blocks, n: int, k: int) -> Blocks:
+    """Canonical blocks of a member of NC_n^(k), checked in one pass.
+
+    Every element of [kn] is placed once on an owner array, which the
+    crossing scan then reads directly.  The checks run in this order, and
+    the first that fails raises ValueError: the blocks partition [kn], the
+    partition is noncrossing, and every block size is divisible by k.
+    """
+    owner, sizes = _owners(blocks, k * n)
+    if not owners_noncrossing(owner[1:], sizes):
+        raise ValueError("partition is crossing")
+    out = _listing(owner, k * n)
+    for b in out:
+        if len(b) % k:
+            raise ValueError(f"block size {len(b)} is not divisible by {k}")
+    return out
 
 
 def owners_noncrossing(owners, sizes) -> bool:
@@ -88,9 +121,10 @@ def blocks_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
 
 def is_noncrossing(blocks, n: int | None = None) -> bool:
     """Crossing test for a set partition of [n]."""
-    if n is not None:
-        blocks = validate_set_partition(blocks, n)
-    return blocks_noncrossing(blocks)
+    if n is None:
+        return blocks_noncrossing(blocks)
+    owner, sizes = _owners(blocks, n)
+    return owners_noncrossing(owner[1:], sizes)
 
 
 def noncrossing_partitions_of_seq(seq, k: int = 1) -> Iterator[Blocks]:
@@ -108,11 +142,13 @@ def noncrossing_partitions_of_seq(seq, k: int = 1) -> Iterator[Blocks]:
     blocks: list[list[int]] = []  # every block, in the order it was opened
     stack: list[list[int]] = []  # the open blocks
 
-    def deficit() -> int:
-        return sum((-len(b)) % k for b in stack)
+    def grow(b: list[int]) -> int:
+        # change in the deficit (elements the open blocks still need to
+        # reach a multiple of k) when b gains one element
+        return k - 1 if len(b) % k == 0 else -1
 
-    def rec(i: int) -> Iterator[Blocks]:
-        if deficit() > n - i:
+    def rec(i: int, deficit: int) -> Iterator[Blocks]:
+        if deficit > n - i:
             return
         if i == n:
             yield tuple(tuple(b) for b in blocks)
@@ -122,24 +158,27 @@ def noncrossing_partitions_of_seq(seq, k: int = 1) -> Iterator[Blocks]:
         new = [x]
         blocks.append(new)
         stack.append(new)
-        yield from rec(i + 1)
+        yield from rec(i + 1, deficit + k - 1)
         stack.pop()
         blocks.pop()
-        # join an open block, closing everything nested above it
+        # join an open block, closing everything nested above it (a closed
+        # block's size is a multiple of k, so it leaves the deficit alone)
         if stack:
+            d = deficit + grow(stack[-1])
             stack[-1].append(x)
-            yield from rec(i + 1)
+            yield from rec(i + 1, d)
             stack[-1].pop()
         closed = []
         while len(stack) > 1 and len(stack[-1]) % k == 0:
             closed.append(stack.pop())
+            d = deficit + grow(stack[-1])
             stack[-1].append(x)
-            yield from rec(i + 1)
+            yield from rec(i + 1, d)
             stack[-1].pop()
         while closed:
             stack.append(closed.pop())
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def enumerate_k_divisible(n: int, k: int) -> list[Blocks]:

@@ -42,11 +42,6 @@ def label_at(pos: int, m: int) -> int:
     return pos if pos <= m else -(pos - m)
 
 
-def element_key(v: int) -> tuple[int, int]:
-    """Sort key for -1 < -2 < ... < -m < 1 < 2 < ... < m."""
-    return (0, -v) if v < 0 else (1, v)
-
-
 def canonical_blocks_b(blocks: Iterable[Iterable[int]], m: int) -> SignedBlocks:
     """Blocks sorted by minimal element, each listed clockwise from it."""
     keyed = []
@@ -89,6 +84,21 @@ def antipodal_block(blocks) -> tuple[int, ...] | None:
     return found
 
 
+def listing_from_owners(owner, m: int) -> SignedBlocks:
+    """Canonical blocks of the partition that puts polygon position p in
+    block owner[p] (owner[0] is unused).
+
+    Read clockwise from position m + 1 (the label -1), the polygon meets
+    every block at its minimal element first, so the blocks come out in
+    canonical order, each listed clockwise from its minimum.
+    """
+    out: dict[int, list[int]] = {}
+    labels = itertools.chain(range(-1, -m - 1, -1), range(1, m + 1))
+    for v, b in zip(labels, owner[m + 1 :] + owner[1 : m + 1]):
+        out.setdefault(b, []).append(v)
+    return tuple(tuple(b) for b in out.values())
+
+
 def validate_nc_b(blocks, n: int, k: int) -> SignedBlocks:
     """Canonical blocks of a member of NC_n^{B,(k)}, checked in one pass.
 
@@ -105,7 +115,9 @@ def validate_nc_b(blocks, n: int, k: int) -> SignedBlocks:
     for i, b in enumerate(blocks):
         size = 0
         for v in b:
-            p = position(v, m)
+            if v == 0 or not -m <= v <= m:
+                raise ValueError(f"label {v} outside the signed ground set of size {m}")
+            p = v if v > 0 else m - v
             overlap = overlap or owner[p] >= 0
             owner[p] = i
             size += 1
@@ -114,24 +126,20 @@ def validate_nc_b(blocks, n: int, k: int) -> SignedBlocks:
         raise ValueError(f"blocks do not partition the signed set [-{m}..{m}]")
     # invariant iff all members of a block have their negatives in one block
     mirror = [-1] * len(sizes)
-    for p in range(1, m + 1):
-        for q, r in ((p, p + m), (p + m, p)):
-            i, j = owner[q], owner[r]
-            if mirror[i] < 0:
-                mirror[i] = j
-            elif mirror[i] != j:
-                raise ValueError("partition is not invariant under negation")
+    for i, j in zip(owner[1 : m + 1], owner[m + 1 :]):
+        if mirror[i] < 0:
+            mirror[i] = j
+        if mirror[j] < 0:
+            mirror[j] = i
+        if mirror[i] != j or mirror[j] != i:
+            raise ValueError("partition is not invariant under negation")
     if not owners_noncrossing(owner[1:], sizes):
         raise ValueError("partition is crossing on the polygon")
-    # clockwise from position m + 1 (the label -1) meets every block at its
-    # minimal element first, so this is the canonical listing
-    out: dict[int, list[int]] = {}
-    for p in itertools.chain(range(m + 1, 2 * m + 1), range(1, m + 1)):
-        out.setdefault(owner[p], []).append(label_at(p, m))
-    for b in out.values():
+    out = listing_from_owners(owner, m)
+    for b in out:
         if len(b) % k:
             raise ValueError(f"block size {len(b)} is not divisible by {k}")
-    return tuple(tuple(b) for b in out.values())
+    return out
 
 
 def type_b(blocks, k: int = 1) -> Partition:
@@ -150,65 +158,67 @@ def type_b(blocks, k: int = 1) -> Partition:
     return tuple(size // k for size in sizes)
 
 
-def _mirror_pos(p: int, m: int) -> int:
-    return p + m if p <= m else p - m
-
-
 def enumerate_nc_b(n: int, k: int) -> list[SignedBlocks]:
-    """All of NC_n^{B,(k)}, built directly (not via any bijection).
+    """All of NC_n^{B,(k)}, built directly (not via any bijection), each
+    member once.
 
     Partitions with an antipodal block: choose the block's positive-half
     position set, then fill half of the sectors it cuts out and mirror them.
     Partitions without one: some diameter of the 2m-gon separates the blocks
-    from their mirrors; cut there, fill one half, mirror, and deduplicate.
+    from their mirrors (Reiner 1997).  Take the least such diameter g: the
+    half-arc g+1..g+m holds a noncrossing partition P of 1..m rotated by g.
+    A diameter g - j (1 <= j <= g) separates exactly when the last j
+    elements of P are a union of its blocks, and the shortest such suffix
+    starts at the minimum c of the block holding m.  So g is least exactly
+    when g <= m - c, and each P is rotated onto g = 0..m - c (Armstrong
+    2009 for the k-divisible case).
     """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     m = k * n
     if m == 0:
         return [()]
-    results: set[SignedBlocks] = set()
+    out: list[SignedBlocks] = []
 
-    def to_labels(pos_blocks) -> SignedBlocks:
-        return canonical_blocks_b(
-            [tuple(label_at(p, m) for p in b) for b in pos_blocks], m
-        )
-
-    # with an antipodal block
+    # with an antipodal block (block 0)
     for z in range(1, m + 1):
         if (2 * z) % k:
             continue
         for zplus in itertools.combinations(range(1, m + 1), z):
             q = list(zplus) + [p + m for p in zplus]
-            sectors = []
-            for i in range(z):
-                a, b = q[i], q[i + 1] if i + 1 < 2 * z else q[0] + 2 * m
-                sectors.append(list(range(a + 1, b)))
+            sectors = [range(q[i] + 1, q[i + 1]) for i in range(z)]
             fillings = [
                 list(noncrossing_partitions_of_seq(sec, k)) for sec in sectors
             ]
             if not all(fillings):
                 continue
             for choice in itertools.product(*fillings):
-                pos_blocks = [q]
+                owner = [0] * (2 * m + 1)
+                b = 1
                 for part in choice:
                     for blk in part:
-                        pos_blocks.append(list(blk))
-                        pos_blocks.append([_mirror_pos(p, m) for p in blk])
-                results.add(to_labels(pos_blocks))
+                        for p in blk:  # sectors lie in 1..2m - 1
+                            owner[p] = b
+                            owner[p + m if p <= m else p - m] = b + 1
+                        b += 2
+                out.append(listing_from_owners(owner, m))
 
-    # without an antipodal block: cut along each diameter
-    for g in range(m):
-        arc = list(range(g + 1, g + m + 1))
-        for part in noncrossing_partitions_of_seq(arc, k):
-            pos_blocks = []
-            for blk in part:
-                wrapped = [p if p <= 2 * m else p - 2 * m for p in blk]
-                pos_blocks.append(wrapped)
-                pos_blocks.append([_mirror_pos(p, m) for p in wrapped])
-            results.add(to_labels(pos_blocks))
+    # without one: P on the half-arc g+1..g+m, its mirror on the rest
+    for part in noncrossing_partitions_of_seq(range(1, m + 1), k):
+        half = [0] * m
+        c = m
+        for i, blk in enumerate(part):
+            for p in blk:
+                half[p - 1] = 2 * i
+            if blk[-1] == m:
+                c = blk[0]
+        mirror = [b + 1 for b in half]
+        for g in range(m - c + 1):
+            owner = [-1] + mirror[m - g :] + half + mirror[: m - g]
+            out.append(listing_from_owners(owner, m))
 
-    return sorted(results)
+    out.sort()
+    return out
 
 
 def count_by_type_b(n: int, k: int, lam: Partition) -> int:

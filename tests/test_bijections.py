@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,6 +45,96 @@ TYPE_B_EXAMPLE_WORD = "ENNNNNNENNENNNEN"
 TYPE_B_EXAMPLE_BLOCKS = parse_blocks_b(
     "-1,-2,12/-3,-7,11/-4,-5,-6/-8,-9,-10,8,9,10/-11,3,7/-12,1,2/4,5,6"
 )
+
+
+# SHA-256 of repr([image of every word, in enumeration order]) per (n, k):
+# psi-a for kn <= 9, psi-b for (k+1)n <= 12.  They pin every image, where
+# the exhaustive tests below pin only the image set.
+PSI_A_DIGESTS = {
+    (1, 1): "f2cb19bf566e9bf781b8e71a38981c8a1bb826bcc238e08031749d5b9c42af51",
+    (2, 1): "f1a0625ba846ebcc756275679a759da70500a4ce5bc90d625dae16acfd79b00f",
+    (3, 1): "68f120637700a029b594c844161c4b139d7269a94979d5d4020df5a41f6072a1",
+    (4, 1): "1ebdb120f12852ce449fdf7275328352fd412f1d3f078e65e627170eab96a569",
+    (5, 1): "d8c9d3ae2216ffc0cd400d4e8ff920950cf3760b1aedf69c9d723f818005632c",
+    (6, 1): "eff2920cf4e2f88fdd1da5cb79fab4bbd508e746f5445bdb75d4d38f334cfe5f",
+    (7, 1): "f026ace5ba2db0a5853c927ad8e484cff5b18185a7a9056a0b3d810c879cbfa5",
+    (8, 1): "edeacde37fe8a8b4e49a233f3ac6e4924e1982f30538794ab756797ac1cec134",
+    (9, 1): "9b76734f489d8e9ed3524cb5fa9606d31e4a363a637e76f40d9cee91727ddb67",
+    (1, 2): "aaefeb4ebe51a378427195edb61210d2f7bdd7aca923483997720a4a8a84a012",
+    (2, 2): "134c6ece5263b52f56afe2a373ef1f0beb874ac5a2083e73255f94418548977a",
+    (3, 2): "19ea634e69b946ba8aa0612bd0a55286e81adb840f922649b5ee1a8a5845a998",
+    (4, 2): "937422183b3cf8d931d72ff7f8b2d64e0ffa346b0bb94ce6ca3d9b7724b9d724",
+    (1, 3): "07239470572973374dac22dc184a604c1dae493947c3e4d80961108081db53f8",
+    (2, 3): "e23089bff7545990d7f566ba64ff1d317b4c109e0f5e098267121a3265964f70",
+    (3, 3): "d5f4119fbce0c7d699efb174210ef7251e1aded739c0d113b29e8c539a9f87f5",
+    (1, 4): "decd6fb3e24f21b3e39f7eb41554862e52a940e651c25d8617c7eb4b294fab9c",
+    (2, 4): "bcc3d97c7b7ab1c3a17c0f589db6158651eb6223ea4aaa9e2000efaa0f8da8e5",
+    (1, 5): "dc9878e54d1d2f0c670ef4e5eac1920569f273eeacc2e03f692b91fdda793c47",
+    (1, 6): "4f80473fe2c4f31fb702c793939d35e106f534a051969aa5a742cff7894bee4b",
+    (1, 7): "863015eb8c2d3d20e34e0756875358e285a910c5447fda01fa104d432236d71e",
+    (1, 8): "0a66336190414ee81b978a231a9cf3afe741217fba93afa4f4c5e90708a68877",
+    (1, 9): "4d5d40f099637d649c09258932620b323725fa9ec3ae3aee9fcf03232b4328d3",
+}
+PSI_B_DIGESTS = {
+    (1, 1): "ee397cdcc7ec095c474b41a4c51fc36fe90ad51ed4769aaf65f7eeef57ceeee8",
+    (2, 1): "299d1c2e1440eaac76450c22dc063e7e4efe4102462e16f0efa2fa7c1e7679fe",
+    (3, 1): "52aebc3dec5e8fc2e1a125ec5919053aa1379ed8b3b97408edcf299b983d4470",
+    (4, 1): "a49bbf78d17532153b763190eacfcf0548dce4a3755ec14cf0b5329f5bfc02b7",
+    (5, 1): "71d38a68e8ad1e6e9d4b69cfe4000b4412f7feefb8ee5f2881aa887a14dbdf63",
+    (6, 1): "588d2c3671d666620de00cb77d164d38d0d8af744842eb28abb3427b780dba5b",
+    (1, 2): "7e8fe37fc7e8faf828da17b697198c098010c9afe1270092e76913da3b628feb",
+    (2, 2): "1ca17d050968e7dae640e764cf0e215fa035d5e1ab18539cf1f217ad91c4e2ce",
+    (3, 2): "8f86983aa5c43cb38fc16c6d0dae84842bc7865bf15f7cda905ad4e43c8d9038",
+    (4, 2): "ba89f909e64e7a4f7a6c761e1751f2e1c4ef92225af7c687fe70445c2a4a5968",
+    (1, 3): "95e8fd5b427d075b4204fc92ea015d2ecd1b1e7bba571dbd28dc18f79ac87077",
+    (2, 3): "49fc56eba4ef8375b85ce10a9c918782be1a618fb71725535827b8f709fcf3e8",
+    (3, 3): "6c55684678ff765d74e3f82ed2c562d75c71e728fe5dee44f3c8117324f85172",
+    (1, 4): "1c2e42016b718a9be794ff5b1b889e202cd73a4719409e7bf257e11b536bc7b9",
+    (2, 4): "31d9d3f1a3ed33a28bcd0fc12483605ab9b451fb996ce7e3ccc5faae479fcdc3",
+    (1, 5): "f14050cd2b4329f6eec5f3bd6eab03ee33eda762533bdc4f658fc8a17e2b9bdd",
+    (2, 5): "9322dd0d7c8a8b5efc18243b9d49a6f141a4ea8b250d2290ac9b7307f5287135",
+    (1, 6): "4f45567bb2d4163393fa657ef1b27e9e17030f11200d2e9834061d55b6279522",
+    (1, 7): "602cb463742b7ee7b61332e4fc62b697bfdf836a522a3dc555322e3fcc173b84",
+    (1, 8): "729ec26d85effc2cba0f1fd4e259047b410773fed5160057da2686a22590b098",
+    (1, 9): "9525795c2e9e31fcbc19deed23087648109ecd2fbc68b972f82cd269d8d5cb5b",
+    (1, 10): "66070a45e349a9d3ac6239d08b5f3ef58abef90d660fe7f79705512d410b952f",
+    (1, 11): "6dfa6dfbfc943bd24333c0cb49b6b1ad45a56f1b637e7a650f45341eeda9661e",
+}
+
+
+def _digest(images) -> str:
+    return hashlib.sha256(repr(images).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n,k", list(PSI_A_DIGESTS))
+def test_psi_a_images_are_pinned(n, k):
+    words = list(enumerate_fuss_catalan(n, k))
+    images = [path_to_noncrossing(w, n, k) for w in words]
+    assert _digest(images) == PSI_A_DIGESTS[n, k]
+    assert [noncrossing_to_path(b, n, k) for b in images] == words
+
+
+@pytest.mark.parametrize("n,k", list(PSI_B_DIGESTS))
+def test_psi_b_images_are_pinned(n, k):
+    words = list(enumerate_fuss_binomial(n, k))
+    images = [path_to_signed_noncrossing(w, n, k) for w in words]
+    assert _digest(images) == PSI_B_DIGESTS[n, k]
+    assert [signed_noncrossing_to_path(b, n, k) for b in images] == words
+
+
+@pytest.mark.parametrize(
+    "psi,obj",
+    [
+        (path_to_noncrossing, "E"),
+        (noncrossing_to_path, ()),
+        (path_to_signed_noncrossing, "EE"),
+        (signed_noncrossing_to_path, ()),
+    ],
+)
+@pytest.mark.parametrize("n,k", [(1, 0), (2, -1), (-1, 1)])
+def test_psi_maps_reject_bad_parameters(psi, obj, n, k):
+    with pytest.raises(ValueError, match=r"need n >= 0 and k >= 1"):
+        psi(obj, n, k)
 
 
 class TestLabelingTree:

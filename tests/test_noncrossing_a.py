@@ -11,6 +11,7 @@ from ncstrip.noncrossing_a import (
     parse_blocks,
     reduced_type_a,
     type_a,
+    validate_nc_a,
     validate_set_partition,
 )
 from ncstrip.partitions import catalan, fuss_catalan, partitions_with_weight_at_most, weight
@@ -55,6 +56,19 @@ def test_validate_set_partition_rejects_bad_input():
             validate_set_partition(blocks, 3)
     with pytest.raises(ValueError, match="empty block"):
         validate_set_partition([(1, 2, 3), ()], 3)
+
+
+def test_validate_nc_a_messages_in_order():
+    assert validate_nc_a([[4, 3], [2, 1]], 2, 2) == ((1, 2), (3, 4))
+    assert validate_nc_a((), 0, 3) == ()
+    # partition before crossing before divisibility
+    for blocks, n, k, message in [
+        ([(1, 3), (2, 4), (5,)], 2, 2, "do not partition"),
+        ([(1, 3, 6), (2, 4, 5)], 3, 2, "crossing"),
+        ([(1, 2, 3), (4, 5, 6)], 3, 2, "not divisible by 2"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            validate_nc_a(blocks, n, k)
 
 
 def test_enumeration_counts():

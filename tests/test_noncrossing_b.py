@@ -91,7 +91,9 @@ def test_enumerate_nc_b_cardinality(n, k):
         validate_nc_b(blocks, n, k)
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (1, 2), (2, 2), (1, 3), (1, 4)])
+@pytest.mark.parametrize(
+    "n,k", [(2, 1), (3, 1), (4, 1), (5, 1), (1, 2), (2, 2), (1, 3), (1, 4)]
+)
 def test_enumerate_nc_b_matches_filter_oracle(n, k):
     m = k * n
     ground = [x for x in range(1, m + 1)] + [-x for x in range(1, m + 1)]
@@ -101,6 +103,15 @@ def test_enumerate_nc_b_matches_filter_oracle(n, k):
         if all(len(b) % k == 0 for b in canon) and is_noncrossing_b(canon, m):
             expect.add(canon)
     assert set(enumerate_nc_b(n, k)) == expect
+
+
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for k in range(1, 12) for n in range(1, 7) if (k + 1) * n <= 12]
+)
+def test_enumerate_nc_b_lists_each_member_once_in_canonical_form(n, k):
+    got = enumerate_nc_b(n, k)
+    assert all(a < b for a, b in zip(got, got[1:]))  # strictly increasing
+    assert all(validate_nc_b(blocks, n, k) == blocks for blocks in got)
 
 
 def test_at_most_one_antipodal_block():
