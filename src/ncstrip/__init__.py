@@ -82,6 +82,7 @@ from .parking import (
 from .expansions import (
     HExpansion,
     expand_skew,
+    expand_skew_by_columns,
     expansion_items,
     fuss_a_expansion_formula,
     fuss_b_expansion_formula,

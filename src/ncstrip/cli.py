@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import bijections as bij
 from .expansions import (
-    expand_skew,
+    expand_skew_by_columns,
     expansion_items,
     fuss_a_expansion_formula,
     fuss_b_expansion_formula,
@@ -203,33 +203,54 @@ def _expansion_payload(expansion) -> tuple[dict, Callable[[], list[str]]]:
     return payload, table
 
 
+def _fuss_binomial(n: int, k: int) -> int:
+    return binomial((k + 1) * n, n)
+
+
+# family -> (shape, its strip count in closed form, what a refusal names,
+# the closed-form expansion)
+EXPANSIONS = {
+    "fuss-a": (
+        stretched_staircase,
+        lambda n, k: fuss_catalan(n + 1, k),
+        "expansion of the stretched staircase",
+        fuss_a_expansion_formula,
+    ),
+    "fuss-b": (
+        rectangle,
+        _fuss_binomial,
+        "expansion of the rectangle",
+        fuss_b_expansion_formula,
+    ),
+}
+
+
 def cmd_expand(args) -> int:
     if args.shape is not None:
         if args.family is not None:
             raise SystemExit2("--shape and --family are mutually exclusive")
         if args.method == "formula":
             raise SystemExit2("--method formula requires --family")
-        shape = parse_shape(args.shape)
-        _guard(count_r_strips(shape), "expansion of the shape")
-        expansion = expand_skew(shape)
         params = {"shape": args.shape, "method": "enumerate"}
+    elif not args.family:
+        raise SystemExit2("need --shape or --family")
     else:
-        if not args.family:
-            raise SystemExit2("need --shape or --family")
         n, k = _require_nk(args)
-        fuss_a = args.family == "fuss-a"
-        if args.method == "formula":
-            # both formulas have one term per partition of weight <= n
-            _guard_partitions(n, True, "formula expansion")
-            formula = fuss_a_expansion_formula if fuss_a else fuss_b_expansion_formula
-            expansion = formula(n, k)
-        elif fuss_a:
-            _guard(fuss_catalan(n + 1, k), "expansion of the stretched staircase")
-            expansion = expand_skew(stretched_staircase(n, k))
-        else:
-            _guard(binomial((k + 1) * n, n), "expansion of the rectangle")
-            expansion = expand_skew(rectangle(n, k))
         params = {"family": args.family, "n": n, "k": k, "method": args.method}
+        build, strips, what, formula = EXPANSIONS[args.family]
+    if args.method == "formula":
+        # both formulas have one term per partition of weight <= n
+        _guard_partitions(n, True, "formula expansion")
+        expansion = formula(n, k)
+    else:
+        if args.shape is not None:
+            shape = parse_shape(args.shape)
+            _guard(count_r_strips(shape), "expansion of the shape")
+        else:
+            _guard(strips(n, k), what)
+            shape = build(n, k)
+        # the census has no more terms than the shape has strips
+        expansion = expand_skew_by_columns(shape)
     body, table = _expansion_payload(expansion)
     payload = {"command": "expand", "parameters": params, "result": body}
     _emit(payload, args.format, table)
@@ -547,10 +568,6 @@ class Listing(NamedTuple):
     art: Callable | None = None
 
 
-def _fuss_binomial(n: int, k: int) -> int:
-    return binomial((k + 1) * n, n)
-
-
 LISTINGS = {
     "rstrips": Listing(
         lambda shape: count_r_strips(parse_shape(shape)),
@@ -667,10 +684,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="h-basis expansion of a shape or family")
     p.add_argument("--shape", help='shape literal, e.g. "3,2/1"')
-    p.add_argument("--family", choices=("fuss-a", "fuss-b"))
+    p.add_argument("--family", choices=tuple(EXPANSIONS))
     p.add_argument("--method", choices=("enumerate", "formula"), default="enumerate")
     add_common(p)
-    p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("count", help="counting formulas, optionally census-checked")
     p.add_argument("--family", choices=tuple(COUNTS), required=True)
@@ -678,7 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default=None, help='partition literal, e.g. "2,1"')
     p.add_argument("--check", action="store_true", help="cross-verify against enumeration")
     add_common(p)
-    p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("biject", help="apply one of the four bijections")
     p.add_argument("--map", choices=tuple(MAPS), required=True)
@@ -687,14 +702,12 @@ def build_parser() -> argparse.ArgumentParser:
     direction.add_argument("--inverse", action="store_true")
     p.add_argument("--input", required=True)
     add_common(p)
-    p.set_defaults(fn=cmd_biject)
 
     p = sub.add_parser("verify", help="run a theorem's exhaustive check suite")
     p.add_argument("--theorem", choices=("1.1", "1.2", "2.1", "bijections"), required=True)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("enumerate", help="stream objects with their statistics")
     p.add_argument("--object", choices=tuple(LISTINGS), required=True)
@@ -702,17 +715,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primitive", action="store_true")
     p.add_argument("--ascii-art", action="store_true")
     add_common(p)
-    p.set_defaults(fn=cmd_enumerate)
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # One parser serves every call in the process; it keeps no per-call state.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     start = time.monotonic()
     try:
-        code = args.fn(args)
+        # looked up by name at call time, so a rebinding of cmd_* is seen
+        code = globals()[f"cmd_{args.command}"](args)
     except CapExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_CAP

@@ -17,7 +17,7 @@ from .partitions import (
     partitions_of,
     partitions_with_weight_at_most,
 )
-from .shapes import SkewShape, iter_strip_heights, run_type
+from .shapes import SkewShape, _require_contiguous, iter_strip_heights, run_type
 
 HExpansion = dict[Partition, int]
 
@@ -28,6 +28,66 @@ def expand_skew(shape: SkewShape) -> HExpansion:
     for heights in iter_strip_heights(shape):
         census[run_type(shape.lo, heights)] += 1
     return dict(census)
+
+
+def _close(census: HExpansion, run: int) -> HExpansion:
+    """The census with an open run of `run` boxed columns closed into each
+    type.  Adding one part is injective, so no two types collide."""
+    if not run:
+        return census
+    return {tuple(sorted((*lam, run), reverse=True)): c for lam, c in census.items()}
+
+
+def _add(total: HExpansion, census: HExpansion) -> None:
+    for lam, c in census.items():
+        total[lam] = total.get(lam, 0) + c
+
+
+def expand_skew_by_columns(shape: SkewShape) -> HExpansion:
+    """expand_skew counted column by column, listing no strip: the transfer
+    matrix of Stanley, EC1 4.7, over the monotone paths across the shape.
+
+    A state is (y, run): the last east step is at height y and closes an
+    open run of `run` boxed columns at that height (0 after a boxless
+    column).  It carries the census of the types of the runs already
+    closed.  Over the next column, with bottom l, a step at y' = l has no
+    box; a boxed step at the same height extends the run; any other boxed
+    step, or a boxless one, closes it.
+    """
+    _require_contiguous(shape)
+    lo, hi = shape.lo, shape.hi
+    states: dict[tuple[int, int], HExpansion] = {(lo[0] if lo else 0, 0): {(): 1}}
+    for l, h in zip(lo, hi):
+        preds = sorted(states.items())
+        states = {}
+        below: HExpansion = {}  # closed censuses of the states passed so far
+        i = 0
+        for y in range(l, h + 2):
+            # pass the states below y; a boxless step (y = l) closes the
+            # runs at its own height too
+            top = y if y == l else y - 1
+            while i < len(preds) and preds[i][0][0] <= top:
+                (_, run), census = preds[i]
+                _add(below, _close(census, run))
+                i += 1
+            if y == l:
+                states[y, 0] = dict(below)
+                continue
+            start = dict(below)
+            j = i  # the states at y, which the next y passes
+            while j < len(preds) and preds[j][0][0] == y:
+                (_, run), census = preds[j]
+                if run:  # its one successor: hand the census on uncopied
+                    states[y, run + 1] = census
+                else:
+                    _add(start, census)
+                j += 1
+            if start:
+                states[y, 1] = start
+    out: HExpansion = {}
+    for (_, run), census in states.items():
+        _add(out, _close(census, run))
+    return out
 
 
 def fuss_a_expansion_formula(n: int, k: int) -> HExpansion:

@@ -16,12 +16,14 @@ Partition = tuple[int, ...]
 
 def as_partition(parts) -> Partition:
     """Validate and normalize an iterable of parts into a partition tuple."""
-    p = tuple(int(x) for x in parts)
-    for i, x in enumerate(p):
-        if x < 1:
-            raise ValueError(f"partition parts must be positive, got {x}")
-        if i and p[i - 1] < x:
-            raise ValueError(f"parts must be weakly decreasing, got {p}")
+    p = tuple(map(int, parts))
+    if p != tuple(sorted(p, reverse=True)) or p and p[-1] < 1:
+        # word the first failing check, left to right
+        for i, x in enumerate(p):
+            if x < 1:
+                raise ValueError(f"partition parts must be positive, got {x}")
+            if i and p[i - 1] < x:
+                raise ValueError(f"parts must be weakly decreasing, got {p}")
     return p
 
 

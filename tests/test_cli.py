@@ -57,6 +57,37 @@ def test_expand_usage_errors():
     assert run_cli("expand", "--family", "fuss-a").returncode == 2
 
 
+@pytest.mark.parametrize("columns", ["80", "40"])
+def test_one_parser_serves_successive_calls(columns, capsys, monkeypatch):
+    # an argparse rejection, a request and --help in a row in one process
+    # each give what they give in a fresh process, at either terminal width
+    monkeypatch.setenv("COLUMNS", columns)
+    parsers = set()
+    for argv, code in [(["count"], 2), (["expand", "--shape", "3,2/1"], 0), (["--help"], 0)]:
+        try:
+            got = cli.main(argv)
+        except SystemExit as e:
+            got = e.code
+        parsers.add(id(cli._parser))
+        fresh = run_cli(*argv, env={"COLUMNS": columns})
+        assert got == fresh.returncode == code
+        assert capsys.readouterr().out == fresh.stdout
+    assert len(parsers) == 1
+    help_text = fresh.stdout
+    assert help_text == cli.build_parser().format_help()
+    assert help_text.startswith("usage: ncstrip [-h]")
+
+
+def test_main_looks_its_command_up_at_call_time(capsys, monkeypatch):
+    # a wrapper bound over cli.cmd_* after the parser exists (as the
+    # benchmark's tracer binds its spans) still sees every call
+    cli.main(["expand", "--shape", "1/"])
+    seen = []
+    monkeypatch.setattr(cli, "cmd_expand", lambda args: seen.append(args.shape) or 0)
+    assert cli.main(["expand", "--shape", "3,2/1"]) == 0
+    assert seen == ["3,2/1"]
+
+
 def test_count_examples():
     r = run_cli("count", "--family", "ncb-k", "-n", "2", "-k", "1", "--by", "type")
     entries = json.loads(r.stdout)["result"]["entries"]

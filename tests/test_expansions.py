@@ -1,9 +1,12 @@
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from ncstrip.expansions import (
     expand_skew,
+    expand_skew_by_columns,
     expansion_diff,
     expansion_items,
     fuss_a_expansion_formula,
@@ -26,7 +29,14 @@ from ncstrip.partitions import (
     partitions_of,
     partitions_with_weight_at_most,
 )
-from ncstrip.shapes import parse_shape, rectangle, stretched_staircase
+from ncstrip.shapes import (
+    SkewShape,
+    format_shape,
+    parse_shape,
+    rectangle,
+    stretched_staircase,
+)
+from ncstrip.verification import CAP_A, CAP_B
 
 from conftest import (
     parking_coefficient,
@@ -34,6 +44,10 @@ from conftest import (
     type_count_a,
     type_count_b,
 )
+from test_shapes import TEST_SHAPES
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def test_skew_expansion_golden_case():
@@ -188,3 +202,83 @@ def test_expansion_items_canonical_order():
         ((1, 1), 1),
         ((2, 1), 2),
     ]
+
+
+# The column census against the strip listing: every test shape, both shape
+# families up to the census caps, the benchmark's request shapes, and the
+# degenerate shapes.
+CENSUS_SHAPES = [
+    *TEST_SHAPES,
+    *(
+        stretched_staircase(n, k)
+        for k in range(1, CAP_A)
+        for n in range(1, CAP_A)
+        if k * (n + 1) <= CAP_A
+    ),
+    *(
+        rectangle(n, k)
+        for k in range(1, CAP_B)
+        for n in range(1, CAP_B)
+        if (k + 1) * n <= CAP_B
+    ),
+    SkewShape((), ()),
+    SkewShape((1,), ()),
+    SkewShape((1, 1, 1, 1), ()),
+    SkewShape((2, 2, 2, 1, 1), (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("shape", CENSUS_SHAPES, ids=format_shape)
+def test_column_census_equals_the_strip_listing(shape):
+    assert expand_skew_by_columns(shape) == expand_skew(shape)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_column_census_on_the_request_shapes(seed):
+    shapes = [
+        parse_shape(r.argv[2]) for r in workloads.cli_requests(seed) if r.kind == "expand-shape"
+    ]
+    assert len(shapes) == 120
+    for shape in shapes:
+        assert expand_skew_by_columns(shape) == expand_skew(shape), format_shape(shape)
+
+
+def test_column_census_of_degenerate_shapes():
+    assert expand_skew_by_columns(SkewShape((), ())) == {(): 1}
+    # one column of height h: the empty strip, or one box at each height
+    for h in range(1, 6):
+        assert expand_skew_by_columns(SkewShape((1,) * h, ())) == {(): 1, (1,): h}
+
+
+def test_column_census_refuses_a_gap_as_the_listing_does():
+    shape = SkewShape((3, 1), (2,))  # columns 1 and 3
+    with pytest.raises(ValueError) as listing:
+        expand_skew(shape)
+    with pytest.raises(ValueError) as census:
+        expand_skew_by_columns(shape)
+    assert str(census.value) == str(listing.value) == "column support is not contiguous: [1, 3]"
+
+
+# Past the census caps the column census is checked against the closed forms.
+@pytest.mark.parametrize(
+    "n,k",
+    [
+        pytest.param(n, k, id=f"n{n}-k{k}-k(n+1)={k * (n + 1)}")
+        for n, k in [(15, 1), (10, 2), (6, 3)]
+    ],
+)
+def test_column_census_equals_the_fuss_a_formula_past_the_cap(n, k):
+    assert k * (n + 1) > CAP_A
+    assert expand_skew_by_columns(stretched_staircase(n, k)) == fuss_a_expansion_formula(n, k)
+
+
+@pytest.mark.parametrize(
+    "n,k",
+    [
+        pytest.param(n, k, id=f"n{n}-k{k}-(k+1)n={(k + 1) * n}")
+        for n, k in [(14, 1), (10, 2), (7, 4)]
+    ],
+)
+def test_column_census_equals_the_fuss_b_formula_past_the_cap(n, k):
+    assert (k + 1) * n > CAP_B
+    assert expand_skew_by_columns(rectangle(n, k)) == fuss_b_expansion_formula(n, k)

@@ -37,6 +37,31 @@ def test_as_partition_rejects_bad_input():
         as_partition((2, 0))
 
 
+@pytest.mark.parametrize(
+    "parts,message",
+    [
+        ((2, 0), "partition parts must be positive, got 0"),
+        ((3, -1, 1), "partition parts must be positive, got -1"),
+        ((0, 1), "partition parts must be positive, got 0"),
+        ((2, 1, 3), "parts must be weakly decreasing, got (2, 1, 3)"),
+        ((1, 2, 0), "parts must be weakly decreasing, got (1, 2, 0)"),  # first failure wins
+        (("1", "2"), "parts must be weakly decreasing, got (1, 2)"),
+    ],
+)
+def test_as_partition_words_the_first_failing_check(parts, message):
+    with pytest.raises(ValueError) as e:
+        as_partition(parts)
+    assert str(e.value) == message
+
+
+def test_as_partition_coerces_through_int():
+    assert as_partition(["3", "1", "1"]) == (3, 1, 1)
+    assert as_partition(iter([2.0, True])) == (2, 1)
+    assert as_partition([]) == ()
+    with pytest.raises(ValueError):
+        as_partition(["x"])
+
+
 def test_multiplicity_product_examples():
     assert multiplicity_product(()) == 1
     assert multiplicity_product((1, 1)) == 2
