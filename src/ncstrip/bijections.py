@@ -23,11 +23,7 @@ from .lattice_paths import (
     validate_fuss_catalan,
 )
 from .noncrossing_a import Blocks, validate_nc_a
-from .noncrossing_b import (
-    SignedBlocks,
-    listing_from_owners,
-    validate_nc_b,
-)
+from .noncrossing_b import SignedBlocks, _owners_b, listing_from_owners
 from .shapes import (
     RStrip,
     SkewShape,
@@ -359,7 +355,7 @@ def signed_noncrossing_to_path(blocks, n: int, k: int) -> str:
     """
     _check_params(n, k)
     m = k * n
-    blocks = validate_nc_b(blocks, n, k)
+    owner, blocks = _owners_b(blocks, n, k)
     if n == 0:
         return ""
     # a canonical block lists its negatives (by absolute value) before its
@@ -413,11 +409,6 @@ def signed_noncrossing_to_path(blocks, n: int, k: int) -> str:
         or (p_sizes[0] > 0) != (anti is not None)
     ):
         raise ValueError("piece sizes are inconsistent")
-
-    owner = [0] * (2 * m + 1)  # polygon position -> block
-    for i, b in enumerate(blocks):
-        for v in b:
-            owner[v if v > 0 else m - v] = i
 
     slot = [-1] * len(blocks)  # block -> its group in the current piece
 

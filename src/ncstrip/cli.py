@@ -9,6 +9,7 @@ refusal.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -497,17 +498,7 @@ def cmd_verify(args) -> int:
             + "; larger runs must go through the library API"
         )
     results = verify_theorem(theorem, n_max, k_max)
-    checks = [
-        {
-            "name": r.name,
-            "params": r.params,
-            "passed": r.passed,
-            "objects": r.objects,
-            "mismatches": r.mismatches,
-            "mismatch_count": r.mismatch_count,
-        }
-        for r in results
-    ]
+    checks = [dataclasses.asdict(r) for r in results]
     passed = all(r.passed for r in results)
     payload = {
         "command": "verify",

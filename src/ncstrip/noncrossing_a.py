@@ -119,10 +119,8 @@ def blocks_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
     )
 
 
-def is_noncrossing(blocks, n: int | None = None) -> bool:
+def is_noncrossing(blocks, n: int) -> bool:
     """Crossing test for a set partition of [n]."""
-    if n is None:
-        return blocks_noncrossing(blocks)
     owner, sizes = _owners(blocks, n)
     return owners_noncrossing(owner[1:], sizes)
 

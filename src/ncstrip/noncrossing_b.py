@@ -108,6 +108,16 @@ def validate_nc_b(blocks, n: int, k: int) -> SignedBlocks:
     is invariant under negation, it is noncrossing on the polygon, and every
     block size is divisible by k.
     """
+    return _owners_b(blocks, n, k)[1]
+
+
+def _owners_b(blocks, n: int, k: int) -> tuple[list[int], SignedBlocks]:
+    """(owner, listing) of a member of NC_n^{B,(k)}, checked as in
+    `validate_nc_b`.
+
+    owner[p] is the index, in the order given, of the block holding polygon
+    position p (owner[0] is unused); listing is the canonical blocks.
+    """
     m = k * n
     owner = [-1] * (2 * m + 1)  # position -> block index
     sizes: list[int] = []
@@ -139,7 +149,7 @@ def validate_nc_b(blocks, n: int, k: int) -> SignedBlocks:
     for b in out:
         if len(b) % k:
             raise ValueError(f"block size {len(b)} is not divisible by {k}")
-    return out
+    return owner, out
 
 
 def type_b(blocks, k: int = 1) -> Partition:
@@ -162,16 +172,21 @@ def enumerate_nc_b(n: int, k: int) -> list[SignedBlocks]:
     """All of NC_n^{B,(k)}, built directly (not via any bijection), each
     member once.
 
-    Partitions with an antipodal block: choose the block's positive-half
-    position set, then fill half of the sectors it cuts out and mirror them.
-    Partitions without one: some diameter of the 2m-gon separates the blocks
-    from their mirrors (Reiner 1997).  Take the least such diameter g: the
-    half-arc g+1..g+m holds a noncrossing partition P of 1..m rotated by g.
-    A diameter g - j (1 <= j <= g) separates exactly when the last j
-    elements of P are a union of its blocks, and the shortest such suffix
-    starts at the minimum c of the block holding m.  So g is least exactly
-    when g <= m - c, and each P is rotated onto g = 0..m - c (Armstrong
-    2009 for the k-divisible case).
+    Every member is one rotation of one P in NC^(k)(1..m) placed on the
+    half-arc g+1..g+m of the 2m-gon, with its mirror on the other half.
+    Without an antipodal block, some diameter separates the blocks from
+    their mirrors (Reiner 1997); cut at the least such diameter g.  A
+    diameter g - j (1 <= j <= g) separates exactly when the last j elements
+    of P are a union of its blocks, and the shortest such suffix starts at
+    the minimum c of the block holding m.  So g is least exactly when
+    g <= m - c, and each P is rotated onto g = 0..m - c (Armstrong 2009 for
+    the k-divisible case).  With an antipodal block Z, let q be its least
+    positive position.  Every other block lies on one side of the diameter
+    through q, so the half-arc q..q+m-1 holds P rotated by g = q - 1, and
+    P's block of 1 is Z's positive half, joined to its mirror.  Z has no
+    position in 1..q-1, so its half lies in q..m: these members are the
+    pairs (P, g) with g <= m - e, e the maximum of P's block of 1.  That
+    block is k-divisible because m = kn and every other block is.
     """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
@@ -179,31 +194,6 @@ def enumerate_nc_b(n: int, k: int) -> list[SignedBlocks]:
     if m == 0:
         return [()]
     out: list[SignedBlocks] = []
-
-    # with an antipodal block (block 0)
-    for z in range(1, m + 1):
-        if (2 * z) % k:
-            continue
-        for zplus in itertools.combinations(range(1, m + 1), z):
-            q = list(zplus) + [p + m for p in zplus]
-            sectors = [range(q[i] + 1, q[i + 1]) for i in range(z)]
-            fillings = [
-                list(noncrossing_partitions_of_seq(sec, k)) for sec in sectors
-            ]
-            if not all(fillings):
-                continue
-            for choice in itertools.product(*fillings):
-                owner = [0] * (2 * m + 1)
-                b = 1
-                for part in choice:
-                    for blk in part:
-                        for p in blk:  # sectors lie in 1..2m - 1
-                            owner[p] = b
-                            owner[p + m if p <= m else p - m] = b + 1
-                        b += 2
-                out.append(listing_from_owners(owner, m))
-
-    # without one: P on the half-arc g+1..g+m, its mirror on the rest
     for part in noncrossing_partitions_of_seq(range(1, m + 1), k):
         half = [0] * m
         c = m
@@ -212,11 +202,12 @@ def enumerate_nc_b(n: int, k: int) -> list[SignedBlocks]:
                 half[p - 1] = 2 * i
             if blk[-1] == m:
                 c = blk[0]
-        mirror = [b + 1 for b in half]
-        for g in range(m - c + 1):
-            owner = [-1] + mirror[m - g :] + half + mirror[: m - g]
-            out.append(listing_from_owners(owner, m))
-
+        paired = [b + 1 for b in half]
+        joined = [b and b + 1 for b in half]  # block 0 is its own mirror
+        for mirror, top in ((paired, m - c), (joined, m - part[0][-1])):
+            for g in range(top + 1):
+                owner = [-1] + mirror[m - g :] + half + mirror[: m - g]
+                out.append(listing_from_owners(owner, m))
     out.sort()
     return out
 

@@ -1,5 +1,6 @@
 import pytest
 
+from ncstrip import noncrossing_b
 from ncstrip.noncrossing_b import (
     antipodal_block,
     canonical_blocks_b,
@@ -81,7 +82,10 @@ def test_enumerate_nc_b_hand_census():
 
 @pytest.mark.parametrize(
     "n,k",
-    [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (4, 3), (1, 5)],
+    [
+        (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (1, 2), (2, 2), (3, 2), (1, 3),
+        (2, 3), (4, 3), (1, 5), (1, 30), (2, 12), (3, 7),
+    ],
 )
 def test_enumerate_nc_b_cardinality(n, k):
     got = enumerate_nc_b(n, k)
@@ -112,6 +116,25 @@ def test_enumerate_nc_b_lists_each_member_once_in_canonical_form(n, k):
     got = enumerate_nc_b(n, k)
     assert all(a < b for a, b in zip(got, got[1:]))  # strictly increasing
     assert all(validate_nc_b(blocks, n, k) == blocks for blocks in got)
+    assert len(got) == binomial((k + 1) * n, n)
+
+
+@pytest.mark.parametrize("n,k", [(1, 12), (2, 6), (3, 4)])
+def test_enumerate_nc_b_draws_at_most_one_type_a_partition_per_member(
+    monkeypatch, n, k
+):
+    drawn = 0
+    inner = noncrossing_b.noncrossing_partitions_of_seq
+
+    def counting(seq, k=1):
+        nonlocal drawn
+        for part in inner(seq, k):
+            drawn += 1
+            yield part
+
+    monkeypatch.setattr(noncrossing_b, "noncrossing_partitions_of_seq", counting)
+    members = enumerate_nc_b(n, k)
+    assert 0 < drawn <= len(members)
 
 
 def test_at_most_one_antipodal_block():
