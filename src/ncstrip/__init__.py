@@ -19,7 +19,6 @@ from .partitions import (
 from .shapes import (
     RStrip,
     SkewShape,
-    column_heights,
     enumerate_horizontal_strips,
     enumerate_r_strips,
     format_shape,

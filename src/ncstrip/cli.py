@@ -301,7 +301,7 @@ def _kinds(n: int, k: int) -> dict[str, Kind]:
         ),
         "ncb-k": Kind(
             parse_blocks_b,
-            lambda blocks: format_blocks_b(blocks, k * n),
+            format_blocks_b,
             {"type": lambda blocks: type_b(blocks, k)},
         ),
         "staircase-strip": strips(stretched_staircase),

@@ -7,7 +7,7 @@ of elements in increasing order, blocks sorted by their minimum.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .partitions import (
     Partition,
@@ -20,32 +20,27 @@ from .partitions import (
 Blocks = tuple[tuple[int, ...], ...]
 
 
-def canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
-    out = tuple(tuple(sorted(b)) for b in blocks)
-    return tuple(sorted(out, key=lambda b: b[0]))
-
-
 def _owners(blocks, n: int) -> tuple[list[int], list[int]]:
     """(owner, sizes) of a set partition of [n], each element placed once.
 
     owner[x] is the index of the block holding x (owner[0] is unused) and
     sizes[i] is the size of block i.  Raises ValueError on an empty block or
-    when the blocks do not cover [1..n] exactly once.
+    when the blocks do not cover [1..n] exactly once.  Each block must have
+    a len (a tuple, list or set): the elements are counted before the array
+    is allocated, so its length never exceeds the input's.
     """
+    blocks = tuple(blocks)
+    sizes = list(map(len, blocks))
+    if sum(sizes) != n:
+        raise ValueError(f"blocks do not partition [1..{n}]")
     owner = [-1] * (n + 1)
-    sizes: list[int] = []
     for i, b in enumerate(blocks):
-        size = 0
+        if not b:
+            raise ValueError("empty block")
         for x in b:
             if not 1 <= x <= n or owner[x] >= 0:
                 raise ValueError(f"blocks do not partition [1..{n}]")
             owner[x] = i
-            size += 1
-        if not size:
-            raise ValueError("empty block")
-        sizes.append(size)
-    if sum(sizes) != n:
-        raise ValueError(f"blocks do not partition [1..{n}]")
     return owner, sizes
 
 
@@ -104,19 +99,6 @@ def owners_noncrossing(owners, sizes) -> bool:
         elif not left[i]:
             stack.pop()
     return True
-
-
-def blocks_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
-    """No quadruple a < b < c < d with a,c in one block and b,d in another.
-
-    Works for disjoint blocks over any integer ground set (type B uses it on
-    polygon positions).
-    """
-    blocks = [tuple(b) for b in blocks]
-    owner = {x: i for i, b in enumerate(blocks) for x in b}
-    return owners_noncrossing(
-        [owner[x] for x in sorted(owner)], [len(b) for b in blocks]
-    )
 
 
 def is_noncrossing(blocks, n: int) -> bool:
@@ -234,15 +216,24 @@ def count_by_reduced_type(n: int, k: int, lam: Partition) -> int:
     )
 
 
-def format_blocks(blocks) -> str:
-    """Literal: blocks joined by '/', elements by ',': "1,2,5,6/3,4/7,8"."""
-    return "/".join(",".join(str(x) for x in b) for b in canonical_blocks(blocks))
-
-
-def parse_blocks(text: str) -> Blocks:
+def read_blocks(text: str) -> Blocks:
+    """The blocks of a literal as written: "3,1/2" is ((3, 1), (2,))."""
     text = text.strip()
     if not text:
         return ()
-    return canonical_blocks(
-        tuple(int(x) for x in part.split(",")) for part in text.split("/")
-    )
+    return tuple(tuple(int(x) for x in part.split(",")) for part in text.split("/"))
+
+
+def format_blocks(blocks: Blocks) -> str:
+    """Literal of canonical blocks: blocks joined by '/', elements by ','."""
+    return "/".join(",".join(map(str, b)) for b in blocks)
+
+
+def parse_blocks(text: str) -> Blocks:
+    """Canonical blocks of a literal such as "1,2,5,6/3,4/7,8".
+
+    The literal must be a set partition of [1..N], N its number of elements;
+    noncrossing and k-divisibility are checked by whoever takes the blocks.
+    """
+    blocks = read_blocks(text)
+    return validate_set_partition(blocks, sum(map(len, blocks)))

@@ -9,10 +9,8 @@ listed clockwise starting from their minimal element in that order.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-from typing import Iterable
 
 from .partitions import (
     Partition,
@@ -22,55 +20,22 @@ from .partitions import (
     weight,
 )
 from .noncrossing_a import (
-    blocks_noncrossing,
     noncrossing_partitions_of_seq,
     owners_noncrossing,
+    read_blocks,
 )
 
 SignedBlocks = tuple[tuple[int, ...], ...]
 
 
-def position(v: int, m: int) -> int:
-    if v == 0 or abs(v) > m:
-        raise ValueError(f"label {v} outside the signed ground set of size {m}")
-    return v if v > 0 else m - v
-
-
-def label_at(pos: int, m: int) -> int:
-    if not 1 <= pos <= 2 * m:
-        raise ValueError(f"position {pos} outside 1..{2 * m}")
-    return pos if pos <= m else -(pos - m)
-
-
-def canonical_blocks_b(blocks: Iterable[Iterable[int]], m: int) -> SignedBlocks:
-    """Blocks sorted by minimal element, each listed clockwise from it."""
-    keyed = []
-    for b in blocks:
-        ps = sorted(position(v, m) for v in b)
-        if not ps:
-            raise ValueError("empty block")
-        # the minimal element is the first negative label, if there is one
-        i = bisect.bisect_right(ps, m) % len(ps)
-        ps = ps[i:] + ps[:i]
-        keyed.append(((ps[0] - m - 1) % (2 * m), tuple(label_at(p, m) for p in ps)))
-    keyed.sort(key=lambda kb: kb[0])
-    return tuple(b for _, b in keyed)
-
-
-def is_invariant(blocks) -> bool:
-    sets = {frozenset(b) for b in blocks}
-    return all(frozenset(-x for x in b) in sets for b in sets)
-
-
-def is_noncrossing_b(blocks, m: int | None = None) -> bool:
-    """Antipodally invariant and circularly noncrossing (tested on positions)."""
-    blocks = tuple(tuple(b) for b in blocks)
-    if m is None:
-        m = max((abs(x) for b in blocks for x in b), default=0)
-    if not is_invariant(blocks):
+def is_noncrossing_b(blocks, m: int) -> bool:
+    """Whether the blocks partition [-m..m] minus 0, invariantly under
+    negation and noncrossing on the 2m-gon."""
+    try:
+        _owners_b(blocks, m, 1)
+    except ValueError:
         return False
-    pos_blocks = [[position(v, m) for v in b] for b in blocks]
-    return blocks_noncrossing(pos_blocks)
+    return True
 
 
 def antipodal_block(blocks) -> tuple[int, ...] | None:
@@ -119,20 +84,22 @@ def _owners_b(blocks, n: int, k: int) -> tuple[list[int], SignedBlocks]:
     position p (owner[0] is unused); listing is the canonical blocks.
     """
     m = k * n
+    blocks = tuple(blocks)
+    sizes = list(map(len, blocks))
+    # counted first (each block must have a len), so the array is never
+    # longer than the input
+    if 0 in sizes or sum(sizes) != 2 * m:
+        raise ValueError(f"blocks do not partition the signed set [-{m}..{m}]")
     owner = [-1] * (2 * m + 1)  # position -> block index
-    sizes: list[int] = []
     overlap = False
     for i, b in enumerate(blocks):
-        size = 0
         for v in b:
             if v == 0 or not -m <= v <= m:
                 raise ValueError(f"label {v} outside the signed ground set of size {m}")
             p = v if v > 0 else m - v
             overlap = overlap or owner[p] >= 0
             owner[p] = i
-            size += 1
-        sizes.append(size)
-    if overlap or 0 in sizes or sum(sizes) != 2 * m:
+    if overlap:
         raise ValueError(f"blocks do not partition the signed set [-{m}..{m}]")
     # invariant iff all members of a block have their negatives in one block
     mirror = [-1] * len(sizes)
@@ -220,24 +187,17 @@ def count_by_type_b(n: int, k: int, lam: Partition) -> int:
     return exact_div(math.perm(k * n, len(lam)), multiplicity_product(lam))
 
 
-def format_blocks_b(blocks, m: int | None = None) -> str:
-    if m is None:
-        m = max((abs(x) for b in blocks for x in b), default=0)
-    return "/".join(
-        ",".join(str(x) for x in b) for b in canonical_blocks_b(blocks, m)
-    )
+def format_blocks_b(blocks: SignedBlocks) -> str:
+    """Literal of canonical signed blocks: "-1,-2,12/-3,-7,11/..."."""
+    return "/".join(",".join(map(str, b)) for b in blocks)
 
 
 def parse_blocks_b(text: str) -> SignedBlocks:
-    """Literal with negative elements: "-1,-2,12/-3,-7,11/...".
+    """Canonical blocks of a literal such as "-1,-2,12/-3,-7,11/...".
 
-    Negation closure is validated downstream, never inferred here.
+    The literal must be a member of NC^B on [-m..m] minus 0, 2m its number
+    of elements: invariant under negation and noncrossing on the 2m-gon.
+    k-divisibility is checked by whoever takes the blocks.
     """
-    text = text.strip()
-    if not text:
-        return ()
-    blocks = tuple(
-        tuple(int(x) for x in part.split(",")) for part in text.split("/")
-    )
-    m = max(abs(x) for b in blocks for x in b)
-    return canonical_blocks_b(blocks, m)
+    blocks = read_blocks(text)
+    return validate_nc_b(blocks, sum(map(len, blocks)) // 2, 1)

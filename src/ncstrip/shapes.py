@@ -103,11 +103,6 @@ def rectangle(n: int, k: int) -> SkewShape:
     return SkewShape((n,) * (k * n), ())
 
 
-def column_heights(shape: SkewShape) -> dict[int, tuple[int, int]]:
-    """Map each nonempty column to its inclusive (lo, hi) height interval."""
-    return dict(zip(shape.cols, zip(shape.lo, shape.hi)))
-
-
 def _require_contiguous(shape: SkewShape) -> None:
     """Monotone paths cross the shape only if its columns have no gap."""
     cols = shape.cols

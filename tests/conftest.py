@@ -80,6 +80,23 @@ def crossing_pair_scan(blocks) -> bool:
     return False
 
 
+def canonical_b_by_definition(blocks, m: int):
+    """Canonical listing of a signed partition of [-m..m] minus 0, by sorting.
+
+    Elements are ordered -1 < -2 < ... < -m < 1 < ... < m; each block is
+    listed clockwise on the 2m-gon (label v at position v, label -v at
+    m + v) starting from its minimal element, and blocks are sorted by that
+    element.
+    """
+    key = lambda v: (0, -v) if v < 0 else (1, v)
+    pos = lambda v: v if v > 0 else m - v
+    out = []
+    for b in blocks:
+        p0 = pos(min(b, key=key))
+        out.append(tuple(sorted(b, key=lambda v: (pos(v) - p0) % (2 * m))))
+    return tuple(sorted(out, key=lambda b: key(b[0])))
+
+
 def pascal_binomial(n: int, k: int) -> int:
     """Pascal triangle, no factorials."""
     row = [1]

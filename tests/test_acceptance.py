@@ -20,13 +20,7 @@ from ncstrip.bijections import (
 )
 from ncstrip.lattice_paths import enumerate_fuss_binomial, enumerate_fuss_catalan
 from ncstrip.noncrossing_a import is_noncrossing
-from ncstrip.noncrossing_b import (
-    canonical_blocks_b,
-    is_noncrossing_b,
-    parse_blocks_b,
-    position,
-    type_b,
-)
+from ncstrip.noncrossing_b import is_noncrossing_b, parse_blocks_b, type_b
 from ncstrip.shapes import (
     SkewShape,
     enumerate_r_strips,
@@ -47,7 +41,7 @@ from ncstrip.verification import (
     theorem_21_check,
 )
 
-from conftest import crossing_quadruple_scan, set_partitions
+from conftest import canonical_b_by_definition, crossing_quadruple_scan, set_partitions
 
 TYPE_A_EXAMPLE_WORD = "ENEENNNNENNNEENNNN"
 TYPE_A_EXAMPLE_PARTITION = "1,6/2,3,4,5/7,10,11,12/8,9"
@@ -207,11 +201,11 @@ def test_criterion_9_oracle_equivalences():
     for m in range(1, 6):
         ground = list(range(1, m + 1)) + [-x for x in range(1, m + 1)]
         for blocks in set_partitions(ground):
-            canon = canonical_blocks_b(blocks, m)
+            canon = canonical_b_by_definition(blocks, m)
             sets = {frozenset(b) for b in canon}
             invariant = all(frozenset(-x for x in b) in sets for b in canon)
             expected = invariant and not crossing_quadruple_scan(
-                [[position(v, m) for v in b] for b in canon]
+                [[v if v > 0 else m - v for v in b] for b in canon]
             )
             if is_noncrossing_b(canon, m) != expected:
                 ncb_ok = False

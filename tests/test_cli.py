@@ -152,6 +152,18 @@ def test_biject_domain_error():
     assert "usage error" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "map_,literal", [("psi-a", "1"), ("psi-b", "1,-1")]
+)
+def test_biject_refuses_a_huge_n_before_allocating(map_, literal):
+    r = run_cli(
+        "biject", "--map", map_, "--inverse", "-n", str(10**15), "-k", "1",
+        f"--input={literal}", timeout=60,
+    )
+    assert r.returncode == 2
+    assert "do not partition" in r.stderr
+
+
 def test_verify_passes():
     r = run_cli("verify", "--theorem", "1.1", "--n-max", "3", "--k-max", "2")
     assert r.returncode == 0

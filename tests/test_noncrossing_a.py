@@ -1,8 +1,6 @@
 import pytest
 
 from ncstrip.noncrossing_a import (
-    blocks_noncrossing,
-    canonical_blocks,
     count_by_reduced_type,
     count_by_type,
     enumerate_k_divisible,
@@ -40,14 +38,6 @@ def test_pair_scan_oracle_matches_quadruple_scan(n):
         assert crossing_pair_scan(blocks) == crossing_quadruple_scan(blocks)
 
 
-def test_blocks_noncrossing_on_a_sparse_ground_set():
-    # the stack scan reads elements in increasing order, wherever they lie
-    assert blocks_noncrossing([(10, 40), (20, 30), (50,)])
-    assert not blocks_noncrossing([(10, 30), (40, 20)])
-    assert blocks_noncrossing([(7, -3), (-5, -4)])
-    assert not blocks_noncrossing([(-5, 0), (-3, 2)])
-
-
 def test_validate_set_partition_rejects_bad_input():
     assert validate_set_partition([[3, 1], [2]], 3) == ((1, 3), (2,))
     assert validate_set_partition((), 0) == ()
@@ -56,6 +46,8 @@ def test_validate_set_partition_rejects_bad_input():
             validate_set_partition(blocks, 3)
     with pytest.raises(ValueError, match="empty block"):
         validate_set_partition([(1, 2, 3), ()], 3)
+    with pytest.raises(ValueError, match="do not partition"):
+        validate_nc_a([(1,)], 10**15, 1)  # refused before any allocation
 
 
 def test_validate_nc_a_messages_in_order():
@@ -119,7 +111,7 @@ def test_reduced_type_is_type_minus_one_block():
 
 
 def test_canonical_listing():
-    assert canonical_blocks([(3, 4), (1, 2, 5, 6), (7, 8)]) == (
+    assert validate_set_partition([(3, 4), (6, 5, 2, 1), (8, 7)], 8) == (
         (1, 2, 5, 6),
         (3, 4),
         (7, 8),
@@ -173,3 +165,14 @@ def test_pointed_double_counting_identity(n, k):
 def test_literal_round_trip():
     text = "1,2,5,6/3,4/7,8"
     assert format_blocks(parse_blocks(text)) == text
+    assert parse_blocks(" 4,3/2,1 ") == ((1, 2), (3, 4))
+    assert parse_blocks("") == ()
+
+
+def test_literal_is_a_partition_of_its_own_ground_set():
+    # the ground set is [1..N] for the N elements written, whatever the labels
+    with pytest.raises(ValueError, match=r"do not partition \[1\.\.2\]"):
+        parse_blocks("1,1000000000")
+    for text in ("1,2/2", "0,1", "1,3"):
+        with pytest.raises(ValueError, match="do not partition"):
+            parse_blocks(text)

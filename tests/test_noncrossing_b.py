@@ -3,19 +3,17 @@ import pytest
 from ncstrip import noncrossing_b
 from ncstrip.noncrossing_b import (
     antipodal_block,
-    canonical_blocks_b,
     count_by_type_b,
     enumerate_nc_b,
     format_blocks_b,
     is_noncrossing_b,
     parse_blocks_b,
-    position,
     type_b,
     validate_nc_b,
 )
 from ncstrip.partitions import binomial, partitions_with_weight_at_most
 
-from conftest import crossing_quadruple_scan, set_partitions
+from conftest import canonical_b_by_definition, crossing_quadruple_scan, set_partitions
 
 TYPE_B_EXAMPLE_PARTITION = parse_blocks_b(
     "-1,-2,12/-3,-7,11/-4,-5,-6/-8,-9,-10,8,9,10/-11,3,7/-12,1,2/4,5,6"
@@ -31,19 +29,13 @@ NC_2_1_HAND_CENSUS = [
 ]
 
 
-def test_positions():
-    assert position(3, 12) == 3
-    assert position(-3, 12) == 15
-    with pytest.raises(ValueError):
-        position(0, 12)
-
-
 def test_is_noncrossing_b_examples():
     assert is_noncrossing_b([(1,), (-1,), (2,), (-2,)], 2)
     assert is_noncrossing_b([(1, -2), (-1, 2)], 2)
     assert not is_noncrossing_b([(1, 2), (-1,), (-2,)], 2)  # not invariant
     assert not is_noncrossing_b([(1, 3), (-1, -3), (2, -2)], 3)  # crossing chords
     assert is_noncrossing_b(TYPE_B_EXAMPLE_PARTITION, 12)
+    assert not is_noncrossing_b([(1,), (-1,)], 2)  # does not cover -2 and 2
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -52,10 +44,10 @@ def test_is_noncrossing_b_matches_filter_oracle(m):
     got = set()
     expect = set()
     for blocks in set_partitions(ground):
-        canon = canonical_blocks_b(blocks, m)
+        canon = canonical_b_by_definition(blocks, m)
         if is_noncrossing_b(canon, m):
             got.add(canon)
-        pos_blocks = [[position(v, m) for v in b] for b in canon]
+        pos_blocks = [[v if v > 0 else m - v for v in b] for b in canon]
         sets = {frozenset(b) for b in canon}
         invariant = all(frozenset(-x for x in b) in sets for b in canon)
         if invariant and not crossing_quadruple_scan(pos_blocks):
@@ -103,7 +95,7 @@ def test_enumerate_nc_b_matches_filter_oracle(n, k):
     ground = [x for x in range(1, m + 1)] + [-x for x in range(1, m + 1)]
     expect = set()
     for blocks in set_partitions(ground):
-        canon = canonical_blocks_b(blocks, m)
+        canon = canonical_b_by_definition(blocks, m)
         if all(len(b) % k == 0 for b in canon) and is_noncrossing_b(canon, m):
             expect.add(canon)
     assert set(enumerate_nc_b(n, k)) == expect
@@ -181,28 +173,29 @@ def test_count_by_type_b_matches_census(n, k):
 
 def test_canonical_listing_b():
     # clockwise from the minimal element in the order -1 < -2 < ... < 1 < 2 < ...
-    assert canonical_blocks_b([(10, 9, -8, -10, 8, -9)], 12)[0] == (
-        -8,
-        -9,
-        -10,
-        8,
-        9,
-        10,
-    )
-    assert canonical_blocks_b([(1, -11, 7, 3)], 12)[0] == (-11, 1, 3, 7)
+    scrambled = [tuple(reversed(b)) for b in reversed(TYPE_B_EXAMPLE_PARTITION)]
+    canon = validate_nc_b(scrambled, 4, 3)
+    assert canon == TYPE_B_EXAMPLE_PARTITION
+    assert canon == canonical_b_by_definition(scrambled, 12)
+    assert (-8, -9, -10, 8, 9, 10) in canon
+    assert (-11, 3, 7) in canon
     text = "-1,-2,12/-3,-7,11/-4,-5,-6/-8,-9,-10,8,9,10/-11,3,7/-12,1,2/4,5,6"
-    assert format_blocks_b(TYPE_B_EXAMPLE_PARTITION, 12) == text
+    assert format_blocks_b(TYPE_B_EXAMPLE_PARTITION) == text
+    assert parse_blocks_b(text) == TYPE_B_EXAMPLE_PARTITION
 
 
-def _canonical_by_definition(blocks, m):
-    """Blocks sorted by minimal element, each listed clockwise from it."""
-    key = lambda v: (0, -v) if v < 0 else (1, v)
-    pos = lambda v: v if v > 0 else m - v
-    out = []
-    for b in blocks:
-        p0 = pos(min(b, key=key))
-        out.append(tuple(sorted(b, key=lambda v: (pos(v) - p0) % (2 * m))))
-    return tuple(sorted(out, key=lambda b: key(b[0])))
+def test_literal_b_is_a_partition_of_its_own_ground_set():
+    assert parse_blocks_b("") == ()
+    assert parse_blocks_b("2,-1/1,-2") == ((-1, 2), (-2, 1))
+    for text, message in [
+        ("1,2/-1/-2", "not invariant under negation"),
+        ("1,-1/2,-2", "crossing on the polygon"),
+        ("1,2/-1", "do not partition the signed set"),
+        ("1,3/-1,-3", "outside the signed ground set of size 2"),
+        ("1,1/-1,-1", "do not partition the signed set"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            parse_blocks_b(text)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -211,8 +204,7 @@ def test_validate_nc_b_matches_oracles(m):
     for n, k in [(m // k, k) for k in range(1, m + 1) if m % k == 0]:
         accepted = 0
         for blocks in set_partitions(ground):
-            canon = _canonical_by_definition(blocks, m)
-            assert canonical_blocks_b(reversed(blocks), m) == canon
+            canon = canonical_b_by_definition(blocks, m)
             sets = {frozenset(b) for b in blocks}
             pos_blocks = [[v if v > 0 else m - v for v in b] for b in blocks]
             if not all(frozenset(-x for x in b) in sets for b in sets):
@@ -223,6 +215,7 @@ def test_validate_nc_b_matches_oracles(m):
                 expect = "not divisible"
             else:
                 assert validate_nc_b(blocks, n, k) == canon
+                assert validate_nc_b(reversed(blocks), n, k) == canon
                 accepted += 1
                 continue
             with pytest.raises(ValueError, match=expect):
@@ -245,6 +238,11 @@ def test_validate_nc_b_messages_in_order():
     for blocks, n, k, message in cases:
         with pytest.raises(ValueError, match=message):
             validate_nc_b(blocks, n, k)
-    with pytest.raises(ValueError, match="outside the signed ground set"):
+    # the labels are counted before any is placed
+    with pytest.raises(ValueError, match="do not partition the signed set"):
         validate_nc_b([(1, 3), (-1, -3)], 1, 1)
+    with pytest.raises(ValueError, match="outside the signed ground set"):
+        validate_nc_b([(1, 3), (-1, -3)], 2, 1)
+    with pytest.raises(ValueError, match="do not partition the signed set"):
+        validate_nc_b([(1, -1)], 10**15, 1)  # refused before any allocation
     assert validate_nc_b((), 0, 2) == ()

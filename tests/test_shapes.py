@@ -6,7 +6,6 @@ from ncstrip.partitions import binomial, fuss_catalan, weight
 from ncstrip.shapes import (
     RStrip,
     SkewShape,
-    column_heights,
     count_r_strips,
     enumerate_horizontal_strips,
     enumerate_r_strips,
@@ -36,9 +35,12 @@ def test_shape_construction_and_literals():
 
 
 def test_column_heights():
-    assert column_heights(SHAPE_32_1) == {1: (0, 0), 2: (0, 1), 3: (1, 1)}
-    assert column_heights(rectangle(2, 1))[1] == (0, 1)
-    assert column_heights(stretched_staircase(1, 2)) == {1: (0, 1)}
+    shape = SHAPE_32_1
+    assert (shape.cols, shape.lo, shape.hi) == ((1, 2, 3), (0, 0, 1), (0, 1, 1))
+    shape = rectangle(2, 1)
+    assert (shape.cols[0], shape.lo[0], shape.hi[0]) == (1, 0, 1)
+    shape = stretched_staircase(1, 2)
+    assert (shape.cols, shape.lo, shape.hi) == ((1,), (0,), (1,))
 
 
 def test_family_shapes():
@@ -149,11 +151,10 @@ def test_strip_literal_validation_equals_definition(shape):
     Each column gets no box or one box at any height from one below the
     column to one above it, so boxes outside the shape are tried too.
     """
-    columns = column_heights(shape)
-    choices = [["-", *range(lo - 1, hi + 2)] for lo, hi in columns.values()]
+    choices = [["-", *range(lo - 1, hi + 2)] for lo, hi in zip(shape.lo, shape.hi)]
     accepted = 0
     for entries in product(*choices):
-        boxes = tuple((c, h) for c, h in zip(columns, entries) if h != "-")
+        boxes = tuple((c, h) for c, h in zip(shape.cols, entries) if h != "-")
         literal = ",".join(map(str, entries))
         try:
             strip = parse_strip(shape, literal)
@@ -217,7 +218,7 @@ def test_disconnected_column_support_is_rejected():
 
 def test_disconnected_column_support_is_rejected_by_strip_entry_points():
     shape = SkewShape((3, 1), (2,))
-    assert column_heights(shape) == {1: (0, 0), 3: (1, 1)}
+    assert (shape.cols, shape.lo, shape.hi) == ((1, 3), (0, 1), (0, 1))
     with pytest.raises(ValueError):
         count_r_strips(shape)
     with pytest.raises(ValueError):

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ncstrip"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ncstrip"
 CACHES = {"lru_cache", "cache"}
 
 
@@ -49,5 +50,19 @@ def test_payloads_have_one_indenting_json_writer():
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "dumps"
         and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert found == []
+
+
+def test_test_oracles_import_nothing_from_the_library():
+    # the brute-force checks in conftest.py stay independent of what they check
+    tree = ast.parse((TESTS / "conftest.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "ncstrip")
+        or isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "ncstrip" for alias in node.names)
     ]
     assert found == []
