@@ -232,9 +232,18 @@ def staircase_strip_to_path(strip: RStrip) -> str:
 def staircase_path_to_strip(word: str, shape: SkewShape) -> RStrip:
     """Fuss-Catalan path (n+1, k) -> strip in the stretched staircase (n, k),
     given as `shape`: the path without its first east step and last k north
-    steps."""
-    n, k = _family_params(shape, staircase_inner, "stretched staircase")
-    validate_fuss_catalan(word, n + 1, k)
+    steps.
+
+    The rest of the word crosses the shape exactly when the whole is a
+    Fuss-Catalan path, so `strip_from_path` and the strip's height check
+    are the whole validation.
+    """
+    _, k = _family_params(shape, staircase_inner, "stretched staircase")
+    if not (word.startswith("E") and word.endswith("N" * k)):
+        raise ValueError(
+            f"{word!r} is not a Fuss-Catalan path: it must start with E and "
+            f"end with {k} N steps"
+        )
     return strip_from_path(shape, word[1 : len(word) - k])
 
 
@@ -251,9 +260,9 @@ def rectangle_strip_to_path(strip: RStrip) -> str:
 
 def rectangle_path_to_strip(word: str, shape: SkewShape) -> RStrip:
     """Fuss binomial path (n, k) -> strip in the rectangle (n, k), given as
-    `shape`."""
-    n, k = _family_params(shape, lambda n, k: (), "rectangle")
-    validate_fuss_binomial(word, n, k)
+    `shape`; `strip_from_path` and the strip's height check accept exactly
+    the words with n E steps and kn N steps."""
+    _family_params(shape, lambda n, k: (), "rectangle")
     return strip_from_path(shape, word)
 
 

@@ -16,7 +16,9 @@ box sets.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import neg
 
 from .lattice_paths import heights_word, monotone_heights
 from .partitions import Partition, as_partition
@@ -62,8 +64,10 @@ class SkewShape:
     def column_interval(self, c: int) -> tuple[int, int] | None:
         """Inclusive (lo, hi) height interval of column c, or None if empty."""
         r = self.rows
-        t = sum(1 for x in self.outer if x >= c)
-        s = sum(1 for x in self.inner if x >= c)
+        # rows reaching column c, counted by bisection on the weakly
+        # decreasing rows: -x <= -c
+        t = bisect_right(self.outer, -c, key=neg)
+        s = bisect_right(self.inner, -c, key=neg)
         if t <= s:
             return None
         return (r - t, r - s - 1)

@@ -8,7 +8,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from . import bijections as bij
+from .bijections import (
+    noncrossing_to_path,
+    path_to_noncrossing,
+    path_to_signed_noncrossing,
+    rectangle_path_to_strip,
+    rectangle_strip_to_path,
+    signed_noncrossing_to_path,
+    staircase_path_to_strip,
+    staircase_strip_to_path,
+)
 from .expansions import (
     expand_skew,
     expansion_diff,
@@ -44,6 +53,7 @@ from .partitions import (
     catalan,
     format_partition,
     fuss_catalan,
+    partitions_of,
     partitions_with_weight_at_most,
     weight,
 )
@@ -76,44 +86,39 @@ def _expansions_must_match(result: CheckResult, tag: str, a, b) -> None:
         result.fail(f"{tag}: lambda={format_partition(lam)} lhs={ca} rhs={cb}")
 
 
+def _three_way(name, n, k, shape, formula, members, statistic, sums) -> CheckResult:
+    """expand_skew(shape) = formula = census of `statistic` over `members`,
+    and the formula's coefficient sum equals every (value, label) in sums."""
+    result = CheckResult(name, {"n": n, "k": k})
+    census = Counter(map(statistic, members))
+    result.objects = census.total()
+    _expansions_must_match(result, "enumeration vs formula", expand_skew(shape), formula)
+    _expansions_must_match(result, "formula vs census", formula, census)
+    total = sum(formula.values())
+    for value, label in sums:
+        if total != value:
+            result.fail(f"coefficient sum {total} != {label}")
+    return result
+
+
 def theorem_11_check(n: int, k: int) -> CheckResult:
     """Staircase expansion = closed formula = reduced-type census."""
-    result = CheckResult("theorem-1.1", {"n": n, "k": k})
-    by_enum = expand_skew(stretched_staircase(n, k))
-    by_formula = fuss_a_expansion_formula(n, k)
-    census = Counter()
-    count = 0
-    for blocks in enumerate_k_divisible(n + 1, k):
-        census[reduced_type_a(blocks, k)] += 1
-        count += 1
-    result.objects = count
-    _expansions_must_match(result, "enumeration vs formula", by_enum, by_formula)
-    _expansions_must_match(result, "formula vs census", by_formula, dict(census))
-    total = sum(by_formula.values())
-    if total != fuss_catalan(n + 1, k):
-        result.fail(f"coefficient sum {total} != fuss_catalan({n + 1},{k})")
-    if k == 1 and total != catalan(n + 1):
-        result.fail(f"coefficient sum {total} != catalan({n + 1})")
-    return result
+    sums = [(fuss_catalan(n + 1, k), f"fuss_catalan({n + 1},{k})")]
+    if k == 1:
+        sums.append((catalan(n + 1), f"catalan({n + 1})"))
+    return _three_way(
+        "theorem-1.1", n, k, stretched_staircase(n, k), fuss_a_expansion_formula(n, k),
+        enumerate_k_divisible(n + 1, k), lambda b: reduced_type_a(b, k), sums,
+    )
 
 
 def theorem_12_check(n: int, k: int) -> CheckResult:
     """Rectangle expansion = closed formula = signed type census."""
-    result = CheckResult("theorem-1.2", {"n": n, "k": k})
-    by_enum = expand_skew(rectangle(n, k))
-    by_formula = fuss_b_expansion_formula(n, k)
-    census = Counter()
-    count = 0
-    for blocks in enumerate_nc_b(n, k):
-        census[type_b(blocks, k)] += 1
-        count += 1
-    result.objects = count
-    _expansions_must_match(result, "enumeration vs formula", by_enum, by_formula)
-    _expansions_must_match(result, "formula vs census", by_formula, dict(census))
-    total = sum(by_formula.values())
-    if total != binomial((k + 1) * n, n):
-        result.fail(f"coefficient sum {total} != binomial({(k + 1) * n},{n})")
-    return result
+    return _three_way(
+        "theorem-1.2", n, k, rectangle(n, k), fuss_b_expansion_formula(n, k),
+        enumerate_nc_b(n, k), lambda b: type_b(b, k),
+        [(binomial((k + 1) * n, n), f"binomial({(k + 1) * n},{n})")],
+    )
 
 
 def theorem_21_check(n: int) -> CheckResult:
@@ -141,110 +146,78 @@ def theorem_21_check(n: int) -> CheckResult:
     return result
 
 
+def _round_trip(name, n, k, sources, forward, inverse, stats, targets) -> CheckResult:
+    """Two-sided check of one bijection: `forward` is injective on the
+    sources, `inverse` undoes it, f(x) == g(forward(x)) for every
+    (tag, f, g) in `stats`, and the image is exactly the set of targets."""
+    result = CheckResult(name, {"n": n, "k": k})
+    images = {}
+    for x in sources:
+        y = forward(x)
+        if y in images:
+            result.fail(f"not injective: {x} and {images[y]}")
+            continue
+        images[y] = x
+        for tag, f, g in stats:
+            if f(x) != g(y):
+                result.fail(f"{tag} not preserved on {x}")
+        if inverse(y) != x:
+            result.fail(f"inverse fails on {x}")
+    result.objects = len(images)
+    targets = set(targets)
+    if images.keys() != targets:
+        result.fail(f"image has {len(images)} members, target has {len(targets)}")
+    return result
+
+
 def labeling_bijection_check_a(n: int, k: int) -> CheckResult:
     """Two-sided type- and reduced-type-preserving check on all of D_n^(k)."""
-    result = CheckResult("labeling-bijection-A", {"n": n, "k": k})
-    images = {}
-    for word in enumerate_fuss_catalan(n, k):
-        blocks = bij.path_to_noncrossing(word, n, k)
-        if blocks in images:
-            result.fail(f"not injective: {word} and {images[blocks]}")
-            continue
-        images[blocks] = word
-        if type_a(blocks, k) != fc_type(word):
-            result.fail(f"type not preserved on {word}")
-        if reduced_type_a(blocks, k) != fc_reduced_type(word):
-            result.fail(f"reduced type not preserved on {word}")
-        if bij.noncrossing_to_path(blocks, n, k) != word:
-            result.fail(f"inverse fails on {word}")
-    result.objects = len(images)
-    targets = set(enumerate_k_divisible(n, k))
-    if set(images) != targets:
-        result.fail(
-            f"image has {len(images)} partitions, target has {len(targets)}"
-        )
-    return result
+    return _round_trip(
+        "labeling-bijection-A", n, k, enumerate_fuss_catalan(n, k),
+        lambda w: path_to_noncrossing(w, n, k), lambda b: noncrossing_to_path(b, n, k),
+        [("type", fc_type, lambda b: type_a(b, k)),
+         ("reduced type", fc_reduced_type, lambda b: reduced_type_a(b, k))],
+        enumerate_k_divisible(n, k),
+    )
 
 
 def labeling_bijection_check_b(n: int, k: int) -> CheckResult:
     """Two-sided type-preserving check on all of B_n^(k)."""
-    result = CheckResult("labeling-bijection-B", {"n": n, "k": k})
-    images = {}
-    for word in enumerate_fuss_binomial(n, k):
-        blocks = bij.path_to_signed_noncrossing(word, n, k)
-        if blocks in images:
-            result.fail(f"not injective: {word} and {images[blocks]}")
-            continue
-        images[blocks] = word
-        if type_b(blocks, k) != fb_type(word):
-            result.fail(f"type not preserved on {word}")
-        if bij.signed_noncrossing_to_path(blocks, n, k) != word:
-            result.fail(f"inverse fails on {word}")
-    result.objects = len(images)
-    targets = set(enumerate_nc_b(n, k))
-    if set(images) != targets:
-        result.fail(
-            f"image has {len(images)} partitions, target has {len(targets)}"
-        )
-    return result
+    return _round_trip(
+        "labeling-bijection-B", n, k, enumerate_fuss_binomial(n, k),
+        lambda w: path_to_signed_noncrossing(w, n, k),
+        lambda b: signed_noncrossing_to_path(b, n, k),
+        [("type", fb_type, lambda b: type_b(b, k))],
+        enumerate_nc_b(n, k),
+    )
 
 
 def strip_bijection_check_a(n: int, k: int) -> CheckResult:
-    """Strips of the stretched staircase <-> D_{n+1}^(k), type to reduced type."""
-    result = CheckResult("strip-bijection-A", {"n": n, "k": k})
+    """Strips of the stretched staircase <-> D_{n+1}^(k), type to reduced
+    type, and on through psi-a to the partition's reduced type."""
     shape = stretched_staircase(n, k)
-    strips = enumerate_r_strips(shape)
-    words = set()
-    strip_census = Counter()
-    composite_census = Counter()
-    for strip in strips:
-        lam = strip_type(strip)
-        strip_census[lam] += 1
-        word = bij.staircase_strip_to_path(strip)
-        words.add(word)
-        if fc_reduced_type(word) != lam:
-            result.fail(f"reduced type mismatch on {strip.boxes}")
-        if bij.staircase_path_to_strip(word, shape) != strip:
-            result.fail(f"inverse fails on {strip.boxes}")
-        composite_census[
-            reduced_type_a(bij.path_to_noncrossing(word, n + 1, k), k)
-        ] += 1
-    result.objects = len(strips)
-    if words != set(enumerate_fuss_catalan(n + 1, k)):
-        result.fail("strip paths do not exhaust the Fuss-Catalan set")
-    _expansions_must_match(
-        result, "composite census vs strip census", composite_census, strip_census
+    return _round_trip(
+        "strip-bijection-A", n, k, enumerate_r_strips(shape),
+        staircase_strip_to_path, lambda w: staircase_path_to_strip(w, shape),
+        [("reduced type", strip_type, fc_reduced_type),
+         ("composite reduced type", strip_type,
+          lambda w: reduced_type_a(path_to_noncrossing(w, n + 1, k), k))],
+        enumerate_fuss_catalan(n + 1, k),
     )
-    return result
 
 
 def strip_bijection_check_b(n: int, k: int) -> CheckResult:
-    """Strips of the rectangle <-> B_n^(k), type preserving."""
-    result = CheckResult("strip-bijection-B", {"n": n, "k": k})
+    """Strips of the rectangle <-> B_n^(k), type preserving, and on through
+    psi-b to the signed partition's type."""
     shape = rectangle(n, k)
-    strips = enumerate_r_strips(shape)
-    words = set()
-    strip_census = Counter()
-    composite_census = Counter()
-    for strip in strips:
-        lam = strip_type(strip)
-        strip_census[lam] += 1
-        word = bij.rectangle_strip_to_path(strip)
-        words.add(word)
-        if fb_type(word) != lam:
-            result.fail(f"type mismatch on {strip.boxes}")
-        if bij.rectangle_path_to_strip(word, shape) != strip:
-            result.fail(f"inverse fails on {strip.boxes}")
-        composite_census[
-            type_b(bij.path_to_signed_noncrossing(word, n, k), k)
-        ] += 1
-    result.objects = len(strips)
-    if words != set(enumerate_fuss_binomial(n, k)):
-        result.fail("strip paths do not exhaust the binomial path set")
-    _expansions_must_match(
-        result, "composite census vs strip census", composite_census, strip_census
+    return _round_trip(
+        "strip-bijection-B", n, k, enumerate_r_strips(shape),
+        rectangle_strip_to_path, lambda w: rectangle_path_to_strip(w, shape),
+        [("type", strip_type, fb_type),
+         ("composite type", strip_type,
+          lambda w: type_b(path_to_signed_noncrossing(w, n, k), k))],
+        enumerate_fuss_binomial(n, k),
     )
-    return result
 
 
 def counting_check_a(n: int, k: int) -> CheckResult:
@@ -257,27 +230,24 @@ def counting_check_a(n: int, k: int) -> CheckResult:
         census_type[type_a(blocks, k)] += 1
         census_reduced[reduced_type_a(blocks, k)] += 1
         result.objects += 1
-    for zeta, cnt in sorted(census_type.items()):
-        if count_by_type(n, k, zeta) != cnt:
-            result.fail(
-                f"type {format_partition(zeta)}: formula "
-                f"{count_by_type(n, k, zeta)} != census {cnt}"
-            )
-    for lam, cnt in sorted(census_reduced.items()):
-        if count_by_reduced_type(n, k, lam) != cnt:
-            result.fail(
-                f"reduced type {format_partition(lam)}: formula "
-                f"{count_by_reduced_type(n, k, lam)} != census {cnt}"
-            )
-    total = sum(count_by_type(n, k, z) for z in census_type)
+    by_type = {zeta: count_by_type(n, k, zeta) for zeta in partitions_of(n)}
+    by_reduced = {
+        lam: count_by_reduced_type(n, k, lam)
+        for lam in partitions_with_weight_at_most(n - 1)
+    }
+    _expansions_must_match(result, "type formula vs census", by_type, census_type)
+    _expansions_must_match(
+        result, "reduced type formula vs census", by_reduced, census_reduced
+    )
+    total = sum(by_type.values())
     if total != fuss_catalan(n, k):
         result.fail(f"type counts sum {total} != fuss_catalan({n},{k})")
-    for lam in partitions_with_weight_at_most(n - 1):
+    for lam, count in by_reduced.items():
         part = n - weight(lam)
         zeta = tuple(sorted(lam + (part,), reverse=True))
-        mult = sum(1 for x in zeta if x == part)
-        lhs = k * n * count_by_reduced_type(n, k, lam)
-        rhs = count_by_type(n, k, zeta) * mult * k * part
+        mult = zeta.count(part)
+        lhs = k * n * count
+        rhs = by_type[zeta] * mult * k * part
         if lhs != rhs:
             result.fail(
                 f"double counting fails at lambda={format_partition(lam)}: "
@@ -314,8 +284,7 @@ def verify_theorem(theorem: str, n_max: int, k_max: int) -> list[CheckResult]:
     if theorem == "bijections":
         out = []
         for n, k in _pairs_a(n_max, k_max):
-            if k * n <= CAP_A:
-                out.append(labeling_bijection_check_a(n, k))
+            out.append(labeling_bijection_check_a(n, k))
             out.append(strip_bijection_check_a(n, k))
         for n, k in _pairs_b(n_max, k_max):
             out.append(labeling_bijection_check_b(n, k))

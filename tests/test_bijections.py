@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,8 @@ from ncstrip.lattice_paths import (
     fb_type,
     fc_reduced_type,
     fc_type,
+    is_fuss_binomial,
+    is_fuss_catalan,
 )
 from ncstrip.noncrossing_a import (
     enumerate_k_divisible,
@@ -287,6 +290,49 @@ class TestRectangleStrips:
         strips = [strip_type(s) for s in enumerate_r_strips(rectangle(2, 2))]
         paths = [fb_type(w) for w in enumerate_fuss_binomial(2, 2)]
         assert sorted(strips) == sorted(paths)
+
+
+def _words_near(length):
+    """Every E/N word of length length - 1, length or length + 1."""
+    for m in (length - 1, length, length + 1):
+        for letters in itertools.product("EN", repeat=m):
+            yield "".join(letters)
+
+
+def _accepts(path_to_strip, word, shape):
+    try:
+        path_to_strip(word, shape)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for k in range(1, 6) for n in range(1, 6) if (k + 1) * (n + 1) <= 12]
+)
+def test_staircase_path_to_strip_accepts_exactly_the_fuss_catalan_words(n, k):
+    # the map checks only the first and last steps itself; strip_from_path
+    # and the strip's height check must refuse every other non-path
+    shape = stretched_staircase(n, k)
+    wrong = [
+        word
+        for word in _words_near((k + 1) * (n + 1))
+        if _accepts(staircase_path_to_strip, word, shape) != is_fuss_catalan(word, n + 1, k)
+    ]
+    assert wrong == []
+
+
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for k in range(1, 6) for n in range(1, 7) if (k + 1) * n <= 12]
+)
+def test_rectangle_path_to_strip_accepts_exactly_the_fuss_binomial_words(n, k):
+    shape = rectangle(n, k)
+    wrong = [
+        word
+        for word in _words_near((k + 1) * n)
+        if _accepts(rectangle_path_to_strip, word, shape) != is_fuss_binomial(word, n, k)
+    ]
+    assert wrong == []
 
 
 class TestLabelingMapB:

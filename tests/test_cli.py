@@ -347,6 +347,21 @@ def test_reduced_type_at_zero_names_its_bound(args):
     assert "the reduced type needs n >= 1" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--map", "phi-a", "--inverse", "-n", "1000", "-k", "1000", "--input=E"),
+        ("--map", "phi-b", "--forward", "-n", "100000", "-k", "1", "--input=-"),
+    ],
+)
+def test_biject_builds_a_large_family_shape_quickly(args):
+    # the shape is built before the input is read; one column's interval is
+    # two bisections over its kn rows, not two scans
+    r = run_cli("biject", *args, timeout=60)
+    assert r.returncode == 2
+    assert "usage error" in r.stderr
+
+
 def test_count_of_one_type_does_not_grow_with_kn():
     # a falling factorial of length(lambda) factors, not two factorials of kn
     r = run_cli(
