@@ -58,8 +58,6 @@ from .noncrossing_b import (
     type_b,
 )
 from .bijections import (
-    LabelingTree,
-    build_labeling_tree,
     noncrossing_to_path,
     path_to_noncrossing,
     path_to_signed_noncrossing,

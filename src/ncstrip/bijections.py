@@ -4,18 +4,20 @@ noncrossing partitions.
 All four maps work on the same primitive: a path's east steps are cut into
 k unit segments, each lying in one diagonal region between consecutive
 lines y = kx + i.  In unit coordinates (one 'e' per segment, one 'n' per
-north step) a segment starting at (x, y) lies in region y - x - 1, an
-integer, so no rational arithmetic is ever needed.  Segments become the
-vertices of a rooted labeling tree: consecutive segments of an ascent are
-chained, and the first segment of every later ascent hangs from the most
-recent earlier segment in its region.  Preorder (attached subtree before
-the rest of the ascent) labels the segments 1..kn, and the label sets of
-the ascents are the blocks of a noncrossing partition.
+north step) a segment starting at (x, y) lies between the lines through
+(x, y) and (x + 1, y), so its region is numbered by the integer x - y and
+no rational arithmetic is ever needed.  Each segment has a parent in the
+paper's labeling tree: the segment before it in its ascent, or, for the
+first segment of a later ascent, the most recent earlier segment in its
+region.  Inserting every segment into the label order right after its
+parent gives the tree's preorder (attached subtree before the rest of the
+ascent) without building the tree.  It labels the segments 1..kn, and the
+label sets of the ascents are the blocks of a noncrossing partition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 from .lattice_paths import (
@@ -24,13 +26,7 @@ from .lattice_paths import (
 )
 from .noncrossing_a import Blocks, validate_nc_a
 from .noncrossing_b import SignedBlocks, _owners_b, listing_from_owners
-from .shapes import (
-    RStrip,
-    SkewShape,
-    path_from_strip,
-    staircase_inner,
-    strip_from_path,
-)
+from .shapes import RStrip, SkewShape, path_from_strip, strip_from_path
 
 
 def _check_params(n: int, k: int) -> None:
@@ -43,91 +39,44 @@ def _unit_word(word: str, k: int) -> str:
     return word.replace("E", "e" * k).replace("N", "n")
 
 
-def _dyck_unit_tree(units: str):
-    """Labeling tree of a unit word whose walk stays at or below y = x.
+def _preorder_ranks(units: str) -> list[int]:
+    """Preorder label of each 'e' of a unit word whose walk stays at or below
+    y = x, and 0 at each 'n'.
 
-    Returns (rank, parent, unit_ascents), the first two indexed by unit:
-    rank[i] is the 1-based preorder label of the 'e' at i, parent[i] its
-    tree parent's unit index (None at the root), and unit_ascents lists the
-    maximal 'e' runs.  A segment starting at (x, y) lies in the diagonal
-    region numbered x - y, which is 0..x on such a walk.
+    A segment's tree parent is the segment before it in its ascent or, for
+    the first segment of a later ascent, the most recent earlier segment in
+    its diagonal region (x - y for a segment starting at (x, y)).  Each
+    segment is linked into the label order right after its parent.  The
+    next segment of an ascent is linked before any later ascent can attach
+    to its predecessor, so an attached subtree lands ahead of the rest of
+    the ascent: the links run in preorder.
     """
-    size = len(units)
-    if not units:
-        return [], [], []
-    if units[0] != "e":
+    if units.startswith("n"):
         raise ValueError("unit word must start with an east segment")
-    right = [-1] * size
-    attached = [-1] * size
-    parent: list[int | None] = [None] * size
-    last_in_region = [-1] * (size + 1)
-    unit_ascents: list[list[int]] = []
+    after = [-1] * len(units)  # the label order as links from the root, unit 0
+    last_in_region = [-1] * len(units)
     x = y = 0
-    run: list[int] = []
+    parent = -1  # tree parent of the next 'e', -1 after an 'n'
     for i, u in enumerate(units):
-        if u == "e":
-            if run:  # continues an ascent
-                right[run[-1]] = i
-                parent[i] = run[-1]
-                run.append(i)
-            else:
-                run = [i]
-                if unit_ascents:
-                    par = last_in_region[x - y]
-                    if par < 0:
-                        raise ValueError("segment has no earlier segment in its region")
-                    if attached[par] >= 0:
-                        raise ValueError("two ascents attach to one segment")
-                    attached[par] = i
-                    parent[i] = par
-                unit_ascents.append(run)
-            last_in_region[x - y] = i
-            x += 1
-        else:
+        if u == "n":
             y += 1
-            run = []
-    rank = [0] * size
-    label = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        label += 1
+            parent = -1
+            continue
+        if parent < 0 and i:  # first segment of a later ascent
+            if x < y or last_in_region[x - y] < 0:
+                raise ValueError("segment has no earlier segment in its region")
+            parent = last_in_region[x - y]
+        if parent >= 0:
+            after[i] = after[parent]
+            after[parent] = i
+        last_in_region[x - y] = parent = i
+        x += 1
+    rank = [0] * len(units)
+    v = 0
+    for label in range(1, x + 1):
         rank[v] = label
-        if right[v] >= 0:
-            stack.append(right[v])
-        if attached[v] >= 0:
-            stack.append(attached[v])  # popped first: attached subtree leads
-    if label != x:
-        raise ValueError("labeling tree is not connected")
-    return rank, parent, unit_ascents
-
-
-@dataclass(frozen=True)
-class LabelingTree:
-    """The rooted tree on a Fuss-Catalan path's kn east-step segments."""
-
-    segments: tuple[tuple[int, int], ...]  # (east step, sub index), path order
-    parent: tuple[int | None, ...]  # index into segments
-    labels: tuple[int, ...]  # preorder label of each segment
-    ascent_labels: tuple[tuple[int, ...], ...]  # label sets per ascent
-
-
-def build_labeling_tree(word: str, n: int, k: int) -> LabelingTree:
-    _check_params(n, k)
-    validate_fuss_catalan(word, n, k)
-    units = _unit_word(word, k)
-    rank, parent, unit_ascents = _dyck_unit_tree(units)
-    e_units = [i for i, u in enumerate(units) if u == "e"]
-    seg_index = {u: s for s, u in enumerate(e_units)}
-    east_sub = [(s // k, s % k) for s in range(len(e_units))]
-    labels = tuple(rank[u] for u in e_units)
-    parents = tuple(
-        None if parent[u] is None else seg_index[parent[u]] for u in e_units
-    )
-    ascent_labels = tuple(
-        tuple(sorted(rank[u] for u in asc)) for asc in unit_ascents
-    )
-    return LabelingTree(tuple(east_sub), parents, labels, ascent_labels)
+        v = after[v]
+    return rank
 
 
 def path_to_noncrossing(word: str, n: int, k: int) -> Blocks:
@@ -139,12 +88,11 @@ def path_to_noncrossing(word: str, n: int, k: int) -> Blocks:
     """
     _check_params(n, k)
     validate_fuss_catalan(word, n, k)
-    if n == 0:
-        return ()
-    rank, _, unit_ascents = _dyck_unit_tree(_unit_word(word, k))
-    # preorder labels rise along an ascent, and blocks have distinct first
-    # elements, so sorting the tuples orders them by first element
-    return tuple(sorted(tuple(map(rank.__getitem__, asc)) for asc in unit_ascents))
+    rank = _preorder_ranks(_unit_word(word, k))
+    # each ascent is a run of nonzero ranks; preorder labels rise along an
+    # ascent, and blocks have distinct first elements, so sorting the tuples
+    # orders them by first element
+    return tuple(sorted(tuple(run) for east, run in groupby(rank, bool) if east))
 
 
 def noncrossing_to_path(blocks, n: int, k: int) -> str:
@@ -207,14 +155,22 @@ def _noncrossing_to_path(blocks: Sequence[Sequence[int]], n: int, k: int) -> str
     return "".join(word)
 
 
-def _family_params(shape: SkewShape, inner, family: str) -> tuple[int, int]:
-    """(n, k) of a shape (n^{kn}) / inner(n, k), read off its outer partition
-    without building the family shape."""
+# The top box heights of the columns of each family shape (n^{kn}) / inner.
+# Under the outer n^{kn}, n of them fix the inner partition.
+_FAMILY_TOPS = {
+    "stretched staircase": lambda n, k: tuple(range(k - 1, k * n, k)),
+    "rectangle": lambda n, k: (k * n - 1,) * n,
+}
+
+
+def _family_params(shape: SkewShape, family: str) -> tuple[int, int]:
+    """(n, k) of a shape of the family, read off its outer partition and
+    column profile without building the family shape."""
     outer = shape.outer
     if outer:
         n = outer[0]
         k, rest = divmod(len(outer), n)
-        if not rest and outer == (n,) * len(outer) and shape.inner == inner(n, k):
+        if not rest and outer[-1] == n and shape.hi == _FAMILY_TOPS[family](n, k):
             return n, k
     raise ValueError(f"strip does not live in a {family} shape")
 
@@ -225,7 +181,7 @@ def staircase_strip_to_path(strip: RStrip) -> str:
     Prepends the east step along y = 0 and appends the final k north steps
     up the right wall; the strip's type becomes the path's reduced type.
     """
-    _, k = _family_params(strip.shape, staircase_inner, "stretched staircase")
+    _, k = _family_params(strip.shape, "stretched staircase")
     return "E" + path_from_strip(strip) + "N" * k
 
 
@@ -238,7 +194,7 @@ def staircase_path_to_strip(word: str, shape: SkewShape) -> RStrip:
     Fuss-Catalan path, so `strip_from_path` and the strip's height check
     are the whole validation.
     """
-    _, k = _family_params(shape, staircase_inner, "stretched staircase")
+    _, k = _family_params(shape, "stretched staircase")
     if not (word.startswith("E") and word.endswith("N" * k)):
         raise ValueError(
             f"{word!r} is not a Fuss-Catalan path: it must start with E and "
@@ -254,7 +210,7 @@ def rectangle_strip_to_path(strip: RStrip) -> str:
     ascent that fb_type discards is exactly the boxless prefix, and the
     strip's type equals the path's type.
     """
-    _family_params(strip.shape, lambda n, k: (), "rectangle")
+    _family_params(strip.shape, "rectangle")
     return path_from_strip(strip)
 
 
@@ -262,7 +218,7 @@ def rectangle_path_to_strip(word: str, shape: SkewShape) -> RStrip:
     """Fuss binomial path (n, k) -> strip in the rectangle (n, k), given as
     `shape`; `strip_from_path` and the strip's height check accept exactly
     the words with n E steps and kn N steps."""
-    _family_params(shape, lambda n, k: (), "rectangle")
+    _family_params(shape, "rectangle")
     return strip_from_path(shape, word)
 
 
@@ -301,7 +257,7 @@ def path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
     Segments in the positive triangle (y <= kx) get labels n0+1..kn piece by
     piece left to right; segments in the negative triangle get labels
     -1..-n0 with the last negative piece taking the smallest values, each
-    piece labeled by the labeling tree of its 180-degree rotation.  Each
+    piece labeled in the preorder of its 180-degree rotation.  Each
     ascent off y = 0 yields a pair of opposite blocks; the y = 0 ascent, if
     present, yields the antipodal block.
     """
@@ -315,7 +271,7 @@ def path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
 
     def label_piece(piece: range, start: int, negative: bool) -> int:
         chars = units[piece.start : piece.stop]
-        rank = _dyck_unit_tree(chars[::-1] if negative else chars)[0]
+        rank = _preorder_ranks(chars[::-1] if negative else chars)
         values = [start - 1 + r if r else 0 for r in rank]
         if negative:
             values = [-v for v in reversed(values)]

@@ -87,17 +87,12 @@ class SkewShape:
         ]
 
 
-def staircase_inner(n: int, k: int) -> Partition:
-    """((n-1)^k, ..., 2^k, 1^k), the inner partition of the stretched
-    staircase."""
-    return tuple(v for v in range(n - 1, 0, -1) for _ in range(k))
-
-
 def stretched_staircase(n: int, k: int) -> SkewShape:
     """(n^{kn}) / ((n-1)^k, ..., 2^k, 1^k)."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    return SkewShape((n,) * (k * n), staircase_inner(n, k))
+    inner = [v for v in range(n - 1, 0, -1) for _ in range(k)]
+    return SkewShape((n,) * (k * n), inner)
 
 
 def rectangle(n: int, k: int) -> SkewShape:

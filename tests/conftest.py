@@ -154,3 +154,60 @@ def parking_coefficient(n: int, lam) -> int:
         math.factorial(n),
         _part_multiplicity_factorials(lam) * math.factorial(n + 1 - len(lam)),
     )
+
+
+def labeling_blocks_by_definition(word: str, k: int):
+    """psi-a's blocks of a Fuss-Catalan path, from the labeling tree as the
+    paper defines it.
+
+    Every east step is cut into k segments, and a segment starting at
+    (x, y) in unit coordinates (x counted in 1/k east steps) lies in the
+    diagonal region x - y.  A segment's parent is the previous segment of
+    its ascent; the first segment of a later ascent hangs from the most
+    recent earlier segment in its region.  Labels are the preorder of that
+    tree: a segment, then the subtree of the ascent attached to it, then the
+    rest of its own ascent.  The blocks are the label sets of the ascents,
+    listed canonically.
+    """
+    ascent_of = []  # segment -> index of its ascent
+    region_of = []
+    parent = {}
+    ascent = -1
+    x = y = 0
+    previous = "N"
+    for step in word:
+        if step == "N":
+            y += 1
+        else:
+            if previous == "N":
+                ascent += 1
+            for _ in range(k):
+                s = len(ascent_of)
+                if s and ascent_of[-1] == ascent:
+                    parent[s] = s - 1
+                elif s:
+                    parent[s] = max(t for t in range(s) if region_of[t] == x - y)
+                ascent_of.append(ascent)
+                region_of.append(x - y)
+                x += 1
+        previous = step
+    attached, right = {}, {}
+    for s, p in parent.items():
+        side = right if ascent_of[p] == ascent_of[s] else attached
+        assert p not in side, "a segment has two children on one side"
+        side[p] = s
+    labels = {}
+
+    def visit(s):
+        labels[s] = len(labels) + 1
+        if s in attached:
+            visit(attached[s])
+        if s in right:
+            visit(right[s])
+
+    if ascent_of:
+        visit(0)
+    blocks = {}
+    for s, a in enumerate(ascent_of):
+        blocks.setdefault(a, []).append(labels[s])
+    return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))

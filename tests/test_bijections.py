@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncstrip.bijections import (
-    build_labeling_tree,
+    _preorder_ranks,
     noncrossing_to_path,
     path_to_noncrossing,
     path_to_signed_noncrossing,
@@ -33,6 +33,8 @@ from ncstrip.noncrossing_a import (
 from ncstrip.noncrossing_b import enumerate_nc_b, parse_blocks_b, type_b
 from ncstrip.partitions import fuss_catalan
 from ncstrip.shapes import (
+    RStrip,
+    SkewShape,
     enumerate_r_strips,
     parse_strip,
     rectangle,
@@ -40,7 +42,7 @@ from ncstrip.shapes import (
     strip_type,
 )
 
-from conftest import crossing_pair_scan
+from conftest import crossing_pair_scan, labeling_blocks_by_definition
 
 TYPE_A_EXAMPLE_WORD = "ENEENNNNENNNEENNNN"
 TYPE_A_EXAMPLE_BLOCKS = parse_blocks("1,6/2,3,4,5/7,10,11,12/8,9")
@@ -140,28 +142,16 @@ def test_psi_maps_reject_bad_parameters(psi, obj, n, k):
         psi(obj, n, k)
 
 
-class TestLabelingTree:
-    def test_single_ascent(self):
-        tree = build_labeling_tree("ENN", 1, 2)
-        assert tree.segments == ((0, 0), (0, 1))
-        assert tree.labels == (1, 2)
-        assert tree.parent == (None, 0)
-
-    def test_full_ascent_is_a_chain(self):
-        tree = build_labeling_tree("EEENNN", 3, 1)
-        assert tree.labels == (1, 2, 3)
-        assert tree.parent == (None, 0, 1)
-
-    def test_worked_example_ascent_label_sets(self):
-        tree = build_labeling_tree(TYPE_A_EXAMPLE_WORD, 6, 2)
-        assert tree.ascent_labels == (
-            (1, 6),
-            (7, 10, 11, 12),
-            (8, 9),
-            (2, 3, 4, 5),
-        )
-        assert sorted(tree.labels) == list(range(1, 13))
-        assert tree.labels[0] == 1
+@pytest.mark.parametrize(
+    "units,message",
+    [
+        ("ne", "must start with an east segment"),
+        ("enne", "no earlier segment in its region"),  # starts above y = x
+    ],
+)
+def test_labeling_refuses_walks_off_the_fuss_catalan_region(units, message):
+    with pytest.raises(ValueError, match=message):
+        _preorder_ranks(units)
 
 
 class TestLabelingMapA:
@@ -335,6 +325,50 @@ def test_rectangle_path_to_strip_accepts_exactly_the_fuss_binomial_words(n, k):
     assert wrong == []
 
 
+def _shapes_in_box(rows, cols):
+    """Every skew shape whose outer partition fits in a rows x cols box."""
+    parts = [
+        p
+        for r in range(rows + 1)
+        for p in itertools.combinations_with_replacement(range(cols, 0, -1), r)
+    ]
+    for outer in parts:
+        for inner in parts:
+            if len(inner) <= len(outer) and all(map(int.__le__, inner, outer)):
+                yield SkewShape(outer, inner)
+
+
+@pytest.mark.parametrize(
+    "family,build,to_path,to_strip",
+    [
+        ("stretched staircase", stretched_staircase, staircase_strip_to_path,
+         staircase_path_to_strip),
+        ("rectangle", rectangle, rectangle_strip_to_path, rectangle_path_to_strip),
+    ],
+    ids=["staircase", "rectangle"],
+)
+def test_strip_maps_refuse_exactly_the_shapes_outside_their_family(
+    family, build, to_path, to_strip
+):
+    members = {build(n, k) for n in range(1, 4) for k in range(1, 7) if k * n <= 6}
+    refusal = f"strip does not live in a {family} shape"
+    accepted = set()
+    for shape in _shapes_in_box(6, 3):
+        cols = shape.cols
+        contiguous = not cols or cols[-1] - cols[0] < len(cols)
+        empty = RStrip(shape, shape.lo) if contiguous else None
+        if shape in members:
+            assert to_strip(to_path(empty), shape) == empty
+            accepted.add(shape)
+            continue
+        with pytest.raises(ValueError, match=refusal):
+            to_strip("", shape)
+        if empty is not None:
+            with pytest.raises(ValueError, match=refusal):
+                to_path(empty)
+    assert accepted == members
+
+
 class TestLabelingMapB:
     def test_worked_example_forward(self):
         blocks = path_to_signed_noncrossing(TYPE_B_EXAMPLE_WORD, 4, 3)
@@ -432,6 +466,7 @@ def test_psi_a_on_large_paths(case):
     assert type_a(blocks, k) == fc_type(word)
     assert reduced_type_a(blocks, k) == fc_reduced_type(word)
     assert noncrossing_to_path(blocks, n, k) == word
+    assert blocks == labeling_blocks_by_definition(word, k)
 
 
 @LARGE_OBJECTS
