@@ -40,7 +40,9 @@ from .noncrossing_a import (
     format_blocks,
     parse_blocks,
     reduced_type_a,
+    reduced_type_counts,
     type_a,
+    type_counts,
 )
 from .noncrossing_b import (
     antipodal_block,
@@ -49,13 +51,14 @@ from .noncrossing_b import (
     format_blocks_b,
     parse_blocks_b,
     type_b,
+    type_counts_b,
 )
 from .parking import (
     count_parking_functions,
     enumerate_parking_functions,
     enumerate_primitive,
     is_primitive,
-    pf_type,
+    multiplicity_type,
 )
 from .partitions import (
     binomial,
@@ -187,8 +190,8 @@ def _table(rows: list[list[str]], header: list[str]) -> list[str]:
     return lines
 
 
-def _expansion_payload(expansion) -> tuple[dict, Callable[[], list[str]]]:
-    items = expansion_items(expansion)
+def _expansion_payload(items) -> tuple[dict, Callable[[], list[str]]]:
+    """The payload and table of (partition, coefficient) items, in order."""
     terms = [{"lambda": list(lam), "coeff": str(c)} for lam, c in items]
     total = sum(c for _, c in items)
     payload = {
@@ -242,7 +245,8 @@ def cmd_expand(args) -> int:
     if args.method == "formula":
         # both formulas have one term per partition of weight <= n
         _guard_partitions(n, True, "formula expansion")
-        expansion = formula(n, k)
+        # built in canonical order from the row lister
+        items = list(formula(n, k).items())
     else:
         if args.shape is not None:
             shape = parse_shape(args.shape)
@@ -251,8 +255,8 @@ def cmd_expand(args) -> int:
             _guard(strips(n, k), what)
             shape = build(n, k)
         # the census has no more terms than the shape has strips
-        expansion = expand_skew_by_columns(shape)
-    body, table = _expansion_payload(expansion)
+        items = expansion_items(expand_skew_by_columns(shape))
+    body, table = _expansion_payload(items)
     payload = {"command": "expand", "parameters": params, "result": body}
     _emit(payload, args.format, table)
     return EXIT_OK
@@ -338,28 +342,39 @@ def _reduced_type_rows(n: int) -> tuple[int, bool]:
     return n - 1, True
 
 
-# family -> {--by: (formula, rows, census, statistic)}; the first --by is the
-# default.  rows(n) gives the largest row weight and whether every lighter
-# weight has rows too, or refuses n; formula(n, k, lam) counts the row lam.
-# --check tallies statistic(object, k) over census(n, k), which applies its
-# own guard.
-_TYPE_A = (count_by_type, lambda n: (n, False), _census_a, type_a)
-_REDUCED_TYPE_A = (count_by_reduced_type, _reduced_type_rows, _census_a, reduced_type_a)
+# family -> {--by: (count, counts, rows, census, statistic)}; the first --by
+# is the default.  rows(n) gives the largest row weight and whether every
+# lighter weight has rows too, or refuses n.  counts(n, k, rows) counts a
+# table of the row listers' own rows, in order; count(n, k, lam) checks and
+# counts a --lambda row.  --check tallies statistic(object, k) over
+# census(n, k), which applies its own guard.
+_TYPE_A = (count_by_type, type_counts, lambda n: (n, False), _census_a, type_a)
+_REDUCED_TYPE_A = (
+    count_by_reduced_type, reduced_type_counts, _reduced_type_rows, _census_a, reduced_type_a
+)
 COUNTS = {
     "nca": {"type": _TYPE_A, "reduced-type": _REDUCED_TYPE_A},
     "nca-k": {"type": _TYPE_A, "reduced-type": _REDUCED_TYPE_A},
-    "ncb-k": {"type": (count_by_type_b, lambda n: (n, True), _census_b, type_b)},
+    "ncb-k": {
+        "type": (count_by_type_b, type_counts_b, lambda n: (n, True), _census_b, type_b)
+    },
     # Without --by, the one row, of the empty partition, counts every parking
-    # function.  By type, the parking function numbers are those of NC_A.
+    # function, and there is no --lambda.  By type, the parking function
+    # numbers are those of NC_A, tallied over the enumerator's own sequences.
     "pf": {
         None: (
-            lambda n, k, lam: count_parking_functions(n),
+            None,
+            lambda n, k, rows: [count_parking_functions(n)],
             lambda n: (0, False),
             _census_parking,
             lambda p, k: (),
         ),
         "type": (
-            count_by_type, lambda n: (n, False), _census_primitive, lambda p, k: pf_type(p)
+            count_by_type,
+            type_counts,
+            lambda n: (n, False),
+            _census_primitive,
+            lambda p, k: multiplicity_type(p),
         ),
     },
 }
@@ -380,19 +395,20 @@ def cmd_count(args) -> int:
     by = args.by or next(iter(tallies))
     if by not in tallies:
         raise SystemExit2(BY_REFUSALS[args.family])
-    formula, rows, census, statistic = tallies[by]
+    count, counts, rows, census, statistic = tallies[by]
     w_max, cumulative = rows(n)
     if args.lam is not None:
         if by is None:
             raise SystemExit2("--lambda needs --by type")
-        lams = [parse_partition(args.lam)]
+        lam = parse_partition(args.lam)
+        items = [(lam, count(n, k, lam))]
     else:
         _guard_partitions(w_max, cumulative, "count table")
+        # the row listers give canonical order already
         lams = (
-            partitions_with_weight_at_most(w_max) if cumulative else partitions_of(w_max)
+            partitions_with_weight_at_most(w_max) if cumulative else list(partitions_of(w_max))
         )
-    # the row listers give canonical order already
-    items = [(lam, formula(n, k, lam)) for lam in lams]
+        items = list(zip(lams, counts(n, k, lams)))
     total = "count" if args.family == "pf" else "sum"
     body = {
         "entries": [{"lambda": list(lam), "count": str(c)} for lam, c in items],
@@ -598,7 +614,10 @@ LISTINGS = {
         lambda n, primitive: (
             enumerate_primitive(n) if primitive else enumerate_parking_functions(n)
         ),
-        lambda kinds: {"sequence": tuple, "type": pf_type, "primitive": is_primitive},
+        # the enumerators' own sequences, so the type skips the parking check
+        lambda kinds: {
+            "sequence": tuple, "type": multiplicity_type, "primitive": is_primitive
+        },
         params=_pf_params,
     ),
 }

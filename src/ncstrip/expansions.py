@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .noncrossing_a import count_by_reduced_type, count_by_type
-from .noncrossing_b import count_by_type_b
+from .noncrossing_a import reduced_type_counts, type_counts
+from .noncrossing_b import type_counts_b
 from .partitions import (
     Partition,
     partition_sort_key,
@@ -98,10 +98,8 @@ def fuss_a_expansion_formula(n: int, k: int) -> HExpansion:
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    return {
-        lam: count_by_reduced_type(n + 1, k, lam)
-        for lam in partitions_with_weight_at_most(n)
-    }
+    rows = partitions_with_weight_at_most(n)
+    return dict(zip(rows, reduced_type_counts(n + 1, k, rows)))
 
 
 def fuss_b_expansion_formula(n: int, k: int) -> HExpansion:
@@ -112,10 +110,8 @@ def fuss_b_expansion_formula(n: int, k: int) -> HExpansion:
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    return {
-        lam: count_by_type_b(n, k, lam)
-        for lam in partitions_with_weight_at_most(n)
-    }
+    rows = partitions_with_weight_at_most(n)
+    return dict(zip(rows, type_counts_b(n, k, rows)))
 
 
 def parking_expansion(n: int) -> HExpansion:
@@ -126,7 +122,8 @@ def parking_expansion(n: int) -> HExpansion:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return {lam: count_by_type(n, 1, lam) for lam in partitions_of(n)}
+    rows = list(partitions_of(n))
+    return dict(zip(rows, type_counts(n, 1, rows)))
 
 
 def top_homogeneous_part(e: HExpansion, d: int) -> HExpansion:

@@ -6,13 +6,13 @@ of elements in increasing order, blocks sorted by their minimum.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 from .partitions import (
     Partition,
     as_partition,
     exact_div,
+    falling_factorials,
     multiplicity_product,
     weight,
 )
@@ -187,16 +187,36 @@ def reduced_type_a(blocks, k: int = 1) -> Partition:
     return type_a(rest, k)
 
 
+def type_counts(n: int, k: int, rows) -> list[int]:
+    """Number of partitions in NC_n^(k) of each type in rows, in row order.
+
+    The rows are partitions of n as the library lists them and are not
+    checked again (`count_by_type` checks one).  kn! / (mult (kn+1-l)!) is
+    perm(kn+1, l) / ((kn+1) mult): the falling factorials are one running
+    product up to the longest row, however large kn is.
+    """
+    kn1 = k * n + 1
+    falling = falling_factorials(kn1, max(map(len, rows), default=0))
+    return [exact_div(falling[len(zeta)], kn1 * multiplicity_product(zeta)) for zeta in rows]
+
+
+def reduced_type_counts(n: int, k: int, rows) -> list[int]:
+    """Number of partitions in NC_n^(k) of each reduced type in rows, in row
+    order; n >= 1, and the rows weigh less than n, unchecked as in
+    `type_counts`."""
+    falling = falling_factorials(k * n, max(map(len, rows), default=0))
+    return [
+        exact_div(falling[len(lam)] * (n - sum(lam)), n * multiplicity_product(lam))
+        for lam in rows
+    ]
+
+
 def count_by_type(n: int, k: int, zeta: Partition) -> int:
     """Number of partitions in NC_n^(k) with type zeta (a partition of n)."""
     zeta = as_partition(zeta)
     if weight(zeta) != n:
         raise ValueError(f"type must be a partition of {n}, got weight {weight(zeta)}")
-    kn = k * n
-    # kn! / (mult (kn+1-l)!) as a falling factorial: l factors, not kn
-    return exact_div(
-        math.perm(kn + 1, len(zeta)), (kn + 1) * multiplicity_product(zeta)
-    )
+    return type_counts(n, k, [zeta])[0]
 
 
 def count_by_reduced_type(n: int, k: int, lam: Partition) -> int:
@@ -210,10 +230,7 @@ def count_by_reduced_type(n: int, k: int, lam: Partition) -> int:
         raise ValueError(
             f"reduced type weight must be < n = {n}, got {weight(lam)}"
         )
-    kn = k * n
-    return exact_div(
-        math.perm(kn, len(lam)) * (n - weight(lam)), n * multiplicity_product(lam)
-    )
+    return reduced_type_counts(n, k, [lam])[0]
 
 
 def read_blocks(text: str) -> Blocks:

@@ -10,12 +10,12 @@ listed clockwise starting from their minimal element in that order.
 from __future__ import annotations
 
 import itertools
-import math
 
 from .partitions import (
     Partition,
     as_partition,
     exact_div,
+    falling_factorials,
     multiplicity_product,
     weight,
 )
@@ -179,12 +179,21 @@ def enumerate_nc_b(n: int, k: int) -> list[SignedBlocks]:
     return out
 
 
+def type_counts_b(n: int, k: int, rows) -> list[int]:
+    """Number of partitions in NC_n^{B,(k)} of each type in rows, in row
+    order: perm(kn, l) / mult, the falling factorials one running product up
+    to the longest row.  The rows weigh at most n, as the library lists them,
+    and are not checked again (`count_by_type_b` checks one)."""
+    falling = falling_factorials(k * n, max(map(len, rows), default=0))
+    return [exact_div(falling[len(lam)], multiplicity_product(lam)) for lam in rows]
+
+
 def count_by_type_b(n: int, k: int, lam: Partition) -> int:
     """Number of partitions in NC_n^{B,(k)} with type lam (weight <= n)."""
     lam = as_partition(lam)
     if weight(lam) > n:
         raise ValueError(f"type weight must be <= n = {n}, got {weight(lam)}")
-    return exact_div(math.perm(k * n, len(lam)), multiplicity_product(lam))
+    return type_counts_b(n, k, [lam])[0]
 
 
 def format_blocks_b(blocks: SignedBlocks) -> str:

@@ -9,7 +9,6 @@ to arbitrary skew shapes.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import permutations
 
 from .bijections import path_to_noncrossing
@@ -33,12 +32,28 @@ def is_primitive(seq) -> bool:
     )
 
 
+def multiplicity_type(seq) -> Partition:
+    """Sorted multiplicities of the values: `pf_type` without its parking
+    check, for sequences an enumerator of this module gave.  Equal values
+    are adjacent once sorted, so the multiplicities are the run lengths."""
+    sizes: list[int] = []
+    prev = None
+    for x in sorted(seq):
+        if x == prev:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+            prev = x
+    sizes.sort(reverse=True)
+    return tuple(sizes)
+
+
 def pf_type(seq) -> Partition:
     """Sorted multiplicities of the values; requires a parking function."""
     seq = list(seq)
     if not is_parking_function(seq):
         raise ValueError(f"{seq} is not a parking function")
-    return tuple(sorted(Counter(seq).values(), reverse=True))
+    return multiplicity_type(seq)
 
 
 def enumerate_primitive(n: int) -> list[tuple[int, ...]]:

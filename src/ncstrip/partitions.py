@@ -43,6 +43,14 @@ def multiplicity_product(p: Partition) -> int:
     return out
 
 
+def falling_factorials(x: int, m: int) -> list[int]:
+    """[perm(x, 0), perm(x, 1), ..., perm(x, m)], one running product."""
+    out = [1]
+    for i in range(m):
+        out.append(out[-1] * (x - i))
+    return out
+
+
 def partition_sort_key(p: Partition):
     """Canonical order key: ascending weight, then reverse-lexicographic."""
     return (sum(p), tuple(-x for x in p))

@@ -34,11 +34,11 @@ from .lattice_paths import (
     fc_type,
 )
 from .noncrossing_a import (
-    count_by_reduced_type,
-    count_by_type,
     enumerate_k_divisible,
     reduced_type_a,
+    reduced_type_counts,
     type_a,
+    type_counts,
 )
 from .noncrossing_b import enumerate_nc_b, type_b
 from .parking import (
@@ -230,11 +230,10 @@ def counting_check_a(n: int, k: int) -> CheckResult:
         census_type[type_a(blocks, k)] += 1
         census_reduced[reduced_type_a(blocks, k)] += 1
         result.objects += 1
-    by_type = {zeta: count_by_type(n, k, zeta) for zeta in partitions_of(n)}
-    by_reduced = {
-        lam: count_by_reduced_type(n, k, lam)
-        for lam in partitions_with_weight_at_most(n - 1)
-    }
+    types = list(partitions_of(n))
+    by_type = dict(zip(types, type_counts(n, k, types)))
+    reduced = partitions_with_weight_at_most(n - 1)
+    by_reduced = dict(zip(reduced, reduced_type_counts(n, k, reduced)))
     _expansions_must_match(result, "type formula vs census", by_type, census_type)
     _expansions_must_match(
         result, "reduced type formula vs census", by_reduced, census_reduced

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncstrip import cli
-from ncstrip.partitions import fuss_catalan
+from ncstrip.partitions import binomial, fuss_catalan
 
 CLI = [sys.executable, "-m", "ncstrip.cli"]
 
@@ -373,6 +373,66 @@ def test_count_of_one_type_does_not_grow_with_kn():
     r = run_cli("count", "--family", "ncb-k", "-n", "1000000", "--lambda", "1", timeout=60)
     assert r.returncode == 0
     assert json.loads(r.stdout)["result"]["entries"] == [{"lambda": [1], "count": "1000000"}]
+
+
+@pytest.mark.parametrize(
+    "args,total",
+    [
+        (("nca-k", "--by", "type"), fuss_catalan(6, 10**6)),
+        (("nca-k", "--by", "reduced-type"), fuss_catalan(6, 10**6)),
+        (("ncb-k",), binomial((10**6 + 1) * 6, 6)),
+    ],
+)
+def test_count_table_does_not_grow_with_kn(args, total):
+    # the table's falling factorials stop at its longest row, not at kn
+    r = run_cli("count", "--family", *args, "-n", "6", "-k", "1000000", timeout=60)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["result"]["sum"] == str(total)
+
+
+def counted(monkeypatch, name):
+    """The calls made to `name` through any ncstrip module that imports it."""
+    calls = []
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ncstrip"]:
+        f = getattr(module, name, None)
+        if f is not None:
+            monkeypatch.setattr(
+                module, name, lambda *args, _f=f: calls.append(args) or _f(*args)
+            )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        (("count", "--family", "ncb-k", "--by", "type", "-n", "12", "-k", "2"), "as_partition"),
+        (
+            ("count", "--family", "nca-k", "--by", "reduced-type", "-n", "12", "-k", "2"),
+            "as_partition",
+        ),
+        (("count", "--family", "pf", "--by", "type", "--check", "-n", "7"), "is_parking_function"),
+        (
+            ("expand", "--family", "fuss-b", "--method", "formula", "-n", "12", "-k", "2"),
+            "partition_sort_key",
+        ),
+    ],
+)
+def test_the_librarys_own_rows_are_not_checked_or_sorted_again(monkeypatch, capsys, args, name):
+    # count rows and formula terms come from the partition listers in
+    # canonical order, and the tallied sequences from the parking enumerator
+    calls = counted(monkeypatch, name)
+    assert cli.main(list(args)) == 0
+    assert "fail" not in capsys.readouterr().out
+    assert calls == []
+
+
+def test_a_lambda_row_is_still_validated(monkeypatch, capsys):
+    calls = counted(monkeypatch, "as_partition")
+    assert cli.main(["count", "--family", "nca-k", "-n", "4", "-k", "2", "--lambda", "2,1,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["sum"] == "28"
+    assert calls
+    assert cli.main(["count", "--family", "nca-k", "-n", "4", "-k", "2", "--lambda", "2,1"]) == 2
+    assert "type must be a partition of 4, got weight 3" in capsys.readouterr().err
 
 
 def stdlib_indent_2(stdout: str) -> str:

@@ -19,8 +19,10 @@ from ncstrip.noncrossing_a import (
     count_by_type,
     enumerate_k_divisible,
     reduced_type_a,
+    reduced_type_counts,
+    type_counts,
 )
-from ncstrip.noncrossing_b import count_by_type_b, enumerate_nc_b, type_b
+from ncstrip.noncrossing_b import count_by_type_b, enumerate_nc_b, type_b, type_counts_b
 from ncstrip.parking import enumerate_primitive, pf_type
 from ncstrip.partitions import (
     binomial,
@@ -118,11 +120,13 @@ def test_closed_forms_equal_the_factorial_quotients(n):
     top = list(partitions_of(n))
     assert parking_expansion(n) == {lam: parking_coefficient(n, lam) for lam in top}
     for k in range(1, 5):
-        assert [count_by_type(n, k, lam) for lam in top] == [
-            type_count_a(n, k, lam) for lam in top
-        ]
+        by_type = [type_count_a(n, k, lam) for lam in top]
+        assert type_counts(n, k, top) == by_type
+        assert [count_by_type(n, k, lam) for lam in top] == by_type
         reduced = {lam: reduced_type_count_a(n + 1, k, lam) for lam in rows}
         signed = {lam: type_count_b(n, k, lam) for lam in rows}
+        assert reduced_type_counts(n + 1, k, rows) == list(reduced.values())
+        assert type_counts_b(n, k, rows) == list(signed.values())
         if n == 0:  # the expansion formulas start at n = 1
             assert count_by_reduced_type(1, k, ()) == reduced[()] == 1
             assert count_by_type_b(0, k, ()) == signed[()] == 1

@@ -11,6 +11,7 @@ from ncstrip.parking import (
     enumerate_shape_parking_functions,
     is_parking_function,
     is_primitive,
+    multiplicity_type,
     pf_type,
     primitive_pf_to_ncp,
 )
@@ -34,6 +35,20 @@ def test_pf_type():
     assert pf_type((1, 1, 1)) == (3,)
     with pytest.raises(ValueError):
         pf_type((2, 2))
+    assert multiplicity_type((2, 2)) == (2,)  # only pf_type checks that it parks
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_unchecked_type_equals_the_checked_one_on_the_enumerators_output(n):
+    # the count --check tally and the enumerate type column skip the parking
+    # check on the enumerators' own sequences, primitive or not
+    primitives = enumerate_primitive(n)
+    assert Counter(map(multiplicity_type, primitives)) == Counter(
+        pf_type(p) for p in primitives
+    )
+    if n <= 6:
+        for f in enumerate_parking_functions(n):
+            assert multiplicity_type(f) == pf_type(f)
 
 
 def test_counts():

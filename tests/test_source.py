@@ -66,3 +66,11 @@ def test_test_oracles_import_nothing_from_the_library():
         and any(alias.name.split(".")[0] == "ncstrip" for alias in node.names)
     ]
     assert found == []
+
+
+def test_library_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
