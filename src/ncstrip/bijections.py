@@ -25,7 +25,7 @@ from .lattice_paths import (
     validate_fuss_catalan,
 )
 from .noncrossing_a import Blocks, validate_nc_a
-from .noncrossing_b import SignedBlocks, _owners_b, listing_from_owners
+from .noncrossing_b import SignedBlocks, listing_from_owners, validate_nc_b
 from .shapes import RStrip, SkewShape, path_from_strip, strip_from_path
 
 
@@ -319,10 +319,19 @@ def signed_noncrossing_to_path(blocks, n: int, k: int) -> str:
     rebuilt with the inverse labeling map and the pieces are concatenated.
     """
     _check_params(n, k)
-    m = k * n
-    owner, blocks = _owners_b(blocks, n, k)
+    return _signed_noncrossing_to_path(validate_nc_b(blocks, n, k), n, k)
+
+
+def _signed_noncrossing_to_path(blocks: SignedBlocks, n: int, k: int) -> str:
+    """signed_noncrossing_to_path on canonical blocks already known to be in
+    NC_n^{B,(k)}."""
     if n == 0:
         return ""
+    m = k * n
+    owner = [0] * (2 * m + 1)  # polygon position -> block
+    for i, b in enumerate(blocks):
+        for v in b:
+            owner[v if v > 0 else m - v] = i
     # a canonical block lists its negatives (by absolute value) before its
     # positives, so a block that mixes signs starts negative and ends positive
     mixed = [b for b in blocks if b[0] < 0 < b[-1]]

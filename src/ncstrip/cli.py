@@ -57,7 +57,7 @@ from .parking import (
     count_parking_functions,
     enumerate_parking_functions,
     enumerate_primitive,
-    is_primitive,
+    is_weakly_increasing,
     multiplicity_type,
 )
 from .partitions import (
@@ -614,9 +614,10 @@ LISTINGS = {
         lambda n, primitive: (
             enumerate_primitive(n) if primitive else enumerate_parking_functions(n)
         ),
-        # the enumerators' own sequences, so the type skips the parking check
+        # the enumerators' own sequences, so neither the type nor the
+        # primitive column repeats the parking check
         lambda kinds: {
-            "sequence": tuple, "type": multiplicity_type, "primitive": is_primitive
+            "sequence": tuple, "type": multiplicity_type, "primitive": is_weakly_increasing
         },
         params=_pf_params,
     ),

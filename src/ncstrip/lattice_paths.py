@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterator
 
-from .partitions import Partition
+from .partitions import Partition, remove_part
 
 
 def validate_word(word: str) -> None:
@@ -120,15 +120,22 @@ def ascents(word: str) -> list[tuple[int, int]]:
     return out
 
 
+def fc_types(word: str) -> tuple[Partition, Partition]:
+    """(fc_type, fc_reduced_type) from one read of the ascents: the reduced
+    type drops one part equal to the length of the first ascent."""
+    runs = ascents(word)
+    zeta = tuple(sorted((ln for _, ln in runs), reverse=True))
+    return zeta, (remove_part(zeta, runs[0][1]) if runs else zeta)
+
+
 def fc_type(word: str) -> Partition:
     """Sorted ascent lengths."""
-    return tuple(sorted((ln for _, ln in ascents(word)), reverse=True))
+    return fc_types(word)[0]
 
 
 def fc_reduced_type(word: str) -> Partition:
     """Sorted ascent lengths, excluding the ascent containing the first step."""
-    runs = ascents(word)
-    return tuple(sorted((ln for _, ln in runs[1:]), reverse=True))
+    return fc_types(word)[1]
 
 
 def fb_type(word: str) -> Partition:

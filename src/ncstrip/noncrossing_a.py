@@ -14,6 +14,7 @@ from .partitions import (
     exact_div,
     falling_factorials,
     multiplicity_product,
+    remove_part,
     weight,
 )
 
@@ -170,21 +171,31 @@ def enumerate_k_divisible(n: int, k: int) -> list[Blocks]:
 
 def type_a(blocks, k: int = 1) -> Partition:
     """Sorted block sizes, each divided by k."""
-    sizes = sorted((len(b) for b in blocks), reverse=True)
-    for s in sizes:
-        if s % k:
-            raise ValueError(f"block size {s} is not divisible by {k}")
-    return tuple(s // k for s in sizes)
+    sizes = sorted(map(len, blocks), reverse=True)
+    if k != 1:
+        for s in sizes:
+            if s % k:
+                raise ValueError(f"block size {s} is not divisible by {k}")
+        sizes = [s // k for s in sizes]
+    return tuple(sizes)
+
+
+def types_a(blocks, k: int = 1) -> tuple[Partition, Partition]:
+    """(type_a, reduced_type_a) from one pass over the block sizes: the
+    reduced type drops one part equal to the block that holds 1."""
+    blocks = tuple(blocks)
+    if not blocks:
+        raise ValueError("the reduced type needs n >= 1")
+    holders = [len(b) for b in blocks if 1 in b]
+    if len(holders) != 1:
+        raise ValueError("no unique block contains the symbol 1")
+    zeta = type_a(blocks, k)
+    return zeta, remove_part(zeta, holders[0] // k)
 
 
 def reduced_type_a(blocks, k: int = 1) -> Partition:
     """Type after deleting the block containing the symbol 1."""
-    if not blocks:
-        raise ValueError("the reduced type needs n >= 1")
-    rest = [b for b in blocks if 1 not in b]
-    if len(rest) != len(tuple(blocks)) - 1:
-        raise ValueError("no unique block contains the symbol 1")
-    return type_a(rest, k)
+    return types_a(blocks, k)[1]
 
 
 def type_counts(n: int, k: int, rows) -> list[int]:

@@ -32,7 +32,7 @@ def is_noncrossing_b(blocks, m: int) -> bool:
     """Whether the blocks partition [-m..m] minus 0, invariantly under
     negation and noncrossing on the 2m-gon."""
     try:
-        _owners_b(blocks, m, 1)
+        validate_nc_b(blocks, m, 1)
     except ValueError:
         return False
     return True
@@ -73,16 +73,6 @@ def validate_nc_b(blocks, n: int, k: int) -> SignedBlocks:
     is invariant under negation, it is noncrossing on the polygon, and every
     block size is divisible by k.
     """
-    return _owners_b(blocks, n, k)[1]
-
-
-def _owners_b(blocks, n: int, k: int) -> tuple[list[int], SignedBlocks]:
-    """(owner, listing) of a member of NC_n^{B,(k)}, checked as in
-    `validate_nc_b`.
-
-    owner[p] is the index, in the order given, of the block holding polygon
-    position p (owner[0] is unused); listing is the canonical blocks.
-    """
     m = k * n
     blocks = tuple(blocks)
     sizes = list(map(len, blocks))
@@ -116,7 +106,7 @@ def _owners_b(blocks, n: int, k: int) -> tuple[list[int], SignedBlocks]:
     for b in out:
         if len(b) % k:
             raise ValueError(f"block size {len(b)} is not divisible by {k}")
-    return owner, out
+    return out
 
 
 def type_b(blocks, k: int = 1) -> Partition:

@@ -25,11 +25,16 @@ def is_parking_function(seq) -> bool:
     return all(b <= i for i, b in enumerate(sorted(seq), start=1))
 
 
+def is_weakly_increasing(seq) -> bool:
+    """Whether each term is at most the next: `is_primitive` without its
+    parking check, for sequences an enumerator of this module gave."""
+    seq = list(seq)
+    return all(a <= b for a, b in zip(seq, seq[1:]))
+
+
 def is_primitive(seq) -> bool:
     seq = list(seq)
-    return is_parking_function(seq) and all(
-        seq[i] <= seq[i + 1] for i in range(len(seq) - 1)
-    )
+    return is_parking_function(seq) and is_weakly_increasing(seq)
 
 
 def multiplicity_type(seq) -> Partition:

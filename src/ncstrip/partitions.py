@@ -31,6 +31,12 @@ def weight(p: Partition) -> int:
     return sum(p)
 
 
+def remove_part(p: Partition, part: int) -> Partition:
+    """p without one of its parts equal to part; what is left stays sorted."""
+    i = p.index(part)
+    return p[:i] + p[i + 1 :]
+
+
 def multiplicity_product(p: Partition) -> int:
     """Product of factorials of the part multiplicities; 1 for ().
 

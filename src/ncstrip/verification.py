@@ -9,12 +9,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .bijections import (
-    noncrossing_to_path,
+    _noncrossing_to_path,
+    _signed_noncrossing_to_path,
     path_to_noncrossing,
     path_to_signed_noncrossing,
     rectangle_path_to_strip,
     rectangle_strip_to_path,
-    signed_noncrossing_to_path,
     staircase_path_to_strip,
     staircase_strip_to_path,
 )
@@ -31,7 +31,7 @@ from .lattice_paths import (
     enumerate_fuss_catalan,
     fb_type,
     fc_reduced_type,
-    fc_type,
+    fc_types,
 )
 from .noncrossing_a import (
     enumerate_k_divisible,
@@ -39,6 +39,7 @@ from .noncrossing_a import (
     reduced_type_counts,
     type_a,
     type_counts,
+    types_a,
 )
 from .noncrossing_b import enumerate_nc_b, type_b
 from .parking import (
@@ -146,11 +147,20 @@ def theorem_21_check(n: int) -> CheckResult:
     return result
 
 
-def _round_trip(name, n, k, sources, forward, inverse, stats, targets) -> CheckResult:
+def _round_trip(
+    name, n, k, sources, forward, inverse, tags, source_stats, image_stats, targets
+) -> CheckResult:
     """Two-sided check of one bijection: `forward` is injective on the
-    sources, `inverse` undoes it, f(x) == g(forward(x)) for every
-    (tag, f, g) in `stats`, and the image is exactly the set of targets."""
+    sources, `inverse` undoes it, source_stats(x) and image_stats(forward(x))
+    agree at every position (tags name the positions), and the image is
+    exactly the set of targets.
+
+    `inverse` and `image_stats` only see images that are targets, and the
+    enumerators list those canonically, so `inverse` is the map's unchecked
+    core: the membership test does the work of its input check.
+    """
     result = CheckResult(name, {"n": n, "k": k})
+    targets = set(targets)
     images = {}
     for x in sources:
         y = forward(x)
@@ -158,13 +168,15 @@ def _round_trip(name, n, k, sources, forward, inverse, stats, targets) -> CheckR
             result.fail(f"not injective: {x} and {images[y]}")
             continue
         images[y] = x
-        for tag, f, g in stats:
-            if f(x) != g(y):
+        if y not in targets:
+            result.fail(f"image of {x} is not a target")
+            continue
+        for tag, a, b in zip(tags, source_stats(x), image_stats(y), strict=True):
+            if a != b:
                 result.fail(f"{tag} not preserved on {x}")
         if inverse(y) != x:
             result.fail(f"inverse fails on {x}")
     result.objects = len(images)
-    targets = set(targets)
     if images.keys() != targets:
         result.fail(f"image has {len(images)} members, target has {len(targets)}")
     return result
@@ -174,9 +186,8 @@ def labeling_bijection_check_a(n: int, k: int) -> CheckResult:
     """Two-sided type- and reduced-type-preserving check on all of D_n^(k)."""
     return _round_trip(
         "labeling-bijection-A", n, k, enumerate_fuss_catalan(n, k),
-        lambda w: path_to_noncrossing(w, n, k), lambda b: noncrossing_to_path(b, n, k),
-        [("type", fc_type, lambda b: type_a(b, k)),
-         ("reduced type", fc_reduced_type, lambda b: reduced_type_a(b, k))],
+        lambda w: path_to_noncrossing(w, n, k), lambda b: _noncrossing_to_path(b, n, k),
+        ("type", "reduced type"), fc_types, lambda b: types_a(b, k),
         enumerate_k_divisible(n, k),
     )
 
@@ -186,8 +197,8 @@ def labeling_bijection_check_b(n: int, k: int) -> CheckResult:
     return _round_trip(
         "labeling-bijection-B", n, k, enumerate_fuss_binomial(n, k),
         lambda w: path_to_signed_noncrossing(w, n, k),
-        lambda b: signed_noncrossing_to_path(b, n, k),
-        [("type", fb_type, lambda b: type_b(b, k))],
+        lambda b: _signed_noncrossing_to_path(b, n, k),
+        ("type",), lambda w: (fb_type(w),), lambda b: (type_b(b, k),),
         enumerate_nc_b(n, k),
     )
 
@@ -199,9 +210,10 @@ def strip_bijection_check_a(n: int, k: int) -> CheckResult:
     return _round_trip(
         "strip-bijection-A", n, k, enumerate_r_strips(shape),
         staircase_strip_to_path, lambda w: staircase_path_to_strip(w, shape),
-        [("reduced type", strip_type, fc_reduced_type),
-         ("composite reduced type", strip_type,
-          lambda w: reduced_type_a(path_to_noncrossing(w, n + 1, k), k))],
+        ("reduced type", "composite reduced type"), lambda s: (strip_type(s),) * 2,
+        lambda w: (
+            fc_reduced_type(w), reduced_type_a(path_to_noncrossing(w, n + 1, k), k)
+        ),
         enumerate_fuss_catalan(n + 1, k),
     )
 
@@ -213,9 +225,8 @@ def strip_bijection_check_b(n: int, k: int) -> CheckResult:
     return _round_trip(
         "strip-bijection-B", n, k, enumerate_r_strips(shape),
         rectangle_strip_to_path, lambda w: rectangle_path_to_strip(w, shape),
-        [("type", strip_type, fb_type),
-         ("composite type", strip_type,
-          lambda w: type_b(path_to_signed_noncrossing(w, n, k), k))],
+        ("type", "composite type"), lambda s: (strip_type(s),) * 2,
+        lambda w: (fb_type(w), type_b(path_to_signed_noncrossing(w, n, k), k)),
         enumerate_fuss_binomial(n, k),
     )
 
@@ -227,8 +238,9 @@ def counting_check_a(n: int, k: int) -> CheckResult:
     census_type = Counter()
     census_reduced = Counter()
     for blocks in enumerate_k_divisible(n, k):
-        census_type[type_a(blocks, k)] += 1
-        census_reduced[reduced_type_a(blocks, k)] += 1
+        zeta, lam = types_a(blocks, k)
+        census_type[zeta] += 1
+        census_reduced[lam] += 1
         result.objects += 1
     types = list(partitions_of(n))
     by_type = dict(zip(types, type_counts(n, k, types)))

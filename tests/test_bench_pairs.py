@@ -1,0 +1,67 @@
+"""The pair summary of tools/bench_pairs.py, on canned run output."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def run_output(wall_s: float, rate: float, failed: int = 0) -> str:
+    """What perfbench/run.py prints: a summary line, then the JSON result."""
+    metrics = {"wall_s": {"value": wall_s, "unit": "s"},
+               "objects_per_s": {"value": rate, "unit": "1/s"}}
+    result = {"correct": not failed, "attempted": 100, "failed": failed, "metrics": metrics}
+    return (f"workload=verify-labeling seed=1 passes=3 untraced + 0 traced;"
+            f" failed_ratio={failed / 100:.6g} ({failed}/100)\n{json.dumps(result)}\n")
+
+
+BETTER = {"wall_s": "lower", "objects_per_s": "higher"}
+
+
+def canned_pairs(parent, change):
+    return [
+        {"parent": bench_pairs.parse_run(run_output(*p)),
+         "change": bench_pairs.parse_run(run_output(*c))}
+        for p, c in zip(parent, change)
+    ]
+
+
+def test_summary_of_canned_runs():
+    pairs = canned_pairs(
+        [(0.50, 100.0), (0.60, 90.0), (0.55, 95.0, 1), (0.70, 80.0)],
+        [(0.40, 120.0), (0.65, 85.0), (0.45, 110.0), (0.50, 100.0)],
+    )
+    s = bench_pairs.summarise(pairs, BETTER)
+    assert s["pairs"] == 4
+    assert s["failed"] == {"parent": 1, "change": 0}
+    wall = s["wall_s"]
+    assert wall["parent_median"] == pytest.approx(0.575)
+    assert wall["change_median"] == pytest.approx(0.475)
+    assert wall["change_vs_parent"] == pytest.approx(0.475 / 0.575 - 1)
+    # inclusive quartiles of 0.50, 0.55, 0.60, 0.70
+    assert wall["parent_quartiles"] == pytest.approx([0.5375, 0.625])
+    assert wall["change_better_pairs"] == 3  # lower is better; pair 2 lost
+    rate = s["objects_per_s"]
+    assert rate["change_better_pairs"] == 3  # higher is better; pair 2 lost
+    assert rate["change_median"] == pytest.approx(105.0)
+
+
+def test_a_tie_is_not_a_win():
+    pairs = canned_pairs([(0.5, 100.0)] * 2, [(0.5, 100.0)] * 2)
+    s = bench_pairs.summarise(pairs, BETTER)
+    assert s["wall_s"]["change_better_pairs"] == 0
+    assert s["objects_per_s"]["change_better_pairs"] == 0
+    assert s["wall_s"]["change_vs_parent"] == 0
+
+
+def test_directions_come_from_the_benchmark_file():
+    better = bench_pairs.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    assert better["wall_s"] == "lower"
+    assert better["objects_per_s"] == "higher"
+    assert set(better) >= {"setup_s", "op_p95_ms", "peak_rss_mb"}

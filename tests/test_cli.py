@@ -415,6 +415,7 @@ def counted(monkeypatch, name):
             ("expand", "--family", "fuss-b", "--method", "formula", "-n", "12", "-k", "2"),
             "partition_sort_key",
         ),
+        (("enumerate", "--object", "pf", "-n", "5"), "is_parking_function"),
     ],
 )
 def test_the_librarys_own_rows_are_not_checked_or_sorted_again(monkeypatch, capsys, args, name):

@@ -11,6 +11,7 @@ from ncstrip.parking import (
     enumerate_shape_parking_functions,
     is_parking_function,
     is_primitive,
+    is_weakly_increasing,
     multiplicity_type,
     pf_type,
     primitive_pf_to_ncp,
@@ -36,6 +37,7 @@ def test_pf_type():
     with pytest.raises(ValueError):
         pf_type((2, 2))
     assert multiplicity_type((2, 2)) == (2,)  # only pf_type checks that it parks
+    assert is_weakly_increasing((2, 2)) and not is_primitive((2, 2))
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -49,6 +51,7 @@ def test_unchecked_type_equals_the_checked_one_on_the_enumerators_output(n):
     if n <= 6:
         for f in enumerate_parking_functions(n):
             assert multiplicity_type(f) == pf_type(f)
+            assert is_weakly_increasing(f) is is_primitive(f)
 
 
 def test_counts():

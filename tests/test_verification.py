@@ -1,6 +1,7 @@
 import pytest
 
-from ncstrip import verification
+from ncstrip import bijections, lattice_paths, noncrossing_a, noncrossing_b, shapes, verification
+from ncstrip.partitions import binomial, fuss_catalan
 from ncstrip.shapes import SkewShape
 from ncstrip.verification import (
     MISMATCH_SAMPLE,
@@ -57,6 +58,28 @@ def first_call_wrong(f):
     return broken
 
 
+def first_call_replaced(replace):
+    """A breaker: f, except that its first call returns replace(f(...))."""
+
+    def breaker(f):
+        calls = []
+
+        def broken(*args):
+            calls.append(args)
+            out = f(*args)
+            return replace(out) if len(calls) == 1 else out
+
+        return broken
+
+    return breaker
+
+
+def first_call_wrong_at(i):
+    """Like first_call_wrong, for a statistic that returns a tuple: on the
+    first call only its entry i is wrong."""
+    return first_call_replaced(lambda out: out[:i] + ((99,),) + out[i + 1 :])
+
+
 def drop_first(f):
     """The enumerator f without its first member."""
     return lambda *args: list(f(*args))[1:]
@@ -76,11 +99,11 @@ def extra_term(f):
         (theorem_12_check, (2, 2), "expand_skew", extra_term, "enumeration vs formula"),
         (theorem_12_check, (2, 2), "type_b", first_call_wrong, "formula vs census"),
         (theorem_12_check, (2, 2), "enumerate_nc_b", drop_first, "formula vs census"),
-        (labeling_bijection_check_a, (3, 2), "noncrossing_to_path", first_call_wrong, "inverse fails"),
-        (labeling_bijection_check_a, (3, 2), "fc_type", first_call_wrong, "type not preserved"),
-        (labeling_bijection_check_a, (3, 2), "reduced_type_a", first_call_wrong, "reduced type not preserved"),
+        (labeling_bijection_check_a, (3, 2), "_noncrossing_to_path", first_call_wrong, "inverse fails"),
+        (labeling_bijection_check_a, (3, 2), "fc_types", first_call_wrong_at(0), "type not preserved"),
+        (labeling_bijection_check_a, (3, 2), "types_a", first_call_wrong_at(1), "reduced type not preserved"),
         (labeling_bijection_check_a, (3, 2), "enumerate_k_divisible", drop_first, "image has"),
-        (labeling_bijection_check_b, (2, 2), "signed_noncrossing_to_path", first_call_wrong, "inverse fails"),
+        (labeling_bijection_check_b, (2, 2), "_signed_noncrossing_to_path", first_call_wrong, "inverse fails"),
         (labeling_bijection_check_b, (2, 2), "type_b", first_call_wrong, "type not preserved"),
         (labeling_bijection_check_b, (2, 2), "enumerate_nc_b", drop_first, "image has"),
         (strip_bijection_check_a, (3, 2), "staircase_path_to_strip", first_call_wrong, "inverse fails"),
@@ -101,3 +124,65 @@ def test_checks_fail_when_one_piece_is_broken(monkeypatch, check, args, name, br
     assert not result.passed
     assert result.mismatch_count >= 1
     assert any(tag in m for m in result.mismatches), result.mismatches
+
+
+@pytest.mark.parametrize(
+    "check,args,name,replace",
+    [
+        # a crossing partition of [6] with blocks of size 2
+        (labeling_bijection_check_a, (3, 2), "path_to_noncrossing", lambda y: ((1, 3), (2, 4), (5, 6))),
+        # the same signed partition with its blocks and their elements in reverse
+        (labeling_bijection_check_b, (2, 2), "path_to_signed_noncrossing",
+         lambda y: tuple(b[::-1] for b in y[::-1])),
+        # words with one north step too many or one east step too many
+        (strip_bijection_check_a, (3, 2), "staircase_strip_to_path", lambda w: w + "N"),
+        (strip_bijection_check_b, (2, 2), "rectangle_strip_to_path", lambda w: w + "E"),
+    ],
+)
+def test_an_image_outside_the_targets_is_a_failure(monkeypatch, check, args, name, replace):
+    # the inverse runs unchecked on targets only: any other image is
+    # reported, and neither the inverse nor a statistic sees it
+    monkeypatch.setattr(verification, name, first_call_replaced(replace)(getattr(verification, name)))
+    result = check(*args)
+    assert not result.passed
+    assert any("is not a target" in m for m in result.mismatches), result.mismatches
+
+
+def counting(monkeypatch, name, *modules):
+    """One list of the calls to `name` through any of the modules (each
+    module that imported it holds its own reference) from here on."""
+    calls = []
+    for module in modules:
+        f = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, _f=f: calls.append(args) or _f(*args)
+        )
+    return calls
+
+
+def test_labeling_check_a_reads_each_word_once_and_validates_no_image(monkeypatch):
+    ascents = counting(monkeypatch, "ascents", lattice_paths)
+    validations = counting(monkeypatch, "validate_nc_a", noncrossing_a, bijections)
+    result = labeling_bijection_check_a(5, 2)
+    assert result.passed
+    assert result.objects == fuss_catalan(5, 2)
+    assert len(ascents) == result.objects
+    assert validations == []
+
+
+def test_labeling_check_b_runs_only_the_inverse_core(monkeypatch):
+    validations = counting(monkeypatch, "validate_nc_b", noncrossing_b, bijections)
+    public = counting(monkeypatch, "signed_noncrossing_to_path", bijections)
+    core = counting(monkeypatch, "_signed_noncrossing_to_path", verification)
+    result = labeling_bijection_check_b(3, 2)
+    assert result.passed
+    assert validations == [] and public == []
+    assert len(core) == result.objects == binomial(9, 3)
+
+
+@pytest.mark.parametrize("check,n,k", [(strip_bijection_check_a, 4, 2), (strip_bijection_check_b, 3, 2)])
+def test_strip_checks_type_each_strip_once(monkeypatch, check, n, k):
+    run_types = counting(monkeypatch, "run_type", shapes)
+    result = check(n, k)
+    assert result.passed
+    assert len(run_types) == result.objects > 0
