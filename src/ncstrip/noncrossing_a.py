@@ -180,9 +180,10 @@ def type_a(blocks, k: int = 1) -> Partition:
     return tuple(sizes)
 
 
-def types_a(blocks, k: int = 1) -> tuple[Partition, Partition]:
+def _types_a(blocks, k: int = 1) -> tuple[Partition, Partition]:
     """(type_a, reduced_type_a) from one pass over the block sizes: the
-    reduced type drops one part equal to the block that holds 1."""
+    reduced type drops one part equal to the block that holds 1, so, like
+    type_a, this refuses a block holding 1 whose size k does not divide."""
     blocks = tuple(blocks)
     if not blocks:
         raise ValueError("the reduced type needs n >= 1")
@@ -194,8 +195,14 @@ def types_a(blocks, k: int = 1) -> tuple[Partition, Partition]:
 
 
 def reduced_type_a(blocks, k: int = 1) -> Partition:
-    """Type after deleting the block containing the symbol 1."""
-    return types_a(blocks, k)[1]
+    """Type after deleting the block containing the symbol 1; the size of
+    that block is not checked."""
+    if not blocks:
+        raise ValueError("the reduced type needs n >= 1")
+    rest = [b for b in blocks if 1 not in b]
+    if len(rest) != len(tuple(blocks)) - 1:
+        raise ValueError("no unique block contains the symbol 1")
+    return type_a(rest, k)
 
 
 def type_counts(n: int, k: int, rows) -> list[int]:

@@ -34,12 +34,12 @@ from .lattice_paths import (
     fc_types,
 )
 from .noncrossing_a import (
+    _types_a,
     enumerate_k_divisible,
     reduced_type_a,
     reduced_type_counts,
     type_a,
     type_counts,
-    types_a,
 )
 from .noncrossing_b import enumerate_nc_b, type_b
 from .parking import (
@@ -187,7 +187,7 @@ def labeling_bijection_check_a(n: int, k: int) -> CheckResult:
     return _round_trip(
         "labeling-bijection-A", n, k, enumerate_fuss_catalan(n, k),
         lambda w: path_to_noncrossing(w, n, k), lambda b: _noncrossing_to_path(b, n, k),
-        ("type", "reduced type"), fc_types, lambda b: types_a(b, k),
+        ("type", "reduced type"), fc_types, lambda b: _types_a(b, k),
         enumerate_k_divisible(n, k),
     )
 
@@ -238,7 +238,7 @@ def counting_check_a(n: int, k: int) -> CheckResult:
     census_type = Counter()
     census_reduced = Counter()
     for blocks in enumerate_k_divisible(n, k):
-        zeta, lam = types_a(blocks, k)
+        zeta, lam = _types_a(blocks, k)
         census_type[zeta] += 1
         census_reduced[lam] += 1
         result.objects += 1

@@ -94,6 +94,8 @@ def test_types():
     assert reduced_type_a(p, 2) == (1, 1)
     assert type_a([(1, 2, 3, 4)], 2) == (2,)
     assert reduced_type_a([(1, 2, 3, 4)], 2) == ()
+    # the block holding 1 is deleted before the divisibility check
+    assert reduced_type_a([(1, 2, 3), (4, 5)], 2) == (1,)
     singles = [(i,) for i in range(1, 5)]
     assert type_a(singles, 1) == (1, 1, 1, 1)
     assert reduced_type_a(singles, 1) == (1, 1, 1)

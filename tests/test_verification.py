@@ -101,7 +101,7 @@ def extra_term(f):
         (theorem_12_check, (2, 2), "enumerate_nc_b", drop_first, "formula vs census"),
         (labeling_bijection_check_a, (3, 2), "_noncrossing_to_path", first_call_wrong, "inverse fails"),
         (labeling_bijection_check_a, (3, 2), "fc_types", first_call_wrong_at(0), "type not preserved"),
-        (labeling_bijection_check_a, (3, 2), "types_a", first_call_wrong_at(1), "reduced type not preserved"),
+        (labeling_bijection_check_a, (3, 2), "_types_a", first_call_wrong_at(1), "reduced type not preserved"),
         (labeling_bijection_check_a, (3, 2), "enumerate_k_divisible", drop_first, "image has"),
         (labeling_bijection_check_b, (2, 2), "_signed_noncrossing_to_path", first_call_wrong, "inverse fails"),
         (labeling_bijection_check_b, (2, 2), "type_b", first_call_wrong, "type not preserved"),

@@ -7,11 +7,12 @@
 
 Pair i (from 1) runs `perfbench/run.py --workload W --seed SEED+i-1
 --seconds S --trace 0` in the root of each checkout, the parent first when
-i is odd.  The output has the layout of the committed BENCH files: for each
-workload every run, and for each end-to-end metric of BENCHMARK.json the
-medians and quartiles of both sides, the change's relative difference and
-the number of pairs in which the change did better.  Standard library only;
-the file is rewritten after each workload, so a cut run keeps what it has.
+i is odd; S is `run_seconds` of BENCHMARK.json.  The output has the layout
+of the committed BENCH files: for each workload every run, and for each
+end-to-end metric of BENCHMARK.json the medians and quartiles of both
+sides, the change's relative difference and the number of pairs in which
+the change did better.  Standard library only; the file is rewritten after
+each workload, so a cut run keeps what it has.
 """
 
 from __future__ import annotations
@@ -93,20 +94,19 @@ def main(argv=None) -> int:
     p.add_argument("--workload", action="append", required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=int, default=20)
     p.add_argument("--claim", help="the metric whose gain the change claims, if any")
-    p.add_argument("--parent-commit", help="default: HEAD of the parent checkout")
     p.add_argument("--note", help="what the change is")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
 
-    better = directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better, seconds = directions(benchmark), benchmark["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     result = {
         "claim": args.claim,
         "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED"
-                   f" --seconds {args.seconds} --trace 0",
-        "parent_commit": args.parent_commit or commit_of(checkouts["parent"]),
+                   f" --seconds {seconds} --trace 0",
+        "parent_commit": commit_of(checkouts["parent"]),
         "change": args.note,
         "machine": {
             "cpus": os.cpu_count(),
@@ -125,7 +125,7 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 else SIDES[::-1]
             pair = {"pair": i, "seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run(checkouts[side], workload, seed, args.seconds)
+                pair[side] = run(checkouts[side], workload, seed, seconds)
             print(f"{workload} pair {i} seed {seed}: wall_s parent "
                   f"{pair['parent']['metrics']['wall_s']['value']:.4f} change "
                   f"{pair['change']['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
