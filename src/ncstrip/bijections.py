@@ -21,12 +21,13 @@ from itertools import groupby
 from typing import Sequence
 
 from .lattice_paths import (
+    heights_word,
     validate_fuss_binomial,
     validate_fuss_catalan,
 )
 from .noncrossing_a import Blocks, validate_nc_a
 from .noncrossing_b import SignedBlocks, listing_from_owners, validate_nc_b
-from .shapes import RStrip, SkewShape, path_from_strip, strip_from_path
+from .shapes import RStrip, SkewShape, _path_heights, strip_from_path
 
 
 def _check_params(n: int, k: int) -> None:
@@ -88,6 +89,11 @@ def path_to_noncrossing(word: str, n: int, k: int) -> Blocks:
     """
     _check_params(n, k)
     validate_fuss_catalan(word, n, k)
+    return _path_to_noncrossing(word, k)
+
+
+def _path_to_noncrossing(word: str, k: int) -> Blocks:
+    """path_to_noncrossing on a word already known to be in D_n^(k)."""
     rank = _preorder_ranks(_unit_word(word, k))
     # each ascent is a run of nonzero ranks; preorder labels rise along an
     # ascent, and blocks have distinct first elements, so sorting the tuples
@@ -181,8 +187,14 @@ def staircase_strip_to_path(strip: RStrip) -> str:
     Prepends the east step along y = 0 and appends the final k north steps
     up the right wall; the strip's type becomes the path's reduced type.
     """
-    _, k = _family_params(strip.shape, "stretched staircase")
-    return "E" + path_from_strip(strip) + "N" * k
+    n, k = _family_params(strip.shape, "stretched staircase")
+    return _staircase_strip_to_path(strip.heights, n, k)
+
+
+def _staircase_strip_to_path(heights: Sequence[int], n: int, k: int) -> str:
+    """staircase_strip_to_path on the east-step heights of a strip of the
+    stretched staircase (n, k), whose path climbs from height 0 to kn."""
+    return "E" + heights_word(heights, 0, k * n) + "N" * k
 
 
 def staircase_path_to_strip(word: str, shape: SkewShape) -> RStrip:
@@ -203,6 +215,13 @@ def staircase_path_to_strip(word: str, shape: SkewShape) -> RStrip:
     return strip_from_path(shape, word[1 : len(word) - k])
 
 
+def _staircase_path_to_strip(word: str, k: int) -> tuple[int, ...]:
+    """The heights of staircase_path_to_strip's strip, for a word already
+    known to be in D_{n+1}^(k): `strip_from_path` reads the trimmed word
+    with the same core."""
+    return _path_heights(word[1 : len(word) - k], 0)
+
+
 def rectangle_strip_to_path(strip: RStrip) -> str:
     """Strip in the rectangle (n, k) -> Fuss binomial path (n, k).
 
@@ -210,14 +229,22 @@ def rectangle_strip_to_path(strip: RStrip) -> str:
     ascent that fb_type discards is exactly the boxless prefix, and the
     strip's type equals the path's type.
     """
-    _family_params(strip.shape, "rectangle")
-    return path_from_strip(strip)
+    n, k = _family_params(strip.shape, "rectangle")
+    return _rectangle_strip_to_path(strip.heights, n, k)
+
+
+def _rectangle_strip_to_path(heights: Sequence[int], n: int, k: int) -> str:
+    """rectangle_strip_to_path on the east-step heights of a strip of the
+    rectangle (n, k), whose path climbs from height 0 to kn."""
+    return heights_word(heights, 0, k * n)
 
 
 def rectangle_path_to_strip(word: str, shape: SkewShape) -> RStrip:
     """Fuss binomial path (n, k) -> strip in the rectangle (n, k), given as
     `shape`; `strip_from_path` and the strip's height check accept exactly
-    the words with n E steps and kn N steps."""
+    the words with n E steps and kn N steps.  On a word already known to be
+    in B_n^(k), the heights of the strip are `shapes._path_heights(word, 0)`,
+    the core that `strip_from_path` wraps."""
     _family_params(shape, "rectangle")
     return strip_from_path(shape, word)
 
@@ -263,6 +290,11 @@ def path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
     """
     _check_params(n, k)
     validate_fuss_binomial(word, n, k)
+    return _path_to_signed_noncrossing(word, n, k)
+
+
+def _path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
+    """path_to_signed_noncrossing on a word already known to be in B_n^(k)."""
     m = k * n
     if n == 0:
         return ()

@@ -249,14 +249,19 @@ def strip_from_path(shape: SkewShape, word: str) -> RStrip:
     span = (hi[-1] + 1 - lo[0]) if lo else 0
     if word.count("N") != span:
         raise ValueError(f"path must have {span} N steps, got {word.count('N')}")
+    return RStrip(shape, _path_heights(word, lo[0] if lo else 0))  # RStrip checks them
+
+
+def _path_heights(word: str, y0: int) -> tuple[int, ...]:
+    """East-step heights of an E/N word that starts at height y0."""
     heights = []
-    y = lo[0] if lo else 0
+    y = y0
     for step in word:
         if step == "N":
             y += 1
         else:
             heights.append(y)
-    return RStrip(shape, heights)  # RStrip checks the heights
+    return tuple(heights)
 
 
 def enumerate_horizontal_strips(shape: SkewShape) -> list[tuple[int, ...]]:

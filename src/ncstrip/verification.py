@@ -10,13 +10,12 @@ from dataclasses import dataclass, field
 
 from .bijections import (
     _noncrossing_to_path,
+    _path_to_noncrossing,
+    _path_to_signed_noncrossing,
+    _rectangle_strip_to_path,
     _signed_noncrossing_to_path,
-    path_to_noncrossing,
-    path_to_signed_noncrossing,
-    rectangle_path_to_strip,
-    rectangle_strip_to_path,
-    staircase_path_to_strip,
-    staircase_strip_to_path,
+    _staircase_path_to_strip,
+    _staircase_strip_to_path,
 )
 from .expansions import (
     expand_skew,
@@ -58,7 +57,13 @@ from .partitions import (
     partitions_with_weight_at_most,
     weight,
 )
-from .shapes import enumerate_r_strips, rectangle, stretched_staircase, strip_type
+from .shapes import (
+    _path_heights,
+    iter_strip_heights,
+    rectangle,
+    run_type,
+    stretched_staircase,
+)
 
 CAP_A = 12  # k(n+1) cap for staircase-side checks
 CAP_B = 14  # (k+1)n cap for rectangle-side checks
@@ -186,7 +191,7 @@ def labeling_bijection_check_a(n: int, k: int) -> CheckResult:
     """Two-sided type- and reduced-type-preserving check on all of D_n^(k)."""
     return _round_trip(
         "labeling-bijection-A", n, k, enumerate_fuss_catalan(n, k),
-        lambda w: path_to_noncrossing(w, n, k), lambda b: _noncrossing_to_path(b, n, k),
+        lambda w: _path_to_noncrossing(w, k), lambda b: _noncrossing_to_path(b, n, k),
         ("type", "reduced type"), fc_types, lambda b: _types_a(b, k),
         enumerate_k_divisible(n, k),
     )
@@ -196,7 +201,7 @@ def labeling_bijection_check_b(n: int, k: int) -> CheckResult:
     """Two-sided type-preserving check on all of B_n^(k)."""
     return _round_trip(
         "labeling-bijection-B", n, k, enumerate_fuss_binomial(n, k),
-        lambda w: path_to_signed_noncrossing(w, n, k),
+        lambda w: _path_to_signed_noncrossing(w, n, k),
         lambda b: _signed_noncrossing_to_path(b, n, k),
         ("type",), lambda w: (fb_type(w),), lambda b: (type_b(b, k),),
         enumerate_nc_b(n, k),
@@ -205,28 +210,27 @@ def labeling_bijection_check_b(n: int, k: int) -> CheckResult:
 
 def strip_bijection_check_a(n: int, k: int) -> CheckResult:
     """Strips of the stretched staircase <-> D_{n+1}^(k), type to reduced
-    type, and on through psi-a to the partition's reduced type."""
+    type, and on through psi-a to the partition's reduced type.  A strip is
+    its height vector."""
     shape = stretched_staircase(n, k)
     return _round_trip(
-        "strip-bijection-A", n, k, enumerate_r_strips(shape),
-        staircase_strip_to_path, lambda w: staircase_path_to_strip(w, shape),
-        ("reduced type", "composite reduced type"), lambda s: (strip_type(s),) * 2,
-        lambda w: (
-            fc_reduced_type(w), reduced_type_a(path_to_noncrossing(w, n + 1, k), k)
-        ),
+        "strip-bijection-A", n, k, iter_strip_heights(shape),
+        lambda h: _staircase_strip_to_path(h, n, k), lambda w: _staircase_path_to_strip(w, k),
+        ("reduced type", "composite reduced type"), lambda h: (run_type(shape.lo, h),) * 2,
+        lambda w: (fc_reduced_type(w), reduced_type_a(_path_to_noncrossing(w, k), k)),
         enumerate_fuss_catalan(n + 1, k),
     )
 
 
 def strip_bijection_check_b(n: int, k: int) -> CheckResult:
     """Strips of the rectangle <-> B_n^(k), type preserving, and on through
-    psi-b to the signed partition's type."""
+    psi-b to the signed partition's type.  A strip is its height vector."""
     shape = rectangle(n, k)
     return _round_trip(
-        "strip-bijection-B", n, k, enumerate_r_strips(shape),
-        rectangle_strip_to_path, lambda w: rectangle_path_to_strip(w, shape),
-        ("type", "composite type"), lambda s: (strip_type(s),) * 2,
-        lambda w: (fb_type(w), type_b(path_to_signed_noncrossing(w, n, k), k)),
+        "strip-bijection-B", n, k, iter_strip_heights(shape),
+        lambda h: _rectangle_strip_to_path(h, n, k), lambda w: _path_heights(w, 0),
+        ("type", "composite type"), lambda h: (run_type(shape.lo, h),) * 2,
+        lambda w: (fb_type(w), type_b(_path_to_signed_noncrossing(w, n, k), k)),
         enumerate_fuss_binomial(n, k),
     )
 

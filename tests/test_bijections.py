@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncstrip.bijections import (
+    _path_to_noncrossing,
+    _path_to_signed_noncrossing,
     _preorder_ranks,
+    _rectangle_strip_to_path,
+    _staircase_path_to_strip,
+    _staircase_strip_to_path,
     noncrossing_to_path,
     path_to_noncrossing,
     path_to_signed_noncrossing,
@@ -35,6 +40,7 @@ from ncstrip.partitions import fuss_catalan
 from ncstrip.shapes import (
     RStrip,
     SkewShape,
+    _path_heights,
     enumerate_r_strips,
     parse_strip,
     rectangle,
@@ -367,6 +373,29 @@ def test_strip_maps_refuse_exactly_the_shapes_outside_their_family(
             with pytest.raises(ValueError, match=refusal):
                 to_path(empty)
     assert accepted == members
+
+
+def test_public_strip_maps_equal_their_cores():
+    # the checks run only the cores, on height vectors
+    n, k = 4, 2
+    shape = stretched_staircase(n, k)
+    for strip in enumerate_r_strips(shape):
+        word = staircase_strip_to_path(strip)
+        assert word == _staircase_strip_to_path(strip.heights, n, k)
+        assert staircase_path_to_strip(word, shape).heights == _staircase_path_to_strip(word, k)
+    n, k = 3, 2
+    shape = rectangle(n, k)
+    for strip in enumerate_r_strips(shape):
+        word = rectangle_strip_to_path(strip)
+        assert word == _rectangle_strip_to_path(strip.heights, n, k)
+        assert rectangle_path_to_strip(word, shape).heights == _path_heights(word, 0)
+
+
+def test_public_labeling_maps_equal_their_forward_cores():
+    for word in enumerate_fuss_catalan(4, 2):
+        assert path_to_noncrossing(word, 4, 2) == _path_to_noncrossing(word, 2)
+    for word in enumerate_fuss_binomial(3, 2):
+        assert path_to_signed_noncrossing(word, 3, 2) == _path_to_signed_noncrossing(word, 3, 2)
 
 
 class TestLabelingMapB:

@@ -106,14 +106,14 @@ def extra_term(f):
         (labeling_bijection_check_b, (2, 2), "_signed_noncrossing_to_path", first_call_wrong, "inverse fails"),
         (labeling_bijection_check_b, (2, 2), "type_b", first_call_wrong, "type not preserved"),
         (labeling_bijection_check_b, (2, 2), "enumerate_nc_b", drop_first, "image has"),
-        (strip_bijection_check_a, (3, 2), "staircase_path_to_strip", first_call_wrong, "inverse fails"),
+        (strip_bijection_check_a, (3, 2), "_staircase_path_to_strip", first_call_wrong, "inverse fails"),
         (strip_bijection_check_a, (3, 2), "fc_reduced_type", first_call_wrong, "reduced type not preserved"),
         (strip_bijection_check_a, (3, 2), "reduced_type_a", first_call_wrong, "composite reduced type not preserved"),
         (strip_bijection_check_a, (3, 2), "enumerate_fuss_catalan", drop_first, "image has"),
-        (strip_bijection_check_b, (2, 2), "rectangle_path_to_strip", first_call_wrong, "inverse fails"),
+        (strip_bijection_check_b, (2, 2), "_path_heights", first_call_wrong, "inverse fails"),
         (strip_bijection_check_b, (2, 2), "fb_type", first_call_wrong, "type not preserved"),
         (strip_bijection_check_b, (2, 2), "type_b", first_call_wrong, "composite type not preserved"),
-        (strip_bijection_check_b, (2, 2), "enumerate_r_strips", drop_first, "image has"),
+        (strip_bijection_check_b, (2, 2), "iter_strip_heights", drop_first, "image has"),
     ],
 )
 def test_checks_fail_when_one_piece_is_broken(monkeypatch, check, args, name, breaker, tag):
@@ -130,13 +130,13 @@ def test_checks_fail_when_one_piece_is_broken(monkeypatch, check, args, name, br
     "check,args,name,replace",
     [
         # a crossing partition of [6] with blocks of size 2
-        (labeling_bijection_check_a, (3, 2), "path_to_noncrossing", lambda y: ((1, 3), (2, 4), (5, 6))),
+        (labeling_bijection_check_a, (3, 2), "_path_to_noncrossing", lambda y: ((1, 3), (2, 4), (5, 6))),
         # the same signed partition with its blocks and their elements in reverse
-        (labeling_bijection_check_b, (2, 2), "path_to_signed_noncrossing",
+        (labeling_bijection_check_b, (2, 2), "_path_to_signed_noncrossing",
          lambda y: tuple(b[::-1] for b in y[::-1])),
         # words with one north step too many or one east step too many
-        (strip_bijection_check_a, (3, 2), "staircase_strip_to_path", lambda w: w + "N"),
-        (strip_bijection_check_b, (2, 2), "rectangle_strip_to_path", lambda w: w + "E"),
+        (strip_bijection_check_a, (3, 2), "_staircase_strip_to_path", lambda w: w + "N"),
+        (strip_bijection_check_b, (2, 2), "_rectangle_strip_to_path", lambda w: w + "E"),
     ],
 )
 def test_an_image_outside_the_targets_is_a_failure(monkeypatch, check, args, name, replace):
@@ -182,7 +182,66 @@ def test_labeling_check_b_runs_only_the_inverse_core(monkeypatch):
 
 @pytest.mark.parametrize("check,n,k", [(strip_bijection_check_a, 4, 2), (strip_bijection_check_b, 3, 2)])
 def test_strip_checks_type_each_strip_once(monkeypatch, check, n, k):
-    run_types = counting(monkeypatch, "run_type", shapes)
+    run_types = counting(monkeypatch, "run_type", verification)
     result = check(n, k)
     assert result.passed
     assert len(run_types) == result.objects > 0
+
+
+
+PUBLIC_MAPS = (
+    "staircase_strip_to_path",
+    "staircase_path_to_strip",
+    "rectangle_strip_to_path",
+    "rectangle_path_to_strip",
+    "path_to_noncrossing",
+    "noncrossing_to_path",
+    "path_to_signed_noncrossing",
+    "signed_noncrossing_to_path",
+)
+FORWARD_VALIDATIONS = ("validate_fuss_catalan", "validate_fuss_binomial", "is_fuss_catalan")
+
+
+def counting_by_name(monkeypatch, names):
+    """The names of the calls to any of `names`, through every module on a
+    check's path that holds a reference to one."""
+    calls = []
+    for name in names:
+        for module in (lattice_paths, shapes, bijections, verification):
+            if hasattr(module, name):
+                f = getattr(module, name)
+                monkeypatch.setattr(
+                    module, name, lambda *args, _f=f, _n=name: calls.append(_n) or _f(*args)
+                )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "check,n,k,core",
+    [
+        (strip_bijection_check_a, 4, 2, "_staircase_strip_to_path"),
+        (strip_bijection_check_b, 3, 2, "_rectangle_strip_to_path"),
+    ],
+)
+def test_strip_checks_build_and_validate_nothing_per_strip(monkeypatch, check, n, k, core):
+    # a strip is its height vector: no RStrip, no word validation and no
+    # public map, and one forward core call per strip
+    strips = counting(monkeypatch, "_check_heights", shapes)
+    validations = counting_by_name(monkeypatch, FORWARD_VALIDATIONS)
+    public = counting_by_name(monkeypatch, PUBLIC_MAPS)
+    forward = counting(monkeypatch, core, verification)
+    result = check(n, k)
+    assert result.passed
+    assert strips == [] and validations == [] and public == []
+    assert len(forward) == result.objects > 0
+
+
+@pytest.mark.parametrize(
+    "check,n,k", [(labeling_bijection_check_a, 5, 2), (labeling_bijection_check_b, 3, 2)]
+)
+def test_labeling_checks_validate_no_source_word(monkeypatch, check, n, k):
+    validations = counting_by_name(monkeypatch, FORWARD_VALIDATIONS)
+    public = counting_by_name(monkeypatch, PUBLIC_MAPS)
+    result = check(n, k)
+    assert result.passed and result.objects > 0
+    assert validations == [] and public == []
