@@ -188,7 +188,6 @@ def test_strip_checks_type_each_strip_once(monkeypatch, check, n, k):
     assert len(run_types) == result.objects > 0
 
 
-
 PUBLIC_MAPS = (
     "staircase_strip_to_path",
     "staircase_path_to_strip",
@@ -202,18 +201,14 @@ PUBLIC_MAPS = (
 FORWARD_VALIDATIONS = ("validate_fuss_catalan", "validate_fuss_binomial", "is_fuss_catalan")
 
 
-def counting_by_name(monkeypatch, names):
-    """The names of the calls to any of `names`, through every module on a
-    check's path that holds a reference to one."""
-    calls = []
-    for name in names:
-        for module in (lattice_paths, shapes, bijections, verification):
-            if hasattr(module, name):
-                f = getattr(module, name)
-                monkeypatch.setattr(
-                    module, name, lambda *args, _f=f, _n=name: calls.append(_n) or _f(*args)
-                )
-    return calls
+def counting_everywhere(monkeypatch, names):
+    """For each name, one list of its calls through every module on a
+    check's path that holds a reference to it."""
+    modules = (lattice_paths, shapes, bijections, verification)
+    return {
+        name: counting(monkeypatch, name, *(m for m in modules if hasattr(m, name)))
+        for name in names
+    }
 
 
 @pytest.mark.parametrize(
@@ -227,12 +222,12 @@ def test_strip_checks_build_and_validate_nothing_per_strip(monkeypatch, check, n
     # a strip is its height vector: no RStrip, no word validation and no
     # public map, and one forward core call per strip
     strips = counting(monkeypatch, "_check_heights", shapes)
-    validations = counting_by_name(monkeypatch, FORWARD_VALIDATIONS)
-    public = counting_by_name(monkeypatch, PUBLIC_MAPS)
+    others = counting_everywhere(monkeypatch, FORWARD_VALIDATIONS + PUBLIC_MAPS)
     forward = counting(monkeypatch, core, verification)
     result = check(n, k)
     assert result.passed
-    assert strips == [] and validations == [] and public == []
+    assert strips == []
+    assert {name: calls for name, calls in others.items() if calls} == {}
     assert len(forward) == result.objects > 0
 
 
@@ -240,8 +235,7 @@ def test_strip_checks_build_and_validate_nothing_per_strip(monkeypatch, check, n
     "check,n,k", [(labeling_bijection_check_a, 5, 2), (labeling_bijection_check_b, 3, 2)]
 )
 def test_labeling_checks_validate_no_source_word(monkeypatch, check, n, k):
-    validations = counting_by_name(monkeypatch, FORWARD_VALIDATIONS)
-    public = counting_by_name(monkeypatch, PUBLIC_MAPS)
+    others = counting_everywhere(monkeypatch, FORWARD_VALIDATIONS + PUBLIC_MAPS)
     result = check(n, k)
     assert result.passed and result.objects > 0
-    assert validations == [] and public == []
+    assert {name: calls for name, calls in others.items() if calls} == {}
