@@ -144,7 +144,12 @@ def _emit(payload: dict, fmt: str, table: Callable[[], list[str]]) -> None:
 def _write_json(value, out: list[str], pad: str) -> None:
     """Append to out exactly what json.dumps(value, indent=2) writes, with
     pad the newline and indent of the enclosing line.  The stdlib's C
-    encoder does not indent, and its Python one is several times slower."""
+    encoder does not indent, and its Python one is several times slower.
+
+    A list of records, dicts that all have the same keys in the same order,
+    is written from one template: its keys and indents are rendered once
+    per list, and each row pays only for its values, with str values and
+    flat int lists written in place and the rest recursing."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
@@ -166,9 +171,34 @@ def _write_json(value, out: list[str], pad: str) -> None:
             _write_json(item, out, inner)
             sep = "," + inner
         out.append(pad + "}")
-    elif all(type(x) is int for x in value):  # one join, not a call per number
+    # one join, not a call per number; the ints are exact, so repr is int.__repr__
+    elif (types := {*map(type, value)}) == {int}:
         inner = pad + "  "
-        out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]")
+        out.append("[" + inner + ("," + inner).join(map(repr, value)) + pad + "]")
+    elif types == {dict} and value[0] and len({*map(tuple, value)}) == 1:
+        inner = pad + "  "
+        field = inner + "  "
+        deep = field + "  "
+        # a key that is not a str raises TypeError here
+        first, *rest = [field + encode_basestring_ascii(key) + ": " for key in value[0]]
+        rest = ["," + key for key in rest]
+        heads = ["[" + inner + "{" + first, *rest]
+        row_heads = ["," + inner + "{" + first, *rest]
+        close = inner + "}"
+        for row in value:
+            for head, item in zip(heads, row.values()):
+                kind = type(item)
+                if kind is str:
+                    out += (head, encode_basestring_ascii(item))
+                elif (kind is list or kind is tuple) and {*map(type, item)} == {int}:
+                    out += (head, "[" + deep + ("," + deep).join(map(repr, item))
+                            + field + "]")
+                else:
+                    out.append(head)
+                    _write_json(item, out, field)
+            out.append(close)
+            heads = row_heads
+        out.append(pad + "]")
     else:
         inner = pad + "  "
         sep = "[" + inner
@@ -192,7 +222,7 @@ def _table(rows: list[list[str]], header: list[str]) -> list[str]:
 
 def _expansion_payload(items) -> tuple[dict, Callable[[], list[str]]]:
     """The payload and table of (partition, coefficient) items, in order."""
-    terms = [{"lambda": list(lam), "coeff": str(c)} for lam, c in items]
+    terms = [{"lambda": lam, "coeff": str(c)} for lam, c in items]
     total = sum(c for _, c in items)
     payload = {
         "terms": terms,
@@ -411,7 +441,7 @@ def cmd_count(args) -> int:
         items = list(zip(lams, counts(n, k, lams)))
     total = "count" if args.family == "pf" else "sum"
     body = {
-        "entries": [{"lambda": list(lam), "count": str(c)} for lam, c in items],
+        "entries": [{"lambda": lam, "count": str(c)} for lam, c in items],
         total: str(sum(c for _, c in items)),
     }
     if args.check:

@@ -104,7 +104,10 @@ def enumerate_fuss_binomial(n: int, k: int) -> Iterator[str]:
 
 def ascents(word: str) -> list[tuple[int, int]]:
     """Maximal E-runs left to right as (y-coordinate, length) pairs."""
-    validate_word(word)
+    # two C-level counts in place of validate_word's set: the checks'
+    # statistics read words an enumerator or a bijection core just built
+    if word.count("E") + word.count("N") != len(word):
+        validate_word(word)  # raises, naming the bad letters
     out = []
     y = run = 0
     for step in word:

@@ -65,3 +65,16 @@ def test_directions_come_from_the_benchmark_file():
     assert better["wall_s"] == "lower"
     assert better["objects_per_s"] == "higher"
     assert set(better) >= {"setup_s", "op_p95_ms", "peak_rss_mb"}
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_fewer_than_two_pairs_are_refused_before_any_run(monkeypatch, tmp_path, capsys, pairs):
+    monkeypatch.setattr(bench_pairs, "run", lambda *args: pytest.fail("a run was started"))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                          "--workload", "cli-requests", "--pairs", pairs, "--seed", "1",
+                          "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "--pairs must be at least 2" in capsys.readouterr().err
+    assert not out.exists()

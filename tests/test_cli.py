@@ -436,6 +436,22 @@ def test_a_lambda_row_is_still_validated(monkeypatch, capsys):
     assert "type must be a partition of 4, got weight 3" in capsys.readouterr().err
 
 
+def test_a_count_table_is_written_in_a_number_of_writer_calls_free_of_its_rows(
+    monkeypatch, capsys
+):
+    # the rows of a list of records are written from one template, so the
+    # writer recurses into the payload's structure and not into its rows
+    def writer_calls(n):
+        calls = counted(monkeypatch, "_write_json")
+        assert cli.main(["count", "--family", "ncb-k", "--by", "type", "-n", n, "-k", "2"]) == 0
+        monkeypatch.undo()
+        return len(calls), len(json.loads(capsys.readouterr().out)["result"]["entries"])
+
+    small, large = writer_calls("3"), writer_calls("12")
+    assert (small[1], large[1]) == (7, 272)
+    assert small[0] == large[0] < 20
+
+
 def stdlib_indent_2(stdout: str) -> str:
     return json.dumps(json.loads(stdout), indent=2) + "\n"
 
@@ -461,6 +477,36 @@ def write_json(value) -> str:
 
 
 TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\xe9\U0001f600'))
+RECORD_FIELDS = (
+    TEXT
+    | st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    # empty lists, and bools inside int lists
+    | st.lists(st.integers(min_value=-(2**70), max_value=2**70) | st.booleans(), max_size=4)
+    | st.lists(st.integers(), max_size=4).map(tuple)
+)
+
+
+@st.composite
+def record_lists(draw, fields):
+    """Lists of dicts that share their keys in one order, and the same with
+    one row's keys reversed, one key dropped or one key added."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    rows = [{key: draw(fields) for key in keys} for _ in range(draw(st.integers(1, 5)))]
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    change = draw(st.sampled_from(["none", "none", "reverse", "drop", "add"]))
+    if change == "reverse":
+        items = list(row.items())[::-1]
+        row.clear()
+        row.update(items)
+    elif change == "drop":
+        del row[keys[-1]]
+    elif change == "add":
+        row[draw(TEXT)] = draw(fields)
+    return rows
+
+
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -468,10 +514,13 @@ JSON_VALUES = st.recursive(
     | st.integers(min_value=2**64, max_value=2**200)
     | st.integers(min_value=-(2**200), max_value=-(2**64))
     | TEXT
-    | st.lists(st.integers(min_value=-(2**70), max_value=2**70)),
+    | st.lists(st.integers(min_value=-(2**70), max_value=2**70))
+    | record_lists(RECORD_FIELDS),
     lambda children: st.lists(children)
     | st.lists(children).map(tuple)
-    | st.dictionaries(TEXT, children),
+    | st.dictionaries(TEXT, children)
+    # nested dicts and lists, and lists of records, as record fields
+    | record_lists(RECORD_FIELDS | children),
     max_leaves=25,
 )
 
@@ -481,7 +530,22 @@ def test_json_writer_equals_the_stdlib_indent_2_writer(value):
     assert write_json(value) == json.dumps(value, indent=2)
 
 
-@pytest.mark.parametrize("value", [1.5, {1, 2}, {"a": [0, 2.0]}, [[frozenset()]], {1: 0}])
+@pytest.mark.parametrize(
+    "value",
+    [
+        1.5,
+        {1, 2},
+        {"a": [0, 2.0]},
+        [[frozenset()]],
+        {1: 0},
+        # records: a float in the second row, a set value, a non-str key in
+        # a later row, and a non-str key in every row
+        [{"a": "x", "b": [1]}, {"a": "y", "b": 2.5}],
+        [{"a": [1, 2]}, {"a": {1, 2}}],
+        [{"a": 0}, {"a": 1}, {1: 2}],
+        [{"a": 0, 1: 0}, {"a": 1, 1: 1}],
+    ],
+)
 def test_json_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
         write_json(value)

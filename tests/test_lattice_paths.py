@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, product
 
 import pytest
@@ -70,6 +71,13 @@ def test_ascents():
     assert ascents("EEENNN") == [(0, 3)]
     assert ascents("ENEN") == [(0, 1), (1, 1)]
     assert [ln for _, ln in ascents(TYPE_A_EXAMPLE_WORD)] == [1, 2, 1, 2]
+
+
+@pytest.mark.parametrize("statistic", [ascents, fc_type, fc_reduced_type, fb_type])
+@pytest.mark.parametrize("word,bad", [("EXN", "['X']"), ("NEe N", "[' ', 'e']"), ("x", "['x']")])
+def test_statistics_refuse_letters_other_than_e_and_n(statistic, word, bad):
+    with pytest.raises(ValueError, match=re.escape(f"path word must be over {{E, N}}, found {bad}")):
+        statistic(word)
 
 
 def test_worked_example_word_is_enumerated():

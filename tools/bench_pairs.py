@@ -98,6 +98,8 @@ def main(argv=None) -> int:
     p.add_argument("--note", help="what the change is")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
+    if args.pairs < 2:  # the quartiles of one run are undefined
+        p.error(f"--pairs must be at least 2, got {args.pairs}")
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better, seconds = directions(benchmark), benchmark["run_seconds"]
