@@ -492,8 +492,8 @@ RECORD_FIELDS = (
 def record_lists(draw, fields):
     """Lists of dicts that share their keys in one order, and the same with
     one row's keys reversed, one key dropped or one key added."""
-    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
-    rows = [{key: draw(fields) for key in keys} for _ in range(draw(st.integers(1, 5)))]
+    keys = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
+    rows = [{key: draw(fields) for key in keys} for _ in range(draw(st.integers(1, 4)))]
     row = rows[draw(st.integers(0, len(rows) - 1))]
     change = draw(st.sampled_from(["none", "none", "reverse", "drop", "add"]))
     if change == "reverse":
