@@ -17,7 +17,6 @@ label sets of the ascents are the blocks of a noncrossing partition.
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Sequence
 
 from .lattice_paths import (
@@ -94,11 +93,18 @@ def path_to_noncrossing(word: str, n: int, k: int) -> Blocks:
 
 def _path_to_noncrossing(word: str, k: int) -> Blocks:
     """path_to_noncrossing on a word already known to be in D_n^(k)."""
-    rank = _preorder_ranks(_unit_word(word, k))
-    # each ascent is a run of nonzero ranks; preorder labels rise along an
-    # ascent, and blocks have distinct first elements, so sorting the tuples
-    # orders them by first element
-    return tuple(sorted(tuple(run) for east, run in groupby(rank, bool) if east))
+    labels = [r for r in _preorder_ranks(_unit_word(word, k)) if r]
+    # each ascent's labels are the next k * (its east steps) labels in unit
+    # order; preorder labels rise along an ascent, and blocks have distinct
+    # first elements, so sorting the tuples orders them by first element
+    out = []
+    i = 0
+    for run in word.split("N"):
+        if run:
+            j = i + k * len(run)
+            out.append(tuple(labels[i:j]))
+            i = j
+    return tuple(sorted(out))
 
 
 def noncrossing_to_path(blocks, n: int, k: int) -> str:
@@ -119,42 +125,34 @@ def _noncrossing_to_path(blocks: Sequence[Sequence[int]], n: int, k: int) -> str
     if n == 0:
         return ""
     kn = k * n
-    s = len(blocks)
-    block_of = [0] * (kn + 1)  # element -> its block
-    pos_of = [0] * (kn + 1)  # element -> its index within that block
+    start = [0] * (kn + 2)  # element -> the block it is the minimum of (0: none)
     for i, b in enumerate(blocks):
-        for j, x in enumerate(b):
-            block_of[x] = i
-            pos_of[x] = j
-    # blocks come in order of their first elements, so each parent receives
-    # its children in attachment order
-    children: list[list[int]] = [[] for _ in range(s)]
-    for bi in range(1, s):
-        children[block_of[blocks[bi][0] - 1]].append(bi)
-    # preorder with later attachments first; each ascent starts as high as
-    # its parent segment's diagonal region allows
-    units_before = [0] * s
-    height = [0] * s
-    total = 0
-    y = 0
+        start[b[0]] = i
+    # one walk in preorder with later attachments first.  A block popped
+    # after `total` units sits at height base + total: its base is its
+    # parent's base less the position of its parent segment, so the ascent
+    # starts as high as that segment's diagonal region allows
+    base = [0] * len(blocks)
+    total = y = 0
     word = []
     stack = [0]
     while stack:
         b = stack.pop()
         blk = blocks[b]
-        units_before[b] = total
         if b:
-            a = blk[0] - 1
-            pb = block_of[a]
-            h = height[pb] - units_before[pb] - pos_of[a] + total
+            h = base[b] + total
             if h <= y:
                 raise ValueError("partition is not in the labeling bijection's range")
-            height[b] = h
             word.append("N" * (h - y))
             y = h
         word.append("E" * (len(blk) // k))
         total += len(blk)
-        stack.extend(children[b])
+        hb = base[b]
+        for j, x in enumerate(blk):
+            c = start[x + 1]
+            if c:  # a child hangs from its minimum's predecessor
+                base[c] = hb - j
+                stack.append(c)
     if total != kn:
         raise ValueError("partition does not give a connected tree")
     word.append("N" * (kn - y))

@@ -6,8 +6,6 @@ of elements in increasing order, blocks sorted by their minimum.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .partitions import (
     Partition,
     as_partition,
@@ -108,58 +106,72 @@ def is_noncrossing(blocks, n: int) -> bool:
     return owners_noncrossing(owner[1:], sizes)
 
 
-def noncrossing_partitions_of_seq(seq, k: int = 1) -> Iterator[Blocks]:
+def noncrossing_partitions_of_seq(seq, k: int = 1) -> list[Blocks]:
     """Noncrossing partitions of an increasing ground sequence.
 
-    Every block size must be divisible by k.  Each partition is yielded
+    Every block size must be divisible by k.  Each partition is listed
     exactly once, as canonical blocks: each block ascending, blocks ordered
     by their first element (the order in which the scan opens them).
+
+    One loop over an explicit stack of choices (backtracking as in Knuth,
+    TAOCP 4B, 7.2.2).  Level i places seq[i]: first it opens a block, then
+    it joins the innermost open block after closing j = 0, 1, ... of the
+    open blocks nested above it (a closed block's size is a multiple of k).
+    A level records the option it took, the blocks it closed and the
+    deficit on entry: the elements the open blocks still need to reach a
+    multiple of k.  A choice whose deficit exceeds the elements left is
+    skipped.
     """
     seq = list(seq)
     n = len(seq)
     if n == 0:
-        yield ()
-        return
+        return [()]
+    out: list[Blocks] = []
     blocks: list[list[int]] = []  # every block, in the order it was opened
     stack: list[list[int]] = []  # the open blocks
-
-    def grow(b: list[int]) -> int:
-        # change in the deficit (elements the open blocks still need to
-        # reach a multiple of k) when b gains one element
-        return k - 1 if len(b) % k == 0 else -1
-
-    def rec(i: int, deficit: int) -> Iterator[Blocks]:
-        if deficit > n - i:
-            return
-        if i == n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        x = seq[i]
-        # start a new block
-        new = [x]
-        blocks.append(new)
-        stack.append(new)
-        yield from rec(i + 1, deficit + k - 1)
-        stack.pop()
-        blocks.pop()
-        # join an open block, closing everything nested above it (a closed
-        # block's size is a multiple of k, so it leaves the deficit alone)
-        if stack:
-            d = deficit + grow(stack[-1])
-            stack[-1].append(x)
-            yield from rec(i + 1, d)
+    OPEN, FRESH = -1, -2
+    took = [FRESH] * n  # per level: FRESH, OPEN, or j >= 0 (joined after closing j)
+    closed: list[list[list[int]]] = [[] for _ in range(n)]
+    deficit = [0] * n
+    last = n - 1
+    i = 0
+    while i >= 0:
+        t = took[i]
+        if t == OPEN:
+            blocks.pop()
+            stack.pop()
+        elif t >= 0:
             stack[-1].pop()
-        closed = []
-        while len(stack) > 1 and len(stack[-1]) % k == 0:
-            closed.append(stack.pop())
-            d = deficit + grow(stack[-1])
-            stack[-1].append(x)
-            yield from rec(i + 1, d)
-            stack[-1].pop()
-        while closed:
-            stack.append(closed.pop())
-
-    yield from rec(0, 0)
+        if t == FRESH:
+            new = [seq[i]]
+            blocks.append(new)
+            stack.append(new)
+            took[i] = OPEN
+            d = deficit[i] + k - 1
+        elif (t == OPEN and stack) or (
+            t >= 0 and len(stack) > 1 and len(stack[-1]) % k == 0
+        ):  # join the innermost open block, closing one more than last time
+            if t >= 0:
+                closed[i].append(stack.pop())
+            took[i] = t + 1
+            top = stack[-1]
+            d = deficit[i] + (k - 1 if len(top) % k == 0 else -1)
+            top.append(seq[i])
+        else:  # every option is spent: reopen what this level closed, back up
+            back = closed[i]
+            while back:
+                stack.append(back.pop())
+            took[i] = FRESH
+            i -= 1
+            continue
+        if d > last - i:
+            continue
+        if i == last:
+            out.append(tuple(map(tuple, blocks)))
+        else:
+            i += 1
+            deficit[i] = d
+    return out
 
 
 def enumerate_k_divisible(n: int, k: int) -> list[Blocks]:

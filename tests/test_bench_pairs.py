@@ -78,3 +78,33 @@ def test_fewer_than_two_pairs_are_refused_before_any_run(monkeypatch, tmp_path, 
     assert exit_.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def refused(monkeypatch, tmp_path, capsys, *args):
+    """Exit code and stderr of main on args, which must start no run."""
+    monkeypatch.setattr(bench_pairs, "run", lambda *args: pytest.fail("a run was started"))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main([*args, "--pairs", "2", "--seed", "1", "--out", str(out)])
+    assert not out.exists()
+    return exit_.value.code, capsys.readouterr().err
+
+
+def test_one_directory_on_both_sides_is_refused_before_any_run(monkeypatch, tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    same = tmp_path / "a" / ".." / "a"
+    code, err = refused(monkeypatch, tmp_path, capsys,
+                        "--parent", str(tmp_path / "a"), "--change", str(same),
+                        "--workload", "cli-requests")
+    assert code == 2
+    assert "--parent and --change are the same directory" in err
+
+
+def test_a_workload_the_benchmark_does_not_list_is_refused_before_any_run(
+    monkeypatch, tmp_path, capsys
+):
+    code, err = refused(monkeypatch, tmp_path, capsys,
+                        "--parent", str(tmp_path / "a"), "--change", str(tmp_path / "b"),
+                        "--workload", "verify-labeling", "--workload", "verify-labelling")
+    assert code == 2
+    assert "--workload verify-labelling is not in BENCHMARK.json" in err

@@ -125,6 +125,18 @@ def test_psi_a_images_are_pinned(n, k):
     assert [noncrossing_to_path(b, n, k) for b in images] == words
 
 
+@pytest.mark.parametrize("n,k", [(n, k) for k in range(1, 10) for n in range(1, 10) if k * n <= 9])
+def test_psi_a_inverse_matches_the_papers_tree(n, k):
+    # the inverse against the oracle's labeling tree, not the library's
+    # forward map: every member of NC_n^(k) goes back to the path whose
+    # tree labels it
+    word_of = {labeling_blocks_by_definition(w, k): w for w in enumerate_fuss_catalan(n, k)}
+    members = enumerate_k_divisible(n, k)
+    assert len(word_of) == len(members)
+    for blocks in members:
+        assert noncrossing_to_path(blocks, n, k) == word_of[blocks]
+
+
 @pytest.mark.parametrize("n,k", list(PSI_B_DIGESTS))
 def test_psi_b_images_are_pinned(n, k):
     words = list(enumerate_fuss_binomial(n, k))

@@ -216,6 +216,14 @@ def test_enumerate_rstrips():
     assert json.loads(r.stdout)["result"]["count"] == 1
 
 
+@pytest.mark.parametrize("obj,count", [("nca-k", 1), ("ncb-k", 1201)])
+def test_enumerate_one_long_block_needs_no_recursion(obj, count):
+    # the NC_A lister once recursed once per element and raised RecursionError
+    r = run_cli("enumerate", "--object", obj, "-n", "1", "-k", "1200")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["result"]["count"] == count
+
+
 def test_enumerate_ascii_art():
     r = run_cli(
         "enumerate", "--object", "rstrips", "--shape", "3,2/1",

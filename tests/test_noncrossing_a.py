@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ncstrip.noncrossing_a import (
@@ -6,6 +8,7 @@ from ncstrip.noncrossing_a import (
     enumerate_k_divisible,
     format_blocks,
     is_noncrossing,
+    noncrossing_partitions_of_seq,
     parse_blocks,
     reduced_type_a,
     type_a,
@@ -77,7 +80,7 @@ def test_enumeration_counts():
         assert len(enumerate_k_divisible(n, k)) == fuss_catalan(n, k)
 
 
-@pytest.mark.parametrize("n,k", [(4, 1), (2, 2), (3, 2), (2, 3), (2, 4)])
+@pytest.mark.parametrize("n,k", [(4, 1), (5, 1), (6, 1), (2, 2), (3, 2), (2, 3), (2, 4)])
 def test_enumeration_matches_filter_oracle(n, k):
     got = set(enumerate_k_divisible(n, k))
     expect = set()
@@ -86,6 +89,52 @@ def test_enumeration_matches_filter_oracle(n, k):
         if all(len(b) % k == 0 for b in blocks) and not crossing_quadruple_scan(blocks):
             expect.add(blocks)
     assert got == expect
+
+
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for k in range(1, 11) for n in range(0, 11) if k * n <= 10 and (n or k == 1)]
+)
+def test_enumerate_k_divisible_lists_each_member_once_in_canonical_form(n, k):
+    got = enumerate_k_divisible(n, k)
+    assert all(a < b for a, b in zip(got, got[1:]))  # strictly increasing
+    assert all(validate_nc_a(blocks, n, k) == blocks for blocks in got)
+    assert len(got) == fuss_catalan(n, k)
+
+
+# SHA-256 of repr(list(noncrossing_partitions_of_seq(range(1, kn + 1), k))):
+# the lister's raw order, which enumerate_k_divisible sorts and
+# enumerate_nc_b walks, pinned as the recursive lister gave it
+RAW_ORDER_DIGESTS = {
+    (0, 1): "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
+    (5, 1): "141fc011f63649e68f0dfb475b33fec0c2b4d38df177630983d0199a1c119cbf",
+    (10, 1): "a66ac97d1a53747769490814409ea9b5dbe4f718ce7cd22379333bdb3c3cf9d7",
+    (6, 2): "650e1268dd27eea3bff8d60f420933d565feb3462c42117ffeedf76a2dd11cab",
+    (4, 3): "3df0f01a83786a6288b5c25d10988ecb6922257cc725604a20cb85721275eda7",
+    (3, 4): "2ebb81c32fca2e91afe434de9afb523a46a72559c42bd4e6cbb05f015d56ddfb",
+    (2, 6): "145f6e03734fd72b005ae7259f36e9c0b9a263f28ca5b3ed526f5030aff41106",
+    (1, 12): "165cde28b63537c565b625dd2995d3a2e6f291ffb7ca71567441a760d95cfc5c",
+}
+
+
+@pytest.mark.parametrize("n,k", list(RAW_ORDER_DIGESTS))
+def test_lister_raw_order_is_pinned(n, k):
+    parts = noncrossing_partitions_of_seq(range(1, k * n + 1), k)
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == RAW_ORDER_DIGESTS[n, k]
+
+
+def test_lister_takes_any_increasing_ground_sequence():
+    # raw order: each element opens a block before it joins one
+    assert noncrossing_partitions_of_seq([2, 5, 7, 11], 2) == [
+        ((2, 11), (5, 7)),
+        ((2, 5), (7, 11)),
+        ((2, 5, 7, 11),),
+    ]
+
+
+def test_long_blocks_need_no_recursion():
+    # the lister once recursed once per element and raised RecursionError
+    assert enumerate_k_divisible(1, 1200) == [(tuple(range(1, 1201)),)]
+    assert len(enumerate_k_divisible(2, 500)) == 501
 
 
 def test_types():

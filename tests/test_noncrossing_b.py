@@ -129,6 +129,13 @@ def test_enumerate_nc_b_draws_at_most_one_type_a_partition_per_member(
     assert 0 < drawn <= len(members)
 
 
+def test_long_blocks_need_no_recursion():
+    # the type-A lister under it once recursed once per element
+    members = enumerate_nc_b(1, 1200)
+    assert len(members) == 1201
+    assert members[0] == (tuple(range(-1, -1201, -1)), tuple(range(1, 1201)))
+
+
 def test_at_most_one_antipodal_block():
     for n, k in [(3, 1), (2, 2)]:
         for blocks in enumerate_nc_b(n, k):

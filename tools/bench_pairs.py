@@ -100,10 +100,17 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 2:  # the quartiles of one run are undefined
         p.error(f"--pairs must be at least 2, got {args.pairs}")
-
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better, seconds = directions(benchmark), benchmark["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if checkouts["parent"] == checkouts["change"]:
+        p.error(f"--parent and --change are the same directory: {checkouts['parent']}")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    listed = [w["name"] for w in benchmark["workloads"]]
+    unknown = [w for w in args.workload if w not in listed]
+    if unknown:
+        p.error(f"--workload {', '.join(unknown)} is not in BENCHMARK.json"
+                f" (it lists {', '.join(listed)})")
+
+    better, seconds = directions(benchmark), benchmark["run_seconds"]
     result = {
         "claim": args.claim,
         "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED"
