@@ -1,9 +1,9 @@
-"""The ncstrip command line front end.
-
-Payloads go to stdout and are byte-identical across runs (canonical orders,
-no timestamps); diagnostics and wall-clock duration go to stderr.  Exit
-codes: 0 success/verified, 1 verification mismatch, 2 usage error, 3 cap
-refusal.
+"""The ncstrip command line front end.  Each `cmd_*` returns its parameters,
+result, table and exit code, and `main` writes the payload once to stdout:
+as JSON, or as the table's lines.  Payloads are byte-identical across runs
+(canonical orders, no timestamps); diagnostics and wall-clock duration go to
+stderr.  Exit codes: 0 success/verified, 1 verification mismatch, 2 usage
+error, 3 cap refusal.
 """
 
 from __future__ import annotations
@@ -96,16 +96,12 @@ class CapExceeded(Exception):
     pass
 
 
-class SystemExit2(Exception):
-    """Usage error; maps to exit code 2."""
-
-
 def _max_objects() -> int:
     raw = os.environ.get("NCSTRIP_MAX_OBJECTS", "")
     try:
         return int(raw) if raw else DEFAULT_MAX_OBJECTS
     except ValueError:
-        raise SystemExit2(f"NCSTRIP_MAX_OBJECTS={raw!r} is not an integer")
+        raise ValueError(f"NCSTRIP_MAX_OBJECTS={raw!r} is not an integer") from None
 
 
 def _guard(expected: int, what: str, at_least: bool = False) -> None:
@@ -128,17 +124,6 @@ def _guard_partitions(w_max: int, cumulative: bool, what: str) -> None:
         rows = rows + p if cumulative else p
         if rows > cap:
             _guard(rows, what, at_least=w < w_max)
-
-
-def _emit(payload: dict, fmt: str, table: Callable[[], list[str]]) -> None:
-    """Write the payload as JSON, or the lines table() builds."""
-    if fmt == "json":
-        out: list[str] = []
-        _write_json(payload, out, "\n")
-        sys.stdout.write("".join(out) + "\n")
-    else:
-        for line in table():
-            sys.stdout.write(line + "\n")
 
 
 def _write_json(value, out: list[str], pad: str) -> None:
@@ -209,32 +194,33 @@ def _write_json(value, out: list[str], pad: str) -> None:
         out.append(pad + "]")
 
 
-def _table(rows: list[list[str]], header: list[str]) -> list[str]:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+def _text(value) -> str:
+    """The table text of a payload value."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return "-"
+    return format_partition(value)
+
+
+def _table(rows, header: list[str]) -> list[str]:
+    """Aligned lines: the header, a rule, then each row of values as _text."""
+    cells = [header, *([_text(value) for value in row] for row in rows)]
+    widths = [max(map(len, column)) for column in zip(*cells)]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    lines = [fmt.format(*header), fmt.format(*["-" * w for w in widths])]
-    lines.extend(fmt.format(*row) for row in rows)
-    return lines
+    cells.insert(1, ["-" * w for w in widths])
+    return [fmt.format(*row) for row in cells]
 
 
-def _expansion_payload(items) -> tuple[dict, Callable[[], list[str]]]:
-    """The payload and table of (partition, coefficient) items, in order."""
-    terms = [{"lambda": lam, "coeff": str(c)} for lam, c in items]
-    total = sum(c for _, c in items)
-    payload = {
-        "terms": terms,
-        "term_count": len(items),
-        "coefficient_sum": str(total),
-    }
-
-    def table() -> list[str]:
-        rows = [[format_partition(lam), str(c)] for lam, c in items]
-        return _table(rows + [["sum", str(total)]], ["lambda", "coeff"])
-
-    return payload, table
+def _lambda_rows(items, column: str, totals: dict) -> tuple[list, Callable[[], list[str]]]:
+    """The records {"lambda", column} of (partition, number) items, in order,
+    and their table, closed by a row per entry of totals."""
+    records = [{"lambda": lam, column: str(c)} for lam, c in items]
+    return records, lambda: _table(
+        [*map(dict.values, records), *totals.items()], ["lambda", column]
+    )
 
 
 def _fuss_binomial(n: int, k: int) -> int:
@@ -259,15 +245,15 @@ EXPANSIONS = {
 }
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args):
     if args.shape is not None:
         if args.family is not None:
-            raise SystemExit2("--shape and --family are mutually exclusive")
+            raise ValueError("--shape and --family are mutually exclusive")
         if args.method == "formula":
-            raise SystemExit2("--method formula requires --family")
+            raise ValueError("--method formula requires --family")
         params = {"shape": args.shape, "method": "enumerate"}
     elif not args.family:
-        raise SystemExit2("need --shape or --family")
+        raise ValueError("need --shape or --family")
     else:
         n, k = _require_nk(args)
         params = {"family": args.family, "n": n, "k": k, "method": args.method}
@@ -286,10 +272,10 @@ def cmd_expand(args) -> int:
             shape = build(n, k)
         # the census has no more terms than the shape has strips
         items = expansion_items(expand_skew_by_columns(shape))
-    body, table = _expansion_payload(items)
-    payload = {"command": "expand", "parameters": params, "result": body}
-    _emit(payload, args.format, table)
-    return EXIT_OK
+    total = str(sum(c for _, c in items))
+    terms, table = _lambda_rows(items, "coeff", {"sum": total})
+    result = {"terms": terms, "term_count": len(items), "coefficient_sum": total}
+    return params, result, table, EXIT_OK
 
 
 class Kind(NamedTuple):
@@ -309,16 +295,24 @@ def _word(text: str) -> str:
     return text.strip().upper()
 
 
+def _sized(literal, size: int, what: str):
+    """literal, refused unless it has `size` items."""
+    if len(literal) != size:
+        raise ValueError(f"need {size} {what}, got {len(literal)}")
+    return literal
+
+
 def _kinds(n: int, k: int) -> dict[str, Kind]:
     """Every kind of object at the family parameters (n, k), named as the
     `enumerate` object where it is one."""
 
     def strips(shape) -> Kind:
-        return Kind(
-            lambda text: parse_strip(shape(n, k), text),
-            format_strip,
-            {"type": strip_type},
-        )
+        def parse(text: str):
+            # one entry per column, counted before the shape of kn rows is built
+            _sized(text.split(",") if text.strip() else [], n, "strip entries")
+            return parse_strip(shape(n, k), text)
+
+        return Kind(parse, format_strip, {"type": strip_type})
 
     return {
         "fuss-catalan": Kind(
@@ -355,20 +349,10 @@ def _census_b(n: int, k: int):
     return enumerate_nc_b(n, k)
 
 
-def _census_primitive(n: int, k: int):
-    _guard(catalan(n), "primitive census")
-    return enumerate_primitive(n)
-
-
-def _census_parking(n: int, k: int):
-    _guard(count_parking_functions(n), "parking function enumeration")
-    return enumerate_parking_functions(n)
-
-
 def _reduced_type_rows(n: int) -> tuple[int, bool]:
     """Reduced types weigh less than n; the empty partition of NC_0 has none."""
     if n < 1:
-        raise SystemExit2("the reduced type needs n >= 1")
+        raise ValueError("the reduced type needs n >= 1")
     return n - 1, True
 
 
@@ -396,14 +380,14 @@ COUNTS = {
             None,
             lambda n, k, rows: [count_parking_functions(n)],
             lambda n: (0, False),
-            _census_parking,
+            lambda n, k: _listed(LISTINGS["pf"], {"n": n, "primitive": False}),
             lambda p, k: (),
         ),
         "type": (
             count_by_type,
             type_counts,
             lambda n: (n, False),
-            _census_primitive,
+            lambda n, k: _listed(LISTINGS["pf"], {"n": n, "primitive": True}),
             lambda p, k: multiplicity_type(p),
         ),
     },
@@ -414,22 +398,22 @@ BY_REFUSALS = {
 }
 
 
-def cmd_count(args) -> int:
+def cmd_count(args):
     n = args.n
     if n is None:
-        raise SystemExit2("count requires -n")
+        raise ValueError("count requires -n")
     # nca is the k = 1 case and pf has no k; the other families default to 1
     k = 1 if args.family in ("nca", "pf") or args.k is None else args.k
     _check_nk(n, k)
     tallies = COUNTS[args.family]
     by = args.by or next(iter(tallies))
     if by not in tallies:
-        raise SystemExit2(BY_REFUSALS[args.family])
+        raise ValueError(BY_REFUSALS[args.family])
     count, counts, rows, census, statistic = tallies[by]
     w_max, cumulative = rows(n)
     if args.lam is not None:
         if by is None:
-            raise SystemExit2("--lambda needs --by type")
+            raise ValueError("--lambda needs --by type")
         lam = parse_partition(args.lam)
         items = [(lam, count(n, k, lam))]
     else:
@@ -440,48 +424,35 @@ def cmd_count(args) -> int:
         )
         items = list(zip(lams, counts(n, k, lams)))
     total = "count" if args.family == "pf" else "sum"
-    body = {
-        "entries": [{"lambda": lam, "count": str(c)} for lam, c in items],
-        total: str(sum(c for _, c in items)),
-    }
+    totals = {total: str(sum(c for _, c in items))}
     if args.check:
         tally = Counter(statistic(obj, k) for obj in census(n, k))
-        body["check"] = "pass" if all(tally[lam] == c for lam, c in items) else "fail"
-    payload = {
-        "command": "count",
-        "parameters": {
-            "family": args.family,
-            "n": args.n,
-            "k": args.k,
-            "by": args.by,
-            "lambda": args.lam,
-        },
-        "result": body,
-    }
-
-    def table() -> list[str]:
-        rows = [[format_partition(lam), str(c)] for lam, c in items]
-        rows += [[key, body[key]] for key in (total, "check") if key in body]
-        return _table(rows, ["lambda", "count"])
-
-    _emit(payload, args.format, table)
-    return EXIT_MISMATCH if body.get("check") == "fail" else EXIT_OK
+        totals["check"] = "pass" if all(tally[lam] == c for lam, c in items) else "fail"
+    entries, table = _lambda_rows(items, "count", totals)
+    params = {"family": args.family, "n": n, "k": args.k, "by": args.by, "lambda": args.lam}
+    code = EXIT_MISMATCH if totals.get("check") == "fail" else EXIT_OK
+    return params, {"entries": entries, **totals}, table, code
 
 
-# map -> (domain, codomain, forward, inverse), each map taking (object, n, k)
+# map -> (domain, codomain, forward, inverse), each map taking (object, n, k);
+# the phi inverses check the word's length before they build the shape
 MAPS = {
     "phi-a": (
         "staircase-strip",
         "fuss-catalan",
         lambda strip, n, k: bij.staircase_strip_to_path(strip),
-        lambda word, n, k: bij.staircase_path_to_strip(word, stretched_staircase(n, k)),
+        lambda word, n, k: bij.staircase_path_to_strip(
+            _sized(word, (k + 1) * (n + 1), "letters"), stretched_staircase(n, k)
+        ),
     ),
     "psi-a": ("fuss-catalan", "nca-k", bij.path_to_noncrossing, bij.noncrossing_to_path),
     "phi-b": (
         "rectangle-strip",
         "binomial",
         lambda strip, n, k: bij.rectangle_strip_to_path(strip),
-        lambda word, n, k: bij.rectangle_path_to_strip(word, rectangle(n, k)),
+        lambda word, n, k: bij.rectangle_path_to_strip(
+            _sized(word, (k + 1) * n, "letters"), rectangle(n, k)
+        ),
     ),
     "psi-b": (
         "binomial",
@@ -492,7 +463,7 @@ MAPS = {
 }
 
 
-def cmd_biject(args) -> int:
+def cmd_biject(args):
     n, k = _require_nk(args)
     source, target, forward, inverse = MAPS[args.map]
     if args.inverse:
@@ -501,25 +472,20 @@ def cmd_biject(args) -> int:
     obj = kinds[source].parse(args.input)
     # the map validates its input before any statistic is computed
     image = forward(obj, n, k)
-    result, rows = {}, []
+    result = {}
     for side, kind, x in (("input", source, obj), ("output", target, image)):
-        stats = {s: f(x) for s, f in kinds[kind].stats.items()}
         result[side] = kinds[kind].format(x)
-        result[f"{side}_stats"] = {s: list(v) for s, v in stats.items()}
-        rows.append([side, result[side]])
-        rows.extend([f"{side} {s}", format_partition(v)] for s, v in stats.items())
-    payload = {
-        "command": "biject",
-        "parameters": {
-            "map": args.map,
-            "direction": "inverse" if args.inverse else "forward",
-            "n": n,
-            "k": k,
-        },
-        "result": result,
-    }
-    _emit(payload, args.format, lambda: _table(rows, ["field", "value"]))
-    return EXIT_OK
+        result[f"{side}_stats"] = {s: f(x) for s, f in kinds[kind].stats.items()}
+
+    def table() -> list[str]:
+        rows = []
+        for side in ("input", "output"):
+            rows.append([side, result[side]])
+            rows += ([f"{side} {s}", v] for s, v in result[f"{side}_stats"].items())
+        return _table(rows, ["field", "value"])
+
+    direction = "inverse" if args.inverse else "forward"
+    return {"map": args.map, "direction": direction, "n": n, "k": k}, result, table, EXIT_OK
 
 
 VERIFY_LIMITS = {
@@ -530,13 +496,13 @@ VERIFY_LIMITS = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     theorem = args.theorem
     lim_n, lim_k = VERIFY_LIMITS[theorem]
     n_max = args.n_max if args.n_max is not None else lim_n
     k_max = args.k_max if args.k_max is not None else (lim_k or 1)
     if n_max < 1 or k_max < 1:
-        raise SystemExit2("verify needs --n-max >= 1 and --k-max >= 1")
+        raise ValueError("verify needs --n-max >= 1 and --k-max >= 1")
     if n_max > lim_n or (lim_k is not None and k_max > lim_k):
         raise CapExceeded(
             f"verify --theorem {theorem} accepts n-max <= {lim_n}"
@@ -544,33 +510,31 @@ def cmd_verify(args) -> int:
             + "; larger runs must go through the library API"
         )
     results = verify_theorem(theorem, n_max, k_max)
-    checks = [dataclasses.asdict(r) for r in results]
     passed = all(r.passed for r in results)
-    payload = {
-        "command": "verify",
-        "parameters": {"theorem": theorem, "n_max": n_max, "k_max": k_max},
-        "result": {
-            "passed": passed,
-            "objects_checked": sum(r.objects for r in results),
-            "checks": checks,
-        },
+    objects = sum(r.objects for r in results)
+    result = {
+        "passed": passed,
+        "objects_checked": objects,
+        "checks": [dataclasses.asdict(r) for r in results],
     }
-    rows = [
-        [
-            r.name,
-            json.dumps(r.params),
-            str(r.objects),
-            "pass"
-            if r.passed
-            else f"FAIL ({r.mismatch_count}): " + "; ".join(r.mismatches),
+
+    def table() -> list[str]:
+        rows = [
+            [
+                r.name,
+                json.dumps(r.params),
+                str(r.objects),
+                "pass"
+                if r.passed
+                else f"FAIL ({r.mismatch_count}): " + "; ".join(r.mismatches),
+            ]
+            for r in results
         ]
-        for r in results
-    ]
-    rows.append(
-        ["overall", "", str(sum(r.objects for r in results)), "pass" if passed else "FAIL"]
-    )
-    _emit(payload, args.format, lambda: _table(rows, ["check", "params", "objects", "status"]))
-    return EXIT_OK if passed else EXIT_MISMATCH
+        rows.append(["overall", "", str(objects), "pass" if passed else "FAIL"])
+        return _table(rows, ["check", "params", "objects", "status"])
+
+    params = {"theorem": theorem, "n_max": n_max, "k_max": k_max}
+    return params, result, table, EXIT_OK if passed else EXIT_MISMATCH
 
 
 def _nk_params(args) -> dict:
@@ -580,13 +544,13 @@ def _nk_params(args) -> dict:
 
 def _shape_params(args) -> dict:
     if not args.shape:
-        raise SystemExit2("enumerate --object rstrips requires --shape")
+        raise ValueError("enumerate --object rstrips requires --shape")
     return {"shape": args.shape}
 
 
 def _pf_params(args) -> dict:
     if args.n is None:
-        raise SystemExit2("enumerate --object pf requires -n")
+        raise ValueError("enumerate --object pf requires -n")
     return {"n": args.n, "primitive": bool(args.primitive)}
 
 
@@ -595,7 +559,8 @@ class Listing(NamedTuple):
     the parameters; count(**parameters) is the number of objects, checked
     against the cap before objects(**parameters) lists them.  columns(kinds),
     given the kinds at the parameters, maps each column header to its value
-    on an object; art(object) draws the object for --ascii-art."""
+    on an object; art(object) draws the object for --ascii-art, so a listing
+    with art returns its objects as a list, which the table reads again."""
 
     count: Callable
     what: str
@@ -654,54 +619,39 @@ LISTINGS = {
 }
 
 
-def _cell(value) -> tuple:
-    """The JSON value and the table text of a column value."""
-    if isinstance(value, bool):
-        return value, "yes" if value else "no"
-    if isinstance(value, str):
-        return value, value
-    if value is None:
-        return None, "-"
-    return list(value), format_partition(value)
+def _listed(listing: Listing, params: dict):
+    """The listing's objects at params, once their count passes the cap."""
+    _guard(listing.count(**params), listing.what)
+    return listing.objects(**params)
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args):
     listing = LISTINGS[args.object]
     params = listing.params(args)
-    _guard(listing.count(**params), listing.what)
+    found = _listed(listing, params)
     columns = listing.columns(_kinds(params.get("n"), params.get("k")))
-    objects, rows, art = [], [], []
-    for obj in listing.objects(**params):
-        cells = [_cell(value(obj)) for value in columns.values()]
-        objects.append({h: value for h, (value, _) in zip(columns, cells)})
-        rows.append([text for _, text in cells])
-        if args.ascii_art and listing.art:
-            art.append(listing.art(obj))
-    payload = {
-        "command": "enumerate",
-        "parameters": {"object": args.object, **params},
-        "result": {"count": len(objects), "objects": objects},
-    }
+    objects = [{h: value(obj) for h, value in columns.items()} for obj in found]
+    drawn = found if args.ascii_art and listing.art else ()
 
     def table() -> list[str]:
-        lines = _table(rows, list(columns))
+        lines = _table(map(dict.values, objects), list(columns))
         lines.append(f"count: {len(objects)}")
-        for block in art:
-            lines += ["", *block]
+        for obj in drawn:
+            lines += ["", *listing.art(obj)]
         return lines
 
-    _emit(payload, args.format, table)
-    return EXIT_OK
+    result = {"count": len(objects), "objects": objects}
+    return {"object": args.object, **params}, result, table, EXIT_OK
 
 
 def _check_nk(n: int, k: int) -> None:
     if n < 0 or k < 1:
-        raise SystemExit2("need n >= 0 and k >= 1")
+        raise ValueError("need n >= 0 and k >= 1")
 
 
 def _require_nk(args) -> tuple[int, int]:
     if args.n is None or args.k is None:
-        raise SystemExit2("this invocation requires -n and -k")
+        raise ValueError("this invocation requires -n and -k")
     _check_nk(args.n, args.k)
     return args.n, args.k
 
@@ -745,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("verify", help="run a theorem's exhaustive check suite")
-    p.add_argument("--theorem", choices=("1.1", "1.2", "2.1", "bijections"), required=True)
+    p.add_argument("--theorem", choices=tuple(VERIFY_LIMITS), required=True)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--format", choices=("json", "table"), default="json")
@@ -772,11 +722,18 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         # looked up by name at call time, so a rebinding of cmd_* is seen
-        code = globals()[f"cmd_{args.command}"](args)
+        params, result, table, code = globals()[f"cmd_{args.command}"](args)
+        if args.format == "json":
+            out: list[str] = []
+            payload = {"command": args.command, "parameters": params, "result": result}
+            _write_json(payload, out, "\n")
+            sys.stdout.write("".join(out) + "\n")
+        else:
+            sys.stdout.write("".join(line + "\n" for line in table()))
     except CapExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_CAP
-    except (SystemExit2, ValueError, ArithmeticError) as e:
+    except (ValueError, ArithmeticError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     finally:

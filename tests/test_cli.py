@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -12,13 +13,11 @@ from ncstrip.partitions import binomial, fuss_catalan
 CLI = [sys.executable, "-m", "ncstrip.cli"]
 
 
-def run_cli(*args, env=None, timeout=None):
+def run_cli(*args, env=None, **kwargs):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=full_env, timeout=timeout
-    )
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=full_env, **kwargs)
 
 
 def test_expand_golden_shape():
@@ -82,10 +81,20 @@ def test_main_looks_its_command_up_at_call_time(capsys, monkeypatch):
     # a wrapper bound over cli.cmd_* after the parser exists (as the
     # benchmark's tracer binds its spans) still sees every call
     cli.main(["expand", "--shape", "1/"])
+    capsys.readouterr()
     seen = []
-    monkeypatch.setattr(cli, "cmd_expand", lambda args: seen.append(args.shape) or 0)
+
+    def cmd_expand(args):
+        seen.append(args.shape)
+        return {"shape": args.shape}, {}, lambda: [], 0
+
+    monkeypatch.setattr(cli, "cmd_expand", cmd_expand)
     assert cli.main(["expand", "--shape", "3,2/1"]) == 0
     assert seen == ["3,2/1"]
+    # main writes what the command returns
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "expand", "parameters": {"shape": "3,2/1"}, "result": {}
+    }
 
 
 def test_count_examples():
@@ -358,16 +367,44 @@ def test_reduced_type_at_zero_names_its_bound(args):
 @pytest.mark.parametrize(
     "args",
     [
-        ("--map", "phi-a", "--inverse", "-n", "1000", "-k", "1000", "--input=E"),
-        ("--map", "phi-b", "--forward", "-n", "100000", "-k", "1", "--input=-"),
+        # (k+1)(n+1) letters, but a Fuss-Catalan path starts with E
+        ("--map", "phi-a", "--inverse", "-n", "1000", "-k", "1000", "--input=" + "N" * 1001**2),
+        # n entries, but the last is not a height
+        ("--map", "phi-b", "--forward", "-n", "100000", "-k", "1", "--input=" + "-," * 99999 + "x"),
     ],
 )
-def test_biject_builds_a_large_family_shape_quickly(args):
-    # the shape is built before the input is read; one column's interval is
-    # two bisections over its kn rows, not two scans
-    r = run_cli("biject", *args, timeout=60)
+def test_biject_builds_a_large_family_shape_quickly(args, capsys):
+    # a literal of the right size is read against the shape of kn rows, so
+    # the shape is built before the literal is refused; one column's interval
+    # is two bisections over its rows, not two scans.  The literals pass
+    # 128 KiB, the most one argv string may hold, so they go in-process.
+    assert cli.main(["biject", *args]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def _limit_address_space():
+    # a family shape of kn = 10^10 rows fails at 1.5 GB, not at the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--map", "phi-a", "--inverse", "--input=E"),
+        ("--map", "phi-b", "--inverse", "--input=E"),
+        ("--map", "phi-a", "--forward", "--input=-"),
+        ("--map", "phi-b", "--forward", "--input=-"),
+    ],
+)
+def test_biject_refuses_a_literal_of_the_wrong_size_before_building_the_shape(args):
+    # the word's letters and the strip's entries are counted against (n, k)
+    # first, so the work is bounded by the literal or by the map's output
+    r = run_cli(
+        "biject", *args, "-n", "100000", "-k", "100000",
+        timeout=60, preexec_fn=_limit_address_space,
+    )
     assert r.returncode == 2
-    assert "usage error" in r.stderr
+    assert "usage error: need" in r.stderr
 
 
 def test_count_of_one_type_does_not_grow_with_kn():
@@ -433,6 +470,31 @@ def test_the_librarys_own_rows_are_not_checked_or_sorted_again(monkeypatch, caps
     assert cli.main(list(args)) == 0
     assert "fail" not in capsys.readouterr().out
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("enumerate", "--object", "nca-k", "-n", "4", "-k", "1"),
+        ("enumerate", "--object", "pf", "-n", "4"),
+        ("enumerate", "--object", "rstrips", "--shape", "3,2/1", "--ascii-art"),
+        ("biject", "--map", "psi-a", "--forward", "-n", "3", "-k", "1", "--input", "EENENN"),
+    ],
+)
+def test_json_builds_no_table_text(monkeypatch, capsys, args):
+    # the table is drawn from the payload's values only for --format table
+    listing = cli.LISTINGS["rstrips"]
+    drawn = []
+    monkeypatch.setitem(
+        cli.LISTINGS, "rstrips", listing._replace(art=lambda s: drawn.append(s) or listing.art(s))
+    )
+    calls = counted(monkeypatch, "format_partition")
+    assert cli.main(list(args)) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == args[0]
+    assert (calls, drawn) == ([], [])
+    assert cli.main([*args, "--format", "table"]) == 0
+    assert calls
+    assert len(drawn) == (8 if "--ascii-art" in args else 0)
 
 
 def test_a_lambda_row_is_still_validated(monkeypatch, capsys):

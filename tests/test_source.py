@@ -74,3 +74,20 @@ def test_library_parses_as_python_3_10():
     assert modules
     for path in modules:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def test_only_the_cli_main_writes_stdout():
+    # every command returns its parameters, result and table to one writer
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    inside = set(map(id, ast.walk(main)))
+    reads = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "stdout"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "sys"
+    ]
+    assert any(id(node) in inside for node in reads)
+    assert [node.lineno for node in reads if id(node) not in inside] == []
