@@ -81,6 +81,7 @@ from .shapes import (
     strip_type,
     stretched_staircase,
     strip_art,
+    strip_entries,
 )
 from .verification import CAP_A, CAP_B, CAP_PARKING, verify_theorem
 
@@ -309,7 +310,7 @@ def _kinds(n: int, k: int) -> dict[str, Kind]:
     def strips(shape) -> Kind:
         def parse(text: str):
             # one entry per column, counted before the shape of kn rows is built
-            _sized(text.split(",") if text.strip() else [], n, "strip entries")
+            strip_entries(text, n)
             return parse_strip(shape(n, k), text)
 
         return Kind(parse, format_strip, {"type": strip_type})
@@ -669,9 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("-n", type=int, default=None)
         p.add_argument("-k", type=int, default=None)
-        p.add_argument(
-            "--format", choices=("json", "table"), default="json"
-        )
+        p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("expand", help="h-basis expansion of a shape or family")
     p.add_argument("--shape", help='shape literal, e.g. "3,2/1"')

@@ -295,13 +295,20 @@ def format_strip(strip: RStrip) -> str:
     )
 
 
-def parse_strip(shape: SkewShape, text: str) -> RStrip:
-    entries = [e.strip() for e in text.strip().split(",")] if text.strip() else []
-    if len(entries) != len(shape.cols):
+def strip_entries(text: str, count: int) -> list[str]:
+    """The comma-separated entries of a strip literal, refused unless there
+    are `count` of them, one per column, so a caller can count them before
+    it builds the shape."""
+    entries = [e.strip() for e in text.split(",")] if text.strip() else []
+    if len(entries) != count:
         raise ValueError(
-            f"strip literal needs {len(shape.cols)} entries (one per column), "
-            f"got {len(entries)}"
+            f"strip literal needs {count} entries (one per column), got {len(entries)}"
         )
+    return entries
+
+
+def parse_strip(shape: SkewShape, text: str) -> RStrip:
+    entries = strip_entries(text, len(shape.cols))
     heights = []
     for c, l, e in zip(shape.cols, shape.lo, entries):
         if e == "-":
