@@ -26,12 +26,8 @@ from .lattice_paths import (
 )
 from .noncrossing_a import Blocks, validate_nc_a
 from .noncrossing_b import SignedBlocks, listing_from_owners, validate_nc_b
+from .partitions import _check_nk
 from .shapes import RStrip, SkewShape, _path_heights, strip_from_path
-
-
-def _check_params(n: int, k: int) -> None:
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
 
 
 def _unit_word(word: str, k: int) -> str:
@@ -86,7 +82,7 @@ def path_to_noncrossing(word: str, n: int, k: int) -> Blocks:
     times the resulting block's share of the type, and the first ascent is
     the block containing the label 1.
     """
-    _check_params(n, k)
+    _check_nk(n, k)
     validate_fuss_catalan(word, n, k)
     return _path_to_noncrossing(word, k)
 
@@ -116,7 +112,7 @@ def noncrossing_to_path(blocks, n: int, k: int) -> str:
     attachment order, and each ascent's height follows from its parent
     segment's diagonal region.
     """
-    _check_params(n, k)
+    _check_nk(n, k)
     return _noncrossing_to_path(validate_nc_a(blocks, n, k), n, k)
 
 
@@ -247,46 +243,39 @@ def rectangle_path_to_strip(word: str, shape: SkewShape) -> RStrip:
     return strip_from_path(shape, word)
 
 
-def _pieces(units: str) -> list[tuple[range, range]]:
-    """Split the unit indices into maximal runs by triangle sign of the
-    diagonal walk.
+def _runs(units: str) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The maximal runs of a unit word below the diagonal y = x (P_1..P_s)
+    and above it (N_1..N_s), as (start, stop) unit indices.
 
-    Returns [(P_1, N_1), ..., (P_s, N_s)], ranges of unit indices with P_1
-    and/or N_s possibly empty.
+    The runs alternate P_1, N_1, ..., P_s, N_s along the path; P_1 is empty
+    when the path starts north, and N_s when it ends below the diagonal.
     """
-    cuts = [0]  # run boundaries; the first run is positive, maybe empty
-    positive = True
+    cuts = [0]  # run boundaries; the first run is below, maybe empty
+    below = True
     d = 0
     for i, u in enumerate(units):
-        if u == "n":
-            sign = d < 0
-            d += 1
-        else:
-            sign = d <= 0
-            d -= 1
-        if sign != positive:
+        d += u == "n"  # now y - x at the unit's upper-left end
+        if (d <= 0) != below:
             cuts.append(i)
-            positive = sign
-    cuts.append(len(units))
-    if positive:  # close with an empty negative run
-        cuts.append(len(units))
-    return [
-        (range(cuts[i], cuts[i + 1]), range(cuts[i + 1], cuts[i + 2]))
-        for i in range(0, len(cuts) - 1, 2)
-    ]
+            below = not below
+        d -= u == "e"
+    cuts += [len(units)] * (1 + below)  # close with an empty run above
+    runs = list(zip(cuts, cuts[1:]))
+    return runs[::2], runs[1::2]
 
 
 def path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
     """The type-preserving map from Fuss binomial paths to NC_n^{B,(k)}.
 
-    Segments in the positive triangle (y <= kx) get labels n0+1..kn piece by
-    piece left to right; segments in the negative triangle get labels
-    -1..-n0 with the last negative piece taking the smallest values, each
-    piece labeled in the preorder of its 180-degree rotation.  Each
-    ascent off y = 0 yields a pair of opposite blocks; the y = 0 ascent, if
-    present, yields the antipodal block.
+    The kn segments fill the half-arc n0+1..n0+kn of the 2kn-gon, n0 the
+    number of segments above the diagonal y = kx: the pieces below it left
+    to right, then the pieces above it right to left, each in the preorder
+    of its labeling tree (a piece above read backwards).  So the segments
+    below get the labels n0+1..kn and those above -1..-n0.  Each ascent off
+    y = 0 yields a block on the half-arc and its mirror on the other half;
+    the y = 0 ascent, if present, yields the antipodal block.
     """
-    _check_params(n, k)
+    _check_nk(n, k)
     validate_fuss_binomial(word, n, k)
     return _path_to_signed_noncrossing(word, n, k)
 
@@ -297,58 +286,50 @@ def _path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
     if n == 0:
         return ()
     units = _unit_word(word, k)
-    label = [0] * len(units)  # signed label of each 'e', 0 at each 'n'
-
-    def label_piece(piece: range, start: int, negative: bool) -> int:
-        chars = units[piece.start : piece.stop]
-        rank = _preorder_ranks(chars[::-1] if negative else chars)
-        values = [start - 1 + r if r else 0 for r in rank]
-        if negative:
-            values = [-v for v in reversed(values)]
-        label[piece.start : piece.stop] = values
-        return chars.count("e")
-
-    pairs = _pieces(units)
-    base = 0
-    for _, neg in reversed(pairs):
-        base += label_piece(neg, base + 1, negative=True)
-    for pos, _ in pairs:
-        base += label_piece(pos, base + 1, negative=False)
+    below, above = _runs(units)
+    pos = [0] * len(units)  # polygon position of each 'e', 0 at each 'n'
+    last = sum(units.count("e", a, b) for a, b in above)  # n0: no position given yet
+    for a, b in below:
+        pos[a:b] = [r and last + r for r in _preorder_ranks(units[a:b])]
+        last += units.count("e", a, b)
+    for a, b in reversed(above):
+        pos[a:b] = [r and last + r for r in _preorder_ranks(units[a:b][::-1])][::-1]
+        last += units.count("e", a, b)
 
     # each ascent is a block and its mirror, or one antipodal block on y = 0
     owner = [0] * (2 * m + 1)  # polygon position -> block
     count = here = there = 0
     y = prev = 0
-    for v in label:
-        if not v:
+    for p in pos:
+        if not p:
             y += 1
         else:
             if not prev:
                 here = count
                 there = count + 1 if y else count
                 count = there + 1
-            if v > 0:
-                owner[v] = here
-                owner[m + v] = there
-            else:
-                owner[m - v] = here
-                owner[-v] = there
-        prev = v
+            owner[p] = here
+            owner[p + m if p <= m else p - m] = there
+        prev = p
     return listing_from_owners(owner, m)
 
 
 def signed_noncrossing_to_path(blocks, n: int, k: int) -> str:
     """Inverse of the type-B labeling map.
 
-    The chosen representatives are A = {-1..-n0} U {n0+1..kn} with n0 read
-    off the antipodal block (or the last all-|negative|-below-positive mixed
-    block, or kn when no block mixes signs).  Each mixed block restricted to
-    A marks one negative-to-positive junction of the piece decomposition;
-    its minimal negative fixes the negative sizes to its right and its
-    minimal positive the positive sizes to its left.  Every piece is then
-    rebuilt with the inverse labeling map and the pieces are concatenated.
+    The forward map puts one block of each mirror pair, or the antipodal
+    block's positive half, on the half-arc of positions n0+1..n0+kn.  It
+    starts at the least positive label of the antipodal block, or else of
+    the last block whose negatives all lie below its positives in absolute
+    value, or at -1 when no block has both.  The arc splits at the label -1
+    into the pieces below the diagonal, left to right, and those above it,
+    right to left.  A block on both sides is the ascent at a junction: its
+    first position on each side starts the next piece below and the piece
+    above that the ascent leaves.  The type-A inverse turns each piece, a
+    noncrossing partition of consecutive positions, back into its
+    segments, and joined in path order they regroup into east steps.
     """
-    _check_params(n, k)
+    _check_nk(n, k)
     return _signed_noncrossing_to_path(validate_nc_b(blocks, n, k), n, k)
 
 
@@ -364,87 +345,40 @@ def _signed_noncrossing_to_path(blocks: SignedBlocks, n: int, k: int) -> str:
             owner[v if v > 0 else m - v] = i
     # a canonical block lists its negatives (by absolute value) before its
     # positives, so a block that mixes signs starts negative and ends positive
-    mixed = [b for b in blocks if b[0] < 0 < b[-1]]
-    anti = next((b for b in mixed if -b[0] in b), None)
-    if anti is not None:
-        a0 = min(x for x in anti if x > 0)
-    else:
-        qual = [
-            b
-            for b in mixed
-            if max(-x for x in b if x < 0) < min(x for x in b if x > 0)
-        ]
-        # blocks come sorted by their minimal elements
-        a0 = min(x for x in qual[-1] if x > 0) if qual else m + 1
-    n0 = a0 - 1
-
-    # A holds one of x, -x for every x, so the blocks restrict to m labels;
-    # a mixed block's restriction keeps both signs exactly when its first
-    # (least |negative|) label and its last (largest positive) lie in A
-    junctions = sorted(  # ascending nu = descending |nu| = path order
-        (b[0], min(x for x in b if x >= a0))  # (nu, pi), |nu| minimal
-        for b in mixed
-        if -b[0] <= n0 and b[-1] >= a0
-    )
-    if [p for _, p in junctions] != sorted(p for _, p in junctions):
+    a0 = m + 1
+    for b in blocks:
+        if b[0] < 0 < b[-1]:
+            j = next(i for i, v in enumerate(b) if v > 0)
+            if -b[0] in b:  # antipodal
+                a0 = b[j]
+                break
+            if -b[j - 1] < b[j]:
+                a0 = b[j]
+    arc = owner[a0 : a0 + m]
+    split = m + 1 - a0  # arc[:split] are the labels a0..m, the rest -1..-n0
+    # block -> its first index on the negative side
+    first = {arc[t]: t for t in range(m - 1, split - 1, -1)}
+    # P_i = arc[p_cut[i-1] : p_cut[i]] and N_i = arc[n_cut[i] : n_cut[i-1]]
+    p_cut, n_cut = [0], [m]
+    for t in range(split):
+        t_neg = first.pop(arc[t], None)
+        if t_neg is not None:  # the junction of N_i and P_{i+1}
+            p_cut.append(t)
+            n_cut.append(t_neg)
+    p_cut.append(split)
+    n_cut.append(split)
+    if n_cut != sorted(n_cut, reverse=True):
         raise ValueError("junction blocks are inconsistent")
-    s = len(junctions) + 1
-
-    neg_suffix = [-nu - 1 for nu, _ in junctions]  # n_{i+1} + ... + n_s
-    pos_prefix = [pi - n0 - 1 for _, pi in junctions]  # p_1 + ... + p_i
-    n_sizes = [0] * s
-    p_sizes = [0] * s
-    if s == 1:
-        n_sizes[0] = n0
-        p_sizes[0] = m - n0
-    else:
-        n_sizes[0] = n0 - neg_suffix[0]
-        for i in range(1, s - 1):
-            n_sizes[i] = neg_suffix[i - 1] - neg_suffix[i]
-        n_sizes[s - 1] = neg_suffix[-1]
-        p_sizes[0] = pos_prefix[0]
-        for i in range(1, s - 1):
-            p_sizes[i] = pos_prefix[i] - pos_prefix[i - 1]
-        p_sizes[s - 1] = (m - n0) - pos_prefix[-1]
-    if (
-        any(v < 0 for v in n_sizes + p_sizes)
-        or any(v == 0 for v in n_sizes[: s - 1])
-        or any(v == 0 for v in p_sizes[1:])
-        or (p_sizes[0] > 0) != (anti is not None)
-    ):
-        raise ValueError("piece sizes are inconsistent")
-
-    slot = [-1] * len(blocks)  # block -> its group in the current piece
-
-    def piece_units(lo: int, size: int, negative: bool) -> str:
-        if size == 0:
-            return ""
-        first = m + lo if negative else lo  # position of the label -lo or lo
-        members = owner[first : first + size]
-        groups: list[list[int]] = []
-        for t, b in enumerate(members, 1):
-            if slot[b] < 0:
-                slot[b] = len(groups)
-                groups.append([])
-            groups[slot[b]].append(t)
-        for b in members:
-            slot[b] = -1
-        # a piece is the restriction of a noncrossing partition to an arc,
-        # listed in increasing order, so its blocks are already canonical
-        local = _noncrossing_to_path(groups, size, 1)
-        return local[::-1] if negative else local
 
     parts = []
-    pos_lo = n0 + 1
-    neg_lo_for = [0] * s
-    base = 1
-    for i in range(s - 1, -1, -1):
-        neg_lo_for[i] = base
-        base += n_sizes[i]
-    for i in range(s):
-        parts.append(piece_units(pos_lo, p_sizes[i], negative=False))
-        pos_lo += p_sizes[i]
-        parts.append(piece_units(neg_lo_for[i], n_sizes[i], negative=True))
+    for i in range(1, len(p_cut)):
+        for lo, hi, step in ((p_cut[i - 1], p_cut[i], 1), (n_cut[i], n_cut[i - 1], -1)):
+            # a piece is the restriction of a noncrossing partition to an
+            # arc, so its blocks, by first position, are already canonical
+            groups: dict[int, list[int]] = {}
+            for t, b in enumerate(arc[lo:hi], 1):
+                groups.setdefault(b, []).append(t)
+            parts.append(_noncrossing_to_path(list(groups.values()), hi - lo, 1)[::step])
     # the units regroup into east steps: every run between two north steps
     runs = "".join(parts).split("N")
     if any(len(r) % k for r in runs):

@@ -61,6 +61,7 @@ from .parking import (
     multiplicity_type,
 )
 from .partitions import (
+    _check_nk,
     binomial,
     catalan,
     format_partition,
@@ -105,12 +106,12 @@ def _max_objects() -> int:
         raise ValueError(f"NCSTRIP_MAX_OBJECTS={raw!r} is not an integer") from None
 
 
-def _guard(expected: int, what: str, at_least: bool = False) -> None:
+def _guard(expected: int, what: str, at_least: bool = False, unit: str = "objects") -> None:
     cap = _max_objects()
     if expected > cap:
         raise CapExceeded(
             f"{what} would produce {'at least ' if at_least else ''}{expected} "
-            f"objects, over the cap of {cap} (raise NCSTRIP_MAX_OBJECTS to override)"
+            f"{unit}, over the cap of {cap} (raise NCSTRIP_MAX_OBJECTS to override)"
         )
 
 
@@ -309,8 +310,11 @@ def _kinds(n: int, k: int) -> dict[str, Kind]:
 
     def strips(shape) -> Kind:
         def parse(text: str):
-            # one entry per column, counted before the shape of kn rows is built
+            # one entry per column, counted before the shape of kn rows is
+            # built; the rows are capped, as the forward's work is bounded
+            # only by its output word
             strip_entries(text, n)
+            _guard(k * n, "the family shape", unit="rows")
             return parse_strip(shape(n, k), text)
 
         return Kind(parse, format_strip, {"type": strip_type})
@@ -557,8 +561,10 @@ def _pf_params(args) -> dict:
 
 class Listing(NamedTuple):
     """One `enumerate --object`.  params(args) checks the options and returns
-    the parameters; count(**parameters) is the number of objects, checked
-    against the cap before objects(**parameters) lists them.  columns(kinds),
+    the parameters; count(**parameters) is the number of objects and
+    size(**parameters), where given, the elements (letters, labels) of the
+    largest, each checked against the cap before objects(**parameters) lists
+    them.  columns(kinds),
     given the kinds at the parameters, maps each column header to its value
     on an object; art(object) draws the object for --ascii-art, so a listing
     with art returns its objects as a list, which the table reads again."""
@@ -569,6 +575,7 @@ class Listing(NamedTuple):
     columns: Callable
     params: Callable = _nk_params
     art: Callable | None = None
+    size: Callable | None = None
 
 
 LISTINGS = {
@@ -585,24 +592,28 @@ LISTINGS = {
         "path enumeration",
         enumerate_fuss_catalan,
         lambda kinds: kinds["fuss-catalan"].columns("path"),
+        size=lambda n, k: (k + 1) * n,
     ),
     "binomial": Listing(
         _fuss_binomial,
         "path enumeration",
         enumerate_fuss_binomial,
         lambda kinds: kinds["binomial"].columns("path"),
+        size=lambda n, k: (k + 1) * n,
     ),
     "nca-k": Listing(
         fuss_catalan,
         "noncrossing enumeration",
         enumerate_k_divisible,
         lambda kinds: kinds["nca-k"].columns("partition"),
+        size=lambda n, k: k * n,
     ),
     "ncb-k": Listing(
         _fuss_binomial,
         "noncrossing enumeration",
         enumerate_nc_b,
         lambda kinds: {**kinds["ncb-k"].columns("partition"), "antipodal": antipodal_block},
+        size=lambda n, k: 2 * k * n,
     ),
     "pf": Listing(
         lambda n, primitive: catalan(n) if primitive else count_parking_functions(n),
@@ -621,8 +632,10 @@ LISTINGS = {
 
 
 def _listed(listing: Listing, params: dict):
-    """The listing's objects at params, once their count passes the cap."""
+    """The listing's objects at params, once their count and size pass the cap."""
     _guard(listing.count(**params), listing.what)
+    if listing.size:
+        _guard(listing.size(**params), listing.what, unit="elements in one object")
     return listing.objects(**params)
 
 
@@ -643,11 +656,6 @@ def cmd_enumerate(args):
 
     result = {"count": len(objects), "objects": objects}
     return {"object": args.object, **params}, result, table, EXIT_OK
-
-
-def _check_nk(n: int, k: int) -> None:
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
 
 
 def _require_nk(args) -> tuple[int, int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterator
 
-from .partitions import Partition, remove_part
+from .partitions import Partition, _check_nk, remove_part
 
 
 def validate_word(word: str) -> None:
@@ -88,16 +88,14 @@ def heights_word(heights, y0: int, y1: int) -> str:
 
 def enumerate_fuss_catalan(n: int, k: int) -> Iterator[str]:
     """All paths of D_n^(k) in lexicographic order with E < N."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
+    _check_nk(n, k)
     for heights in monotone_heights([0] * n, range(0, k * n, k)):  # y_i <= k(i-1)
         yield heights_word(heights, 0, k * n)
 
 
 def enumerate_fuss_binomial(n: int, k: int) -> Iterator[str]:
     """All words with n E's and kn N's in lexicographic order with E < N."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
+    _check_nk(n, k)
     for heights in monotone_heights([0] * n, [k * n] * n):
         yield heights_word(heights, 0, k * n)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .partitions import (
     Partition,
+    _check_nk,
     as_partition,
     exact_div,
     falling_factorials,
@@ -176,8 +177,7 @@ def noncrossing_partitions_of_seq(seq, k: int = 1) -> list[Blocks]:
 
 def enumerate_k_divisible(n: int, k: int) -> list[Blocks]:
     """All of NC_n^(k): noncrossing partitions of [kn], blocks divisible by k."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
+    _check_nk(n, k)
     return sorted(noncrossing_partitions_of_seq(range(1, k * n + 1), k))
 
 

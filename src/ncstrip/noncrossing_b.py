@@ -13,6 +13,7 @@ import itertools
 
 from .partitions import (
     Partition,
+    _check_nk,
     as_partition,
     exact_div,
     falling_factorials,
@@ -145,8 +146,7 @@ def enumerate_nc_b(n: int, k: int) -> list[SignedBlocks]:
     pairs (P, g) with g <= m - e, e the maximum of P's block of 1.  That
     block is k-divisible because m = kn and every other block is.
     """
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
+    _check_nk(n, k)
     m = k * n
     if m == 0:
         return [()]

@@ -142,10 +142,15 @@ def catalan(n: int) -> int:
     return exact_div(math.comb(2 * n, n), n + 1)
 
 
-def fuss_catalan(n: int, k: int) -> int:
-    """binomial((k+1)n, n) / (kn+1); equals catalan(n) at k = 1."""
+def _check_nk(n: int, k: int) -> None:
+    """Refuse family parameters (n, k) outside n >= 0, k >= 1."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
+
+
+def fuss_catalan(n: int, k: int) -> int:
+    """binomial((k+1)n, n) / (kn+1); equals catalan(n) at k = 1."""
+    _check_nk(n, k)
     return exact_div(math.comb((k + 1) * n, n), k * n + 1)
 
 

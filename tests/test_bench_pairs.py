@@ -108,3 +108,34 @@ def test_a_workload_the_benchmark_does_not_list_is_refused_before_any_run(
                         "--workload", "verify-labeling", "--workload", "verify-labelling")
     assert code == 2
     assert "--workload verify-labelling is not in BENCHMARK.json" in err
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_a_run_that_fails_its_gate_is_printed_and_exits_1(monkeypatch, tmp_path, capsys, failing):
+    names = bench_pairs.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+
+    def run(checkout, workload, seed, seconds):
+        failed = 3 if failing and checkout.name == "change" and seed == 2 else 0
+        metrics = {name: {"value": 1.0} for name in names}
+        return {"correct": not failed, "attempted": 100, "failed": failed, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"),
+                             "--workload", "cli-requests", "--pairs", "2", "--seed", "1",
+                             "--out", str(out)])
+    err = capsys.readouterr().err
+    summary = json.loads(out.read_text())["workloads"]["cli-requests"]["summary"]
+    assert "cli-requests pair 1 seed 1:" in err and "failed parent 0 change 0" in err
+    if failing:
+        assert code == 1
+        assert summary["failed"] == {"parent": 0, "change": 3}
+        assert "failed parent 0 change 3" in err
+        assert "correct: false: cli-requests pair 2 change" in err
+    else:
+        assert code == 0
+        assert summary["failed"] == {"parent": 0, "change": 0}
+        assert "correct: false" not in err

@@ -458,6 +458,34 @@ class TestLabelingMapB:
             for blocks, word in lookup.items():
                 assert signed_noncrossing_to_path(blocks, n, k) == word
 
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for k in range(1, 12) for n in range(1, 7) if (k + 1) * n <= 12]
+    )
+    def test_blocks_lie_on_one_side_of_the_half_arc(self, n, k):
+        # n0 segments lie above y = kx; the map gives out the polygon
+        # positions n0+1..n0+kn, so every block but the antipodal one lies
+        # wholly on that half-arc or wholly off it, and the arc holds one
+        # block of each mirror pair and the antipodal block's positive half
+        m = k * n
+        for word in enumerate_fuss_binomial(n, k):
+            n0 = x = y = 0
+            for step in word:
+                if step == "N":
+                    y += 1
+                else:  # k unit segments, the j-th above the line when y > x + j
+                    n0 += sum(y > x + j for j in range(k))
+                    x += k
+            arc = range(n0 + 1, n0 + m + 1)
+            on_arc = 0
+            for b in path_to_signed_noncrossing(word, n, k):
+                inside = [(v if v > 0 else m - v) in arc for v in b]
+                if -b[0] in b:  # antipodal: its positives lie on the arc
+                    assert inside == [v > 0 for v in b], (word, b)
+                else:
+                    assert all(inside) or not any(inside), (word, b)
+                on_arc += sum(inside)
+            assert on_arc == m, word
+
     def test_rejects_invalid_partitions(self):
         with pytest.raises(ValueError):
             signed_noncrossing_to_path([(1, 2), (-1,), (-2,)], 2, 1)

@@ -412,6 +412,61 @@ def test_biject_refuses_a_literal_of_the_wrong_size_before_building_the_shape(ar
     assert refusal in r.stderr
 
 
+@pytest.mark.parametrize(
+    "args, refusal",
+    [
+        (
+            ("enumerate", "--object", "nca-k", "-n", "1", "-k", "100000000"),
+            "noncrossing enumeration would produce 100000000 elements in one object",
+        ),
+        (
+            ("biject", "--map", "phi-a", "--forward", "-n", "1", "-k", "1000000000", "--input=-"),
+            "the family shape would produce 1000000000 rows",
+        ),
+        (
+            ("biject", "--map", "phi-b", "--forward", "-n", "1", "-k", "1000000000", "--input=-"),
+            "the family shape would produce 1000000000 rows",
+        ),
+    ],
+)
+def test_one_object_past_the_cap_is_refused_before_it_is_built(args, refusal):
+    # one partition of 10^8 labels passes the object count, and a one-entry
+    # strip passes its literal check; each would fail at 1.5 GB, so the size
+    # of the one object, or the family shape's rows, is capped as well
+    r = run_cli(*args, timeout=60, preexec_fn=_limit_address_space)
+    assert r.returncode == 3
+    assert f"refused: {refusal}, over the cap of 500000" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("expand", "--family", "fuss-a", "-n", "2", "-k", "1000000000", "--method", "formula"),
+        ("count", "--family", "nca-k", "-n", "3", "-k", "1000000000"),
+    ],
+)
+def test_tables_of_a_huge_k_are_not_capped_by_kn(args):
+    # formulas and count tables build nothing of size kn
+    r = run_cli(*args, timeout=60, preexec_fn=_limit_address_space)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["result"]
+
+
+def test_the_object_size_cap_is_the_object_cap():
+    cap = {"NCSTRIP_MAX_OBJECTS": "100"}
+    r = run_cli("enumerate", "--object", "ncb-k", "-n", "1", "-k", "50", env=cap)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["result"]["count"] == 51
+    r = run_cli("enumerate", "--object", "ncb-k", "-n", "1", "-k", "51", env=cap)
+    assert r.returncode == 3
+    assert "would produce 102 elements in one object, over the cap of 100" in r.stderr
+    r = run_cli("biject", "--map", "phi-b", "--forward", "-n", "1", "-k", "101", "--input=-",
+                env=cap)
+    assert r.returncode == 3
+    assert "the family shape would produce 101 rows, over the cap of 100" in r.stderr
+
+
 def test_count_of_one_type_does_not_grow_with_kn():
     # a falling factorial of length(lambda) factors, not two factorials of kn
     r = run_cli(

@@ -12,7 +12,9 @@ of the committed BENCH files: for each workload every run, and for each
 end-to-end metric of BENCHMARK.json the medians and quartiles of both
 sides, the change's relative difference and the number of pairs in which
 the change did better.  Standard library only; the file is rewritten after
-each workload, so a cut run keeps what it has.
+each workload, so a cut run keeps what it has.  Each pair's line on stderr
+gives its failed operations, and the script exits 1, after writing the
+file, when any run reported `"correct": false`.
 """
 
 from __future__ import annotations
@@ -127,6 +129,7 @@ def main(argv=None) -> int:
         "quartiles": "statistics.quantiles(n=4, method='inclusive') over the pairs",
         "workloads": {},
     }
+    incorrect = []  # "workload pair i side" of every run that failed its gate
     for workload in args.workload:
         pairs = []
         for i in range(1, args.pairs + 1):
@@ -135,12 +138,19 @@ def main(argv=None) -> int:
             pair = {"pair": i, "seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run(checkouts[side], workload, seed, seconds)
+                if not pair[side]["correct"]:
+                    incorrect.append(f"{workload} pair {i} {side}")
             print(f"{workload} pair {i} seed {seed}: wall_s parent "
                   f"{pair['parent']['metrics']['wall_s']['value']:.4f} change "
-                  f"{pair['change']['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
+                  f"{pair['change']['metrics']['wall_s']['value']:.4f}; failed parent "
+                  f"{pair['parent']['failed']} change {pair['change']['failed']}",
+                  file=sys.stderr)
             pairs.append(pair)
         result["workloads"][workload] = {"summary": summarise(pairs, better), "pairs": pairs}
         args.out.write_text(json.dumps(result, indent=1) + "\n")
+    if incorrect:
+        print(f"runs that reported correct: false: {', '.join(incorrect)}", file=sys.stderr)
+        return 1
     return 0
 
 
