@@ -84,7 +84,7 @@ from .shapes import (
     strip_art,
     strip_entries,
 )
-from .verification import CAP_A, CAP_B, CAP_PARKING, verify_theorem
+from .verification import CAP_A, CAP_B, THEOREMS, verify_limits, verify_theorem
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -126,6 +126,19 @@ def _guard_partitions(w_max: int, cumulative: bool, what: str) -> None:
         rows = rows + p if cumulative else p
         if rows > cap:
             _guard(rows, what, at_least=w < w_max)
+
+
+def _guard_shape(text: str) -> None:
+    """_guard on a shape literal's width (first outer part) and box count,
+    read off its integers before parse_shape builds the column profile of,
+    say, "100000000/99999999": one box, 10^8 columns."""
+    try:
+        outer, inner = ([int(x) for x in part.split(",")] if part.strip() else [0]
+                        for part in text.partition("/")[::2])
+    except ValueError:
+        return  # parse_shape words the error
+    _guard(outer[0], "the shape", unit="columns")
+    _guard(sum(outer) - sum(inner), "the shape", unit="boxes")
 
 
 def _write_json(value, out: list[str], pad: str) -> None:
@@ -267,6 +280,7 @@ def cmd_expand(args):
         items = list(formula(n, k).items())
     else:
         if args.shape is not None:
+            _guard_shape(args.shape)
             shape = parse_shape(args.shape)
             _guard(count_r_strips(shape), "expansion of the shape")
         else:
@@ -493,26 +507,17 @@ def cmd_biject(args):
     return {"map": args.map, "direction": direction, "n": n, "k": k}, result, table, EXIT_OK
 
 
-VERIFY_LIMITS = {
-    "1.1": (CAP_A - 1, CAP_A // 2),
-    "1.2": (CAP_B // 2, CAP_B - 1),
-    "2.1": (CAP_PARKING, None),
-    "bijections": (CAP_A - 1, CAP_B - 1),
-}
-
-
 def cmd_verify(args):
     theorem = args.theorem
-    lim_n, lim_k = VERIFY_LIMITS[theorem]
+    lim_n, lim_k = verify_limits(theorem)
     n_max = args.n_max if args.n_max is not None else lim_n
-    k_max = args.k_max if args.k_max is not None else (lim_k or 1)
+    k_max = args.k_max if args.k_max is not None else lim_k
     if n_max < 1 or k_max < 1:
         raise ValueError("verify needs --n-max >= 1 and --k-max >= 1")
-    if n_max > lim_n or (lim_k is not None and k_max > lim_k):
+    if n_max > lim_n or k_max > lim_k:
         raise CapExceeded(
-            f"verify --theorem {theorem} accepts n-max <= {lim_n}"
-            + (f", k-max <= {lim_k}" if lim_k is not None else "")
-            + "; larger runs must go through the library API"
+            f"verify --theorem {theorem} accepts n-max <= {lim_n}, k-max <= {lim_k}; "
+            "larger runs must go through the library API"
         )
     results = verify_theorem(theorem, n_max, k_max)
     passed = all(r.passed for r in results)
@@ -550,6 +555,7 @@ def _nk_params(args) -> dict:
 def _shape_params(args) -> dict:
     if not args.shape:
         raise ValueError("enumerate --object rstrips requires --shape")
+    _guard_shape(args.shape)
     return {"shape": args.shape}
 
 
@@ -702,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("verify", help="run a theorem's exhaustive check suite")
-    p.add_argument("--theorem", choices=tuple(VERIFY_LIMITS), required=True)
+    p.add_argument("--theorem", choices=tuple(THEOREMS), required=True)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--format", choices=("json", "table"), default="json")

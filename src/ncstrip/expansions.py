@@ -13,6 +13,7 @@ from .noncrossing_a import reduced_type_counts, type_counts
 from .noncrossing_b import type_counts_b
 from .partitions import (
     Partition,
+    _check_shape_nk,
     partition_sort_key,
     partitions_of,
     partitions_with_weight_at_most,
@@ -96,8 +97,7 @@ def fuss_a_expansion_formula(n: int, k: int) -> HExpansion:
     The h_lam coefficient is the number of k-divisible noncrossing
     partitions of [k(n+1)] with reduced type lam.
     """
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
+    _check_shape_nk(n, k)
     rows = partitions_with_weight_at_most(n)
     return dict(zip(rows, reduced_type_counts(n + 1, k, rows)))
 
@@ -108,8 +108,7 @@ def fuss_b_expansion_formula(n: int, k: int) -> HExpansion:
     The h_lam coefficient is the number of k-divisible signed noncrossing
     partitions of [kn]^+- with type lam.
     """
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
+    _check_shape_nk(n, k)
     rows = partitions_with_weight_at_most(n)
     return dict(zip(rows, type_counts_b(n, k, rows)))
 

@@ -75,12 +75,17 @@ def count_parking_functions(n: int) -> int:
     return (n + 1) ** (n - 1) if n else 1
 
 
+def _rearrangements(sequences) -> list[tuple[int, ...]]:
+    """Every distinct permutation of each of the sequences, sorted."""
+    out = set()
+    for seq in sequences:
+        out.update(permutations(seq))
+    return sorted(out)
+
+
 def enumerate_parking_functions(n: int) -> list[tuple[int, ...]]:
     """All parking functions of length n; (n+1)^(n-1) of them."""
-    out = set()
-    for prim in enumerate_primitive(n):
-        out.update(permutations(prim))
-    return sorted(out)
+    return _rearrangements(enumerate_primitive(n))
 
 
 def primitive_pf_to_ncp(seq) -> Blocks:
@@ -105,9 +110,4 @@ def enumerate_shape_parking_functions(
     strips; general ones are all distinct permutations of those.
     """
     primitives = enumerate_horizontal_strips(shape)
-    if primitive_only:
-        return sorted(primitives)
-    out = set()
-    for heights in primitives:
-        out.update(permutations(heights))
-    return sorted(out)
+    return sorted(primitives) if primitive_only else _rearrangements(primitives)

@@ -148,6 +148,12 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError("need n >= 0 and k >= 1")
 
 
+def _check_shape_nk(n: int, k: int) -> None:
+    """Refuse the parameters (n, k) of a family shape outside n >= 1, k >= 1."""
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
+
+
 def fuss_catalan(n: int, k: int) -> int:
     """binomial((k+1)n, n) / (kn+1); equals catalan(n) at k = 1."""
     _check_nk(n, k)

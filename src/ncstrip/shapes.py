@@ -20,8 +20,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import neg
 
-from .lattice_paths import heights_word, monotone_heights
-from .partitions import Partition, as_partition
+from .lattice_paths import heights_word, monotone_heights, validate_word
+from .partitions import Partition, _check_shape_nk, as_partition
 
 
 @dataclass(frozen=True)
@@ -89,16 +89,14 @@ class SkewShape:
 
 def stretched_staircase(n: int, k: int) -> SkewShape:
     """(n^{kn}) / ((n-1)^k, ..., 2^k, 1^k)."""
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
+    _check_shape_nk(n, k)
     inner = [v for v in range(n - 1, 0, -1) for _ in range(k)]
     return SkewShape((n,) * (k * n), inner)
 
 
 def rectangle(n: int, k: int) -> SkewShape:
     """(n^{kn})."""
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
+    _check_shape_nk(n, k)
     return SkewShape((n,) * (k * n), ())
 
 
@@ -244,8 +242,7 @@ def path_from_strip(strip: RStrip) -> str:
 def strip_from_path(shape: SkewShape, word: str) -> RStrip:
     """The strip whose lattice path across the shape is the word."""
     lo, hi = shape.lo, shape.hi
-    if set(word) - {"E", "N"}:
-        raise ValueError(f"path word must be over {{E, N}}: {word!r}")
+    validate_word(word)
     span = (hi[-1] + 1 - lo[0]) if lo else 0
     if word.count("N") != span:
         raise ValueError(f"path must have {span} N steps, got {word.count('N')}")

@@ -92,13 +92,13 @@ def _expansions_must_match(result: CheckResult, tag: str, a, b) -> None:
         result.fail(f"{tag}: lambda={format_partition(lam)} lhs={ca} rhs={cb}")
 
 
-def _three_way(name, n, k, shape, formula, members, statistic, sums) -> CheckResult:
-    """expand_skew(shape) = formula = census of `statistic` over `members`,
-    and the formula's coefficient sum equals every (value, label) in sums."""
-    result = CheckResult(name, {"n": n, "k": k})
+def _three_way(name, params, enumerated, formula, members, statistic, sums) -> CheckResult:
+    """enumerated = formula = census of `statistic` over `members`, and the
+    formula's coefficient sum equals every (value, label) in sums."""
+    result = CheckResult(name, params)
     census = Counter(map(statistic, members))
     result.objects = census.total()
-    _expansions_must_match(result, "enumeration vs formula", expand_skew(shape), formula)
+    _expansions_must_match(result, "enumeration vs formula", enumerated, formula)
     _expansions_must_match(result, "formula vs census", formula, census)
     total = sum(formula.values())
     for value, label in sums:
@@ -113,38 +113,32 @@ def theorem_11_check(n: int, k: int) -> CheckResult:
     if k == 1:
         sums.append((catalan(n + 1), f"catalan({n + 1})"))
     return _three_way(
-        "theorem-1.1", n, k, stretched_staircase(n, k), fuss_a_expansion_formula(n, k),
-        enumerate_k_divisible(n + 1, k), lambda b: reduced_type_a(b, k), sums,
+        "theorem-1.1", {"n": n, "k": k}, expand_skew(stretched_staircase(n, k)),
+        fuss_a_expansion_formula(n, k), enumerate_k_divisible(n + 1, k),
+        lambda b: reduced_type_a(b, k), sums,
     )
 
 
 def theorem_12_check(n: int, k: int) -> CheckResult:
     """Rectangle expansion = closed formula = signed type census."""
     return _three_way(
-        "theorem-1.2", n, k, rectangle(n, k), fuss_b_expansion_formula(n, k),
-        enumerate_nc_b(n, k), lambda b: type_b(b, k),
+        "theorem-1.2", {"n": n, "k": k}, expand_skew(rectangle(n, k)),
+        fuss_b_expansion_formula(n, k), enumerate_nc_b(n, k), lambda b: type_b(b, k),
         [(binomial((k + 1) * n, n), f"binomial({(k + 1) * n},{n})")],
     )
 
 
 def theorem_21_check(n: int) -> CheckResult:
-    """Parking expansion = primitive type census = staircase top part."""
-    result = CheckResult("theorem-2.1", {"n": n})
-    expansion = parking_expansion(n)
+    """Staircase top part = parking expansion = primitive type census = NC census."""
     primitives = enumerate_primitive(n)
-    census = Counter(pf_type(p) for p in primitives)
-    result.objects = len(primitives)
-    _expansions_must_match(result, "formula vs primitive census", expansion, dict(census))
-    if len(primitives) != catalan(n):
-        result.fail(f"primitive count {len(primitives)} != catalan({n})")
-    ncp_census = Counter(
-        type_a(primitive_pf_to_ncp(p), 1) for p in primitives
+    expansion = parking_expansion(n)
+    result = _three_way(
+        "theorem-2.1", {"n": n},
+        top_homogeneous_part(expand_skew(stretched_staircase(n, 1)), n), expansion,
+        primitives, pf_type, [(catalan(n), f"catalan({n})")],
     )
-    _expansions_must_match(
-        result, "primitive census vs noncrossing census", dict(census), dict(ncp_census)
-    )
-    top = top_homogeneous_part(expand_skew(stretched_staircase(n, 1)), n)
-    _expansions_must_match(result, "top part vs formula", top, expansion)
+    ncp_census = Counter(type_a(primitive_pf_to_ncp(p), 1) for p in primitives)
+    _expansions_must_match(result, "formula vs noncrossing census", expansion, ncp_census)
     if n <= 6:
         total, expected = len(enumerate_parking_functions(n)), count_parking_functions(n)
         if total != expected:
@@ -271,38 +265,31 @@ def counting_check_a(n: int, k: int) -> CheckResult:
     return result
 
 
-def _pairs_a(n_max: int, k_max: int):
-    return [
-        (n, k)
-        for k in range(1, k_max + 1)
-        for n in range(1, n_max + 1)
-        if k * (n + 1) <= CAP_A
-    ]
+# k in the outer loop, n in the inner, as the report lists them
+PAIRS_A = [(n, k) for k in range(1, CAP_A) for n in range(1, CAP_A) if k * (n + 1) <= CAP_A]
+PAIRS_B = [(n, k) for k in range(1, CAP_B) for n in range(1, CAP_B) if (k + 1) * n <= CAP_B]
+
+# theorem -> its rows, in report order: (the (n, k) pairs, the checks run at each)
+THEOREMS = {
+    "1.1": [(PAIRS_A, (theorem_11_check,))],
+    "1.2": [(PAIRS_B, (theorem_12_check,))],
+    "2.1": [([(n, 1) for n in range(1, CAP_PARKING + 1)], (lambda n, k: theorem_21_check(n),))],
+    "bijections": [
+        (PAIRS_A, (labeling_bijection_check_a, strip_bijection_check_a)),
+        (PAIRS_B, (labeling_bijection_check_b, strip_bijection_check_b)),
+    ],
+}
 
 
-def _pairs_b(n_max: int, k_max: int):
-    return [
-        (n, k)
-        for k in range(1, k_max + 1)
-        for n in range(1, n_max + 1)
-        if (k + 1) * n <= CAP_B
-    ]
+def verify_limits(theorem: str) -> tuple[int, int]:
+    """The largest n and the largest k among the theorem's pairs."""
+    pairs = [pair for pairs, _ in THEOREMS[theorem] for pair in pairs]
+    return max(n for n, _ in pairs), max(k for _, k in pairs)
 
 
 def verify_theorem(theorem: str, n_max: int, k_max: int) -> list[CheckResult]:
-    if theorem == "1.1":
-        return [theorem_11_check(n, k) for n, k in _pairs_a(n_max, k_max)]
-    if theorem == "1.2":
-        return [theorem_12_check(n, k) for n, k in _pairs_b(n_max, k_max)]
-    if theorem == "2.1":
-        return [theorem_21_check(n) for n in range(1, min(n_max, CAP_PARKING) + 1)]
-    if theorem == "bijections":
-        out = []
-        for n, k in _pairs_a(n_max, k_max):
-            out.append(labeling_bijection_check_a(n, k))
-            out.append(strip_bijection_check_a(n, k))
-        for n, k in _pairs_b(n_max, k_max):
-            out.append(labeling_bijection_check_b(n, k))
-            out.append(strip_bijection_check_b(n, k))
-        return out
-    raise ValueError(f"unknown theorem {theorem!r}")
+    """The theorem's checks at its pairs with n <= n_max and k <= k_max."""
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem {theorem!r}")
+    return [check(n, k) for pairs, checks in THEOREMS[theorem] for n, k in pairs
+            if n <= n_max and k <= k_max for check in checks]

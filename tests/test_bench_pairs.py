@@ -1,7 +1,11 @@
-"""The pair summary of tools/bench_pairs.py, on canned run output."""
+"""The pair summary of tools/bench_pairs.py, on canned run output, and the
+call counts of tools/work_counts.py."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,6 +124,8 @@ def test_a_run_that_fails_its_gate_is_printed_and_exits_1(monkeypatch, tmp_path,
         return {"correct": not failed, "attempted": 100, "failed": failed, "metrics": metrics}
 
     monkeypatch.setattr(bench_pairs, "run", run)
+    monkeypatch.setattr(bench_pairs, "work",
+                        lambda checkout, workload, seed: {"parent": 5, "change": 4}[checkout.name])
     for side in bench_pairs.SIDES:
         (tmp_path / side).mkdir()
     out = tmp_path / "bench.json"
@@ -128,7 +134,9 @@ def test_a_run_that_fails_its_gate_is_printed_and_exits_1(monkeypatch, tmp_path,
                              "--workload", "cli-requests", "--pairs", "2", "--seed", "1",
                              "--out", str(out)])
     err = capsys.readouterr().err
-    summary = json.loads(out.read_text())["workloads"]["cli-requests"]["summary"]
+    written = json.loads(out.read_text())["workloads"]["cli-requests"]
+    summary = written["summary"]
+    assert written["work"] == {"parent": 5, "change": 4}
     assert "cli-requests pair 1 seed 1:" in err and "failed parent 0 change 0" in err
     if failing:
         assert code == 1
@@ -139,3 +147,18 @@ def test_a_run_that_fails_its_gate_is_printed_and_exits_1(monkeypatch, tmp_path,
         assert code == 0
         assert summary["failed"] == {"parent": 0, "change": 0}
         assert "correct: false" not in err
+
+
+def test_work_counts_do_not_depend_on_the_hash_seed():
+    # one profiled pass of verify-expand takes about 1 s
+    counts = []
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "work_counts.py"), "--checkout", str(ROOT),
+             "--workload", "verify-expand", "--seed", "1"],
+            cwd=ROOT, capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts.append(json.loads(proc.stdout)["calls"])
+    assert counts[0] == counts[1] > 100_000

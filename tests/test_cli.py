@@ -193,6 +193,22 @@ def test_verify_cap_refusal():
     assert "refused" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "theorem,limits",
+    [("1.1", (11, 6)), ("1.2", (7, 13)), ("2.1", (7, 1)), ("bijections", (11, 13))],
+)
+@pytest.mark.parametrize("past", ["--n-max", "--k-max"])
+def test_verify_one_past_a_limit_is_refused_before_any_check(monkeypatch, capsys, theorem, limits, past):
+    # 2.1 checks k = 1 only, so a larger --k-max is refused, not ignored
+    monkeypatch.setattr(cli, "verify_theorem", lambda *args: pytest.fail("a check ran"))
+    bound = limits[past == "--k-max"] + 1
+    assert cli.main(["verify", "--theorem", theorem, past, str(bound)]) == 3
+    n, k = limits
+    assert f"refused: verify --theorem {theorem} accepts n-max <= {n}, k-max <= {k};" in (
+        capsys.readouterr().err
+    )
+
+
 @pytest.mark.parametrize("bound", [("--n-max", "0"), ("--k-max", "-3")])
 def test_verify_rejects_empty_ranges(bound):
     r = run_cli("verify", "--theorem", "1.1", *bound)
@@ -436,6 +452,27 @@ def test_one_object_past_the_cap_is_refused_before_it_is_built(args, refusal):
     r = run_cli(*args, timeout=60, preexec_fn=_limit_address_space)
     assert r.returncode == 3
     assert f"refused: {refusal}, over the cap of 500000" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args, refusal",
+    [
+        (("expand", "--shape", "100000000"), "100000000 columns"),
+        (("enumerate", "--object", "rstrips", "--shape", "100000000"), "100000000 columns"),
+        # one box, in the last of 10^8 columns
+        (("expand", "--shape", "100000000/99999999"), "100000000 columns"),
+        # 500000 columns pass; two rows of them do not
+        (("expand", "--shape", "500000,500000"), "1000000 boxes"),
+    ],
+)
+def test_a_shape_literal_past_the_cap_is_refused_before_the_shape_is_built(args, refusal):
+    # nine characters name a shape whose column profile fails at 1.5 GB
+    start = time.monotonic()
+    r = run_cli(*args, timeout=60, preexec_fn=_limit_address_space)
+    assert time.monotonic() - start < 5
+    assert r.returncode == 3
+    assert f"refused: the shape would produce {refusal}, over the cap of 500000" in r.stderr
     assert "Traceback" not in r.stderr
 
 

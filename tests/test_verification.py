@@ -5,13 +5,18 @@ from ncstrip.partitions import binomial, fuss_catalan
 from ncstrip.shapes import SkewShape
 from ncstrip.verification import (
     MISMATCH_SAMPLE,
+    THEOREMS,
     CheckResult,
+    counting_check_a,
     labeling_bijection_check_a,
     labeling_bijection_check_b,
     strip_bijection_check_a,
     strip_bijection_check_b,
     theorem_11_check,
     theorem_12_check,
+    theorem_21_check,
+    verify_limits,
+    verify_theorem,
 )
 
 
@@ -90,6 +95,18 @@ def extra_term(f):
     return lambda *args: {**f(*args), (99,): 1}
 
 
+def doubled(f):
+    """The expansion f with every coefficient doubled, which survives
+    top_homogeneous_part where a term of weight 99 would not."""
+    return lambda *args: {lam: 2 * c for lam, c in f(*args).items()}
+
+
+# a count table whose first row counts one object too many
+first_row_plus_one = first_call_replaced(lambda out: [out[0] + 1, *out[1:]])
+# the partition into singletons of the same points
+singletons = first_call_replaced(lambda blocks: tuple((x,) for b in blocks for x in b))
+
+
 @pytest.mark.parametrize(
     "check,args,name,breaker,tag",
     [
@@ -114,6 +131,16 @@ def extra_term(f):
         (strip_bijection_check_b, (2, 2), "fb_type", first_call_wrong, "type not preserved"),
         (strip_bijection_check_b, (2, 2), "type_b", first_call_wrong, "composite type not preserved"),
         (strip_bijection_check_b, (2, 2), "iter_strip_heights", drop_first, "image has"),
+        (theorem_21_check, (3,), "parking_expansion", extra_term, "enumeration vs formula"),
+        (theorem_21_check, (3,), "pf_type", first_call_wrong, "formula vs census"),
+        (theorem_21_check, (3,), "enumerate_primitive", drop_first, "formula vs census"),
+        (theorem_21_check, (3,), "expand_skew", doubled, "enumeration vs formula"),
+        (theorem_21_check, (3,), "primitive_pf_to_ncp", singletons, "noncrossing census"),
+        (counting_check_a, (3, 2), "_types_a", first_call_wrong_at(0), "type formula vs census"),
+        (counting_check_a, (3, 2), "_types_a", first_call_wrong_at(1), "reduced type formula vs census"),
+        (counting_check_a, (3, 2), "enumerate_k_divisible", drop_first, "type formula vs census"),
+        (counting_check_a, (3, 2), "type_counts", first_row_plus_one, "type counts sum"),
+        (counting_check_a, (3, 2), "reduced_type_counts", first_row_plus_one, "double counting fails"),
     ],
 )
 def test_checks_fail_when_one_piece_is_broken(monkeypatch, check, args, name, breaker, tag):
@@ -243,3 +270,55 @@ def test_labeling_checks_validate_no_source_word(monkeypatch, check, n, k):
     result = check(n, k)
     assert result.passed and result.objects > 0
     assert {name: calls for name, calls in others.items() if calls} == {}
+
+
+@pytest.mark.parametrize(
+    "theorem,limits", [("1.1", (11, 6)), ("1.2", (7, 13)), ("2.1", (7, 1)), ("bijections", (11, 13))]
+)
+def test_verify_limits_are_the_largest_n_and_k_of_the_table(theorem, limits):
+    assert verify_limits(theorem) == limits
+
+
+def test_an_unknown_theorem_is_refused():
+    with pytest.raises(ValueError, match="unknown theorem '1.3'"):
+        verify_theorem("1.3", 2, 2)
+
+
+def staircase_pairs(n_max, k_max):
+    return [(n, k) for k in range(1, k_max + 1) for n in range(1, n_max + 1) if k * (n + 1) <= 12]
+
+
+def rectangle_pairs(n_max, k_max):
+    return [(n, k) for k in range(1, k_max + 1) for n in range(1, n_max + 1) if (k + 1) * n <= 14]
+
+
+def expected_run(theorem, n_max, k_max):
+    """(name, params) of each check, by the rule the table writes out: k in
+    the outer loop, n in the inner, filtered by k(n+1) <= 12 on the
+    staircase side and (k+1)n <= 14 on the rectangle side."""
+    if theorem == "2.1":
+        return [("theorem-2.1", {"n": n}) for n in range(1, min(n_max, 7) + 1)]
+    if theorem != "bijections":
+        name, pairs = {"1.1": ("theorem-1.1", staircase_pairs), "1.2": ("theorem-1.2", rectangle_pairs)}[theorem]
+        return [(name, {"n": n, "k": k}) for n, k in pairs(n_max, k_max)]
+    return [
+        (f"{check}-{side}", {"n": n, "k": k})
+        for side, pairs in (("A", staircase_pairs), ("B", rectangle_pairs))
+        for n, k in pairs(n_max, k_max)
+        for check in ("labeling-bijection", "strip-bijection")
+    ]
+
+
+@pytest.mark.parametrize("theorem", ["1.1", "1.2", "2.1", "bijections"])
+def test_verify_theorem_runs_the_pairs_of_the_caps_in_order(theorem):
+    # at (4, 3) both caps bind: (4, 3) is past each of them, (3, 3) is not
+    results = verify_theorem(theorem, 4, 3)
+    assert all(r.passed for r in results)
+    assert [(r.name, r.params) for r in results] == expected_run(theorem, 4, 3)
+
+
+def test_the_table_holds_every_pair_of_the_caps():
+    assert list(THEOREMS) == ["1.1", "1.2", "2.1", "bijections"]
+    pairs = {theorem: [pairs for pairs, _ in rows] for theorem, rows in THEOREMS.items()}
+    a, b = staircase_pairs(11, 6), rectangle_pairs(7, 13)
+    assert pairs == {"1.1": [a], "1.2": [b], "2.1": [[(n, 1) for n in range(1, 8)]], "bijections": [a, b]}

@@ -11,10 +11,13 @@ i is odd; S is `run_seconds` of BENCHMARK.json.  The output has the layout
 of the committed BENCH files: for each workload every run, and for each
 end-to-end metric of BENCHMARK.json the medians and quartiles of both
 sides, the change's relative difference and the number of pairs in which
-the change did better.  Standard library only; the file is rewritten after
-each workload, so a cut run keeps what it has.  Each pair's line on stderr
-gives its failed operations, and the script exits 1, after writing the
-file, when any run reported `"correct": false`.
+the change did better.  Its `work` block gives the calls of one profiled
+pass at --seed on each side, counted by this tree's tools/work_counts.py:
+a record, comparable from one BENCH file to the next, not a gate.
+Standard library only; the file is rewritten after each workload, so a cut
+run keeps what it has.  Each pair's line on stderr gives its failed
+operations, and the script exits 1, after writing the file, when any run
+reported `"correct": false`.
 """
 
 from __future__ import annotations
@@ -83,6 +86,18 @@ def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return parse_run(proc.stdout)
 
 
+def work(checkout: Path, workload: str, seed: int) -> int:
+    """Calls in one profiled pass of the workload in the checkout."""
+    cmd = [sys.executable, str(ROOT / "tools" / "work_counts.py"), "--checkout", str(checkout),
+           "--workload", workload, "--seed", str(seed)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: work_counts.py --workload {workload} exited "
+                         f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)["calls"]
+
+
 def commit_of(checkout: Path) -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
@@ -146,7 +161,11 @@ def main(argv=None) -> int:
                   f"{pair['parent']['failed']} change {pair['change']['failed']}",
                   file=sys.stderr)
             pairs.append(pair)
-        result["workloads"][workload] = {"summary": summarise(pairs, better), "pairs": pairs}
+        result["workloads"][workload] = {
+            "summary": summarise(pairs, better),
+            "work": {side: work(checkouts[side], workload, args.seed) for side in SIDES},
+            "pairs": pairs,
+        }
         args.out.write_text(json.dumps(result, indent=1) + "\n")
     if incorrect:
         print(f"runs that reported correct: false: {', '.join(incorrect)}", file=sys.stderr)
