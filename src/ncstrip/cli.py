@@ -16,6 +16,7 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Callable
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -98,12 +99,22 @@ class CapExceeded(Exception):
     pass
 
 
+# the cap of the command that main is running, once a guard has read it
+_cap: int | None = None
+
+
 def _max_objects() -> int:
-    raw = os.environ.get("NCSTRIP_MAX_OBJECTS", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_OBJECTS
-    except ValueError:
-        raise ValueError(f"NCSTRIP_MAX_OBJECTS={raw!r} is not an integer") from None
+    """NCSTRIP_MAX_OBJECTS, read at a command's first guard and kept until
+    main clears it at the command's end; a malformed value is refused at
+    every read."""
+    global _cap
+    if _cap is None:
+        raw = os.environ.get("NCSTRIP_MAX_OBJECTS", "")
+        try:
+            _cap = int(raw) if raw else DEFAULT_MAX_OBJECTS
+        except ValueError:
+            raise ValueError(f"NCSTRIP_MAX_OBJECTS={raw!r} is not an integer") from None
+    return _cap
 
 
 def _guard(expected: int, what: str, at_least: bool = False, unit: str = "objects") -> None:
@@ -147,9 +158,9 @@ def _write_json(value, out: list[str], pad: str) -> None:
     encoder does not indent, and its Python one is several times slower.
 
     A list of records, dicts that all have the same keys in the same order,
-    is written from one template: its keys and indents are rendered once
-    per list, and each row pays only for its values, with str values and
-    flat int lists written in place and the rest recursing."""
+    is written column by column: its keys and indents are rendered once per
+    list, each column's values in one pass (_column_texts), and each row is
+    one join of its key heads and value texts."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
@@ -178,27 +189,15 @@ def _write_json(value, out: list[str], pad: str) -> None:
     elif types == {dict} and value[0] and len({*map(tuple, value)}) == 1:
         inner = pad + "  "
         field = inner + "  "
-        deep = field + "  "
         # a key that is not a str raises TypeError here
         first, *rest = [field + encode_basestring_ascii(key) + ": " for key in value[0]]
-        rest = ["," + key for key in rest]
-        heads = ["[" + inner + "{" + first, *rest]
-        row_heads = ["," + inner + "{" + first, *rest]
-        close = inner + "}"
-        for row in value:
-            for head, item in zip(heads, row.values()):
-                kind = type(item)
-                if kind is str:
-                    out += (head, encode_basestring_ascii(item))
-                elif (kind is list or kind is tuple) and {*map(type, item)} == {int}:
-                    out += (head, "[" + deep + ("," + deep).join(map(repr, item))
-                            + field + "]")
-                else:
-                    out.append(head)
-                    _write_json(item, out, field)
-            out.append(close)
-            heads = row_heads
-        out.append(pad + "]")
+        # per row: head, text, head, text, ..., close
+        parts = []
+        for head, column in zip(["{" + first, *("," + key for key in rest)],
+                                zip(*map(dict.values, value))):
+            parts += (repeat(head), _column_texts(column, field))
+        parts.append(repeat(inner + "}"))
+        out += ("[" + inner, ("," + inner).join(map("".join, zip(*parts))), pad + "]")
     else:
         inner = pad + "  "
         sep = "[" + inner
@@ -207,6 +206,32 @@ def _write_json(value, out: list[str], pad: str) -> None:
             _write_json(item, out, inner)
             sep = "," + inner
         out.append(pad + "]")
+
+
+def _column_texts(column: tuple, pad: str):
+    """The JSON texts of one record column's values, with pad the newline and
+    indent of their line.  An all-str column is escaped in one map, and a
+    column of flat lists and tuples of exact ints is written one join per
+    item, the text of each distinct int rendered once; any other column
+    goes through _write_json one value at a time."""
+    kinds = {*map(type, column)}
+    if kinds == {str}:
+        return map(encode_basestring_ascii, column)
+    # bools and floats that equal an int fail the type test, so they never
+    # reach the dict keyed by value
+    if kinds <= {list, tuple} and {*map(type, chain.from_iterable(column))} <= {int}:
+        distinct = {*chain.from_iterable(column)}
+        text = dict(zip(distinct, map(int.__repr__, distinct))).__getitem__
+        deep = pad + "  "
+        sep = "," + deep
+        return ["".join(("[", deep, sep.join(map(text, item)), pad, "]")) if item else "[]"
+                for item in column]
+    texts = []
+    for item in column:
+        text = []
+        _write_json(item, text, pad)
+        texts.append("".join(text))
+    return texts
 
 
 def _text(value) -> str:
@@ -567,10 +592,10 @@ def _pf_params(args) -> dict:
 
 class Listing(NamedTuple):
     """One `enumerate --object`.  params(args) checks the options and returns
-    the parameters; count(**parameters) is the number of objects and
-    size(**parameters), where given, the elements (letters, labels) of the
-    largest, each checked against the cap before objects(**parameters) lists
-    them.  columns(kinds),
+    the parameters, and build(**parameters) the arguments they stand for;
+    count(**arguments) is the number of objects and size(**arguments), where
+    given, the elements (letters, labels) of the largest, each checked
+    against the cap before objects(**arguments) lists them.  columns(kinds),
     given the kinds at the parameters, maps each column header to its value
     on an object; art(object) draws the object for --ascii-art, so a listing
     with art returns its objects as a list, which the table reads again."""
@@ -582,16 +607,19 @@ class Listing(NamedTuple):
     params: Callable = _nk_params
     art: Callable | None = None
     size: Callable | None = None
+    build: Callable = dict
 
 
 LISTINGS = {
     "rstrips": Listing(
-        lambda shape: count_r_strips(parse_shape(shape)),
+        count_r_strips,
         "r-strip enumeration",
-        lambda shape: enumerate_r_strips(parse_shape(shape)),
+        enumerate_r_strips,
         lambda kinds: {"strip": format_strip, "path": path_from_strip, "type": strip_type},
         params=_shape_params,
         art=strip_art,
+        # one shape serves the count and the listing
+        build=lambda shape: {"shape": parse_shape(shape)},
     ),
     "fuss-catalan": Listing(
         fuss_catalan,
@@ -639,10 +667,11 @@ LISTINGS = {
 
 def _listed(listing: Listing, params: dict):
     """The listing's objects at params, once their count and size pass the cap."""
-    _guard(listing.count(**params), listing.what)
+    arguments = listing.build(**params)
+    _guard(listing.count(**arguments), listing.what)
     if listing.size:
-        _guard(listing.size(**params), listing.what, unit="elements in one object")
-    return listing.objects(**params)
+        _guard(listing.size(**arguments), listing.what, unit="elements in one object")
+    return listing.objects(**arguments)
 
 
 def cmd_enumerate(args):
@@ -728,7 +757,7 @@ _parser: argparse.ArgumentParser | None = None
 
 def main(argv=None) -> int:
     # One parser serves every call in the process; it keeps no per-call state.
-    global _parser
+    global _parser, _cap
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
@@ -740,7 +769,8 @@ def main(argv=None) -> int:
             out: list[str] = []
             payload = {"command": args.command, "parameters": params, "result": result}
             _write_json(payload, out, "\n")
-            sys.stdout.write("".join(out) + "\n")
+            out.append("\n")
+            sys.stdout.write("".join(out))
         else:
             sys.stdout.write("".join(line + "\n" for line in table()))
     except CapExceeded as e:
@@ -750,6 +780,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     finally:
+        _cap = None
         print(f"duration_s={time.monotonic() - start:.3f}", file=sys.stderr)
     return code
 

@@ -14,6 +14,9 @@ ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
+spec = importlib.util.spec_from_file_location("work_counts", ROOT / "tools" / "work_counts.py")
+work_counts = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(work_counts)
 
 
 def run_output(wall_s: float, rate: float, failed: int = 0) -> str:
@@ -124,8 +127,11 @@ def test_a_run_that_fails_its_gate_is_printed_and_exits_1(monkeypatch, tmp_path,
         return {"correct": not failed, "attempted": 100, "failed": failed, "metrics": metrics}
 
     monkeypatch.setattr(bench_pairs, "run", run)
-    monkeypatch.setattr(bench_pairs, "work",
-                        lambda checkout, workload, seed: {"parent": 5, "change": 4}[checkout.name])
+    def work(checkout, workload, seed):
+        calls = {"parent": 5, "change": 4}[checkout.name]
+        return {"calls": calls, "modules": {"builtins": calls - 1, "cli": 1}}
+
+    monkeypatch.setattr(bench_pairs, "work", work)
     for side in bench_pairs.SIDES:
         (tmp_path / side).mkdir()
     out = tmp_path / "bench.json"
@@ -136,7 +142,10 @@ def test_a_run_that_fails_its_gate_is_printed_and_exits_1(monkeypatch, tmp_path,
     err = capsys.readouterr().err
     written = json.loads(out.read_text())["workloads"]["cli-requests"]
     summary = written["summary"]
-    assert written["work"] == {"parent": 5, "change": 4}
+    assert written["work"] == {
+        "parent": {"calls": 5, "modules": {"builtins": 4, "cli": 1}},
+        "change": {"calls": 4, "modules": {"builtins": 3, "cli": 1}},
+    }
     assert "cli-requests pair 1 seed 1:" in err and "failed parent 0 change 0" in err
     if failing:
         assert code == 1
@@ -147,6 +156,24 @@ def test_a_run_that_fails_its_gate_is_printed_and_exits_1(monkeypatch, tmp_path,
         assert code == 0
         assert summary["failed"] == {"parent": 0, "change": 0}
         assert "correct: false" not in err
+
+
+def test_calls_are_summed_by_the_module_they_land_in():
+    package = Path("/co/src/ncstrip")
+    stats = {
+        ("~", 0, "<built-in method builtins.len>"): (7, 7, 0.0, 0.0, {}),
+        ("~", 0, "<method 'join' of 'str' objects>"): (2, 3, 0.0, 0.0, {}),
+        ("/co/src/ncstrip/cli.py", 10, "main"): (1, 1, 0.0, 0.0, {}),
+        ("/co/src/ncstrip/cli.py", 20, "_guard"): (4, 4, 0.0, 0.0, {}),
+        # a recursive function: primitive calls first, all calls second
+        ("/co/src/ncstrip/shapes.py", 5, "parse_shape"): (1, 6, 0.0, 0.0, {}),
+        ("/usr/lib/python3/json/__init__.py", 1, "dumps"): (2, 2, 0.0, 0.0, {}),
+        # a module of the same name outside the package is "other"
+        ("/elsewhere/cli.py", 1, "main"): (1, 1, 0.0, 0.0, {}),
+    }
+    assert work_counts.calls_by_module(stats, package) == {
+        "builtins": 10, "cli": 5, "other": 3, "shapes": 6
+    }
 
 
 def test_work_counts_do_not_depend_on_the_hash_seed():
@@ -160,5 +187,7 @@ def test_work_counts_do_not_depend_on_the_hash_seed():
             env={**os.environ, "PYTHONHASHSEED": hash_seed},
         )
         assert proc.returncode == 0, proc.stderr
-        counts.append(json.loads(proc.stdout)["calls"])
-    assert counts[0] == counts[1] > 100_000
+        counts.append(json.loads(proc.stdout))
+    assert counts[0] == counts[1]
+    assert counts[0]["calls"] == sum(counts[0]["modules"].values()) > 100_000
+    assert {"builtins", "shapes", "expansions"} <= set(counts[0]["modules"])

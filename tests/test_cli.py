@@ -295,6 +295,52 @@ def test_non_integer_cap_is_a_usage_error():
     assert "usage error" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (("biject", "--map", "psi-a", "--forward", "-n", "3", "-k", "1", "--input", "EENENN"), 0),
+        (("verify", "--theorem", "1.2", "--n-max", "1", "--k-max", "1"), 0),
+        (("count", "--family", "nca-k", "-n", "4", "-k", "2", "--lambda", "2,1,1"), 0),
+        (("count", "--family", "nca-k", "-n", "4", "-k", "2"), 2),
+        (("expand", "--shape", "3,2/1"), 2),
+        (("enumerate", "--object", "rstrips", "--shape", "3,2/1"), 2),
+        (("biject", "--map", "phi-a", "--forward", "-n", "1", "-k", "1", "--input", "1"), 2),
+    ],
+)
+def test_a_malformed_cap_is_reported_by_the_commands_that_guard(monkeypatch, capsys, args, code):
+    monkeypatch.setenv("NCSTRIP_MAX_OBJECTS", "abc")
+    assert cli.main(list(args)) == code
+    assert ("NCSTRIP_MAX_OBJECTS='abc' is not an integer" in capsys.readouterr().err) == bool(code)
+
+
+def test_the_cap_is_read_once_per_command(monkeypatch, capsys):
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    environ = Environ(os.environ, NCSTRIP_MAX_OBJECTS="1000")
+    monkeypatch.setattr(cli.os, "environ", environ)
+    # two guards on the literal and one on the strip count
+    assert cli.main(["expand", "--shape", "6,5,4/2,1"]) == 0
+    assert reads == ["NCSTRIP_MAX_OBJECTS"]
+    # the next command reads the cap again
+    environ["NCSTRIP_MAX_OBJECTS"] = "5"
+    assert cli.main(["expand", "--shape", "6,5,4/2,1"]) == 3
+    assert reads == ["NCSTRIP_MAX_OBJECTS"] * 2
+    assert "over the cap of 5" in capsys.readouterr().err
+
+
+def test_enumerate_rstrips_builds_its_shape_once(monkeypatch, capsys):
+    calls = counted(monkeypatch, "parse_shape")
+    assert cli.main(["enumerate", "--object", "rstrips", "--shape", "6,5,4/2,1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["parameters"] == {"object": "rstrips", "shape": "6,5,4/2,1"}
+    assert len(calls) == 1
+
+
 def test_parking_count_at_zero_is_an_exact_integer():
     r = run_cli("count", "--family", "pf", "-n", "0")
     assert r.returncode == 0
@@ -695,6 +741,48 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_json_writer_equals_the_stdlib_indent_2_writer(value):
     assert write_json(value) == json.dumps(value, indent=2)
+
+
+INTS = st.integers(-3, 3) | st.integers(min_value=-(2**200), max_value=2**200)
+INT_ITEMS = st.lists(INTS, max_size=4) | st.lists(INTS, max_size=4).map(tuple)
+# a list with a value that no int column holds, and whether the writer refuses it
+ODD_ITEMS = (
+    st.lists(st.booleans(), min_size=1, max_size=3).map(lambda x: (x, False))
+    | st.lists(st.floats(allow_nan=False), min_size=1, max_size=3).map(lambda x: (x, True))
+    | st.lists(st.lists(INTS, max_size=2), min_size=1, max_size=3).map(lambda x: (x, False))
+)
+
+
+@st.composite
+def record_columns(draw):
+    """Lists of records whose columns each hold one kind of value: all str,
+    all flat lists and tuples of ints (empty ones too), or all None; and
+    whether one later row was given an odd list, which the writer refuses
+    when it holds a float."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
+    size = draw(st.integers(2, 6))
+    columns = [
+        draw(st.lists(draw(st.sampled_from([TEXT, INT_ITEMS, st.none()])),
+                      min_size=size, max_size=size))
+        for _ in keys
+    ]
+    rows = [dict(zip(keys, values)) for values in zip(*columns)]
+    refused = False
+    if draw(st.booleans()):
+        odd, refused = draw(ODD_ITEMS)
+        rows[draw(st.integers(1, size - 1))][draw(st.sampled_from(keys))] = odd
+    return rows, refused
+
+
+@given(record_columns())
+def test_record_columns_are_written_as_the_stdlib_writes_them(case):
+    rows, refused = case
+    payload = {"result": {"entries": rows}}
+    if refused:
+        with pytest.raises(TypeError):
+            write_json(payload)
+    else:
+        assert write_json(payload) == json.dumps(payload, indent=2)
 
 
 @pytest.mark.parametrize(

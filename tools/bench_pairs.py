@@ -12,8 +12,9 @@ of the committed BENCH files: for each workload every run, and for each
 end-to-end metric of BENCHMARK.json the medians and quartiles of both
 sides, the change's relative difference and the number of pairs in which
 the change did better.  Its `work` block gives the calls of one profiled
-pass at --seed on each side, counted by this tree's tools/work_counts.py:
-a record, comparable from one BENCH file to the next, not a gate.
+pass at --seed on each side, in total and per module, counted by this
+tree's tools/work_counts.py: a record, comparable from one BENCH file to
+the next, not a gate.
 Standard library only; the file is rewritten after each workload, so a cut
 run keeps what it has.  Each pair's line on stderr gives its failed
 operations, and the script exits 1, after writing the file, when any run
@@ -86,8 +87,9 @@ def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return parse_run(proc.stdout)
 
 
-def work(checkout: Path, workload: str, seed: int) -> int:
-    """Calls in one profiled pass of the workload in the checkout."""
+def work(checkout: Path, workload: str, seed: int) -> dict:
+    """Calls in one profiled pass of the workload in the checkout:
+    {"calls": total, "modules": {module or "builtins" or "other": calls}}."""
     cmd = [sys.executable, str(ROOT / "tools" / "work_counts.py"), "--checkout", str(checkout),
            "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
@@ -95,7 +97,7 @@ def work(checkout: Path, workload: str, seed: int) -> int:
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: work_counts.py --workload {workload} exited "
                          f"{proc.returncode}:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout)["calls"]
+    return json.loads(proc.stdout)
 
 
 def commit_of(checkout: Path) -> str | None:

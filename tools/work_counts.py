@@ -4,8 +4,11 @@
 
 Builds one pass of workload W the way DIR's perfbench/worker.py does (the
 sweep's checks shuffled by S, or `cli_requests(S)` through
-`ncstrip.cli.main`), runs it once under cProfile, and prints {"calls": N}:
-every call cProfile counted, builtins included.  The count is exact and
+`ncstrip.cli.main`), runs it once under cProfile, and prints
+{"calls": N, "modules": {...}}: N is every call cProfile counted, builtins
+included, and "modules" splits N by where the called function lives: one
+row per module of DIR's src/ncstrip, one for builtins (C functions and
+methods) and one for all other Python code.  The counts are exact and
 does not depend on the machine or the hash seed, so counts from different
 runs and different BENCH files can be compared; a gain in time still has
 to be measured.  DIR's `src` goes ahead of the working directory's, which
@@ -22,7 +25,23 @@ import sys
 from pathlib import Path
 
 
-def calls_per_pass(checkout: Path, workload: str, seed: int) -> int:
+def calls_by_module(stats: dict, package: Path) -> dict[str, int]:
+    """The calls of a pstats table, summed by the ncstrip module (file stem
+    under package) of each called function, "builtins" and "other"."""
+    rows: dict[str, int] = {}
+    for (filename, _line, _name), (_, calls, *_rest) in stats.items():
+        path = Path(filename)
+        if filename == "~":
+            row = "builtins"
+        elif path.parent == package:
+            row = path.stem
+        else:
+            row = "other"
+        rows[row] = rows.get(row, 0) + calls
+    return dict(sorted(rows.items()))
+
+
+def calls_per_pass(checkout: Path, workload: str, seed: int) -> dict:
     sys.path.insert(0, str(checkout / "perfbench"))
     import worker
 
@@ -43,7 +62,9 @@ def calls_per_pass(checkout: Path, workload: str, seed: int) -> int:
         except Exception:  # as in the worker, a crashing operation ends only itself
             pass
     profile.disable()
-    return pstats.Stats(profile).total_calls
+    stats = pstats.Stats(profile)
+    return {"calls": stats.total_calls,
+            "modules": calls_by_module(stats.stats, checkout / "src" / "ncstrip")}
 
 
 def main(argv=None) -> int:
@@ -52,8 +73,7 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
     args = p.parse_args(argv)
-    calls = calls_per_pass(args.checkout.resolve(), args.workload, args.seed)
-    print(json.dumps({"calls": calls}))
+    print(json.dumps(calls_per_pass(args.checkout.resolve(), args.workload, args.seed)))
     return 0
 
 
