@@ -224,8 +224,9 @@ def _column_texts(column: tuple, pad: str):
         text = dict(zip(distinct, map(int.__repr__, distinct))).__getitem__
         deep = pad + "  "
         sep = "," + deep
-        return ["".join(("[", deep, sep.join(map(text, item)), pad, "]")) if item else "[]"
-                for item in column]
+        # lazy, so an item's text lives only until its row is joined
+        return ("".join(("[", deep, sep.join(map(text, item)), pad, "]")) if item else "[]"
+                for item in column)
     texts = []
     for item in column:
         text = []
