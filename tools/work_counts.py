@@ -9,7 +9,7 @@ sweep's checks shuffled by S, or `cli_requests(S)` through
 included, and "modules" splits N by where the called function lives: one
 row per module of DIR's src/ncstrip, one for builtins (C functions and
 methods) and one for all other Python code.  The counts are exact and
-does not depend on the machine or the hash seed, so counts from different
+do not depend on the machine or the hash seed, so counts from different
 runs and different BENCH files can be compared; a gain in time still has
 to be measured.  DIR's `src` goes ahead of the working directory's, which
 worker.py also puts on sys.path.
