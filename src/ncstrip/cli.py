@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -69,8 +69,7 @@ from .partitions import (
     fuss_catalan,
     parse_partition,
     partition_counts,
-    partitions_of,
-    partitions_with_weight_at_most,
+    partition_rows,
 )
 from .shapes import (
     count_r_strips,
@@ -93,6 +92,11 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 DEFAULT_MAX_OBJECTS = 500_000
+# A listing's objects hold at most this many elements (labels, letters) per
+# object of the cap, all together: 32,000,000 at the default cap.  13.5
+# million letters (`enumerate --object fuss-catalan -n 8 -k 3`) peak at
+# about 480 MB.
+ELEMENTS_PER_OBJECT = 64
 
 
 class CapExceeded(Exception):
@@ -117,12 +121,16 @@ def _max_objects() -> int:
     return _cap
 
 
-def _guard(expected: int, what: str, at_least: bool = False, unit: str = "objects") -> None:
-    cap = _max_objects()
+def _guard(
+    expected: int, what: str, at_least: bool = False, unit: str = "objects", scale: int = 1
+) -> None:
+    """Refuse `expected` units of work past scale times the cap."""
+    cap = _max_objects() * scale
     if expected > cap:
+        times = f" ({scale} times NCSTRIP_MAX_OBJECTS)" if scale > 1 else ""
         raise CapExceeded(
             f"{what} would produce {'at least ' if at_least else ''}{expected} "
-            f"{unit}, over the cap of {cap} (raise NCSTRIP_MAX_OBJECTS to override)"
+            f"{unit}, over the cap of {cap}{times} (raise NCSTRIP_MAX_OBJECTS to override)"
         )
 
 
@@ -152,15 +160,19 @@ def _guard_shape(text: str) -> None:
     _guard(sum(outer) - sum(inner), "the shape", unit="boxes")
 
 
+class Records(NamedTuple):
+    """A list of records held as its columns: row i is the dict of each key
+    with its column's i-th value.  The writer writes it as that list."""
+
+    keys: tuple[str, ...]
+    columns: tuple[Sequence, ...]
+
+
 def _write_json(value, out: list[str], pad: str) -> None:
     """Append to out exactly what json.dumps(value, indent=2) writes, with
-    pad the newline and indent of the enclosing line.  The stdlib's C
-    encoder does not indent, and its Python one is several times slower.
-
-    A list of records, dicts that all have the same keys in the same order,
-    is written column by column: its keys and indents are rendered once per
-    list, each column's values in one pass (_column_texts), and each row is
-    one join of its key heads and value texts."""
+    pad the newline and indent of the enclosing line; Records are written
+    as their list of dicts.  The stdlib's C encoder does not indent, and its
+    Python one is several times slower."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
@@ -169,6 +181,9 @@ def _write_json(value, out: list[str], pad: str) -> None:
         out.append("true" if value else "false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
+    # before the tuple branches, since a NamedTuple is a tuple
+    elif type(value) is Records:
+        _write_records(value, out, pad)
     elif not isinstance(value, (dict, list, tuple)):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     elif not value:
@@ -183,21 +198,9 @@ def _write_json(value, out: list[str], pad: str) -> None:
             sep = "," + inner
         out.append(pad + "}")
     # one join, not a call per number; the ints are exact, so repr is int.__repr__
-    elif (types := {*map(type, value)}) == {int}:
+    elif {*map(type, value)} == {int}:
         inner = pad + "  "
         out.append("[" + inner + ("," + inner).join(map(repr, value)) + pad + "]")
-    elif types == {dict} and value[0] and len({*map(tuple, value)}) == 1:
-        inner = pad + "  "
-        field = inner + "  "
-        # a key that is not a str raises TypeError here
-        first, *rest = [field + encode_basestring_ascii(key) + ": " for key in value[0]]
-        # per row: head, text, head, text, ..., close
-        parts = []
-        for head, column in zip(["{" + first, *("," + key for key in rest)],
-                                zip(*map(dict.values, value))):
-            parts += (repeat(head), _column_texts(column, field))
-        parts.append(repeat(inner + "}"))
-        out += ("[" + inner, ("," + inner).join(map("".join, zip(*parts))), pad + "]")
     else:
         inner = pad + "  "
         sep = "[" + inner
@@ -208,12 +211,32 @@ def _write_json(value, out: list[str], pad: str) -> None:
         out.append(pad + "]")
 
 
-def _column_texts(column: tuple, pad: str):
+def _write_records(records: Records, out: list[str], pad: str) -> None:
+    """_write_json of Records, column by column: the keys and indents are
+    rendered once, each column's values in one pass (_column_texts), and
+    each row is one join of its key heads and value texts."""
+    keys, columns = records
+    if not any(columns):
+        out.append("[]")
+        return
+    inner = pad + "  "
+    field = inner + "  "
+    # a key that is not a str raises TypeError here
+    first, *rest = [field + encode_basestring_ascii(key) + ": " for key in keys]
+    # per row: head, text, head, text, ..., close
+    parts = []
+    for head, column in zip(["{" + first, *("," + key for key in rest)], columns):
+        parts += (repeat(head), _column_texts(column, field))
+    parts.append(repeat(inner + "}"))
+    out += ("[" + inner, ("," + inner).join(map("".join, zip(*parts))), pad + "]")
+
+
+def _column_texts(column: Sequence, pad: str):
     """The JSON texts of one record column's values, with pad the newline and
     indent of their line.  An all-str column is escaped in one map, and a
-    column of flat lists and tuples of exact ints is written one join per
-    item, the text of each distinct int rendered once; any other column
-    goes through _write_json one value at a time."""
+    column of flat lists and tuples of exact ints in C-level passes, the
+    text of each distinct int rendered once; any other column goes through
+    _write_json one value at a time."""
     kinds = {*map(type, column)}
     if kinds == {str}:
         return map(encode_basestring_ascii, column)
@@ -223,10 +246,11 @@ def _column_texts(column: tuple, pad: str):
         distinct = {*chain.from_iterable(column)}
         text = dict(zip(distinct, map(int.__repr__, distinct))).__getitem__
         deep = pad + "  "
-        sep = "," + deep
+        bodies = map(("," + deep).join, map(map, repeat(text), column))
+        # each body joins its item's brackets, and an empty item is "[]"
+        brackets = (("[", "]"), ("[" + deep, pad + "]"))
         # lazy, so an item's text lives only until its row is joined
-        return ("".join(("[", deep, sep.join(map(text, item)), pad, "]")) if item else "[]"
-                for item in column)
+        return map(str.join, bodies, map(brackets.__getitem__, map(bool, column)))
     texts = []
     for item in column:
         text = []
@@ -255,12 +279,14 @@ def _table(rows, header: list[str]) -> list[str]:
     return [fmt.format(*row) for row in cells]
 
 
-def _lambda_rows(items, column: str, totals: dict) -> tuple[list, Callable[[], list[str]]]:
-    """The records {"lambda", column} of (partition, number) items, in order,
-    and their table, closed by a row per entry of totals."""
-    records = [{"lambda": lam, column: str(c)} for lam, c in items]
+def _lambda_rows(
+    lams, numbers, column: str, totals: dict
+) -> tuple[Records, Callable[[], list[str]]]:
+    """The records {"lambda", column} of the partitions and their numbers, in
+    order, and their table, closed by a row per entry of totals."""
+    records = Records(("lambda", column), (lams, tuple(map(str, numbers))))
     return records, lambda: _table(
-        [*map(dict.values, records), *totals.items()], ["lambda", column]
+        [*zip(*records.columns), *totals.items()], ["lambda", column]
     )
 
 
@@ -303,7 +329,7 @@ def cmd_expand(args):
         # both formulas have one term per partition of weight <= n
         _guard_partitions(n, True, "formula expansion")
         # built in canonical order from the row lister
-        items = list(formula(n, k).items())
+        terms = formula(n, k)
     else:
         if args.shape is not None:
             _guard_shape(args.shape)
@@ -313,10 +339,10 @@ def cmd_expand(args):
             _guard(strips(n, k), what)
             shape = build(n, k)
         # the census has no more terms than the shape has strips
-        items = expansion_items(expand_skew_by_columns(shape))
-    total = str(sum(c for _, c in items))
-    terms, table = _lambda_rows(items, "coeff", {"sum": total})
-    result = {"terms": terms, "term_count": len(items), "coefficient_sum": total}
+        terms = dict(expansion_items(expand_skew_by_columns(shape)))
+    total = str(sum(terms.values()))
+    records, table = _lambda_rows(list(terms), terms.values(), "coeff", {"sum": total})
+    result = {"terms": records, "term_count": len(terms), "coefficient_sum": total}
     return params, result, table, EXIT_OK
 
 
@@ -403,10 +429,10 @@ def _reduced_type_rows(n: int) -> tuple[int, bool]:
 
 # family -> {--by: (count, counts, rows, census, statistic)}; the first --by
 # is the default.  rows(n) gives the largest row weight and whether every
-# lighter weight has rows too, or refuses n.  counts(n, k, rows) counts a
-# table of the row listers' own rows, in order; count(n, k, lam) checks and
-# counts a --lambda row.  --check tallies statistic(object, k) over
-# census(n, k), which applies its own guard.
+# lighter weight has rows too, or refuses n.  counts(n, k, rows, products)
+# counts a table of partition_rows' own rows and multiplicity products, in
+# order; count(n, k, lam) checks and counts a --lambda row.  --check tallies
+# statistic(object, k) over census(n, k), which applies its own guard.
 _TYPE_A = (count_by_type, type_counts, lambda n: (n, False), _census_a, type_a)
 _REDUCED_TYPE_A = (
     count_by_reduced_type, reduced_type_counts, _reduced_type_rows, _census_a, reduced_type_a
@@ -423,7 +449,7 @@ COUNTS = {
     "pf": {
         None: (
             None,
-            lambda n, k, rows: [count_parking_functions(n)],
+            lambda n, k, rows, products: [count_parking_functions(n)],
             lambda n: (0, False),
             lambda n, k: _listed(LISTINGS["pf"], {"n": n, "primitive": False}),
             lambda p, k: (),
@@ -460,20 +486,18 @@ def cmd_count(args):
         if by is None:
             raise ValueError("--lambda needs --by type")
         lam = parse_partition(args.lam)
-        items = [(lam, count(n, k, lam))]
+        lams, numbers = [lam], [count(n, k, lam)]
     else:
         _guard_partitions(w_max, cumulative, "count table")
-        # the row listers give canonical order already
-        lams = (
-            partitions_with_weight_at_most(w_max) if cumulative else list(partitions_of(w_max))
-        )
-        items = list(zip(lams, counts(n, k, lams)))
+        # the row lister gives canonical order already
+        lams, products = partition_rows(w_max, cumulative)
+        numbers = counts(n, k, lams, products)
     total = "count" if args.family == "pf" else "sum"
-    totals = {total: str(sum(c for _, c in items))}
+    totals = {total: str(sum(numbers))}
     if args.check:
-        tally = Counter(statistic(obj, k) for obj in census(n, k))
-        totals["check"] = "pass" if all(tally[lam] == c for lam, c in items) else "fail"
-    entries, table = _lambda_rows(items, "count", totals)
+        tally = Counter(map(statistic, census(n, k), repeat(k)))
+        totals["check"] = "pass" if list(map(tally.__getitem__, lams)) == numbers else "fail"
+    entries, table = _lambda_rows(lams, numbers, "count", totals)
     params = {"family": args.family, "n": n, "k": args.k, "by": args.by, "lambda": args.lam}
     code = EXIT_MISMATCH if totals.get("check") == "fail" else EXIT_OK
     return params, {"entries": entries, **totals}, table, code
@@ -595,11 +619,11 @@ class Listing(NamedTuple):
     """One `enumerate --object`.  params(args) checks the options and returns
     the parameters, and build(**parameters) the arguments they stand for;
     count(**arguments) is the number of objects and size(**arguments), where
-    given, the elements (letters, labels) of the largest, each checked
-    against the cap before objects(**arguments) lists them.  columns(kinds),
-    given the kinds at the parameters, maps each column header to its value
-    on an object; art(object) draws the object for --ascii-art, so a listing
-    with art returns its objects as a list, which the table reads again."""
+    given, the elements (letters, labels) of the largest; the count, the
+    size and their product, the elements of all objects, are checked against
+    the cap before objects(**arguments) lists them.  columns(kinds), given
+    the kinds at the parameters, maps each column header to its value on an
+    object; art(object) draws the object for --ascii-art."""
 
     count: Callable
     what: str
@@ -667,30 +691,38 @@ LISTINGS = {
 
 
 def _listed(listing: Listing, params: dict):
-    """The listing's objects at params, once their count and size pass the cap."""
+    """The listing's objects at params, once their count, the size of one
+    and the elements of all of them pass the cap."""
     arguments = listing.build(**params)
-    _guard(listing.count(**arguments), listing.what)
+    count = listing.count(**arguments)
+    _guard(count, listing.what)
     if listing.size:
-        _guard(listing.size(**arguments), listing.what, unit="elements in one object")
+        size = listing.size(**arguments)
+        _guard(size, listing.what, unit="elements in one object")
+        _guard(count * size, listing.what, unit="elements in all objects",
+               scale=ELEMENTS_PER_OBJECT)
     return listing.objects(**arguments)
 
 
 def cmd_enumerate(args):
     listing = LISTINGS[args.object]
     params = listing.params(args)
-    found = _listed(listing, params)
+    found = list(_listed(listing, params))
     columns = listing.columns(_kinds(params.get("n"), params.get("k")))
-    objects = [{h: value(obj) for h, value in columns.items()} for obj in found]
+    objects = Records(tuple(columns), tuple(list(map(value, found)) for value in columns.values()))
+    count = len(found)
+    # the table keeps the objects only to draw them, so without --ascii-art
+    # they are freed before the payload is written
     drawn = found if args.ascii_art and listing.art else ()
 
     def table() -> list[str]:
-        lines = _table(map(dict.values, objects), list(columns))
-        lines.append(f"count: {len(objects)}")
+        lines = _table(zip(*objects.columns), list(columns))
+        lines.append(f"count: {count}")
         for obj in drawn:
             lines += ["", *listing.art(obj)]
         return lines
 
-    result = {"count": len(objects), "objects": objects}
+    result = {"count": count, "objects": objects}
     return {"object": args.object, **params}, result, table, EXIT_OK
 
 

@@ -14,9 +14,8 @@ from .noncrossing_b import type_counts_b
 from .partitions import (
     Partition,
     _check_shape_nk,
+    partition_rows,
     partition_sort_key,
-    partitions_of,
-    partitions_with_weight_at_most,
 )
 from .shapes import SkewShape, _require_contiguous, iter_strip_heights, run_type
 
@@ -98,8 +97,8 @@ def fuss_a_expansion_formula(n: int, k: int) -> HExpansion:
     partitions of [k(n+1)] with reduced type lam.
     """
     _check_shape_nk(n, k)
-    rows = partitions_with_weight_at_most(n)
-    return dict(zip(rows, reduced_type_counts(n + 1, k, rows)))
+    rows, products = partition_rows(n, True)
+    return dict(zip(rows, reduced_type_counts(n + 1, k, rows, products)))
 
 
 def fuss_b_expansion_formula(n: int, k: int) -> HExpansion:
@@ -109,8 +108,8 @@ def fuss_b_expansion_formula(n: int, k: int) -> HExpansion:
     partitions of [kn]^+- with type lam.
     """
     _check_shape_nk(n, k)
-    rows = partitions_with_weight_at_most(n)
-    return dict(zip(rows, type_counts_b(n, k, rows)))
+    rows, products = partition_rows(n, True)
+    return dict(zip(rows, type_counts_b(n, k, rows, products)))
 
 
 def parking_expansion(n: int) -> HExpansion:
@@ -121,8 +120,8 @@ def parking_expansion(n: int) -> HExpansion:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    rows = list(partitions_of(n))
-    return dict(zip(rows, type_counts(n, 1, rows)))
+    rows, products = partition_rows(n)
+    return dict(zip(rows, type_counts(n, 1, rows, products)))
 
 
 def top_homogeneous_part(e: HExpansion, d: int) -> HExpansion:

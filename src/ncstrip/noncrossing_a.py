@@ -6,11 +6,13 @@ of elements in increasing order, blocks sorted by their minimum.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .partitions import (
     Partition,
     _check_nk,
     as_partition,
-    exact_div,
+    exact_quotients,
     falling_factorials,
     multiplicity_product,
     remove_part,
@@ -217,28 +219,31 @@ def reduced_type_a(blocks, k: int = 1) -> Partition:
     return type_a(rest, k)
 
 
-def type_counts(n: int, k: int, rows) -> list[int]:
+def type_counts(n: int, k: int, rows, products) -> list[int]:
     """Number of partitions in NC_n^(k) of each type in rows, in row order.
 
-    The rows are partitions of n as the library lists them and are not
-    checked again (`count_by_type` checks one).  kn! / (mult (kn+1-l)!) is
-    perm(kn+1, l) / ((kn+1) mult): the falling factorials are one running
-    product up to the longest row, however large kn is.
+    The rows are partitions of n as `partition_rows` lists them, with their
+    multiplicity products, and are not checked again (`count_by_type`
+    checks one).  kn! / (mult (kn+1-l)!) is perm(kn+1, l) / ((kn+1) mult):
+    the falling factorials are one running product up to the longest row,
+    however large kn is.
     """
     kn1 = k * n + 1
-    falling = falling_factorials(kn1, max(map(len, rows), default=0))
-    return [exact_div(falling[len(zeta)], kn1 * multiplicity_product(zeta)) for zeta in rows]
+    lengths = list(map(len, rows))
+    falling = falling_factorials(kn1, max(lengths, default=0))
+    return exact_quotients(map(falling.__getitem__, lengths), map(kn1.__mul__, products))
 
 
-def reduced_type_counts(n: int, k: int, rows) -> list[int]:
+def reduced_type_counts(n: int, k: int, rows, products) -> list[int]:
     """Number of partitions in NC_n^(k) of each reduced type in rows, in row
-    order; n >= 1, and the rows weigh less than n, unchecked as in
-    `type_counts`."""
-    falling = falling_factorials(k * n, max(map(len, rows), default=0))
-    return [
-        exact_div(falling[len(lam)] * (n - sum(lam)), n * multiplicity_product(lam))
-        for lam in rows
-    ]
+    order: perm(kn, l) (n - |lam|) / (n mult).  n >= 1, and the rows weigh
+    less than n, unchecked as in `type_counts`."""
+    lengths = list(map(len, rows))
+    falling = falling_factorials(k * n, max(lengths, default=0))
+    return exact_quotients(
+        map(mul, map(falling.__getitem__, lengths), map(n.__sub__, map(sum, rows))),
+        map(n.__mul__, products),
+    )
 
 
 def count_by_type(n: int, k: int, zeta: Partition) -> int:
@@ -246,7 +251,7 @@ def count_by_type(n: int, k: int, zeta: Partition) -> int:
     zeta = as_partition(zeta)
     if weight(zeta) != n:
         raise ValueError(f"type must be a partition of {n}, got weight {weight(zeta)}")
-    return type_counts(n, k, [zeta])[0]
+    return type_counts(n, k, [zeta], [multiplicity_product(zeta)])[0]
 
 
 def count_by_reduced_type(n: int, k: int, lam: Partition) -> int:
@@ -260,7 +265,7 @@ def count_by_reduced_type(n: int, k: int, lam: Partition) -> int:
         raise ValueError(
             f"reduced type weight must be < n = {n}, got {weight(lam)}"
         )
-    return reduced_type_counts(n, k, [lam])[0]
+    return reduced_type_counts(n, k, [lam], [multiplicity_product(lam)])[0]
 
 
 def read_blocks(text: str) -> Blocks:

@@ -15,7 +15,7 @@ from .partitions import (
     Partition,
     _check_nk,
     as_partition,
-    exact_div,
+    exact_quotients,
     falling_factorials,
     multiplicity_product,
     weight,
@@ -169,13 +169,15 @@ def enumerate_nc_b(n: int, k: int) -> list[SignedBlocks]:
     return out
 
 
-def type_counts_b(n: int, k: int, rows) -> list[int]:
+def type_counts_b(n: int, k: int, rows, products) -> list[int]:
     """Number of partitions in NC_n^{B,(k)} of each type in rows, in row
     order: perm(kn, l) / mult, the falling factorials one running product up
-    to the longest row.  The rows weigh at most n, as the library lists them,
-    and are not checked again (`count_by_type_b` checks one)."""
-    falling = falling_factorials(k * n, max(map(len, rows), default=0))
-    return [exact_div(falling[len(lam)], multiplicity_product(lam)) for lam in rows]
+    to the longest row.  The rows weigh at most n, as `partition_rows` lists
+    them with their multiplicity products, and are not checked again
+    (`count_by_type_b` checks one)."""
+    lengths = list(map(len, rows))
+    falling = falling_factorials(k * n, max(lengths, default=0))
+    return exact_quotients(map(falling.__getitem__, lengths), products)
 
 
 def count_by_type_b(n: int, k: int, lam: Partition) -> int:
@@ -183,7 +185,7 @@ def count_by_type_b(n: int, k: int, lam: Partition) -> int:
     lam = as_partition(lam)
     if weight(lam) > n:
         raise ValueError(f"type weight must be <= n = {n}, got {weight(lam)}")
-    return type_counts_b(n, k, [lam])[0]
+    return type_counts_b(n, k, [lam], [multiplicity_product(lam)])[0]
 
 
 def format_blocks_b(blocks: SignedBlocks) -> str:

@@ -9,6 +9,8 @@ then reverse-lexicographic within a weight.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
+from operator import itemgetter, mul
 from typing import Iterator
 
 Partition = tuple[int, ...]
@@ -62,30 +64,52 @@ def partition_sort_key(p: Partition):
     return (sum(p), tuple(-x for x in p))
 
 
-def partitions_of(m: int) -> Iterator[Partition]:
-    """All partitions of m in reverse-lexicographic (descending) order.
+def partition_rows(w_max: int, cumulative: bool = False) -> tuple[list[Partition], list[int]]:
+    """The rows of a table and the multiplicity product of each row.
 
-    The successor rule of Knuth, TAOCP 4A, 7.2.1.4, Algorithm P: lower the
-    last part x > 1 by one and refill the rest of the weight with parts of
-    at most x - 1.  `head` holds the parts above 1; `ones` counts the 1s.
+    The rows are every partition of w_max, or of every weight 0..w_max when
+    cumulative, in canonical order.  Within a weight they follow the
+    successor rule of Knuth, TAOCP 4A, 7.2.1.4, Algorithm P: lower the last
+    part top > 1 by one and refill the rest of the weight with parts of at
+    most top - 1.  `head` holds the parts above 1 and `ones` counts the 1s;
+    `mult`, the product of the factorials of head's multiplicities, follows
+    each pop and push, so a row's product is mult * ones!.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    head, ones = ([m], 0) if m > 1 else ([], m)
-    while True:
-        yield (*head, *(1,) * ones)
-        if not head:
-            return
-        x = head.pop() - 1
-        rest = ones + 1
-        if x == 1:
-            ones = rest + 1
-            continue
-        q, ones = divmod(rest, x)
-        head += [x] * (q + 1)
-        if ones > 1:
-            head.append(ones)
-            ones = 0
+    if w_max < 0:
+        raise ValueError("the weight must be nonnegative")
+    fact = list(accumulate(range(1, w_max + 1), mul, initial=1))
+    units = [(1,) * i for i in range(w_max + 1)]
+    rows: list[Partition] = []
+    products: list[int] = []
+    row, product = rows.append, products.append
+    for m in range(0 if cumulative else w_max, w_max + 1):
+        head, ones = ([m], 0) if m > 1 else ([], m)
+        mult = 1
+        while True:
+            row((*head, *units[ones]))
+            product(mult * fact[ones])
+            if not head:
+                break
+            top = head.pop()
+            mult //= head.count(top) + 1
+            x = top - 1
+            rest = ones + 1
+            if x == 1:
+                ones = rest + 1
+                continue
+            # q + 1 copies of x open a run, since the parts left are > x
+            q, ones = divmod(rest, x)
+            head += [x] * (q + 1)
+            mult *= fact[q + 1]
+            if ones > 1:  # the remainder part is alone in its run
+                head.append(ones)
+                ones = 0
+    return rows, products
+
+
+def partitions_of(m: int) -> list[Partition]:
+    """All partitions of m in reverse-lexicographic (descending) order."""
+    return partition_rows(m)[0]
 
 
 def partition_counts() -> Iterator[int]:
@@ -108,12 +132,7 @@ def partition_counts() -> Iterator[int]:
 
 def partitions_with_weight_at_most(n: int) -> list[Partition]:
     """Every partition of every 0 <= m <= n, in canonical order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out: list[Partition] = []
-    for m in range(n + 1):
-        out.extend(partitions_of(m))
-    return out
+    return partition_rows(n, True)[0]
 
 
 def factorial(n: int) -> int:
@@ -134,6 +153,15 @@ def exact_div(a: int, b: int) -> int:
     if r:
         raise ArithmeticError(f"{a} is not divisible by {b}")
     return q
+
+
+def exact_quotients(numerators, denominators) -> list[int]:
+    """a // b for each pair, in order, refusing the whole table if any
+    division leaves a remainder: one divmod per pair, one check per table."""
+    pairs = list(map(divmod, numerators, denominators))
+    if any(map(itemgetter(1), pairs)):
+        raise ArithmeticError("a count table has a row that is not an integer")
+    return list(map(itemgetter(0), pairs))
 
 
 def catalan(n: int) -> int:

@@ -53,8 +53,7 @@ from .partitions import (
     catalan,
     format_partition,
     fuss_catalan,
-    partitions_of,
-    partitions_with_weight_at_most,
+    partition_rows,
     weight,
 )
 from .shapes import (
@@ -240,10 +239,10 @@ def counting_check_a(n: int, k: int) -> CheckResult:
         census_type[zeta] += 1
         census_reduced[lam] += 1
         result.objects += 1
-    types = list(partitions_of(n))
-    by_type = dict(zip(types, type_counts(n, k, types)))
-    reduced = partitions_with_weight_at_most(n - 1)
-    by_reduced = dict(zip(reduced, reduced_type_counts(n, k, reduced)))
+    types, products = partition_rows(n)
+    by_type = dict(zip(types, type_counts(n, k, types, products)))
+    reduced, products = partition_rows(n - 1, True)
+    by_reduced = dict(zip(reduced, reduced_type_counts(n, k, reduced, products)))
     _expansions_must_match(result, "type formula vs census", by_type, census_type)
     _expansions_must_match(
         result, "reduced type formula vs census", by_reduced, census_reduced

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncstrip import cli
+from ncstrip.parking import pf_type
 from ncstrip.partitions import binomial, fuss_catalan
 
 CLI = [sys.executable, "-m", "ncstrip.cli"]
@@ -550,6 +551,38 @@ def test_the_object_size_cap_is_the_object_cap():
     assert "the family shape would produce 101 rows, over the cap of 100" in r.stderr
 
 
+def test_a_listing_is_capped_by_the_elements_of_all_its_objects(monkeypatch, capsys):
+    # 100,001 objects of 200,000 labels pass the object cap and the cap on
+    # one object; together they hold 2 * 10^10 labels
+    r = run_cli("enumerate", "--object", "nca-k", "-n", "2", "-k", "100000", timeout=60,
+                preexec_fn=_limit_address_space)
+    assert r.returncode == 3
+    assert (
+        "refused: noncrossing enumeration would produce 20000200000 elements in all "
+        "objects, over the cap of 32000000 (64 times NCSTRIP_MAX_OBJECTS)"
+    ) in r.stderr
+    assert "Traceback" not in r.stderr
+    # 43,263 objects of 16 labels
+    assert cli.main(["enumerate", "--object", "nca-k", "-n", "8", "-k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["count"] == 43263
+    # at a cap of 100: 80 paths of 80 letters pass, 81 of 81 do not
+    monkeypatch.setenv("NCSTRIP_MAX_OBJECTS", "100")
+    assert cli.main(["enumerate", "--object", "binomial", "-n", "1", "-k", "79"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["count"] == 80
+    assert cli.main(["enumerate", "--object", "binomial", "-n", "1", "-k", "80"]) == 3
+    assert "6561 elements in all objects, over the cap of 6400" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_the_parking_listing_types_unsorted_sequences(capsys, n):
+    # without --primitive the sequences are every rearrangement
+    assert cli.main(["enumerate", "--object", "pf", "-n", str(n)]) == 0
+    objects = json.loads(capsys.readouterr().out)["result"]["objects"]
+    assert len(objects) == ((n + 1) ** (n - 1) if n else 1)
+    assert [o["type"] for o in objects] == [list(pf_type(o["sequence"])) for o in objects]
+    assert any(o["sequence"] != sorted(o["sequence"]) for o in objects) == (n >= 2)
+
+
 def test_count_of_one_type_does_not_grow_with_kn():
     # a falling factorial of length(lambda) factors, not two factorials of kn
     r = run_cli(
@@ -755,34 +788,47 @@ ODD_ITEMS = (
 
 @st.composite
 def record_columns(draw):
-    """Lists of records whose columns each hold one kind of value: all str,
-    all flat lists and tuples of ints (empty ones too), or all None; and
-    whether one later row was given an odd list, which the writer refuses
-    when it holds a float."""
+    """Records whose columns each hold one kind of value: all str, all flat
+    lists and tuples of ints (empty ones too), or all None, and at times no
+    rows; the list of dicts they stand for; and whether one later row was
+    given an odd list, which the writer refuses when it holds a float."""
     keys = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
-    size = draw(st.integers(2, 6))
+    size = draw(st.integers(0, 6))
     columns = [
         draw(st.lists(draw(st.sampled_from([TEXT, INT_ITEMS, st.none()])),
                       min_size=size, max_size=size))
         for _ in keys
     ]
-    rows = [dict(zip(keys, values)) for values in zip(*columns)]
     refused = False
-    if draw(st.booleans()):
+    if size > 1 and draw(st.booleans()):
         odd, refused = draw(ODD_ITEMS)
-        rows[draw(st.integers(1, size - 1))][draw(st.sampled_from(keys))] = odd
-    return rows, refused
+        columns[draw(st.integers(0, len(keys) - 1))][draw(st.integers(1, size - 1))] = odd
+    rows = [dict(zip(keys, values)) for values in zip(*columns)]
+    return cli.Records(tuple(keys), tuple(columns)), rows, refused
 
 
 @given(record_columns())
 def test_record_columns_are_written_as_the_stdlib_writes_them(case):
-    rows, refused = case
-    payload = {"result": {"entries": rows}}
-    if refused:
-        with pytest.raises(TypeError):
-            write_json(payload)
-    else:
-        assert write_json(payload) == json.dumps(payload, indent=2)
+    # Records column by column, and the plain list of dicts they stand for
+    # through the writer's generic path
+    records, rows, refused = case
+    for value in (records, rows):
+        payload = {"result": {"entries": value}}
+        if refused:
+            with pytest.raises(TypeError):
+                write_json(payload)
+        else:
+            assert write_json(payload) == json.dumps({"result": {"entries": rows}}, indent=2)
+
+
+def test_a_count_table_takes_its_multiplicity_products_from_the_row_lister(monkeypatch, capsys):
+    calls = counted(monkeypatch, "multiplicity_product")
+    assert cli.main(["count", "--family", "ncb-k", "--by", "type", "-n", "12", "-k", "2"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["result"]["entries"]) == 272
+    assert calls == []
+    # the one row of --lambda is counted from its own product
+    assert cli.main(["count", "--family", "ncb-k", "-n", "12", "-k", "2", "--lambda", "2,1"]) == 0
+    assert calls == [((2, 1),)]
 
 
 @pytest.mark.parametrize(

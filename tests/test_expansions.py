@@ -28,8 +28,7 @@ from ncstrip.partitions import (
     binomial,
     catalan,
     fuss_catalan,
-    partitions_of,
-    partitions_with_weight_at_most,
+    partition_rows,
 )
 from ncstrip.shapes import (
     SkewShape,
@@ -116,17 +115,17 @@ def test_closed_forms_equal_the_factorial_quotients(n):
     # every row of every count table and formula expansion, far past the
     # census caps: type A of NC_n^(k), reduced type of NC_{n+1}^(k) (the
     # fuss-a expansion), type B of NC_n^{B,(k)} (the fuss-b expansion)
-    rows = partitions_with_weight_at_most(n)
-    top = list(partitions_of(n))
+    rows, products = partition_rows(n, True)
+    top, top_products = partition_rows(n)
     assert parking_expansion(n) == {lam: parking_coefficient(n, lam) for lam in top}
     for k in range(1, 5):
         by_type = [type_count_a(n, k, lam) for lam in top]
-        assert type_counts(n, k, top) == by_type
+        assert type_counts(n, k, top, top_products) == by_type
         assert [count_by_type(n, k, lam) for lam in top] == by_type
         reduced = {lam: reduced_type_count_a(n + 1, k, lam) for lam in rows}
         signed = {lam: type_count_b(n, k, lam) for lam in rows}
-        assert reduced_type_counts(n + 1, k, rows) == list(reduced.values())
-        assert type_counts_b(n, k, rows) == list(signed.values())
+        assert reduced_type_counts(n + 1, k, rows, products) == list(reduced.values())
+        assert type_counts_b(n, k, rows, products) == list(signed.values())
         if n == 0:  # the expansion formulas start at n = 1
             assert count_by_reduced_type(1, k, ()) == reduced[()] == 1
             assert count_by_type_b(0, k, ()) == signed[()] == 1

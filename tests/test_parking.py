@@ -37,6 +37,9 @@ def test_pf_type():
     with pytest.raises(ValueError):
         pf_type((2, 2))
     assert multiplicity_type((2, 2)) == (2,)  # only pf_type checks that it parks
+    # enumerate --object pf without --primitive lists unsorted sequences, so
+    # equal values are not always adjacent
+    assert multiplicity_type((2, 1, 2)) == (2, 1)
     assert is_weakly_increasing((2, 2)) and not is_primitive((2, 2))
 
 

@@ -10,11 +10,13 @@ from ncstrip.partitions import (
     binomial,
     catalan,
     exact_div,
+    exact_quotients,
     factorial,
     format_partition,
     fuss_catalan,
     multiplicity_product,
     parse_partition,
+    partition_rows,
     partition_sort_key,
     partitions_of,
     partitions_with_weight_at_most,
@@ -157,6 +159,47 @@ def test_partition_counts_match_the_listing():
 def test_exact_div_refuses_truncation():
     with pytest.raises(ArithmeticError):
         exact_div(7, 2)
+
+
+def test_exact_quotients_refuse_a_table_with_a_remainder():
+    assert exact_quotients([8, 9, 0], [4, 3, 5]) == [2, 3, 0]
+    assert exact_quotients([], []) == []
+    # an error, not an assert, so python -O keeps the check
+    with pytest.raises(ArithmeticError):
+        exact_quotients([8, 7], [4, 2])
+
+
+def reverse_lex(m, max_part=None):
+    """Every partition of m with parts <= max_part, largest first."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, max_part or m), 0, -1):
+        for rest in reverse_lex(m - first, first):
+            yield (first,) + rest
+
+
+def factorial_product(p):
+    out = 1
+    for mult in Counter(p).values():
+        out *= math.factorial(mult)
+    return out
+
+
+@pytest.mark.parametrize("w", range(25))
+def test_partition_rows_carry_their_multiplicity_products(w):
+    single = list(reverse_lex(w))
+    cumulative = [p for m in range(w + 1) for p in reverse_lex(m)]
+    for rows, expect in ((partition_rows(w), single), (partition_rows(w, True), cumulative)):
+        assert rows[0] == expect
+        assert rows[1] == list(map(factorial_product, expect))
+    assert partitions_of(w) == single
+    assert partitions_with_weight_at_most(w) == cumulative
+
+
+def test_partition_rows_refuse_a_negative_weight():
+    with pytest.raises(ValueError):
+        partition_rows(-1)
 
 
 def test_partition_literals():
