@@ -31,7 +31,6 @@ from .shapes import (
     strip_type,
 )
 from .lattice_paths import (
-    ascents,
     enumerate_fuss_binomial,
     enumerate_fuss_catalan,
     fb_type,

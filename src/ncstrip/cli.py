@@ -197,18 +197,9 @@ def _write_json(value, out: list[str], pad: str) -> None:
             _write_json(item, out, inner)
             sep = "," + inner
         out.append(pad + "}")
-    # one join, not a call per number; the ints are exact, so repr is int.__repr__
-    elif {*map(type, value)} == {int}:
-        inner = pad + "  "
-        out.append("[" + inner + ("," + inner).join(map(repr, value)) + pad + "]")
     else:
         inner = pad + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write_json(item, out, inner)
-            sep = "," + inner
-        out.append(pad + "]")
+        out.append("[" + inner + ("," + inner).join(_column_texts(value, inner)) + pad + "]")
 
 
 def _write_records(records: Records, out: list[str], pad: str) -> None:
@@ -232,14 +223,17 @@ def _write_records(records: Records, out: list[str], pad: str) -> None:
 
 
 def _column_texts(column: Sequence, pad: str):
-    """The JSON texts of one record column's values, with pad the newline and
-    indent of their line.  An all-str column is escaped in one map, and a
-    column of flat lists and tuples of exact ints in C-level passes, the
-    text of each distinct int rendered once; any other column goes through
-    _write_json one value at a time."""
+    """The JSON texts of a list's items or of one record column's values,
+    with pad the newline and indent of their line.  An all-str column is
+    escaped in one map, an all-int column rendered in one, and a column of
+    flat lists and tuples of exact ints in C-level passes, the text of each
+    distinct int rendered once; any other column goes through _write_json
+    one value at a time."""
     kinds = {*map(type, column)}
     if kinds == {str}:
         return map(encode_basestring_ascii, column)
+    if kinds == {int}:
+        return map(int.__repr__, column)
     # bools and floats that equal an int fail the type test, so they never
     # reach the dict keyed by value
     if kinds <= {list, tuple} and {*map(type, chain.from_iterable(column))} <= {int}:

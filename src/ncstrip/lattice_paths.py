@@ -100,33 +100,22 @@ def enumerate_fuss_binomial(n: int, k: int) -> Iterator[str]:
         yield heights_word(heights, 0, k * n)
 
 
-def ascents(word: str) -> list[tuple[int, int]]:
-    """Maximal E-runs left to right as (y-coordinate, length) pairs."""
+def _runs(word: str) -> list[str]:
+    """The word's E-runs, piece i the run at height i (after i N steps)."""
     # two C-level counts in place of validate_word's set: the checks'
     # statistics read words an enumerator or a bijection core just built
     if word.count("E") + word.count("N") != len(word):
         validate_word(word)  # raises, naming the bad letters
-    out = []
-    y = run = 0
-    for step in word:
-        if step == "E":
-            run += 1
-        else:
-            if run:
-                out.append((y, run))
-                run = 0
-            y += 1
-    if run:
-        out.append((y, run))
-    return out
+    return word.split("N")
 
 
 def fc_types(word: str) -> tuple[Partition, Partition]:
-    """(fc_type, fc_reduced_type) from one read of the ascents: the reduced
-    type drops one part equal to the length of the first ascent."""
-    runs = ascents(word)
-    zeta = tuple(sorted((ln for _, ln in runs), reverse=True))
-    return zeta, (remove_part(zeta, runs[0][1]) if runs else zeta)
+    """(fc_type, fc_reduced_type) from one split of the word: the ascents
+    are the nonempty E-runs, and the reduced type drops one part equal to
+    the length of the first ascent."""
+    lengths = [*filter(None, map(len, _runs(word)))]
+    zeta = tuple(sorted(lengths, reverse=True))
+    return zeta, (remove_part(zeta, lengths[0]) if lengths else zeta)
 
 
 def fc_type(word: str) -> Partition:
@@ -140,7 +129,6 @@ def fc_reduced_type(word: str) -> Partition:
 
 
 def fb_type(word: str) -> Partition:
-    """Sorted lengths of the ascents not lying on y = 0."""
-    return tuple(
-        sorted((ln for y, ln in ascents(word) if y > 0), reverse=True)
-    )
+    """Sorted lengths of the ascents not lying on y = 0 (every E-run but
+    the first piece)."""
+    return tuple(sorted(filter(None, map(len, _runs(word)[1:])), reverse=True))

@@ -21,6 +21,7 @@ from .partitions import (
     weight,
 )
 from .noncrossing_a import (
+    format_blocks,
     noncrossing_partitions_of_seq,
     owners_noncrossing,
     read_blocks,
@@ -188,9 +189,9 @@ def count_by_type_b(n: int, k: int, lam: Partition) -> int:
     return type_counts_b(n, k, [lam], [multiplicity_product(lam)])[0]
 
 
-def format_blocks_b(blocks: SignedBlocks) -> str:
-    """Literal of canonical signed blocks: "-1,-2,12/-3,-7,11/..."."""
-    return "/".join(",".join(map(str, b)) for b in blocks)
+# the literal of canonical signed blocks, "-1,-2,12/-3,-7,11/...", is
+# written the way type A's is
+format_blocks_b = format_blocks
 
 
 def parse_blocks_b(text: str) -> SignedBlocks:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from pathlib import Path
 
 # pyproject.toml puts src/ on the path of the test process; the CLI tests'
@@ -13,6 +14,23 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, (_SRC, os.environ.get("PYTHONPATH")))
 )
+
+
+def counted(monkeypatch, name, *modules):
+    """One list of the calls to `name` from here on, through the given
+    modules (or classes), or through every loaded ncstrip module that holds
+    it when none is given: each module that imported a function holds its
+    own reference."""
+    if not modules:
+        modules = [
+            m for key, m in sys.modules.items()
+            if key.split(".")[0] == "ncstrip" and getattr(m, name, None) is not None
+        ]
+    calls = []
+    for module in modules:
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _f=f: calls.append(args) or _f(*args))
+    return calls
 
 
 def set_partitions(elements):
@@ -95,6 +113,24 @@ def canonical_b_by_definition(blocks, m: int):
         p0 = pos(min(b, key=key))
         out.append(tuple(sorted(b, key=lambda v: (pos(v) - p0) % (2 * m))))
     return tuple(sorted(out, key=lambda b: key(b[0])))
+
+
+def ascents_by_walk(word: str) -> list[tuple[int, int]]:
+    """Maximal E-runs of an E/N word left to right as (y, length) pairs, y
+    the height of the run, by walking the word one letter at a time."""
+    out = []
+    y = run = 0
+    for step in word:
+        if step == "E":
+            run += 1
+        else:
+            if run:
+                out.append((y, run))
+                run = 0
+            y += 1
+    if run:
+        out.append((y, run))
+    return out
 
 
 def pascal_binomial(n: int, k: int) -> int:

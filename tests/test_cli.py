@@ -12,6 +12,8 @@ from ncstrip import cli
 from ncstrip.parking import pf_type
 from ncstrip.partitions import binomial, fuss_catalan
 
+from conftest import counted
+
 CLI = [sys.executable, "-m", "ncstrip.cli"]
 
 
@@ -611,18 +613,6 @@ def test_count_table_does_not_grow_with_kn(args, total):
     assert json.loads(r.stdout)["result"]["sum"] == str(total)
 
 
-def counted(monkeypatch, name):
-    """The calls made to `name` through any ncstrip module that imports it."""
-    calls = []
-    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ncstrip"]:
-        f = getattr(module, name, None)
-        if f is not None:
-            monkeypatch.setattr(
-                module, name, lambda *args, _f=f: calls.append(args) or _f(*args)
-            )
-    return calls
-
-
 @pytest.mark.parametrize(
     "args,name",
     [
@@ -708,6 +698,11 @@ def stdlib_indent_2(stdout: str) -> str:
         ("count", "--family", "ncb-k", "--by", "type", "-n", "22", "-k", "3"),
         ("enumerate", "--object", "ncb-k", "-n", "3", "-k", "2"),
         ("verify", "--theorem", "bijections", "--n-max", "2"),
+        # bool and int-tuple record columns, flat int tuples inside a dict,
+        # and a plain list of dicts
+        ("enumerate", "--object", "pf", "-n", "4"),
+        ("biject", "--map", "psi-b", "--forward", "-n", "3", "-k", "2", "--input", "NEENNNNEN"),
+        ("verify", "--theorem", "1.1", "--n-max", "2"),
     ],
 )
 def test_large_payloads_are_written_as_the_stdlib_writes_them(args):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncstrip.lattice_paths import (
-    ascents,
     enumerate_fuss_binomial,
     enumerate_fuss_catalan,
     fb_type,
     fc_reduced_type,
     fc_type,
+    fc_types,
     heights_word,
     is_fuss_catalan,
     monotone_heights,
@@ -18,6 +18,8 @@ from ncstrip.lattice_paths import (
     validate_fuss_catalan,
 )
 from ncstrip.partitions import binomial, fuss_catalan, weight
+
+from conftest import ascents_by_walk
 
 TYPE_A_EXAMPLE_WORD = "ENEENNNNENNNEENNNN"  # the worked type A example, 6 E / 12 N
 
@@ -67,13 +69,25 @@ def test_fuss_binomial_small():
     assert sum(1 for _ in enumerate_fuss_binomial(4, 3)) == 1820
 
 
-def test_ascents():
-    assert ascents("EEENNN") == [(0, 3)]
-    assert ascents("ENEN") == [(0, 1), (1, 1)]
-    assert [ln for _, ln in ascents(TYPE_A_EXAMPLE_WORD)] == [1, 2, 1, 2]
+def test_path_statistics_match_the_ascent_walk_on_every_short_word():
+    # every E/N word of length <= 12; the walk reads (height, length) pairs
+    for length in range(13):
+        for word in map("".join, product("EN", repeat=length)):
+            runs = ascents_by_walk(word)
+            zeta = tuple(sorted((ln for _, ln in runs), reverse=True))
+            reduced = list(zeta)
+            if runs:
+                reduced.remove(runs[0][1])
+            assert fc_types(word) == (zeta, tuple(reduced)), word
+            assert fb_type(word) == tuple(sorted((ln for y, ln in runs if y > 0), reverse=True)), word
+    for word, bad in [("EXN", "['X']"), ("NEe N", "[' ', 'e']"), ("x", "['x']")]:
+        message = re.escape(f"path word must be over {{E, N}}, found {bad}")
+        for statistic in (fc_types, fb_type):
+            with pytest.raises(ValueError, match=message):
+                statistic(word)
 
 
-@pytest.mark.parametrize("statistic", [ascents, fc_type, fc_reduced_type, fb_type])
+@pytest.mark.parametrize("statistic", [fc_type, fc_reduced_type, fb_type])
 @pytest.mark.parametrize("word,bad", [("EXN", "['X']"), ("NEe N", "[' ', 'e']"), ("x", "['x']")])
 def test_statistics_refuse_letters_other_than_e_and_n(statistic, word, bad):
     with pytest.raises(ValueError, match=re.escape(f"path word must be over {{E, N}}, found {bad}")):
@@ -124,7 +138,7 @@ def test_random_binomial_word_types(n, k, data):
     t = fb_type(word)
     assert weight(t) <= n
     assert all(t[i] >= t[i + 1] for i in range(len(t) - 1))
-    assert sum(ln for _, ln in ascents(word)) == n
+    assert sum(fc_type(word)) == n
 
 
 def test_monotone_heights_against_the_filtered_product():

@@ -1,6 +1,6 @@
 import pytest
 
-from ncstrip import bijections, lattice_paths, noncrossing_a, noncrossing_b, shapes, verification
+from ncstrip import bijections, noncrossing_a, noncrossing_b, shapes, verification
 from ncstrip.partitions import binomial, fuss_catalan
 from ncstrip.shapes import SkewShape
 from ncstrip.verification import (
@@ -18,6 +18,8 @@ from ncstrip.verification import (
     verify_limits,
     verify_theorem,
 )
+
+from conftest import counted
 
 
 def test_failures_keep_a_bounded_sample_and_count_all():
@@ -37,14 +39,7 @@ def test_failures_keep_a_bounded_sample_and_count_all():
 def test_strip_checks_build_one_shape(monkeypatch, check, n, k, width):
     # a shape computes its profile with one column_interval call per column,
     # so a check that builds its shape once makes exactly `width` calls
-    calls = []
-    column_interval = SkewShape.column_interval
-
-    def counted(self, c):
-        calls.append(c)
-        return column_interval(self, c)
-
-    monkeypatch.setattr(SkewShape, "column_interval", counted)
+    calls = counted(monkeypatch, "column_interval", SkewShape)
     assert check(n, k).passed
     assert len(calls) == width
 
@@ -175,32 +170,20 @@ def test_an_image_outside_the_targets_is_a_failure(monkeypatch, check, args, nam
     assert any("is not a target" in m for m in result.mismatches), result.mismatches
 
 
-def counting(monkeypatch, name, *modules):
-    """One list of the calls to `name` through any of the modules (each
-    module that imported it holds its own reference) from here on."""
-    calls = []
-    for module in modules:
-        f = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda *args, _f=f: calls.append(args) or _f(*args)
-        )
-    return calls
-
-
 def test_labeling_check_a_reads_each_word_once_and_validates_no_image(monkeypatch):
-    ascents = counting(monkeypatch, "ascents", lattice_paths)
-    validations = counting(monkeypatch, "validate_nc_a", noncrossing_a, bijections)
+    types = counted(monkeypatch, "fc_types", verification)
+    validations = counted(monkeypatch, "validate_nc_a", noncrossing_a, bijections)
     result = labeling_bijection_check_a(5, 2)
     assert result.passed
     assert result.objects == fuss_catalan(5, 2)
-    assert len(ascents) == result.objects
+    assert len(types) == result.objects
     assert validations == []
 
 
 def test_labeling_check_b_runs_only_the_inverse_core(monkeypatch):
-    validations = counting(monkeypatch, "validate_nc_b", noncrossing_b, bijections)
-    public = counting(monkeypatch, "signed_noncrossing_to_path", bijections)
-    core = counting(monkeypatch, "_signed_noncrossing_to_path", verification)
+    validations = counted(monkeypatch, "validate_nc_b", noncrossing_b, bijections)
+    public = counted(monkeypatch, "signed_noncrossing_to_path", bijections)
+    core = counted(monkeypatch, "_signed_noncrossing_to_path", verification)
     result = labeling_bijection_check_b(3, 2)
     assert result.passed
     assert validations == [] and public == []
@@ -209,7 +192,7 @@ def test_labeling_check_b_runs_only_the_inverse_core(monkeypatch):
 
 @pytest.mark.parametrize("check,n,k", [(strip_bijection_check_a, 4, 2), (strip_bijection_check_b, 3, 2)])
 def test_strip_checks_type_each_strip_once(monkeypatch, check, n, k):
-    run_types = counting(monkeypatch, "run_type", verification)
+    run_types = counted(monkeypatch, "run_type", verification)
     result = check(n, k)
     assert result.passed
     assert len(run_types) == result.objects > 0
@@ -232,16 +215,6 @@ WORD_VALIDATIONS = (
 )
 
 
-def counting_everywhere(monkeypatch, names):
-    """For each name, one list of its calls through every module on a
-    check's path that holds a reference to it."""
-    modules = (lattice_paths, shapes, bijections, verification)
-    return {
-        name: counting(monkeypatch, name, *(m for m in modules if hasattr(m, name)))
-        for name in names
-    }
-
-
 @pytest.mark.parametrize(
     "check,n,k,core",
     [
@@ -252,9 +225,9 @@ def counting_everywhere(monkeypatch, names):
 def test_strip_checks_build_and_validate_nothing_per_strip(monkeypatch, check, n, k, core):
     # a strip is its height vector: no RStrip, no word validation and no
     # public map, and one forward core call per strip
-    strips = counting(monkeypatch, "_check_heights", shapes)
-    others = counting_everywhere(monkeypatch, WORD_VALIDATIONS + PUBLIC_MAPS)
-    forward = counting(monkeypatch, core, verification)
+    strips = counted(monkeypatch, "_check_heights", shapes)
+    others = {name: counted(monkeypatch, name) for name in WORD_VALIDATIONS + PUBLIC_MAPS}
+    forward = counted(monkeypatch, core, verification)
     result = check(n, k)
     assert result.passed
     assert strips == []
@@ -266,7 +239,7 @@ def test_strip_checks_build_and_validate_nothing_per_strip(monkeypatch, check, n
     "check,n,k", [(labeling_bijection_check_a, 5, 2), (labeling_bijection_check_b, 3, 2)]
 )
 def test_labeling_checks_validate_no_source_word(monkeypatch, check, n, k):
-    others = counting_everywhere(monkeypatch, WORD_VALIDATIONS + PUBLIC_MAPS)
+    others = {name: counted(monkeypatch, name) for name in WORD_VALIDATIONS + PUBLIC_MAPS}
     result = check(n, k)
     assert result.passed and result.objects > 0
     assert {name: calls for name, calls in others.items() if calls} == {}
