@@ -24,8 +24,8 @@ from .lattice_paths import (
     validate_fuss_binomial,
     validate_fuss_catalan,
 )
-from .noncrossing_a import Blocks, validate_nc_a
-from .noncrossing_b import SignedBlocks, listing_from_owners, validate_nc_b
+from .noncrossing_a import Blocks, _grouped, validate_nc_a
+from .noncrossing_b import SignedBlocks, _signed_labels, validate_nc_b
 from .partitions import _check_nk
 from .shapes import RStrip, SkewShape, _path_heights, strip_from_path
 
@@ -296,8 +296,10 @@ def _path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
         pos[a:b] = [r and last + r for r in _preorder_ranks(units[a:b][::-1])][::-1]
         last += units.count("e", a, b)
 
-    # each ascent is a block and its mirror, or one antipodal block on y = 0
-    owner = [0] * (2 * m + 1)  # polygon position -> block
+    # each ascent is a block and its mirror, or one antipodal block on y = 0,
+    # written by canonical label order: position p <= m (the label p) at
+    # index p + m - 1, p > m (the label m - p) at p - m - 1, its mirror at p - 1
+    owner = [0] * (2 * m)
     count = here = there = 0
     y = prev = 0
     for p in pos:
@@ -308,10 +310,10 @@ def _path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
                 here = count
                 there = count + 1 if y else count
                 count = there + 1
-            owner[p] = here
-            owner[p + m if p <= m else p - m] = there
+            owner[p + m - 1 if p <= m else p - m - 1] = here
+            owner[p - 1] = there
         prev = p
-    return listing_from_owners(owner, m)
+    return _grouped(_signed_labels(m), owner)
 
 
 def signed_noncrossing_to_path(blocks, n: int, k: int) -> str:
@@ -375,10 +377,8 @@ def _signed_noncrossing_to_path(blocks: SignedBlocks, n: int, k: int) -> str:
         for lo, hi, step in ((p_cut[i - 1], p_cut[i], 1), (n_cut[i], n_cut[i - 1], -1)):
             # a piece is the restriction of a noncrossing partition to an
             # arc, so its blocks, by first position, are already canonical
-            groups: dict[int, list[int]] = {}
-            for t, b in enumerate(arc[lo:hi], 1):
-                groups.setdefault(b, []).append(t)
-            parts.append(_noncrossing_to_path(list(groups.values()), hi - lo, 1)[::step])
+            piece = _grouped(range(1, hi - lo + 1), arc[lo:hi])
+            parts.append(_noncrossing_to_path(piece, hi - lo, 1)[::step])
     # the units regroup into east steps: every run between two north steps
     runs = "".join(parts).split("N")
     if any(len(r) % k for r in runs):

@@ -78,6 +78,7 @@ from .shapes import (
     parse_shape,
     parse_strip,
     path_from_strip,
+    read_shape,
     rectangle,
     strip_type,
     stretched_staircase,
@@ -152,11 +153,10 @@ def _guard_shape(text: str) -> None:
     read off its integers before parse_shape builds the column profile of,
     say, "100000000/99999999": one box, 10^8 columns."""
     try:
-        outer, inner = ([int(x) for x in part.split(",")] if part.strip() else [0]
-                        for part in text.partition("/")[::2])
+        outer, inner = read_shape(text)
     except ValueError:
         return  # parse_shape words the error
-    _guard(outer[0], "the shape", unit="columns")
+    _guard(outer[0] if outer else 0, "the shape", unit="columns")
     _guard(sum(outer) - sum(inner), "the shape", unit="boxes")
 
 

@@ -25,33 +25,43 @@ Blocks = tuple[tuple[int, ...], ...]
 def _owners(blocks, n: int) -> tuple[list[int], list[int]]:
     """(owner, sizes) of a set partition of [n], each element placed once.
 
-    owner[x] is the index of the block holding x (owner[0] is unused) and
-    sizes[i] is the size of block i.  Raises ValueError on an empty block or
-    when the blocks do not cover [1..n] exactly once.  Each block must have
-    a len (a tuple, list or set): the elements are counted before the array
-    is allocated, so its length never exceeds the input's.
+    owner[x - 1] is the index of the block holding x and sizes[i] is the
+    size of block i.  Raises ValueError on an empty block or when the
+    blocks do not cover [1..n] exactly once.  Each block must have a len (a
+    tuple, list or set): the elements are counted before the array is
+    allocated, so its length never exceeds the input's.
     """
     blocks = tuple(blocks)
     sizes = list(map(len, blocks))
     if sum(sizes) != n:
         raise ValueError(f"blocks do not partition [1..{n}]")
-    owner = [-1] * (n + 1)
+    owner = [-1] * n
     for i, b in enumerate(blocks):
         if not b:
             raise ValueError("empty block")
         for x in b:
-            if not 1 <= x <= n or owner[x] >= 0:
+            if not 1 <= x <= n or owner[x - 1] >= 0:
                 raise ValueError(f"blocks do not partition [1..{n}]")
-            owner[x] = i
+            owner[x - 1] = i
     return owner, sizes
 
 
-def _listing(owner: list[int], n: int) -> Blocks:
-    """Canonical blocks read off an owner array in increasing order."""
+def _grouped(labels, owners) -> Blocks:
+    """The labels grouped by owner in the order they are read, so labels
+    read in canonical order give the canonical blocks."""
     out: dict[int, list[int]] = {}
-    for x in range(1, n + 1):
-        out.setdefault(owner[x], []).append(x)
-    return tuple(tuple(b) for b in out.values())
+    for x, b in zip(labels, owners):
+        out.setdefault(b, []).append(x)
+    return tuple(map(tuple, out.values()))
+
+
+def _divided(sizes, k: int) -> list[int]:
+    """Each block size divided by k; refuses the first that k does not divide."""
+    sizes = list(sizes)
+    for s in sizes:
+        if s % k:
+            raise ValueError(f"block size {s} is not divisible by {k}")
+    return [s // k for s in sizes]
 
 
 def validate_set_partition(blocks, n: int) -> Blocks:
@@ -60,7 +70,7 @@ def validate_set_partition(blocks, n: int) -> Blocks:
     Raises ValueError on an empty block or when the blocks do not cover
     [1..n] exactly once.
     """
-    return _listing(_owners(blocks, n)[0], n)
+    return _grouped(range(1, n + 1), _owners(blocks, n)[0])
 
 
 def validate_nc_a(blocks, n: int, k: int) -> Blocks:
@@ -72,12 +82,10 @@ def validate_nc_a(blocks, n: int, k: int) -> Blocks:
     partition is noncrossing, and every block size is divisible by k.
     """
     owner, sizes = _owners(blocks, k * n)
-    if not owners_noncrossing(owner[1:], sizes):
+    if not owners_noncrossing(owner, sizes):
         raise ValueError("partition is crossing")
-    out = _listing(owner, k * n)
-    for b in out:
-        if len(b) % k:
-            raise ValueError(f"block size {len(b)} is not divisible by {k}")
+    out = _grouped(range(1, k * n + 1), owner)
+    _divided(map(len, out), k)
     return out
 
 
@@ -106,7 +114,7 @@ def owners_noncrossing(owners, sizes) -> bool:
 def is_noncrossing(blocks, n: int) -> bool:
     """Crossing test for a set partition of [n]."""
     owner, sizes = _owners(blocks, n)
-    return owners_noncrossing(owner[1:], sizes)
+    return owners_noncrossing(owner, sizes)
 
 
 def noncrossing_partitions_of_seq(seq, k: int = 1) -> list[Blocks]:
@@ -186,12 +194,7 @@ def enumerate_k_divisible(n: int, k: int) -> list[Blocks]:
 def type_a(blocks, k: int = 1) -> Partition:
     """Sorted block sizes, each divided by k."""
     sizes = sorted(map(len, blocks), reverse=True)
-    if k != 1:
-        for s in sizes:
-            if s % k:
-                raise ValueError(f"block size {s} is not divisible by {k}")
-        sizes = [s // k for s in sizes]
-    return tuple(sizes)
+    return tuple(sizes if k == 1 else _divided(sizes, k))
 
 
 def _types_a(blocks, k: int = 1) -> tuple[Partition, Partition]:

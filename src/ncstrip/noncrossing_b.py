@@ -2,14 +2,13 @@
 
 Polygon convention: the 2m-gon's positions 1..2m carry the labels
 1, 2, ..., m, -1, -2, ..., -m clockwise, so pos(v) = v for v > 0 and
-pos(-j) = m + j.  Crossing is tested on positions.  The element order used
-for canonical listings is -1 < -2 < ... < -m < 1 < 2 < ... < m; blocks are
-listed clockwise starting from their minimal element in that order.
+pos(-j) = m + j.  The element order used for canonical listings is
+-1 < -2 < ... < -m < 1 < 2 < ... < m; blocks are listed clockwise starting
+from their minimal element in that order, which reads the polygon clockwise
+from -1.  Arrays are indexed by it (-j at j - 1, j at m + j - 1).
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .partitions import (
     Partition,
@@ -21,6 +20,8 @@ from .partitions import (
     weight,
 )
 from .noncrossing_a import (
+    _divided,
+    _grouped,
     format_blocks,
     noncrossing_partitions_of_seq,
     owners_noncrossing,
@@ -51,29 +52,19 @@ def antipodal_block(blocks) -> tuple[int, ...] | None:
     return found
 
 
-def listing_from_owners(owner, m: int) -> SignedBlocks:
-    """Canonical blocks of the partition that puts polygon position p in
-    block owner[p] (owner[0] is unused).
-
-    Read clockwise from position m + 1 (the label -1), the polygon meets
-    every block at its minimal element first, so the blocks come out in
-    canonical order, each listed clockwise from its minimum.
-    """
-    out: dict[int, list[int]] = {}
-    labels = itertools.chain(range(-1, -m - 1, -1), range(1, m + 1))
-    for v, b in zip(labels, owner[m + 1 :] + owner[1 : m + 1]):
-        out.setdefault(b, []).append(v)
-    return tuple(tuple(b) for b in out.values())
+def _signed_labels(m: int) -> list[int]:
+    """The signed labels in canonical order: -1..-m, then 1..m."""
+    return [*range(-1, -m - 1, -1), *range(1, m + 1)]
 
 
 def validate_nc_b(blocks, n: int, k: int) -> SignedBlocks:
     """Canonical blocks of a member of NC_n^{B,(k)}, checked in one pass.
 
-    Every label is placed once on an array of the 2m polygon positions
-    (m = kn).  The checks run in this order, and the first that fails
-    raises ValueError: the blocks partition the signed set, the partition
-    is invariant under negation, it is noncrossing on the polygon, and every
-    block size is divisible by k.
+    Every label is placed once on an array in canonical order (m = kn), the
+    polygon cut open at -1, where crossings are the same.  The checks run in
+    this order, and the first that fails raises ValueError: the blocks
+    partition the signed set, the partition is invariant under negation, it
+    is noncrossing on the polygon, and every block size is divisible by k.
     """
     m = k * n
     blocks = tuple(blocks)
@@ -82,32 +73,30 @@ def validate_nc_b(blocks, n: int, k: int) -> SignedBlocks:
     # longer than the input
     if 0 in sizes or sum(sizes) != 2 * m:
         raise ValueError(f"blocks do not partition the signed set [-{m}..{m}]")
-    owner = [-1] * (2 * m + 1)  # position -> block index
+    owner = [-1] * (2 * m)  # canonical index -> block index
     overlap = False
     for i, b in enumerate(blocks):
         for v in b:
             if v == 0 or not -m <= v <= m:
                 raise ValueError(f"label {v} outside the signed ground set of size {m}")
-            p = v if v > 0 else m - v
-            overlap = overlap or owner[p] >= 0
-            owner[p] = i
+            t = m + v - 1 if v > 0 else -v - 1
+            overlap = overlap or owner[t] >= 0
+            owner[t] = i
     if overlap:
         raise ValueError(f"blocks do not partition the signed set [-{m}..{m}]")
     # invariant iff all members of a block have their negatives in one block
     mirror = [-1] * len(sizes)
-    for i, j in zip(owner[1 : m + 1], owner[m + 1 :]):
+    for i, j in zip(owner[m:], owner[:m]):
         if mirror[i] < 0:
             mirror[i] = j
         if mirror[j] < 0:
             mirror[j] = i
         if mirror[i] != j or mirror[j] != i:
             raise ValueError("partition is not invariant under negation")
-    if not owners_noncrossing(owner[1:], sizes):
+    if not owners_noncrossing(owner, sizes):
         raise ValueError("partition is crossing on the polygon")
-    out = listing_from_owners(owner, m)
-    for b in out:
-        if len(b) % k:
-            raise ValueError(f"block size {len(b)} is not divisible by {k}")
+    out = _grouped(_signed_labels(m), owner)
+    _divided(map(len, out), k)
     return out
 
 
@@ -121,10 +110,7 @@ def type_b(blocks, k: int = 1) -> Partition:
     one per orbit.
     """
     sizes = sorted((len(b) for b in blocks if -b[0] not in b), reverse=True)[::2]
-    for size in sizes:
-        if size % k:
-            raise ValueError(f"block size {size} is not divisible by {k}")
-    return tuple(size // k for size in sizes)
+    return tuple(_divided(sizes, k))
 
 
 def enumerate_nc_b(n: int, k: int) -> list[SignedBlocks]:
@@ -151,6 +137,7 @@ def enumerate_nc_b(n: int, k: int) -> list[SignedBlocks]:
     m = k * n
     if m == 0:
         return [()]
+    labels = _signed_labels(m)
     out: list[SignedBlocks] = []
     for part in noncrossing_partitions_of_seq(range(1, m + 1), k):
         half = [0] * m
@@ -163,9 +150,8 @@ def enumerate_nc_b(n: int, k: int) -> list[SignedBlocks]:
         paired = [b + 1 for b in half]
         joined = [b and b + 1 for b in half]  # block 0 is its own mirror
         for mirror, top in ((paired, m - c), (joined, m - part[0][-1])):
-            for g in range(top + 1):
-                owner = [-1] + mirror[m - g :] + half + mirror[: m - g]
-                out.append(listing_from_owners(owner, m))
+            for g in range(top + 1):  # (P, g) in canonical label order
+                out.append(_grouped(labels, half[m - g :] + mirror + half[: m - g]))
     out.sort()
     return out
 

@@ -274,15 +274,22 @@ def format_shape(shape: SkewShape) -> str:
     return f"{outer}/{inner}"
 
 
+def read_shape(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The outer and inner parts of a shape literal as written, neither
+    checked as a partition: "3,2/1" is ((3, 2), (1,)), "3,2/" is ((3, 2), ())."""
+    outer, _, inner = text.strip().partition("/")
+    return (
+        tuple(map(int, outer.split(","))) if outer else (),
+        tuple(map(int, inner.split(","))) if inner else (),
+    )
+
+
 def parse_shape(text: str) -> SkewShape:
     """Shape literal: "3,2/1" (outer (3,2), inner (1)); "3,2/" for empty inner."""
-    text = text.strip()
-    outer_s, _, inner_s = text.partition("/")
-    parse = lambda s: tuple(int(x) for x in s.split(",")) if s else ()
     try:
-        return SkewShape(parse(outer_s), parse(inner_s))
+        return SkewShape(*read_shape(text))
     except ValueError as e:
-        raise ValueError(f"bad shape literal {text!r}: {e}") from None
+        raise ValueError(f"bad shape literal {text.strip()!r}: {e}") from None
 
 
 def format_strip(strip: RStrip) -> str:

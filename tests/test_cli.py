@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncstrip import cli
-from ncstrip.parking import pf_type
-from ncstrip.partitions import binomial, fuss_catalan
+from ncstrip.noncrossing_b import count_by_type_b
+from ncstrip.parking import enumerate_parking_functions, is_primitive, pf_type
+from ncstrip.partitions import binomial, fuss_catalan, partitions_with_weight_at_most
 
 from conftest import counted
 
@@ -692,6 +693,41 @@ def stdlib_indent_2(stdout: str) -> str:
     return json.dumps(json.loads(stdout), indent=2) + "\n"
 
 
+def pf_listing(n: int) -> dict:
+    objects = [
+        {"sequence": s, "type": pf_type(s), "primitive": is_primitive(s)}
+        for s in enumerate_parking_functions(n)
+    ]
+    return {
+        "command": "enumerate",
+        "parameters": {"object": "pf", "n": n, "primitive": False},
+        "result": {"count": len(objects), "objects": objects},
+    }
+
+
+def ncb_type_table(n: int, k: int) -> dict:
+    lams = partitions_with_weight_at_most(n)
+    counts = [count_by_type_b(n, k, lam) for lam in lams]
+    return {
+        "command": "count",
+        "parameters": {"family": "ncb-k", "n": n, "k": k, "by": "type", "lambda": None},
+        "result": {
+            "entries": [{"lambda": lam, "count": str(c)} for lam, c in zip(lams, counts)],
+            "sum": str(sum(counts)),
+        },
+    }
+
+
+# payloads rebuilt from the library's own calls and written by the stdlib,
+# compared byte for byte: parsed values could not tell 1 from True
+EXPECTED_PAYLOADS = {
+    ("count", "--family", "ncb-k", "--by", "type", "-n", "22", "-k", "3"): (
+        lambda: ncb_type_table(22, 3)
+    ),
+    ("enumerate", "--object", "pf", "-n", "4"): lambda: pf_listing(4),
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -709,6 +745,8 @@ def test_large_payloads_are_written_as_the_stdlib_writes_them(args):
     r = run_cli(*args)
     assert r.returncode == 0
     assert r.stdout == stdlib_indent_2(r.stdout)
+    if args in EXPECTED_PAYLOADS:
+        assert r.stdout == json.dumps(EXPECTED_PAYLOADS[args](), indent=2) + "\n"
 
 
 def write_json(value) -> str:

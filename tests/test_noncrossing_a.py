@@ -61,9 +61,14 @@ def test_validate_nc_a_messages_in_order():
         ([(1, 3), (2, 4), (5,)], 2, 2, "do not partition"),
         ([(1, 3, 6), (2, 4, 5)], 3, 2, "crossing"),
         ([(1, 2, 3), (4, 5, 6)], 3, 2, "not divisible by 2"),
+        # the first size refused is the first in canonical order
+        ([(5, 6), (4, 3, 2), (1,)], 3, 2, "block size 1 is not divisible by 2"),
     ]:
         with pytest.raises(ValueError, match=message):
             validate_nc_a(blocks, n, k)
+    # type_a refuses the first of its sizes sorted in decreasing order
+    with pytest.raises(ValueError, match="block size 3 is not divisible by 2"):
+        type_a([(1,), (2, 3, 4), (5, 6)], 2)
 
 
 def test_enumeration_counts():

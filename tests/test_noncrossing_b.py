@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ncstrip import noncrossing_b
@@ -109,6 +111,24 @@ def test_enumerate_nc_b_lists_each_member_once_in_canonical_form(n, k):
     assert all(a < b for a, b in zip(got, got[1:]))  # strictly increasing
     assert all(validate_nc_b(blocks, n, k) == blocks for blocks in got)
     assert len(got) == binomial((k + 1) * n, n)
+
+
+# SHA-256 of repr(enumerate_nc_b(n, k)): the members, their canonical
+# listings and their order, pinned before the lister read members in
+# canonical label order
+NC_B_DIGESTS = {
+    (7, 1): "62c6b2632159fbda4410149c8c9ee836ead9565e24b4205317a9bfacd53e8c6b",
+    (4, 2): "8d12b7785c8c28c15a15e3fc24e564ff509ceb3b5eff0c801590843a94138868",
+    (3, 3): "7afdbdfad648b9d12020dc305b6a4a0923537754ffcc61fe1fbac95962238c77",
+    (2, 6): "6d4347cb03e79939e19eb62900070919c04240b007717e7d384d4a7efcfef273",
+    (1, 13): "e0edbec34a05e3f13faa2105d30ae4b8b38ffafb2a6538819ce46d62e99b412b",
+}
+
+
+@pytest.mark.parametrize("n,k", list(NC_B_DIGESTS))
+def test_enumerate_nc_b_is_pinned(n, k):
+    got = enumerate_nc_b(n, k)
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == NC_B_DIGESTS[n, k]
 
 
 @pytest.mark.parametrize("n,k", [(1, 12), (2, 6), (3, 4)])
@@ -239,6 +259,8 @@ def test_validate_nc_b_messages_in_order():
         ([(1, 2), (-1,), (-2,)], 2, 1, "not invariant under negation"),
         ([(1, 3), (-1, -3), (2, -2)], 3, 1, "crossing on the polygon"),
         ([(1,), (-1,), (2,), (-2,)], 1, 2, "block size 1 is not divisible by 2"),
+        # the first size refused is the first in canonical order
+        ([(2, 3, 4), (-2, -3, -4), (1,), (-1,)], 2, 2, "block size 1 is not divisible by 2"),
         # a crossing that is also not invariant reports the invariance first
         ([(1, 3), (2, -1), (-2,), (-3,)], 3, 1, "not invariant under negation"),
     ]
@@ -253,3 +275,6 @@ def test_validate_nc_b_messages_in_order():
     with pytest.raises(ValueError, match="do not partition the signed set"):
         validate_nc_b([(1, -1)], 10**15, 1)  # refused before any allocation
     assert validate_nc_b((), 0, 2) == ()
+    # type_b refuses the first of its orbit sizes sorted in decreasing order
+    with pytest.raises(ValueError, match="block size 3 is not divisible by 2"):
+        type_b(((-1,), (-2, -3, -4), (1,), (2, 3, 4)), 2)

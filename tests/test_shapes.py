@@ -15,6 +15,7 @@ from ncstrip.shapes import (
     parse_shape,
     parse_strip,
     path_from_strip,
+    read_shape,
     rectangle,
     stretched_staircase,
     strip_from_path,
@@ -32,6 +33,17 @@ def test_shape_construction_and_literals():
         SkewShape((2,), (3,))
     with pytest.raises(ValueError):
         parse_shape("2,3/1")
+
+
+def test_shape_literal_is_read_as_written():
+    # no partition check and no column profile: parse_shape makes both
+    assert read_shape(" 2,3/1 ") == ((2, 3), (1,))
+    assert read_shape("3,2/") == ((3, 2), ())
+    assert read_shape("/") == read_shape("") == ((), ())
+    assert read_shape("100000000/99999999") == ((100000000,), (99999999,))
+    for text in ("x/1", "3,,2/1", "3/2/1"):
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            read_shape(text)
 
 
 def test_column_heights():
