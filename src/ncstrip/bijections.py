@@ -35,9 +35,11 @@ def _unit_word(word: str, k: int) -> str:
     return word.replace("E", "e" * k).replace("N", "n")
 
 
-def _preorder_ranks(units: str) -> list[int]:
-    """Preorder label of each 'e' of a unit word whose walk stays at or below
-    y = x, and 0 at each 'n'.
+def _link(units: str, order: Sequence[int], after: list[int]) -> int:
+    """Link the 'e' units at the indices `order` of a unit word into the
+    preorder of their labeling tree on `after`, and return the first (-1 if
+    there is none).  Read in that order, the units walk from (0, 0) at or
+    below y = x.
 
     A segment's tree parent is the segment before it in its ascent or, for
     the first segment of a later ascent, the most recent earlier segment in
@@ -45,31 +47,37 @@ def _preorder_ranks(units: str) -> list[int]:
     segment is linked into the label order right after its parent.  The
     next segment of an ascent is linked before any later ascent can attach
     to its predecessor, so an attached subtree lands ahead of the rest of
-    the ascent: the links run in preorder.
+    the ascent: the links run in preorder from the first unit, and the last
+    keeps the link that the first had, -1 on a fresh array.
     """
-    if units.startswith("n"):
-        raise ValueError("unit word must start with an east segment")
-    after = [-1] * len(units)  # the label order as links from the root, unit 0
-    last_in_region = [-1] * len(units)
+    last_in_region = [-1] * len(order)
     x = y = 0
     parent = -1  # tree parent of the next 'e', -1 after an 'n'
-    for i, u in enumerate(units):
-        if u == "n":
+    for i in order:
+        if units[i] == "n":
             y += 1
             parent = -1
             continue
-        if parent < 0 and i:  # first segment of a later ascent
+        if parent < 0 and y:  # first segment of a later ascent
             if x < y or last_in_region[x - y] < 0:
-                raise ValueError("segment has no earlier segment in its region")
+                raise ValueError("segment has no earlier segment in its region" if x
+                                 else "unit word must start with an east segment")
             parent = last_in_region[x - y]
         if parent >= 0:
             after[i] = after[parent]
             after[parent] = i
         last_in_region[x - y] = parent = i
         x += 1
+    return order[0] if order else -1
+
+
+def _preorder_ranks(units: str) -> list[int]:
+    """Preorder label of each 'e' of a unit word whose walk stays at or below
+    y = x, and 0 at each 'n'."""
+    after = [-1] * len(units)
+    v = _link(units, range(len(units)), after)
     rank = [0] * len(units)
-    v = 0
-    for label in range(1, x + 1):
+    for label in range(1, units.count("e") + 1):
         rank[v] = label
         v = after[v]
     return rank
@@ -89,7 +97,7 @@ def path_to_noncrossing(word: str, n: int, k: int) -> Blocks:
 
 def _path_to_noncrossing(word: str, k: int) -> Blocks:
     """path_to_noncrossing on a word already known to be in D_n^(k)."""
-    labels = [r for r in _preorder_ranks(_unit_word(word, k)) if r]
+    labels = list(filter(None, _preorder_ranks(_unit_word(word, k))))
     # each ascent's labels are the next k * (its east steps) labels in unit
     # order; preorder labels rise along an ascent, and blocks have distinct
     # first elements, so sorting the tuples orders them by first element
@@ -243,27 +251,6 @@ def rectangle_path_to_strip(word: str, shape: SkewShape) -> RStrip:
     return strip_from_path(shape, word)
 
 
-def _runs(units: str) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The maximal runs of a unit word below the diagonal y = x (P_1..P_s)
-    and above it (N_1..N_s), as (start, stop) unit indices.
-
-    The runs alternate P_1, N_1, ..., P_s, N_s along the path; P_1 is empty
-    when the path starts north, and N_s when it ends below the diagonal.
-    """
-    cuts = [0]  # run boundaries; the first run is below, maybe empty
-    below = True
-    d = 0
-    for i, u in enumerate(units):
-        d += u == "n"  # now y - x at the unit's upper-left end
-        if (d <= 0) != below:
-            cuts.append(i)
-            below = not below
-        d -= u == "e"
-    cuts += [len(units)] * (1 + below)  # close with an empty run above
-    runs = list(zip(cuts, cuts[1:]))
-    return runs[::2], runs[1::2]
-
-
 def path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
     """The type-preserving map from Fuss binomial paths to NC_n^{B,(k)}.
 
@@ -286,33 +273,45 @@ def _path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
     if n == 0:
         return ()
     units = _unit_word(word, k)
-    below, above = _runs(units)
-    pos = [0] * len(units)  # polygon position of each 'e', 0 at each 'n'
-    last = sum(units.count("e", a, b) for a, b in above)  # n0: no position given yet
-    for a, b in below:
-        pos[a:b] = [r and last + r for r in _preorder_ranks(units[a:b])]
-        last += units.count("e", a, b)
-    for a, b in reversed(above):
-        pos[a:b] = [r and last + r for r in _preorder_ranks(units[a:b][::-1])][::-1]
-        last += units.count("e", a, b)
-
-    # each ascent is a block and its mirror, or one antipodal block on y = 0,
-    # written by canonical label order: position p <= m (the label p) at
-    # index p + m - 1, p > m (the label m - p) at p - m - 1, its mirror at p - 1
+    # one pass: the cuts between the maximal runs below the diagonal y = x
+    # (P_1..P_s) and above it (N_1..N_s), which alternate from P_1, empty
+    # when the path starts north; n0, the segments above; and each
+    # segment's (here, there) blocks: a block on the half-arc and its mirror
+    # for an ascent off y = 0, one antipodal block for the ascent on it
+    cuts = [0]
+    below = True
+    pair = [(0, 0)] * len(units)
+    d = n0 = count = 0
+    for i, u in enumerate(units):
+        d += u == "n"  # now y - x at the unit's upper-left end
+        if (d <= 0) != below:
+            cuts.append(i)
+            below = not below
+        if u == "e":
+            if not i or units[i - 1] == "n":  # an ascent starts
+                cur = (count, count + 1) if i else (0, 0)
+                count = cur[1] + 1
+            pair[i] = cur
+            n0 += not below
+            d -= 1
+    cuts += [len(units)] * (1 + below)  # close with an empty run above
+    runs = list(zip(cuts, cuts[1:]))
+    # the pieces below left to right, then those above right to left, each
+    # read backwards, take the positions n0+1..n0+m in their preorders
+    after = [-1] * len(units)
+    heads = [_link(units, range(a, b), after) for a, b in runs[::2]]
+    heads += [_link(units, range(b - 1, a - 1, -1), after) for a, b in reversed(runs[1::2])]
+    # position p + 1 <= m (the label p + 1) goes to index p + m of the
+    # canonical order, p + 1 > m (the label m - p - 1) to p - m, its mirror to p
     owner = [0] * (2 * m)
-    count = here = there = 0
-    y = prev = 0
-    for p in pos:
-        if not p:
-            y += 1
-        else:
-            if not prev:
-                here = count
-                there = count + 1 if y else count
-                count = there + 1
-            owner[p + m - 1 if p <= m else p - m - 1] = here
-            owner[p - 1] = there
-        prev = p
+    p = n0
+    for v in heads:
+        while v >= 0:
+            here, there = pair[v]
+            owner[p + m if p < m else p - m] = here
+            owner[p] = there
+            p += 1
+            v = after[v]
     return _grouped(_signed_labels(m), owner)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -125,13 +126,19 @@ def _max_objects() -> int:
 def _guard(
     expected: int, what: str, at_least: bool = False, unit: str = "objects", scale: int = 1
 ) -> None:
-    """Refuse `expected` units of work past scale times the cap."""
+    """Refuse `expected` units of work past scale times the cap.  The
+    message gives `expected` only when it fits in 64 bits: a longer int
+    converts to a str in quadratic time, and not at all past 4,300 digits."""
     cap = _max_objects() * scale
     if expected > cap:
         times = f" ({scale} times NCSTRIP_MAX_OBJECTS)" if scale > 1 else ""
+        if expected.bit_length() > 64:
+            amount = f"more than {cap}"
+        else:
+            amount = f"{'at least ' if at_least else ''}{expected}"
         raise CapExceeded(
-            f"{what} would produce {'at least ' if at_least else ''}{expected} "
-            f"{unit}, over the cap of {cap}{times} (raise NCSTRIP_MAX_OBJECTS to override)"
+            f"{what} would produce {amount} {unit}, over the cap of {cap}{times} "
+            "(raise NCSTRIP_MAX_OBJECTS to override)"
         )
 
 
@@ -421,6 +428,14 @@ def _reduced_type_rows(n: int) -> tuple[int, bool]:
     return n - 1, True
 
 
+def _parking_count(n: int) -> int:
+    """(n+1)^(n-1), once its digits, estimated by log10 before it is
+    computed, pass the cap."""
+    digits = int((n - 1) * math.log10(n + 1)) + 1
+    _guard(digits, "the parking function count", unit="digits", scale=ELEMENTS_PER_OBJECT)
+    return count_parking_functions(n)
+
+
 # family -> {--by: (count, counts, rows, census, statistic)}; the first --by
 # is the default.  rows(n) gives the largest row weight and whether every
 # lighter weight has rows too, or refuses n.  counts(n, k, rows, products)
@@ -443,7 +458,7 @@ COUNTS = {
     "pf": {
         None: (
             None,
-            lambda n, k, rows, products: [count_parking_functions(n)],
+            lambda n, k, rows, products: [_parking_count(n)],
             lambda n: (0, False),
             lambda n, k: _listed(LISTINGS["pf"], {"n": n, "primitive": False}),
             lambda p, k: (),
@@ -637,6 +652,7 @@ LISTINGS = {
         lambda kinds: {"strip": format_strip, "path": path_from_strip, "type": strip_type},
         params=_shape_params,
         art=strip_art,
+        size=lambda shape: len(shape.cols),
         # one shape serves the count and the listing
         build=lambda shape: {"shape": parse_shape(shape)},
     ),
@@ -789,6 +805,11 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     start = time.monotonic()
+    # an exact answer prints whole: CPython (3.10.7 on) refuses to convert
+    # an int of more than 4,300 digits to a str unless the limit is lifted
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         # looked up by name at call time, so a rebinding of cmd_* is seen
         params, result, table, code = globals()[f"cmd_{args.command}"](args)
@@ -807,6 +828,8 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
         _cap = None
         print(f"duration_s={time.monotonic() - start:.3f}", file=sys.stderr)
     return code

@@ -118,77 +118,64 @@ def is_noncrossing(blocks, n: int) -> bool:
 
 
 def noncrossing_partitions_of_seq(seq, k: int = 1) -> list[Blocks]:
-    """Noncrossing partitions of an increasing ground sequence.
+    """Noncrossing partitions of an increasing ground sequence, every block
+    size divisible by k, each listed once as canonical blocks (each block
+    ascending, blocks ordered by their first element), in sorted order.
 
-    Every block size must be divisible by k.  Each partition is listed
-    exactly once, as canonical blocks: each block ascending, blocks ordered
-    by their first element (the order in which the scan opens them).
-
-    One loop over an explicit stack of choices (backtracking as in Knuth,
-    TAOCP 4B, 7.2.2).  Level i places seq[i]: first it opens a block, then
-    it joins the innermost open block after closing j = 0, 1, ... of the
-    open blocks nested above it (a closed block's size is a multiple of k).
-    A level records the option it took, the blocks it closed and the
-    deficit on entry: the elements the open blocks still need to reach a
-    multiple of k.  A choice whose deficit exceeds the elements left is
-    skipped.
+    A member is its first block, which holds seq[0], and in each gap of that
+    block (the run between two of its elements, or after the last) a member
+    on the gap (Kreweras 1972).  First blocks are listed prefix-first, so in
+    lexicographic order, and each is followed by the product of its gaps'
+    lists in gap order.  That is the sorted order: no member of a gap's list
+    is a proper prefix of another.  Each interval's list is built once per
+    call.  The loop over first blocks is iterative and skips a prefix that
+    can no longer reach a size divisible by k; only nested gaps recurse.
     """
-    seq = list(seq)
-    n = len(seq)
-    if n == 0:
-        return [()]
-    out: list[Blocks] = []
-    blocks: list[list[int]] = []  # every block, in the order it was opened
-    stack: list[list[int]] = []  # the open blocks
-    OPEN, FRESH = -1, -2
-    took = [FRESH] * n  # per level: FRESH, OPEN, or j >= 0 (joined after closing j)
-    closed: list[list[list[int]]] = [[] for _ in range(n)]
-    deficit = [0] * n
-    last = n - 1
-    i = 0
-    while i >= 0:
-        t = took[i]
-        if t == OPEN:
-            blocks.pop()
-            stack.pop()
-        elif t >= 0:
-            stack[-1].pop()
-        if t == FRESH:
-            new = [seq[i]]
-            blocks.append(new)
-            stack.append(new)
-            took[i] = OPEN
-            d = deficit[i] + k - 1
-        elif (t == OPEN and stack) or (
-            t >= 0 and len(stack) > 1 and len(stack[-1]) % k == 0
-        ):  # join the innermost open block, closing one more than last time
-            if t >= 0:
-                closed[i].append(stack.pop())
-            took[i] = t + 1
-            top = stack[-1]
-            d = deficit[i] + (k - 1 if len(top) % k == 0 else -1)
-            top.append(seq[i])
-        else:  # every option is spent: reopen what this level closed, back up
-            back = closed[i]
-            while back:
-                stack.append(back.pop())
-            took[i] = FRESH
-            i -= 1
-            continue
-        if d > last - i:
-            continue
-        if i == last:
-            out.append(tuple(map(tuple, blocks)))
-        else:
-            i += 1
-            deficit[i] = d
-    return out
+    seq = tuple(seq)
+    if len(seq) % k:
+        return []
+    lists: dict[tuple[int, int], list[Blocks]] = {}
+
+    def listed(lo: int, hi: int) -> list[Blocks]:
+        """The members on seq[lo:hi], where k divides hi - lo."""
+        if lo == hi:
+            return [()]
+        if (lo, hi) in lists:
+            return lists[lo, hi]
+        out = lists[lo, hi] = []
+        block = [lo]  # indices of the first block's elements so far
+        # heads[j]: the members of the gaps closed by block[: j + 1], joined
+        heads: list[list[tuple]] = [[()]]
+        # an element at index c leaves room for the (-len(block) - 1) % k
+        # more that bring the block's size to a multiple of k
+        while True:
+            s, last = len(block), block[-1]
+            if s % k == 0:
+                b = tuple(map(seq.__getitem__, block))
+                out += [(b, *h, *t) for h in heads[-1] for t in listed(last + 1, hi)]
+            if last + 1 + (-s - 1) % k < hi:  # next element right after the last
+                block.append(last + 1)
+                heads.append(heads[-1])
+                continue
+            while len(block) > 1:  # move the last element k further, or drop it
+                c = block.pop() + k
+                heads.pop()
+                if c + (-len(block) - 1) % k < hi:
+                    gap = listed(block[-1] + 1, c)
+                    block.append(c)
+                    heads.append([h + g for h in heads[-1] for g in gap])
+                    break
+            else:
+                return out
+
+    return listed(0, len(seq))
 
 
 def enumerate_k_divisible(n: int, k: int) -> list[Blocks]:
-    """All of NC_n^(k): noncrossing partitions of [kn], blocks divisible by k."""
+    """All of NC_n^(k): noncrossing partitions of [kn], blocks divisible by
+    k, in canonical order."""
     _check_nk(n, k)
-    return sorted(noncrossing_partitions_of_seq(range(1, k * n + 1), k))
+    return noncrossing_partitions_of_seq(range(1, k * n + 1), k)
 
 
 def type_a(blocks, k: int = 1) -> Partition:

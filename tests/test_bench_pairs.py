@@ -158,6 +158,36 @@ def test_a_run_that_fails_its_gate_is_printed_and_exits_1(monkeypatch, tmp_path,
         assert "correct: false" not in err
 
 
+def test_the_work_block_is_counted_at_seed_1_whatever_the_runs_seed(monkeypatch, tmp_path):
+    # the cli-requests stream depends on its seed, so a work block at the
+    # run's --seed would not chain from one BENCH file to the next
+    names = bench_pairs.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    run_seeds, work_seeds = [], []
+
+    def run(checkout, workload, seed, seconds):
+        run_seeds.append(seed)
+        metrics = {name: {"value": 1.0} for name in names}
+        return {"correct": True, "attempted": 100, "failed": 0, "metrics": metrics}
+
+    def work(checkout, workload, seed):
+        work_seeds.append(seed)
+        return {"calls": seed, "modules": {"cli": seed}}
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    monkeypatch.setattr(bench_pairs, "work", work)
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"),
+                             "--workload", "cli-requests", "--workload", "verify-labeling",
+                             "--pairs", "2", "--seed", "2601", "--out", str(out)]) == 0
+    assert sorted(set(run_seeds)) == [2601, 2602]
+    assert work_seeds == [1] * 4
+    written = json.loads(out.read_text())["workloads"]
+    assert written["cli-requests"]["work"]["change"] == {"calls": 1, "modules": {"cli": 1}}
+
+
 def test_calls_are_summed_by_the_module_they_land_in():
     package = Path("/co/src/ncstrip")
     stats = {

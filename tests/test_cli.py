@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -552,6 +553,62 @@ def test_the_object_size_cap_is_the_object_cap():
                 env=cap)
     assert r.returncode == 3
     assert "the family shape would produce 101 rows, over the cap of 100" in r.stderr
+
+
+# Every case runs through cli.main in one subprocess; it prints, per case, the
+# exit code, stdout, stderr, seconds, and the int-str limit after main.
+_HOSTILE_RUNNER = """
+import contextlib, io, json, sys, time
+from ncstrip import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    out.append([code, stdout.getvalue(), stderr.getvalue(), time.monotonic() - start,
+                sys.get_int_max_str_digits()])
+print(json.dumps(out))
+"""
+
+
+def test_hostile_counts_are_refused_at_once_or_printed_whole():
+    # each case once exited 2 on CPython's 4,300-digit limit for int-to-str
+    # conversion (the refusal formatted its exact count), ran past 30 s, or
+    # wrote 8,001 strips of 8,000 columns in 47 s
+    refused = [
+        (["enumerate", "--object", "fuss-catalan", "-n", "7152", "-k", "1"],
+         "path enumeration would produce more than 500000 objects"),
+        (["enumerate", "--object", "fuss-catalan", "-n", "7153", "-k", "1"],
+         "path enumeration would produce more than 500000 objects"),
+        (["enumerate", "--object", "pf", "-n", "1372"],
+         "parking function enumeration would produce more than 500000 objects"),
+        (["enumerate", "--object", "rstrips", "--shape", "8000"],
+         "r-strip enumeration would produce 64008000 elements in all objects"),
+        (["count", "--family", "pf", "-n", "1000000000"],
+         "the parking function count would produce 8999999992 digits, over the cap of "
+         "32000000 (64 times NCSTRIP_MAX_OBJECTS)"),
+    ]
+    printed = [(["count", "--family", "pf", "-n", str(n)], n) for n in (1371, 1372)]
+    cases = [argv for argv, _ in refused + printed]
+    r = subprocess.run(
+        [sys.executable, "-c", _HOSTILE_RUNNER, json.dumps(cases)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+    )
+    assert r.returncode == 0, r.stderr
+    runs = json.loads(r.stdout)
+    for (argv, refusal), (code, out, err, seconds, limit) in zip(refused, runs):
+        assert (code, out) == (3, ""), argv
+        assert f"refused: {refusal}" in err
+        assert seconds < 2 and limit == sys.get_int_max_str_digits()
+    for (argv, n), (code, out, err, seconds, limit) in zip(printed, runs[len(refused):]):
+        assert code == 0, err
+        count = json.loads(out)["result"]["count"]
+        # (n+1)^(n-1) has 4,299 and 4,302 digits, on each side of the
+        # limit; its last 18 are checked
+        assert len(count) == int((n - 1) * math.log10(n + 1)) + 1 == {1371: 4299, 1372: 4302}[n]
+        assert int(count[-18:]) == pow(n + 1, n - 1, 10**18)
+        assert seconds < 2 and limit == sys.get_int_max_str_digits()
 
 
 def test_a_listing_is_capped_by_the_elements_of_all_its_objects(monkeypatch, capsys):

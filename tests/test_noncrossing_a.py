@@ -106,17 +106,17 @@ def test_enumerate_k_divisible_lists_each_member_once_in_canonical_form(n, k):
     assert len(got) == fuss_catalan(n, k)
 
 
-# SHA-256 of repr(list(noncrossing_partitions_of_seq(range(1, kn + 1), k))):
-# the lister's raw order, which enumerate_k_divisible sorts and
-# enumerate_nc_b walks, pinned as the recursive lister gave it
+# SHA-256 of repr(noncrossing_partitions_of_seq(range(1, kn + 1), k)): the
+# lister's own order, which is canonical (sorted) order.  The digests were
+# taken from the sorted output of the earlier backtracking lister.
 RAW_ORDER_DIGESTS = {
     (0, 1): "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
-    (5, 1): "141fc011f63649e68f0dfb475b33fec0c2b4d38df177630983d0199a1c119cbf",
-    (10, 1): "a66ac97d1a53747769490814409ea9b5dbe4f718ce7cd22379333bdb3c3cf9d7",
-    (6, 2): "650e1268dd27eea3bff8d60f420933d565feb3462c42117ffeedf76a2dd11cab",
-    (4, 3): "3df0f01a83786a6288b5c25d10988ecb6922257cc725604a20cb85721275eda7",
-    (3, 4): "2ebb81c32fca2e91afe434de9afb523a46a72559c42bd4e6cbb05f015d56ddfb",
-    (2, 6): "145f6e03734fd72b005ae7259f36e9c0b9a263f28ca5b3ed526f5030aff41106",
+    (5, 1): "c0004d1181d09943b476b29412280f471c812b57749481d80db3dc2f7ed12530",
+    (10, 1): "c5a600ad9f6121caa25743629d103b055fb4b34c571a178cb03b0aa7e0aa7cd6",
+    (6, 2): "ec561e707b23a349e3afa0a5fb41ee36d9ced29c0061567fbc6312ea17f033ad",
+    (4, 3): "3378e3bb362512ee5643b295f9bef828a36ca6e897adafe4fce40fc997531aec",
+    (3, 4): "dd690019a7b6641accca4f35ec5fcfa383d2499335779327ed203564b6d256c2",
+    (2, 6): "8724eda61ba6f1451fcead38404158f09c529a387a0f5ecbfcff8537ab349d0d",
     (1, 12): "165cde28b63537c565b625dd2995d3a2e6f291ffb7ca71567441a760d95cfc5c",
 }
 
@@ -128,12 +128,27 @@ def test_lister_raw_order_is_pinned(n, k):
 
 
 def test_lister_takes_any_increasing_ground_sequence():
-    # raw order: each element opens a block before it joins one
+    # canonical order, whatever the values
     assert noncrossing_partitions_of_seq([2, 5, 7, 11], 2) == [
-        ((2, 11), (5, 7)),
         ((2, 5), (7, 11)),
         ((2, 5, 7, 11),),
+        ((2, 11), (5, 7)),
     ]
+    assert noncrossing_partitions_of_seq([2, 5, 7], 2) == []
+
+
+@pytest.mark.parametrize("size", range(10))
+def test_lister_equals_the_sorted_brute_force_oracle(size):
+    # every set partition of [size] that no quadruple crosses, once; for each
+    # k dividing size, those whose block sizes k divides, sorted
+    noncrossing = [
+        blocks for blocks in set_partitions(range(1, size + 1))
+        if not crossing_quadruple_scan(blocks)
+    ]
+    for k in range(1, max(size, 1) + 1):
+        if size % k == 0:
+            expect = sorted(b for b in noncrossing if all(len(x) % k == 0 for x in b))
+            assert enumerate_k_divisible(size // k, k) == expect
 
 
 def test_long_blocks_need_no_recursion():
