@@ -64,10 +64,7 @@ from .parking import (
 )
 from .partitions import (
     _check_nk,
-    binomial,
-    catalan,
     format_partition,
-    fuss_catalan,
     parse_partition,
     partition_counts,
     partition_rows,
@@ -101,6 +98,13 @@ DEFAULT_MAX_OBJECTS = 500_000
 ELEMENTS_PER_OBJECT = 64
 
 
+# An answer of `count` holds at most one decimal digit per this many objects
+# of the cap: 125,000 digits at the default cap.  CPython converts an int to
+# a str in time quadratic in its digits, about 0.25 s at 125,000 digits and
+# 4 s at 500,000 (2-core CPython 3.11).
+OBJECTS_PER_DIGIT = 4
+
+
 class CapExceeded(Exception):
     pass
 
@@ -124,14 +128,18 @@ def _max_objects() -> int:
 
 
 def _guard(
-    expected: int, what: str, at_least: bool = False, unit: str = "objects", scale: int = 1
+    expected: int, what: str, at_least: bool = False, unit: str = "objects",
+    scale: int = 1, per: int = 1,
 ) -> None:
-    """Refuse `expected` units of work past scale times the cap.  The
-    message gives `expected` only when it fits in 64 bits: a longer int
-    converts to a str in quadratic time, and not at all past 4,300 digits."""
-    cap = _max_objects() * scale
+    """Refuse `expected` units of work past scale times the cap, or past
+    the cap divided by per (rounded down).  The message gives `expected`
+    only when it fits in 64 bits: a longer int converts to a str in
+    quadratic time, and not at all past 4,300 digits."""
+    cap = _max_objects() * scale // per
     if expected > cap:
         times = f" ({scale} times NCSTRIP_MAX_OBJECTS)" if scale > 1 else ""
+        if per > 1:
+            times = f" (NCSTRIP_MAX_OBJECTS / {per})"
         if expected.bit_length() > 64:
             amount = f"more than {cap}"
         else:
@@ -140,6 +148,49 @@ def _guard(
             f"{what} would produce {amount} {unit}, over the cap of {cap}{times} "
             "(raise NCSTRIP_MAX_OBJECTS to override)"
         )
+
+
+# Object counts for the guards, each the exact count when it is at most
+# `limit` and limit + 1 otherwise, from partial products that stop once they
+# pass limit.  The guards pass _count_limit(), so a huge n is refused at once
+# and a refusal still gives every count that fits in 64 bits.
+
+
+def _count_limit() -> int:
+    return max(_max_objects(), 1 << 64)
+
+
+def _binomial_upto(m: int, j: int, limit: int) -> int:
+    """min(binomial(m, j), limit + 1).  With j <= m - j, the partial
+    products binomial(m - j + i, i) never decrease and at least double at
+    each i, so they pass limit within its bit length."""
+    j = min(j, m - j)
+    c = 1
+    for i in range(1, j + 1):
+        c = c * (m - j + i) // i
+        if c > limit:
+            return limit + 1
+    return c
+
+
+def _fuss_catalan_upto(n: int, k: int, limit: int) -> int:
+    """min(fuss_catalan(n, k), limit + 1): binomial((k+1)n, n) / (kn+1)."""
+    d = k * n + 1
+    return _binomial_upto((k + 1) * n, n, (limit + 1) * d - 1) // d
+
+
+def _fuss_binomial_upto(n: int, k: int, limit: int) -> int:
+    return _binomial_upto((k + 1) * n, n, limit)
+
+
+def _parking_upto(n: int, limit: int) -> int:
+    """min((n+1)^(n-1), limit + 1) for n >= 0, one factor at a time."""
+    c = 1
+    for _ in range(n - 1):
+        c *= n + 1
+        if c > limit:
+            return limit + 1
+    return c
 
 
 def _guard_partitions(w_max: int, cumulative: bool, what: str) -> None:
@@ -281,32 +332,29 @@ def _table(rows, header: list[str]) -> list[str]:
 
 
 def _lambda_rows(
-    lams, numbers, column: str, totals: dict
+    lams, texts, column: str, totals: dict
 ) -> tuple[Records, Callable[[], list[str]]]:
-    """The records {"lambda", column} of the partitions and their numbers, in
-    order, and their table, closed by a row per entry of totals."""
-    records = Records(("lambda", column), (lams, tuple(map(str, numbers))))
+    """The records {"lambda", column} of the partitions and the texts of
+    their numbers, in order, and their table, closed by a row per entry of
+    totals."""
+    records = Records(("lambda", column), (lams, tuple(texts)))
     return records, lambda: _table(
         [*zip(*records.columns), *totals.items()], ["lambda", column]
     )
 
 
-def _fuss_binomial(n: int, k: int) -> int:
-    return binomial((k + 1) * n, n)
-
-
-# family -> (shape, its strip count in closed form, what a refusal names,
-# the closed-form expansion)
+# family -> (shape, its strip count in closed form up to a limit, what a
+# refusal names, the closed-form expansion)
 EXPANSIONS = {
     "fuss-a": (
         stretched_staircase,
-        lambda n, k: fuss_catalan(n + 1, k),
+        lambda n, k, limit: _fuss_catalan_upto(n + 1, k, limit),
         "expansion of the stretched staircase",
         fuss_a_expansion_formula,
     ),
     "fuss-b": (
         rectangle,
-        _fuss_binomial,
+        _fuss_binomial_upto,
         "expansion of the rectangle",
         fuss_b_expansion_formula,
     ),
@@ -337,12 +385,12 @@ def cmd_expand(args):
             shape = parse_shape(args.shape)
             _guard(count_r_strips(shape), "expansion of the shape")
         else:
-            _guard(strips(n, k), what)
+            _guard(strips(n, k, _count_limit()), what)
             shape = build(n, k)
         # the census has no more terms than the shape has strips
         terms = dict(expansion_items(expand_skew_by_columns(shape)))
     total = str(sum(terms.values()))
-    records, table = _lambda_rows(list(terms), terms.values(), "coeff", {"sum": total})
+    records, table = _lambda_rows(list(terms), map(str, terms.values()), "coeff", {"sum": total})
     result = {"terms": records, "term_count": len(terms), "coefficient_sum": total}
     return params, result, table, EXIT_OK
 
@@ -430,9 +478,9 @@ def _reduced_type_rows(n: int) -> tuple[int, bool]:
 
 def _parking_count(n: int) -> int:
     """(n+1)^(n-1), once its digits, estimated by log10 before it is
-    computed, pass the cap."""
+    computed, pass NCSTRIP_MAX_OBJECTS / OBJECTS_PER_DIGIT."""
     digits = int((n - 1) * math.log10(n + 1)) + 1
-    _guard(digits, "the parking function count", unit="digits", scale=ELEMENTS_PER_OBJECT)
+    _guard(digits, "the parking function count", unit="digits", per=OBJECTS_PER_DIGIT)
     return count_parking_functions(n)
 
 
@@ -502,11 +550,13 @@ def cmd_count(args):
         lams, products = partition_rows(w_max, cumulative)
         numbers = counts(n, k, lams, products)
     total = "count" if args.family == "pf" else "sum"
-    totals = {total: str(sum(numbers))}
+    # one row is its own total, and its text is converted once
+    texts = [*map(str, numbers)]
+    totals = {total: texts[0] if len(texts) == 1 else str(sum(numbers))}
     if args.check:
         tally = Counter(map(statistic, census(n, k), repeat(k)))
         totals["check"] = "pass" if list(map(tally.__getitem__, lams)) == numbers else "fail"
-    entries, table = _lambda_rows(lams, numbers, "count", totals)
+    entries, table = _lambda_rows(lams, texts, "count", totals)
     params = {"family": args.family, "n": n, "k": args.k, "by": args.by, "lambda": args.lam}
     code = EXIT_MISMATCH if totals.get("check") == "fail" else EXIT_OK
     return params, {"entries": entries, **totals}, table, code
@@ -621,13 +671,16 @@ def _shape_params(args) -> dict:
 def _pf_params(args) -> dict:
     if args.n is None:
         raise ValueError("enumerate --object pf requires -n")
+    if args.n < 0:
+        raise ValueError("n must be >= 0")
     return {"n": args.n, "primitive": bool(args.primitive)}
 
 
 class Listing(NamedTuple):
     """One `enumerate --object`.  params(args) checks the options and returns
     the parameters, and build(**parameters) the arguments they stand for;
-    count(**arguments) is the number of objects and size(**arguments), where
+    count(**arguments, limit=limit) is the number of objects, or limit + 1
+    past limit, and size(**arguments), where
     given, the elements (letters, labels) of the largest; the count, the
     size and their product, the elements of all objects, are checked against
     the cap before objects(**arguments) lists them.  columns(kinds), given
@@ -646,7 +699,8 @@ class Listing(NamedTuple):
 
 LISTINGS = {
     "rstrips": Listing(
-        count_r_strips,
+        # the shape guards bound the count's own work
+        lambda shape, limit: count_r_strips(shape),
         "r-strip enumeration",
         enumerate_r_strips,
         lambda kinds: {"strip": format_strip, "path": path_from_strip, "type": strip_type},
@@ -657,35 +711,37 @@ LISTINGS = {
         build=lambda shape: {"shape": parse_shape(shape)},
     ),
     "fuss-catalan": Listing(
-        fuss_catalan,
+        _fuss_catalan_upto,
         "path enumeration",
         enumerate_fuss_catalan,
         lambda kinds: kinds["fuss-catalan"].columns("path"),
         size=lambda n, k: (k + 1) * n,
     ),
     "binomial": Listing(
-        _fuss_binomial,
+        _fuss_binomial_upto,
         "path enumeration",
         enumerate_fuss_binomial,
         lambda kinds: kinds["binomial"].columns("path"),
         size=lambda n, k: (k + 1) * n,
     ),
     "nca-k": Listing(
-        fuss_catalan,
+        _fuss_catalan_upto,
         "noncrossing enumeration",
         enumerate_k_divisible,
         lambda kinds: kinds["nca-k"].columns("partition"),
         size=lambda n, k: k * n,
     ),
     "ncb-k": Listing(
-        _fuss_binomial,
+        _fuss_binomial_upto,
         "noncrossing enumeration",
         enumerate_nc_b,
         lambda kinds: {**kinds["ncb-k"].columns("partition"), "antipodal": antipodal_block},
         size=lambda n, k: 2 * k * n,
     ),
     "pf": Listing(
-        lambda n, primitive: catalan(n) if primitive else count_parking_functions(n),
+        lambda n, primitive, limit: (
+            _fuss_catalan_upto(n, 1, limit) if primitive else _parking_upto(n, limit)
+        ),
         "parking function enumeration",
         lambda n, primitive: (
             enumerate_primitive(n) if primitive else enumerate_parking_functions(n)
@@ -704,7 +760,7 @@ def _listed(listing: Listing, params: dict):
     """The listing's objects at params, once their count, the size of one
     and the elements of all of them pass the cap."""
     arguments = listing.build(**params)
-    count = listing.count(**arguments)
+    count = listing.count(**arguments, limit=_count_limit())
     _guard(count, listing.what)
     if listing.size:
         size = listing.size(**arguments)

@@ -1,5 +1,6 @@
 """Fuss-Catalan and Fuss binomial lattice paths and their ascent statistics,
-and the one generator of monotone paths that every path-like enumerator uses.
+and the listers of monotone paths: words, for the two path families, and
+height vectors, for strips and primitive parking functions.
 
 Paths are E/N words with E = (1,0) and N = (0,1).  A Fuss-Catalan path of
 parameters (n, k) runs from (0,0) to (n, kn) staying in 0 <= y <= kx (so it
@@ -56,7 +57,15 @@ def validate_fuss_binomial(word: str, n: int, k: int) -> None:
 
 def monotone_heights(lo, hi) -> Iterator[tuple[int, ...]]:
     """Every weakly increasing integer vector y with lo_i <= y_i <= hi_i (the
-    east-step heights of a monotone path), in lexicographic order."""
+    east-step heights of a monotone path), in lexicographic order.
+
+    An odometer on one list, each vector a fresh tuple of it.  Suffix lists
+    of tuples, built once per call as `_words` builds words, won only with
+    the cyclic collector off: `enumerate_primitive(10)` took 7.4-7.9 ms
+    against the odometer's 11.0-11.7 ms with it off, and 13.0-13.7 ms
+    against 12.8-13.6 ms with it on (timeit, best of 7, CPython 3.11).
+    Every tuple the lists hold is a container the collector tracks and
+    traverses, where the str words of `_words` are not."""
     # Raising each lower bound to those before it and lowering each upper
     # bound to those after it keeps the vectors and makes every prefix extend.
     low = list(accumulate(lo, max))
@@ -86,18 +95,37 @@ def heights_word(heights, y0: int, y1: int) -> str:
     return "".join(parts)
 
 
+def _words(n: int, k: int, tops) -> list[str]:
+    """Every E/N word from (0,0) to (n, kn) whose N steps at x east steps
+    stay at or below height tops[x], in lexicographic order with E < N.
+
+    The words from (x, y) are those from (x+1, y) behind an E, then those
+    from (x, y+1) behind an N.  So level x, one list per height, is built
+    from level x+1, each word one concatenation onto a suffix of the level
+    before, and each list of level x+1 is freed once it has been read."""
+    level = [["N" * (k * n - y)] for y in range(tops[n] + 1)]
+    words = level[0]
+    for x in range(n - 1, -1, -1):
+        below, level = level[: tops[x] + 1], [None] * (tops[x] + 1)
+        words = []
+        for y in range(tops[x], -1, -1):
+            words = [*map("E".__add__, below[y]), *map("N".__add__, words)]
+            below[y] = None
+            if x:  # of level 0 only the words from (0, 0) are read
+                level[y] = words
+    return words
+
+
 def enumerate_fuss_catalan(n: int, k: int) -> Iterator[str]:
     """All paths of D_n^(k) in lexicographic order with E < N."""
     _check_nk(n, k)
-    for heights in monotone_heights([0] * n, range(0, k * n, k)):  # y_i <= k(i-1)
-        yield heights_word(heights, 0, k * n)
+    yield from _words(n, k, range(0, k * n + 1, k))  # y <= kx
 
 
 def enumerate_fuss_binomial(n: int, k: int) -> Iterator[str]:
     """All words with n E's and kn N's in lexicographic order with E < N."""
     _check_nk(n, k)
-    for heights in monotone_heights([0] * n, [k * n] * n):
-        yield heights_word(heights, 0, k * n)
+    yield from _words(n, k, [k * n] * (n + 1))
 
 
 def _runs(word: str) -> list[str]:

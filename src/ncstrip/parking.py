@@ -9,13 +9,14 @@ to arbitrary skew shapes.
 
 from __future__ import annotations
 
-from itertools import permutations
+from bisect import bisect_right
+from itertools import accumulate
 
-from .bijections import path_to_noncrossing
+from .bijections import _path_to_noncrossing
 from .lattice_paths import heights_word, monotone_heights
 from .noncrossing_a import Blocks
 from .partitions import Partition
-from .shapes import SkewShape, enumerate_horizontal_strips
+from .shapes import SkewShape, _require_full_columns, enumerate_horizontal_strips
 
 
 def is_parking_function(seq) -> bool:
@@ -75,17 +76,75 @@ def count_parking_functions(n: int) -> int:
     return (n + 1) ** (n - 1) if n else 1
 
 
-def _rearrangements(sequences) -> list[tuple[int, ...]]:
-    """Every distinct permutation of each of the sequences, sorted."""
-    out = set()
-    for seq in sequences:
-        out.update(permutations(seq))
-    return sorted(out)
+def _bounded_sequences(lo, hi) -> list[tuple[int, ...]]:
+    """Every sequence whose sorted rearrangement b has lo_i <= b_i <= hi_i,
+    in lexicographic order.
+
+    b <= hi holds exactly when, for each value t, the sequence has at least
+    as many entries <= t as hi has, and b >= lo when it has at most as many
+    as lo has.  After a prefix, the rest of the sequence still owes, for
+    each t, how many more entries <= t it must hold and may hold; prefixes
+    that owe the same share one list of suffixes.  The states each length of
+    suffix can owe are found from the front, numbered in order, then their
+    lists are built from the back one length at a time, each entry one
+    tuple concatenation onto a suffix of the level before, and each list of
+    that level is freed once its last reader has read it."""
+    low = list(accumulate(lo, max))
+    cap = list(accumulate(reversed(hi), min))[::-1]
+    if any(l > c for l, c in zip(low, cap)):
+        return []
+    values = range(low[0], cap[-1] + 1) if low else range(0)
+    states = {(tuple(bisect_right(cap, t) for t in values),
+               tuple(bisect_right(low, t) for t in values)): 0}
+    steps = []  # per level: each state's moves (head, number of the next state)
+    for m in range(len(low), 0, -1):  # m entries to go
+        step, following = [], {}
+        for must, may in states:
+            # the next entry is a v with room left at every t >= v, and at
+            # most the first t that still owes all m entries; the rest owes
+            # one entry fewer at each t >= v, and never more than m - 1
+            first = len(may)
+            while first and may[first - 1]:
+                first -= 1
+            fewer = tuple(x - 1 if x else 0 for x in must)
+            room = tuple(min(x, m - 1) for x in may)
+            less_room = tuple(min(x, m) - 1 for x in may)
+            step.append([
+                ((values[j],), following.setdefault(
+                    (must[:j] + fewer[j:], room[:j] + less_room[j:]), len(following)))
+                for j in range(first, must.index(m) + 1)
+            ])
+        readers = [0] * len(following)
+        for moves in step:
+            for _, rest in moves:
+                readers[rest] += 1
+        steps.append((step, readers))
+        states = following
+    suffixes = [[()]] * len(states)
+    for step, readers in reversed(steps):
+        level = []
+        for moves in step:
+            out = []
+            for head, rest in moves:
+                out += map(head.__add__, suffixes[rest])
+                readers[rest] -= 1
+                if not readers[rest]:
+                    suffixes[rest] = None
+            level.append(out)
+        suffixes = level
+    return suffixes[0]
 
 
 def enumerate_parking_functions(n: int) -> list[tuple[int, ...]]:
     """All parking functions of length n; (n+1)^(n-1) of them."""
-    return _rearrangements(enumerate_primitive(n))
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _bounded_sequences([1] * n, range(1, n + 1))  # 1 <= b_i <= i
+
+
+def _primitive_pf_to_ncp(seq) -> Blocks:
+    """primitive_pf_to_ncp without its input check."""
+    return _path_to_noncrossing(heights_word([b - 1 for b in seq], 0, len(seq)), 1)
 
 
 def primitive_pf_to_ncp(seq) -> Blocks:
@@ -97,8 +156,7 @@ def primitive_pf_to_ncp(seq) -> Blocks:
     seq = list(seq)
     if not is_primitive(seq):
         raise ValueError(f"{seq} is not a primitive parking function")
-    word = heights_word([b - 1 for b in seq], 0, len(seq))
-    return path_to_noncrossing(word, len(seq), 1)
+    return _primitive_pf_to_ncp(seq)
 
 
 def enumerate_shape_parking_functions(
@@ -107,7 +165,9 @@ def enumerate_shape_parking_functions(
     """Parking functions relative to a shape, as box height sequences.
 
     Primitive ones are the height sequences of the shape's horizontal
-    strips; general ones are all distinct permutations of those.
+    strips; general ones are all distinct rearrangements of those.
     """
-    primitives = enumerate_horizontal_strips(shape)
-    return sorted(primitives) if primitive_only else _rearrangements(primitives)
+    if primitive_only:
+        return enumerate_horizontal_strips(shape)
+    _require_full_columns(shape)
+    return _bounded_sequences(shape.lo, shape.hi)

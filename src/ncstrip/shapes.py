@@ -261,10 +261,15 @@ def _path_heights(word: str, y0: int) -> tuple[int, ...]:
     return tuple(heights)
 
 
-def enumerate_horizontal_strips(shape: SkewShape) -> list[tuple[int, ...]]:
-    """Height sequences of all strips with exactly one box per column."""
+def _require_full_columns(shape: SkewShape) -> None:
+    """A horizontal strip has a box in every column."""
     if len(shape.lo) != shape.width:
         raise ValueError("shape has an empty column")
+
+
+def enumerate_horizontal_strips(shape: SkewShape) -> list[tuple[int, ...]]:
+    """Height sequences of all strips with exactly one box per column."""
+    _require_full_columns(shape)
     return list(monotone_heights(shape.lo, shape.hi))
 
 

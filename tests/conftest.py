@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 # pyproject.toml puts src/ on the path of the test process; the CLI tests'
@@ -131,6 +132,34 @@ def ascents_by_walk(word: str) -> list[tuple[int, int]]:
     if run:
         out.append((y, run))
     return out
+
+
+def words_by_heights(n: int, k: int, catalan: bool) -> list[str]:
+    """Every word with n E's and kn N's, kept at or below y = kx when
+    catalan, in lexicographic order with E < N: its east-step heights are
+    listed in lexicographic order as the weakly increasing n-tuples over
+    0..kn, and each is written out as a word."""
+    out = []
+    for heights in combinations_with_replacement(range(k * n + 1), n):
+        if catalan and any(h > k * i for i, h in enumerate(heights)):
+            continue
+        word, y = [], 0
+        for h in heights:
+            word.append("N" * (h - y) + "E")
+            y = h
+        out.append("".join(word) + "N" * (k * n - y))
+    return out
+
+
+def rearrangements_by_permutations(lo, hi) -> list[tuple[int, ...]]:
+    """Every sequence whose sorted rearrangement b has lo_i <= b_i <= hi_i,
+    sorted: the set of all permutations of each such b."""
+    values = range(min(lo, default=0), max(hi, default=0) + 1)
+    primitives = [
+        b for b in combinations_with_replacement(values, len(lo))
+        if all(l <= x <= h for l, x, h in zip(lo, b, hi))
+    ]
+    return sorted({p for b in primitives for p in permutations(b)})
 
 
 def pascal_binomial(n: int, k: int) -> int:

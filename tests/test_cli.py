@@ -572,11 +572,30 @@ print(json.dumps(out))
 """
 
 
+# Each listing and family expansion whose count once ran to 36 s (n = 10^6)
+# or past 30 s (n = 10^9) before its guard refused it.
+_HUGE_N = [
+    (argv + ["-n", n] + k, f"{what} would produce more than 500000 objects")
+    for n in ("1000000", "1000000000")
+    for argv, k, what in [
+        (["enumerate", "--object", "fuss-catalan"], ["-k", "1"], "path enumeration"),
+        (["enumerate", "--object", "binomial"], ["-k", "1"], "path enumeration"),
+        (["enumerate", "--object", "nca-k"], ["-k", "1"], "noncrossing enumeration"),
+        (["enumerate", "--object", "ncb-k"], ["-k", "1"], "noncrossing enumeration"),
+        (["enumerate", "--object", "pf"], [], "parking function enumeration"),
+        (["enumerate", "--object", "pf", "--primitive"], [], "parking function enumeration"),
+        (["expand", "--family", "fuss-a"], ["-k", "1"], "expansion of the stretched staircase"),
+        (["expand", "--family", "fuss-b"], ["-k", "1"], "expansion of the rectangle"),
+    ]
+]
+
+
 def test_hostile_counts_are_refused_at_once_or_printed_whole():
     # each case once exited 2 on CPython's 4,300-digit limit for int-to-str
-    # conversion (the refusal formatted its exact count), ran past 30 s, or
-    # wrote 8,001 strips of 8,000 columns in 47 s
-    refused = [
+    # conversion (the refusal formatted its exact count), ran past 30 s,
+    # wrote 8,001 strips of 8,000 columns in 47 s, or converted a count of
+    # 500,000 digits to a str twice in 8.7 s
+    refused = _HUGE_N + [
         (["enumerate", "--object", "fuss-catalan", "-n", "7152", "-k", "1"],
          "path enumeration would produce more than 500000 objects"),
         (["enumerate", "--object", "fuss-catalan", "-n", "7153", "-k", "1"],
@@ -585,9 +604,12 @@ def test_hostile_counts_are_refused_at_once_or_printed_whole():
          "parking function enumeration would produce more than 500000 objects"),
         (["enumerate", "--object", "rstrips", "--shape", "8000"],
          "r-strip enumeration would produce 64008000 elements in all objects"),
+        (["count", "--family", "pf", "-n", "100000"],
+         "the parking function count would produce 499996 digits, over the cap of "
+         "125000 (NCSTRIP_MAX_OBJECTS / 4)"),
         (["count", "--family", "pf", "-n", "1000000000"],
          "the parking function count would produce 8999999992 digits, over the cap of "
-         "32000000 (64 times NCSTRIP_MAX_OBJECTS)"),
+         "125000 (NCSTRIP_MAX_OBJECTS / 4)"),
     ]
     printed = [(["count", "--family", "pf", "-n", str(n)], n) for n in (1371, 1372)]
     cases = [argv for argv, _ in refused + printed]
@@ -609,6 +631,19 @@ def test_hostile_counts_are_refused_at_once_or_printed_whole():
         assert len(count) == int((n - 1) * math.log10(n + 1)) + 1 == {1371: 4299, 1372: 4302}[n]
         assert int(count[-18:]) == pow(n + 1, n - 1, 10**18)
         assert seconds < 2 and limit == sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("limit", [0, 1, 4, 5, 6, 41, 42, 43, 10**6, 2**64])
+def test_the_guards_counts_are_exact_up_to_their_limit(limit):
+    # each is min(count, limit + 1), so a refusal past the limit stops early
+    # and every count the guards compare or print is exact
+    for n in range(13):
+        assert cli._parking_upto(n, limit) == min((n + 1) ** (n - 1) if n else 1, limit + 1)
+        for k in range(1, 5):
+            assert cli._fuss_catalan_upto(n, k, limit) == min(fuss_catalan(n, k), limit + 1)
+            assert cli._fuss_binomial_upto(n, k, limit) == min(
+                binomial((k + 1) * n, n), limit + 1
+            )
 
 
 def test_a_listing_is_capped_by_the_elements_of_all_its_objects(monkeypatch, capsys):
@@ -641,6 +676,13 @@ def test_the_parking_listing_types_unsorted_sequences(capsys, n):
     assert len(objects) == ((n + 1) ** (n - 1) if n else 1)
     assert [o["type"] for o in objects] == [list(pf_type(o["sequence"])) for o in objects]
     assert any(o["sequence"] != sorted(o["sequence"]) for o in objects) == (n >= 2)
+
+
+@pytest.mark.parametrize("primitive", [[], ["--primitive"]])
+def test_a_negative_parking_length_is_a_usage_error(capsys, primitive):
+    # refused before the guard's count, whose Catalan form divides by n + 1
+    assert cli.main(["enumerate", "--object", "pf", "-n", "-1", *primitive]) == 2
+    assert "usage error: n must be >= 0" in capsys.readouterr().err
 
 
 def test_count_of_one_type_does_not_grow_with_kn():

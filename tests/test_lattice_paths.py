@@ -19,7 +19,7 @@ from ncstrip.lattice_paths import (
 )
 from ncstrip.partitions import binomial, fuss_catalan, weight
 
-from conftest import ascents_by_walk
+from conftest import ascents_by_walk, words_by_heights
 
 TYPE_A_EXAMPLE_WORD = "ENEENNNNENNNEENNNN"  # the worked type A example, 6 E / 12 N
 
@@ -166,3 +166,12 @@ def test_heights_word_inverts_the_height_reading(n, k):
     for word in words:
         heights = [word[:i].count("N") for i, step in enumerate(word) if step == "E"]
         assert heights_word(heights, 0, k * n) == word
+
+
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for k in range(1, 15) for n in range(15) if (k + 1) * n <= 14]
+)
+def test_word_listers_equal_the_heights_oracle(n, k):
+    # the suffix-list listers give the words of the height vectors, in order
+    assert list(enumerate_fuss_catalan(n, k)) == words_by_heights(n, k, catalan=True)
+    assert list(enumerate_fuss_binomial(n, k)) == words_by_heights(n, k, catalan=False)

@@ -17,7 +17,9 @@ from ncstrip.parking import (
     primitive_pf_to_ncp,
 )
 from ncstrip.partitions import catalan
-from ncstrip.shapes import SkewShape, rectangle, stretched_staircase
+from ncstrip.shapes import SkewShape, parse_shape, rectangle, stretched_staircase
+
+from conftest import rearrangements_by_permutations
 
 
 def test_predicates():
@@ -145,3 +147,26 @@ def test_staircase_parking_functions_match_classical(n):
     general = enumerate_shape_parking_functions(shape)
     classical = {tuple(x - 1 for x in f) for f in enumerate_parking_functions(n)}
     assert set(general) == classical
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_parking_functions_equal_the_permutation_oracle(n):
+    # every rearrangement of a sequence with 1 <= b_i <= i, in order
+    expected = rearrangements_by_permutations([1] * n, range(1, n + 1))
+    assert enumerate_parking_functions(n) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    # the first four, 3,2,1 and 4,2/1 have a column whose lowest box is
+    # above height 0, so their lower bounds prune sequences too
+    ["4,3,3,1/2,1", "5,5,3,2/3,1,1", "5,3,3/2,2", "6,4,2/1", "4,4,4,4/3,2,1",
+     "3,2,1", "4,4,4", "3,3,3/1,1", "4,2/1", "2,2/1", "1"],
+)
+def test_shape_parking_functions_equal_the_permutation_oracle(text):
+    shape = parse_shape(text)
+    expected = rearrangements_by_permutations(shape.lo, shape.hi)
+    assert enumerate_shape_parking_functions(shape) == expected
+    assert {tuple(sorted(f)) for f in expected} == set(
+        enumerate_shape_parking_functions(shape, primitive_only=True)
+    )

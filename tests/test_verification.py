@@ -127,15 +127,16 @@ singletons = first_call_replaced(lambda blocks: tuple((x,) for b in blocks for x
         (strip_bijection_check_b, (2, 2), "type_b", first_call_wrong, "composite type not preserved"),
         (strip_bijection_check_b, (2, 2), "iter_strip_heights", drop_first, "image has"),
         (theorem_21_check, (3,), "parking_expansion", extra_term, "enumeration vs formula"),
-        (theorem_21_check, (3,), "pf_type", first_call_wrong, "formula vs census"),
+        (theorem_21_check, (3,), "multiplicity_type", first_call_wrong, "formula vs census"),
         (theorem_21_check, (3,), "enumerate_primitive", drop_first, "formula vs census"),
         (theorem_21_check, (3,), "expand_skew", doubled, "enumeration vs formula"),
-        (theorem_21_check, (3,), "primitive_pf_to_ncp", singletons, "noncrossing census"),
+        (theorem_21_check, (3,), "_primitive_pf_to_ncp", singletons, "noncrossing census"),
         (counting_check_a, (3, 2), "_types_a", first_call_wrong_at(0), "type formula vs census"),
         (counting_check_a, (3, 2), "_types_a", first_call_wrong_at(1), "reduced type formula vs census"),
         (counting_check_a, (3, 2), "enumerate_k_divisible", drop_first, "type formula vs census"),
         (counting_check_a, (3, 2), "type_counts", first_row_plus_one, "type counts sum"),
         (counting_check_a, (3, 2), "reduced_type_counts", first_row_plus_one, "double counting fails"),
+        (theorem_21_check, (3,), "enumerate_parking_functions", drop_first, "parking function count"),
     ],
 )
 def test_checks_fail_when_one_piece_is_broken(monkeypatch, check, args, name, breaker, tag):

@@ -12,8 +12,9 @@ of the committed BENCH files: for each workload every run, and for each
 end-to-end metric of BENCHMARK.json the medians and quartiles of both
 sides, the change's relative difference and the number of pairs in which
 the change did better.  Its `work` block gives the calls of one profiled
-pass at seed WORK_SEED on each side, in total and per module, counted by
-this tree's tools/work_counts.py: a record, comparable from one BENCH file
+pass at seed WORK_SEED on each side, in total and per module, and the
+tracemalloc peak of one pass without the profiler, counted by this tree's
+tools/work_counts.py: a record, comparable from one BENCH file
 to the next whatever their --seed (the cli-requests stream depends on its
 seed), not a gate.
 Standard library only; the file is rewritten after each workload, so a cut
@@ -90,8 +91,9 @@ def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def work(checkout: Path, workload: str, seed: int) -> dict:
-    """Calls in one profiled pass of the workload in the checkout:
-    {"calls": total, "modules": {module or "builtins" or "other": calls}}."""
+    """Calls in one profiled pass of the workload in the checkout, and the
+    peak of one traced pass: {"calls": total, "modules": {module or
+    "builtins" or "other": calls}, "peak_bytes": peak}."""
     cmd = [sys.executable, str(ROOT / "tools" / "work_counts.py"), "--checkout", str(checkout),
            "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,

@@ -1,17 +1,20 @@
-"""Count the function calls of one benchmark pass.
+"""Count the function calls and the peak memory of one benchmark pass.
 
     python3 tools/work_counts.py --checkout DIR --workload W --seed S
 
 Builds one pass of workload W the way DIR's perfbench/worker.py does (the
 sweep's checks shuffled by S, or `cli_requests(S)` through
-`ncstrip.cli.main`), runs it once under cProfile, and prints
-{"calls": N, "modules": {...}}: N is every call cProfile counted, builtins
-included, and "modules" splits N by where the called function lives: one
-row per module of DIR's src/ncstrip, one for builtins (C functions and
-methods) and one for all other Python code.  The counts are exact and
-do not depend on the machine or the hash seed, so counts from different
-runs and different BENCH files can be compared; a gain in time still has
-to be measured.  DIR's `src` goes ahead of the working directory's, which
+`ncstrip.cli.main`), runs it once under cProfile, then once more under
+tracemalloc alone, and prints {"calls": N, "modules": {...}, "peak_bytes":
+P}: N is every call cProfile counted, builtins included, and "modules"
+splits N by where the called function lives: one row per module of DIR's
+src/ncstrip, one for builtins (C functions and methods) and one for all
+other Python code.  P is the most memory the second pass held allocated at
+once through Python's allocators, as tracemalloc traces it, so it records
+what a lister keeps alive next to its calls.  The calls are exact and do
+not depend on the machine or the hash seed, so counts from different runs
+and different BENCH files can be compared; a gain in time still has to be
+measured.  DIR's `src` goes ahead of the working directory's, which
 worker.py also puts on sys.path.
 """
 
@@ -22,6 +25,7 @@ import cProfile
 import json
 import pstats
 import sys
+import tracemalloc
 from pathlib import Path
 
 
@@ -41,6 +45,24 @@ def calls_by_module(stats: dict, package: Path) -> dict[str, int]:
     return dict(sorted(rows.items()))
 
 
+def run_ops(ops) -> None:
+    for op, _gate in ops:
+        try:
+            op()
+        except Exception:  # as in the worker, a crashing operation ends only itself
+            pass
+
+
+def peak_bytes(ops) -> int:
+    """The tracemalloc peak of one run of the operations."""
+    tracemalloc.start()
+    try:
+        run_ops(ops)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def calls_per_pass(checkout: Path, workload: str, seed: int) -> dict:
     sys.path.insert(0, str(checkout / "perfbench"))
     import worker
@@ -56,15 +78,12 @@ def calls_per_pass(checkout: Path, workload: str, seed: int) -> dict:
         ops = worker.request_ops(worker.workloads.cli_requests(seed))
     profile = cProfile.Profile()
     profile.enable()
-    for op, _gate in ops:
-        try:
-            op()
-        except Exception:  # as in the worker, a crashing operation ends only itself
-            pass
+    run_ops(ops)
     profile.disable()
     stats = pstats.Stats(profile)
     return {"calls": stats.total_calls,
-            "modules": calls_by_module(stats.stats, checkout / "src" / "ncstrip")}
+            "modules": calls_by_module(stats.stats, checkout / "src" / "ncstrip"),
+            "peak_bytes": peak_bytes(ops)}
 
 
 def main(argv=None) -> int:
