@@ -340,10 +340,10 @@ def _signed_noncrossing_to_path(blocks: SignedBlocks, n: int, k: int) -> str:
     if n == 0:
         return ""
     m = k * n
-    owner = [0] * (2 * m + 1)  # polygon position -> block
+    owner = [0] * (2 * m)  # canonical index -> block, as in validate_nc_b
     for i, b in enumerate(blocks):
         for v in b:
-            owner[v if v > 0 else m - v] = i
+            owner[m + v - 1 if v > 0 else -v - 1] = i
     # a canonical block lists its negatives (by absolute value) before its
     # positives, so a block that mixes signs starts negative and ends positive
     a0 = m + 1
@@ -355,7 +355,8 @@ def _signed_noncrossing_to_path(blocks: SignedBlocks, n: int, k: int) -> str:
                 break
             if -b[j - 1] < b[j]:
                 a0 = b[j]
-    arc = owner[a0 : a0 + m]
+    # the half-arc a0..m, -1..-(a0 - 1) wraps in canonical order
+    arc = owner[m + a0 - 1 :] + owner[: a0 - 1]
     split = m + 1 - a0  # arc[:split] are the labels a0..m, the rest -1..-n0
     # block -> its first index on the negative side
     first = {arc[t]: t for t in range(m - 1, split - 1, -1)}

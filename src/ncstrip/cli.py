@@ -64,7 +64,9 @@ from .parking import (
 )
 from .partitions import (
     _check_nk,
+    binomial,
     format_partition,
+    fuss_catalan,
     parse_partition,
     partition_counts,
     partition_rows,
@@ -83,7 +85,7 @@ from .shapes import (
     strip_art,
     strip_entries,
 )
-from .verification import CAP_A, CAP_B, THEOREMS, verify_limits, verify_theorem
+from .verification import THEOREMS, verify_limits, verify_theorem
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -150,47 +152,19 @@ def _guard(
         )
 
 
-# Object counts for the guards, each the exact count when it is at most
-# `limit` and limit + 1 otherwise, from partial products that stop once they
-# pass limit.  The guards pass _count_limit(), so a huge n is refused at once
-# and a refusal still gives every count that fits in 64 bits.
-
-
-def _count_limit() -> int:
-    return max(_max_objects(), 1 << 64)
-
-
-def _binomial_upto(m: int, j: int, limit: int) -> int:
-    """min(binomial(m, j), limit + 1).  With j <= m - j, the partial
-    products binomial(m - j + i, i) never decrease and at least double at
-    each i, so they pass limit within its bit length."""
-    j = min(j, m - j)
-    c = 1
-    for i in range(1, j + 1):
-        c = c * (m - j + i) // i
-        if c > limit:
-            return limit + 1
-    return c
-
-
-def _fuss_catalan_upto(n: int, k: int, limit: int) -> int:
-    """min(fuss_catalan(n, k), limit + 1): binomial((k+1)n, n) / (kn+1)."""
-    d = k * n + 1
-    return _binomial_upto((k + 1) * n, n, (limit + 1) * d - 1) // d
-
-
-def _fuss_binomial_upto(n: int, k: int, limit: int) -> int:
-    return _binomial_upto((k + 1) * n, n, limit)
-
-
-def _parking_upto(n: int, limit: int) -> int:
-    """min((n+1)^(n-1), limit + 1) for n >= 0, one factor at a time."""
-    c = 1
-    for _ in range(n - 1):
-        c *= n + 1
-        if c > limit:
-            return limit + 1
-    return c
+def _count_within(n: int, k: int, form: Callable, *args) -> int:
+    """form(*args), the library's closed form for a guarded family at
+    (n, k), or limit + 1, where limit = max(NCSTRIP_MAX_OBJECTS, 2^64), once
+    a lower bound alone passes limit.  Every guarded family has at least
+    2^(n-1) members, since binomial(2n, n) >= 2^n and Fuss-Catalan(n, k) >=
+    Catalan(n) >= 2^(n-1), and at least k + 1 once n >= 2, since
+    Fuss-Catalan(2, k) = k + 1 and binomial((k+1)n, n) >= (k+1)n.  So a huge
+    n or k is refused before any count is computed, and a refusal still
+    gives every count that fits in 64 bits."""
+    limit = max(_max_objects(), 1 << 64)
+    if n > limit.bit_length() or (n >= 2 and k >= limit):
+        return limit + 1
+    return form(*args)
 
 
 def _guard_partitions(w_max: int, cumulative: bool, what: str) -> None:
@@ -343,18 +317,19 @@ def _lambda_rows(
     )
 
 
-# family -> (shape, its strip count in closed form up to a limit, what a
-# refusal names, the closed-form expansion)
+# family -> (shape, its strip count, what a refusal names, the closed-form
+# expansion); the strips are counted as the paths they biject to, D_{n+1}^(k)
+# by phi-a and B_n^(k) by phi-b
 EXPANSIONS = {
     "fuss-a": (
         stretched_staircase,
-        lambda n, k, limit: _fuss_catalan_upto(n + 1, k, limit),
+        lambda n, k: LISTINGS["fuss-catalan"].count(n + 1, k),
         "expansion of the stretched staircase",
         fuss_a_expansion_formula,
     ),
     "fuss-b": (
         rectangle,
-        _fuss_binomial_upto,
+        lambda n, k: LISTINGS["binomial"].count(n, k),
         "expansion of the rectangle",
         fuss_b_expansion_formula,
     ),
@@ -385,7 +360,7 @@ def cmd_expand(args):
             shape = parse_shape(args.shape)
             _guard(count_r_strips(shape), "expansion of the shape")
         else:
-            _guard(strips(n, k, _count_limit()), what)
+            _guard(strips(n, k), what)
             shape = build(n, k)
         # the census has no more terms than the shape has strips
         terms = dict(expansion_items(expand_skew_by_columns(shape)))
@@ -457,18 +432,6 @@ def _kinds(n: int, k: int) -> dict[str, Kind]:
     }
 
 
-def _census_a(n: int, k: int):
-    if k * n > CAP_A:
-        raise CapExceeded(f"census check needs kn <= {CAP_A}")
-    return enumerate_k_divisible(n, k)
-
-
-def _census_b(n: int, k: int):
-    if (k + 1) * n > CAP_B:
-        raise CapExceeded(f"census check needs (k+1)n <= {CAP_B}")
-    return enumerate_nc_b(n, k)
-
-
 def _reduced_type_rows(n: int) -> tuple[int, bool]:
     """Reduced types weigh less than n; the empty partition of NC_0 has none."""
     if n < 1:
@@ -478,10 +441,18 @@ def _reduced_type_rows(n: int) -> tuple[int, bool]:
 
 def _parking_count(n: int) -> int:
     """(n+1)^(n-1), once its digits, estimated by log10 before it is
-    computed, pass NCSTRIP_MAX_OBJECTS / OBJECTS_PER_DIGIT."""
-    digits = int((n - 1) * math.log10(n + 1)) + 1
+    computed, pass NCSTRIP_MAX_OBJECTS / OBJECTS_PER_DIGIT.  From n = 2^64
+    on, n stands for them, a lower bound since n + 1 >= 10: a float of n
+    may overflow."""
+    digits = int((n - 1) * math.log10(n + 1)) + 1 if n < 1 << 64 else n
     _guard(digits, "the parking function count", unit="digits", per=OBJECTS_PER_DIGIT)
     return count_parking_functions(n)
+
+
+def _census(name: str) -> Callable:
+    """census(n, k): the objects of `enumerate --object name -n n -k k`,
+    under that listing's guards."""
+    return lambda n, k: _listed(LISTINGS[name], {"n": n, "k": k})
 
 
 # family -> {--by: (count, counts, rows, census, statistic)}; the first --by
@@ -489,16 +460,18 @@ def _parking_count(n: int) -> int:
 # lighter weight has rows too, or refuses n.  counts(n, k, rows, products)
 # counts a table of partition_rows' own rows and multiplicity products, in
 # order; count(n, k, lam) checks and counts a --lambda row.  --check tallies
-# statistic(object, k) over census(n, k), which applies its own guard.
-_TYPE_A = (count_by_type, type_counts, lambda n: (n, False), _census_a, type_a)
+# statistic(object, k) over census(n, k), an `enumerate` listing capped as
+# that listing is.
+_TYPE_A = (count_by_type, type_counts, lambda n: (n, False), _census("nca-k"), type_a)
 _REDUCED_TYPE_A = (
-    count_by_reduced_type, reduced_type_counts, _reduced_type_rows, _census_a, reduced_type_a
+    count_by_reduced_type, reduced_type_counts, _reduced_type_rows, _census("nca-k"),
+    reduced_type_a,
 )
 COUNTS = {
     "nca": {"type": _TYPE_A, "reduced-type": _REDUCED_TYPE_A},
     "nca-k": {"type": _TYPE_A, "reduced-type": _REDUCED_TYPE_A},
     "ncb-k": {
-        "type": (count_by_type_b, type_counts_b, lambda n: (n, True), _census_b, type_b)
+        "type": (count_by_type_b, type_counts_b, lambda n: (n, True), _census("ncb-k"), type_b)
     },
     # Without --by, the one row, of the empty partition, counts every parking
     # function, and there is no --lambda.  By type, the parking function
@@ -679,13 +652,13 @@ def _pf_params(args) -> dict:
 class Listing(NamedTuple):
     """One `enumerate --object`.  params(args) checks the options and returns
     the parameters, and build(**parameters) the arguments they stand for;
-    count(**arguments, limit=limit) is the number of objects, or limit + 1
-    past limit, and size(**arguments), where
-    given, the elements (letters, labels) of the largest; the count, the
-    size and their product, the elements of all objects, are checked against
-    the cap before objects(**arguments) lists them.  columns(kinds), given
-    the kinds at the parameters, maps each column header to its value on an
-    object; art(object) draws the object for --ascii-art."""
+    count(**arguments) is the number of objects (_count_within past the
+    cap), and size(**arguments), where given, the elements (letters,
+    labels) of the largest; the count, the size and their product, the
+    elements of all objects, are checked against the cap before
+    objects(**arguments) lists them.  columns(kinds), given the kinds at
+    the parameters, maps each column header to its value on an object;
+    art(object) draws the object for --ascii-art."""
 
     count: Callable
     what: str
@@ -700,7 +673,7 @@ class Listing(NamedTuple):
 LISTINGS = {
     "rstrips": Listing(
         # the shape guards bound the count's own work
-        lambda shape, limit: count_r_strips(shape),
+        count_r_strips,
         "r-strip enumeration",
         enumerate_r_strips,
         lambda kinds: {"strip": format_strip, "path": path_from_strip, "type": strip_type},
@@ -711,36 +684,38 @@ LISTINGS = {
         build=lambda shape: {"shape": parse_shape(shape)},
     ),
     "fuss-catalan": Listing(
-        _fuss_catalan_upto,
+        lambda n, k: _count_within(n, k, fuss_catalan, n, k),
         "path enumeration",
         enumerate_fuss_catalan,
         lambda kinds: kinds["fuss-catalan"].columns("path"),
         size=lambda n, k: (k + 1) * n,
     ),
     "binomial": Listing(
-        _fuss_binomial_upto,
+        lambda n, k: _count_within(n, k, binomial, (k + 1) * n, n),
         "path enumeration",
         enumerate_fuss_binomial,
         lambda kinds: kinds["binomial"].columns("path"),
         size=lambda n, k: (k + 1) * n,
     ),
     "nca-k": Listing(
-        _fuss_catalan_upto,
+        lambda n, k: _count_within(n, k, fuss_catalan, n, k),
         "noncrossing enumeration",
         enumerate_k_divisible,
         lambda kinds: kinds["nca-k"].columns("partition"),
         size=lambda n, k: k * n,
     ),
     "ncb-k": Listing(
-        _fuss_binomial_upto,
+        lambda n, k: _count_within(n, k, binomial, (k + 1) * n, n),
         "noncrossing enumeration",
         enumerate_nc_b,
         lambda kinds: {**kinds["ncb-k"].columns("partition"), "antipodal": antipodal_block},
         size=lambda n, k: 2 * k * n,
     ),
     "pf": Listing(
-        lambda n, primitive, limit: (
-            _fuss_catalan_upto(n, 1, limit) if primitive else _parking_upto(n, limit)
+        lambda n, primitive: (
+            _count_within(n, 1, fuss_catalan, n, 1)
+            if primitive
+            else _count_within(n, 1, count_parking_functions, n)
         ),
         "parking function enumeration",
         lambda n, primitive: (
@@ -760,7 +735,7 @@ def _listed(listing: Listing, params: dict):
     """The listing's objects at params, once their count, the size of one
     and the elements of all of them pass the cap."""
     arguments = listing.build(**params)
-    count = listing.count(**arguments, limit=_count_limit())
+    count = listing.count(**arguments)
     _guard(count, listing.what)
     if listing.size:
         size = listing.size(**arguments)

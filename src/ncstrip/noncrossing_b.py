@@ -1,8 +1,7 @@
 """Signed (type B) noncrossing partitions of {-m..-1, 1..m} with m = kn.
 
-Polygon convention: the 2m-gon's positions 1..2m carry the labels
-1, 2, ..., m, -1, -2, ..., -m clockwise, so pos(v) = v for v > 0 and
-pos(-j) = m + j.  The element order used for canonical listings is
+Polygon convention: the 2m-gon carries the labels 1, 2, ..., m, -1, -2,
+..., -m clockwise.  The element order used for canonical listings is
 -1 < -2 < ... < -m < 1 < 2 < ... < m; blocks are listed clockwise starting
 from their minimal element in that order, which reads the polygon clockwise
 from -1.  Arrays are indexed by it (-j at j - 1, j at m + j - 1).

@@ -30,7 +30,8 @@ from ncstrip.shapes import (
 )
 from ncstrip.verification import (
     CAP_A,
-    CAP_B,
+    PAIRS_A,
+    PAIRS_B,
     counting_check_a,
     labeling_bijection_check_a,
     labeling_bijection_check_b,
@@ -68,12 +69,10 @@ def run_cli(*args):
     )
 
 
-def pairs_a():
-    return [(n, k) for k in range(1, 7) for n in range(1, 12) if k * (n + 1) <= CAP_A]
-
-
-def pairs_b():
-    return [(n, k) for k in range(1, 14) for n in range(1, 8) if (k + 1) * n <= CAP_B]
+# The labeling maps and the counting identities act on D_n^(k) and NC^(k) of
+# kn points, so criteria 4 and 7 take kn <= CAP_A; the staircase side of
+# PAIRS_A is D_{n+1}^(k), hence k(n+1) <= CAP_A there.
+PAIRS_KN = [(n, k) for k in range(1, CAP_A + 1) for n in range(1, CAP_A + 1) if k * n <= CAP_A]
 
 
 def test_criterion_1_golden_expansion():
@@ -95,7 +94,7 @@ def test_criterion_1_golden_expansion():
 
 def test_criterion_2_staircase_three_way():
     start = time.monotonic()
-    results = [theorem_11_check(n, k) for n, k in pairs_a()]
+    results = [theorem_11_check(n, k) for n, k in PAIRS_A]
     elapsed = time.monotonic() - start
     ok = all(r.passed for r in results) and elapsed < 120
     detail = f"{len(results)} (n,k) pairs, {sum(r.objects for r in results)} partitions, {elapsed:.1f}s"
@@ -104,7 +103,7 @@ def test_criterion_2_staircase_three_way():
 
 def test_criterion_3_rectangle_three_way():
     start = time.monotonic()
-    results = [theorem_12_check(n, k) for n, k in pairs_b()]
+    results = [theorem_12_check(n, k) for n, k in PAIRS_B]
     elapsed = time.monotonic() - start
     ok = all(r.passed for r in results) and elapsed < 120
     detail = f"{len(results)} (n,k) pairs, {sum(r.objects for r in results)} partitions, {elapsed:.1f}s"
@@ -121,10 +120,9 @@ def test_criterion_4_labeling_bijection_a():
     )
     blocks = path_to_noncrossing(TYPE_A_EXAMPLE_WORD, 6, 2)
     example_ok = example_ok and noncrossing_to_path(blocks, 6, 2) == TYPE_A_EXAMPLE_WORD
-    pairs = [(n, k) for k in range(1, 13) for n in range(1, 13) if k * n <= CAP_A]
-    results = [labeling_bijection_check_a(n, k) for n, k in pairs]
+    results = [labeling_bijection_check_a(n, k) for n, k in PAIRS_KN]
     ok = example_ok and all(r.passed for r in results)
-    detail = f"{sum(r.objects for r in results)} paths over {len(pairs)} (n,k) pairs"
+    detail = f"{sum(r.objects for r in results)} paths over {len(PAIRS_KN)} (n,k) pairs"
     report(4, "path<->partition labeling bijection, two-sided, kn <= 12", ok, detail)
 
 
@@ -133,15 +131,15 @@ def test_criterion_5_labeling_bijection_b():
     example_ok = blocks == parse_blocks_b(TYPE_B_EXAMPLE_PARTITION)
     example_ok = example_ok and type_b(blocks, 3) == (1, 1, 1)
     example_ok = example_ok and signed_noncrossing_to_path(blocks, 4, 3) == TYPE_B_EXAMPLE_WORD
-    results = [labeling_bijection_check_b(n, k) for n, k in pairs_b()]
+    results = [labeling_bijection_check_b(n, k) for n, k in PAIRS_B]
     ok = example_ok and all(r.passed for r in results)
-    detail = f"{sum(r.objects for r in results)} paths over {len(pairs_b())} (n,k) pairs"
+    detail = f"{sum(r.objects for r in results)} paths over {len(PAIRS_B)} (n,k) pairs"
     report(5, "signed path<->partition bijection, two-sided, (k+1)n <= 14", ok, detail)
 
 
 def test_criterion_6_strip_bijections():
-    results_a = [strip_bijection_check_a(n, k) for n, k in pairs_a()]
-    results_b = [strip_bijection_check_b(n, k) for n, k in pairs_b()]
+    results_a = [strip_bijection_check_a(n, k) for n, k in PAIRS_A]
+    results_b = [strip_bijection_check_b(n, k) for n, k in PAIRS_B]
     ok = all(r.passed for r in results_a + results_b)
     detail = (
         f"{sum(r.objects for r in results_a)} staircase strips, "
@@ -151,8 +149,7 @@ def test_criterion_6_strip_bijections():
 
 
 def test_criterion_7_counting_identities():
-    pairs = [(n, k) for k in range(1, 13) for n in range(1, 13) if k * n <= CAP_A]
-    results = [counting_check_a(n, k) for n, k in pairs]
+    results = [counting_check_a(n, k) for n, k in PAIRS_KN]
     ok = all(r.passed for r in results)
     detail = f"{sum(r.objects for r in results)} partitions censused"
     report(7, "pointed double-counting identity and count formulas, kn <= 12", ok, detail)

@@ -1,5 +1,5 @@
 """The pair summary of tools/bench_pairs.py, on canned run output, and the
-call counts of tools/work_counts.py."""
+call counts and payload digest of tools/work_counts.py."""
 
 import importlib.util
 import json
@@ -223,3 +223,20 @@ def test_work_counts_do_not_depend_on_the_hash_seed():
     assert counts[0]["calls"] == sum(counts[0]["modules"].values()) > 100_000
     assert {"builtins", "shapes", "expansions"} <= set(counts[0]["modules"])
     assert counts[0]["peak_bytes"] > 0
+    assert len(counts[0]["payload_sha256"]) == 64
+
+
+def test_the_payload_digest_sees_one_changed_payload(monkeypatch):
+    # a canned pass of (operation, gate) pairs, as worker.request_ops builds
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+
+    def ops(payloads):
+        return [(lambda p=p: p, lambda result: (f"0\n{result}", None)) for p in payloads]
+
+    def failing():
+        raise ValueError("no")
+
+    base = work_counts.payload_sha256(ops(["a", "b", "c"]))
+    assert base == work_counts.payload_sha256(ops(["a", "b", "c"]))
+    assert base != work_counts.payload_sha256(ops(["a", "B", "c"]))
+    assert base != work_counts.payload_sha256(ops(["a", "b", "c"])[:2] + [(failing, None)])

@@ -11,7 +11,12 @@ from hypothesis import given, strategies as st
 
 from ncstrip import cli
 from ncstrip.noncrossing_b import count_by_type_b
-from ncstrip.parking import enumerate_parking_functions, is_primitive, pf_type
+from ncstrip.parking import (
+    count_parking_functions,
+    enumerate_parking_functions,
+    is_primitive,
+    pf_type,
+)
 from ncstrip.partitions import binomial, fuss_catalan, partitions_with_weight_at_most
 
 from conftest import counted
@@ -573,10 +578,11 @@ print(json.dumps(out))
 
 
 # Each listing and family expansion whose count once ran to 36 s (n = 10^6)
-# or past 30 s (n = 10^9) before its guard refused it.
+# or past 30 s (n = 10^9) before its guard refused it, and at the first n
+# whose bound 2^(n-1) alone passes 2^64.
 _HUGE_N = [
     (argv + ["-n", n] + k, f"{what} would produce more than 500000 objects")
-    for n in ("1000000", "1000000000")
+    for n in ("66", "67", "1000000", "1000000000")
     for argv, k, what in [
         (["enumerate", "--object", "fuss-catalan"], ["-k", "1"], "path enumeration"),
         (["enumerate", "--object", "binomial"], ["-k", "1"], "path enumeration"),
@@ -589,13 +595,36 @@ _HUGE_N = [
     ]
 ]
 
+# Each listing and family expansion with a k, at n = 2 and 66, with k = 10^9
+# and with a k of 4,300 digits, the most argparse reads (main lifts CPython's
+# int-to-str limit only after parsing).
+_HUGE_K = [
+    (argv + ["-n", n, "-k", k], f"{what} would produce {amount} objects")
+    for argv, what, at_2 in [
+        (["enumerate", "--object", "fuss-catalan"], "path enumeration", "1000000001"),
+        (["enumerate", "--object", "binomial"], "path enumeration", "2000000003000000001"),
+        (["enumerate", "--object", "nca-k"], "noncrossing enumeration", "1000000001"),
+        (["enumerate", "--object", "ncb-k"], "noncrossing enumeration", "2000000003000000001"),
+        (["expand", "--family", "fuss-a"], "expansion of the stretched staircase",
+         "1500000002500000001"),
+        (["expand", "--family", "fuss-b"], "expansion of the rectangle", "2000000003000000001"),
+    ]
+    for n, k, amount in [
+        ("2", "1000000000", at_2),
+        ("2", "1" + "0" * 4299, "more than 500000"),
+        ("66", "1000000000", "more than 500000"),
+        ("66", "1" + "0" * 4299, "more than 500000"),
+    ]
+]
+
 
 def test_hostile_counts_are_refused_at_once_or_printed_whole():
     # each case once exited 2 on CPython's 4,300-digit limit for int-to-str
     # conversion (the refusal formatted its exact count), ran past 30 s,
     # wrote 8,001 strips of 8,000 columns in 47 s, or converted a count of
-    # 500,000 digits to a str twice in 8.7 s
-    refused = _HUGE_N + [
+    # 500,000 digits to a str twice in 8.7 s, or (an n of 401 digits) exited
+    # 2 when the digit estimate converted n to a float
+    refused = _HUGE_N + _HUGE_K + [
         (["enumerate", "--object", "fuss-catalan", "-n", "7152", "-k", "1"],
          "path enumeration would produce more than 500000 objects"),
         (["enumerate", "--object", "fuss-catalan", "-n", "7153", "-k", "1"],
@@ -610,6 +639,12 @@ def test_hostile_counts_are_refused_at_once_or_printed_whole():
         (["count", "--family", "pf", "-n", "1000000000"],
          "the parking function count would produce 8999999992 digits, over the cap of "
          "125000 (NCSTRIP_MAX_OBJECTS / 4)"),
+        *(
+            (["count", "--family", "pf", "-n", "1" + "0" * 400, *check],
+             "the parking function count would produce more than 125000 digits, over the "
+             "cap of 125000 (NCSTRIP_MAX_OBJECTS / 4)")
+            for check in ([], ["--check"])
+        ),
     ]
     printed = [(["count", "--family", "pf", "-n", str(n)], n) for n in (1371, 1372)]
     cases = [argv for argv, _ in refused + printed]
@@ -633,17 +668,65 @@ def test_hostile_counts_are_refused_at_once_or_printed_whole():
         assert seconds < 2 and limit == sys.get_int_max_str_digits()
 
 
-@pytest.mark.parametrize("limit", [0, 1, 4, 5, 6, 41, 42, 43, 10**6, 2**64])
-def test_the_guards_counts_are_exact_up_to_their_limit(limit):
-    # each is min(count, limit + 1), so a refusal past the limit stops early
-    # and every count the guards compare or print is exact
+# NCSTRIP_MAX_OBJECTS unset (the default), caps up to 2^64, where the limit
+# is 2^64, and one past it
+@pytest.mark.parametrize("cap", [None, 0, 1, 4, 5, 6, 41, 42, 43, 10**6, 2**64, 10**30])
+def test_the_guards_counts_are_exact_up_to_their_limit(monkeypatch, cap):
+    # _count_within gives the closed form, or limit + 1 once a lower bound
+    # (2^(n-1), or k + 1 from n = 2 on) passes limit = max(cap, 2^64), so
+    # every count the guards compare or print is exact
+    if cap is None:
+        monkeypatch.delenv("NCSTRIP_MAX_OBJECTS", raising=False)
+    else:
+        monkeypatch.setenv("NCSTRIP_MAX_OBJECTS", str(cap))
+    monkeypatch.setattr(cli, "_cap", None)
+    limit = max(cli.DEFAULT_MAX_OBJECTS if cap is None else cap, 2**64)
+
+    def counts(n, k):
+        """(the guard's count, the true count) of each guarded family."""
+        return [
+            (cli._count_within(n, k, fuss_catalan, n, k), fuss_catalan(n, k)),
+            (cli._count_within(n, k, binomial, (k + 1) * n, n), binomial((k + 1) * n, n)),
+            (cli._count_within(n, 1, count_parking_functions, n), count_parking_functions(n)),
+        ]
+
     for n in range(13):
-        assert cli._parking_upto(n, limit) == min((n + 1) ** (n - 1) if n else 1, limit + 1)
         for k in range(1, 5):
-            assert cli._fuss_catalan_upto(n, k, limit) == min(fuss_catalan(n, k), limit + 1)
-            assert cli._fuss_binomial_upto(n, k, limit) == min(
-                binomial((k + 1) * n, n), limit + 1
-            )
+            for got, true in counts(n, k):
+                assert got == true
+    # the first n whose 2^(n-1) passes limit, and the first k whose k + 1
+    # does at n = 2: past limit exactly when the true count is
+    edges = [(n, k) for n in (limit.bit_length() + 1, limit.bit_length() + 2)
+             for k in range(1, 5)]
+    for n, k in edges + [(2, limit), (2, limit + 1)]:
+        for got, true in counts(n, k):
+            assert min(got, limit + 1) == min(true, limit + 1)
+    # and there the bounds answer alone, while one step short of them the
+    # closed form still runs
+    assert cli._count_within(limit.bit_length() + 1, 1, pytest.fail) == limit + 1
+    assert cli._count_within(2, limit, pytest.fail) == limit + 1
+    assert cli._count_within(limit.bit_length(), limit - 1, int) == 0
+
+
+@pytest.mark.parametrize(
+    "family, n, k, count",
+    [("nca-k", "7", "2", 7752), ("ncb-k", "5", "2", 3003)],
+)
+def test_count_check_is_capped_as_its_enumerate_listing(monkeypatch, capsys, family, n, k, count):
+    # the census of --check is `enumerate --object family`, under its caps
+    argv = ["count", "--family", family, "-n", n, "-k", k, "--by", "type", "--check"]
+    monkeypatch.delenv("NCSTRIP_MAX_OBJECTS", raising=False)
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["check"] == "pass"
+    monkeypatch.setenv("NCSTRIP_MAX_OBJECTS", "100")
+    refusals = []
+    for args in (argv, ["enumerate", "--object", family, "-n", n, "-k", k]):
+        assert cli.main(args) == 3
+        refusals.append(capsys.readouterr().err.splitlines()[0])
+    assert refusals[0] == refusals[1] == (
+        f"refused: noncrossing enumeration would produce {count} objects, over the cap of "
+        "100 (raise NCSTRIP_MAX_OBJECTS to override)"
+    )
 
 
 def test_a_listing_is_capped_by_the_elements_of_all_its_objects(monkeypatch, capsys):

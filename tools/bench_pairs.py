@@ -12,11 +12,12 @@ of the committed BENCH files: for each workload every run, and for each
 end-to-end metric of BENCHMARK.json the medians and quartiles of both
 sides, the change's relative difference and the number of pairs in which
 the change did better.  Its `work` block gives the calls of one profiled
-pass at seed WORK_SEED on each side, in total and per module, and the
-tracemalloc peak of one pass without the profiler, counted by this tree's
-tools/work_counts.py: a record, comparable from one BENCH file
-to the next whatever their --seed (the cli-requests stream depends on its
-seed), not a gate.
+pass at seed WORK_SEED on each side, in total and per module, the
+tracemalloc peak of one pass without the profiler, and the SHA-256 of one
+pass's payloads, equal on both sides when the change prints the same
+bytes, counted by this tree's tools/work_counts.py: a record, comparable
+from one BENCH file to the next whatever their --seed (the cli-requests
+stream depends on its seed), not a gate.
 Standard library only; the file is rewritten after each workload, so a cut
 run keeps what it has.  Each pair's line on stderr gives its failed
 operations, and the script exits 1, after writing the file, when any run
@@ -91,9 +92,10 @@ def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def work(checkout: Path, workload: str, seed: int) -> dict:
-    """Calls in one profiled pass of the workload in the checkout, and the
-    peak of one traced pass: {"calls": total, "modules": {module or
-    "builtins" or "other": calls}, "peak_bytes": peak}."""
+    """Calls in one profiled pass of the workload in the checkout, the peak
+    of one traced pass and the digest of one plain pass's payloads:
+    {"calls": total, "modules": {module or "builtins" or "other": calls},
+    "peak_bytes": peak, "payload_sha256": digest}."""
     cmd = [sys.executable, str(ROOT / "tools" / "work_counts.py"), "--checkout", str(checkout),
            "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,

@@ -1,17 +1,22 @@
-"""Count the function calls and the peak memory of one benchmark pass.
+"""Count the function calls and the peak memory of one benchmark pass, and
+digest its payloads.
 
     python3 tools/work_counts.py --checkout DIR --workload W --seed S
 
 Builds one pass of workload W the way DIR's perfbench/worker.py does (the
 sweep's checks shuffled by S, or `cli_requests(S)` through
-`ncstrip.cli.main`), runs it once under cProfile, then once more under
-tracemalloc alone, and prints {"calls": N, "modules": {...}, "peak_bytes":
-P}: N is every call cProfile counted, builtins included, and "modules"
-splits N by where the called function lives: one row per module of DIR's
-src/ncstrip, one for builtins (C functions and methods) and one for all
-other Python code.  P is the most memory the second pass held allocated at
-once through Python's allocators, as tracemalloc traces it, so it records
-what a lister keeps alive next to its calls.  The calls are exact and do
+`ncstrip.cli.main`), runs it once under cProfile, once more under
+tracemalloc alone and a third time plain, and prints {"calls": N,
+"modules": {...}, "peak_bytes": P, "payload_sha256": D}: N is every call
+cProfile counted, builtins included, and "modules" splits N by where the
+called function lives: one row per module of DIR's src/ncstrip, one for
+builtins (C functions and methods) and one for all other Python code.  P
+is the most memory the second pass held allocated at once through Python's
+allocators, as tracemalloc traces it, so it records what a lister keeps
+alive next to its calls.  D is perfbench's gates.Digest of the third
+pass's gate payloads, as the worker hashes them (exit code and stdout per
+CLI request, the report per check), so two trees that print the same bytes
+for the pass give the same D.  The calls and the digest are exact and do
 not depend on the machine or the hash seed, so counts from different runs
 and different BENCH files can be compared; a gain in time still has to be
 measured.  DIR's `src` goes ahead of the working directory's, which
@@ -63,6 +68,23 @@ def peak_bytes(ops) -> int:
         tracemalloc.stop()
 
 
+def payload_sha256(ops) -> str:
+    """gates.Digest of one run's gate payloads in order; an operation that
+    raises stands for its payload as in the worker."""
+    import gates
+
+    digest = gates.Digest()
+    for op, gate in ops:
+        try:
+            result = op()
+        except Exception as e:
+            payload = f"raised {e!r}"
+        else:
+            payload = gate(result)[0]
+        digest.update(payload)
+    return digest.hexdigest()
+
+
 def calls_per_pass(checkout: Path, workload: str, seed: int) -> dict:
     sys.path.insert(0, str(checkout / "perfbench"))
     import worker
@@ -83,7 +105,8 @@ def calls_per_pass(checkout: Path, workload: str, seed: int) -> dict:
     stats = pstats.Stats(profile)
     return {"calls": stats.total_calls,
             "modules": calls_by_module(stats.stats, checkout / "src" / "ncstrip"),
-            "peak_bytes": peak_bytes(ops)}
+            "peak_bytes": peak_bytes(ops),
+            "payload_sha256": payload_sha256(ops)}
 
 
 def main(argv=None) -> int:
