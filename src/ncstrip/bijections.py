@@ -31,8 +31,10 @@ from .shapes import RStrip, SkewShape, _path_heights, strip_from_path
 
 
 def _unit_word(word: str, k: int) -> str:
-    """'e' per 1/k segment of each east step, 'n' per north step."""
-    return word.replace("E", "e" * k).replace("N", "n")
+    """'e' per 1/k segment of each east step, 'n' per north step.  The empty
+    word (n = 0) builds no run of k 'e's, so it costs nothing however large
+    k is."""
+    return word.replace("E", "e" * k).replace("N", "n") if word else word
 
 
 def _link(units: str, order: Sequence[int], after: list[int]) -> int:

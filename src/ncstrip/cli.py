@@ -36,8 +36,6 @@ from .lattice_paths import (
     fc_type,
 )
 from .noncrossing_a import (
-    count_by_reduced_type,
-    count_by_type,
     enumerate_k_divisible,
     format_blocks,
     parse_blocks,
@@ -48,7 +46,6 @@ from .noncrossing_a import (
 )
 from .noncrossing_b import (
     antipodal_block,
-    count_by_type_b,
     enumerate_nc_b,
     format_blocks_b,
     parse_blocks_b,
@@ -67,6 +64,7 @@ from .partitions import (
     binomial,
     format_partition,
     fuss_catalan,
+    multiplicity_product,
     parse_partition,
     partition_counts,
     partition_rows,
@@ -167,17 +165,29 @@ def _count_within(n: int, k: int, form: Callable, *args) -> int:
     return form(*args)
 
 
-def _guard_partitions(w_max: int, cumulative: bool, what: str) -> None:
-    """_guard on the number of partitions of w_max, or of every weight up to
-    w_max when cumulative, counted without listing them.  p(w) never
-    decreases, so the count stops at the first weight that passes the cap:
-    a huge w_max is refused at once."""
+def _guard_partitions(w_max: int, cumulative: bool, what: str) -> int:
+    """The number of partitions of w_max, or of every weight up to w_max
+    when cumulative, counted without listing them and refused past the cap.
+    p(w) never decreases, so the count stops at the first weight that passes
+    the cap: a huge w_max is refused at once."""
     cap = _max_objects()
     rows = 0
     for w, p in zip(range(w_max + 1), partition_counts()):
         rows = rows + p if cumulative else p
         if rows > cap:
             _guard(rows, what, at_least=w < w_max)
+    return rows
+
+
+def _guard_digits(kn: int, longest: int, rows: int, what: str) -> None:
+    """_guard on the digits of `rows` counts of at most `longest` parts, in
+    one entry and in all.  An entry of l parts is at most (kn+1)^l by
+    type_counts, reduced_type_counts and type_counts_b, so it has at most
+    l log10(kn+1) + 1 digits, known before it is computed (math.log10 reads
+    an int of any size)."""
+    digits = int(longest * math.log10(kn + 1)) + 1
+    _guard(digits, what, unit="digits in one entry", per=OBJECTS_PER_DIGIT)
+    _guard(rows * digits, what, unit="digits in all entries", scale=ELEMENTS_PER_OBJECT)
 
 
 def _guard_shape(text: str) -> None:
@@ -350,18 +360,25 @@ def cmd_expand(args):
         params = {"family": args.family, "n": n, "k": k, "method": args.method}
         build, strips, what, formula = EXPANSIONS[args.family]
     if args.method == "formula":
-        # both formulas have one term per partition of weight <= n
-        _guard_partitions(n, True, "formula expansion")
+        # both formulas have one term per partition of weight <= n, each a
+        # count at (n + 1, k) or (n, k)
+        rows = _guard_partitions(n, True, "formula expansion")
+        _guard_digits(k * (n + 1), n, rows, "formula expansion")
         # built in canonical order from the row lister
         terms = formula(n, k)
     else:
         if args.shape is not None:
             _guard_shape(args.shape)
             shape = parse_shape(args.shape)
-            _guard(count_r_strips(shape), "expansion of the shape")
+            count, what = count_r_strips(shape), "expansion of the shape"
+            _guard(count, what)
         else:
-            _guard(strips(n, k), what)
+            count = strips(n, k)
+            _guard(count, what)
             shape = build(n, k)
+        # at each column the census holds at most one entry per strip
+        # prefix, and every prefix extends to a strip
+        _guard(count * len(shape.cols), what, unit="census entries", scale=ELEMENTS_PER_OBJECT)
         # the census has no more terms than the shape has strips
         terms = dict(expansion_items(expand_skew_by_columns(shape)))
     total = str(sum(terms.values()))
@@ -449,48 +466,32 @@ def _parking_count(n: int) -> int:
     return count_parking_functions(n)
 
 
-def _census(name: str) -> Callable:
-    """census(n, k): the objects of `enumerate --object name -n n -k k`,
-    under that listing's guards."""
-    return lambda n, k: _listed(LISTINGS[name], {"n": n, "k": k})
+def _census(name: str, column: str) -> Callable:
+    """census(n, k): `enumerate --object name -n n -k k` and its column."""
+    return lambda n, k: (name, {"n": n, "k": k}, column)
 
 
-# family -> {--by: (count, counts, rows, census, statistic)}; the first --by
-# is the default.  rows(n) gives the largest row weight and whether every
-# lighter weight has rows too, or refuses n.  counts(n, k, rows, products)
-# counts a table of partition_rows' own rows and multiplicity products, in
-# order; count(n, k, lam) checks and counts a --lambda row.  --check tallies
-# statistic(object, k) over census(n, k), an `enumerate` listing capped as
-# that listing is.
-_TYPE_A = (count_by_type, type_counts, lambda n: (n, False), _census("nca-k"), type_a)
-_REDUCED_TYPE_A = (
-    count_by_reduced_type, reduced_type_counts, _reduced_type_rows, _census("nca-k"),
-    reduced_type_a,
-)
+# family -> {--by: (rows, counts, census)}; the first --by is the default.
+# rows(n) gives the largest row weight and whether every lighter weight has
+# rows too, or refuses n.  counts(n, k, rows, products) counts partition_rows'
+# own rows and multiplicity products, or one --lambda row, in order.  --check
+# tallies the column of the `enumerate` listing that census(n, k) names, by
+# its name and parameters, capped as that listing is.
+_TYPE_A = (lambda n: (n, False), type_counts, _census("nca-k", "type"))
+_REDUCED_TYPE_A = (_reduced_type_rows, reduced_type_counts, _census("nca-k", "reduced_type"))
 COUNTS = {
     "nca": {"type": _TYPE_A, "reduced-type": _REDUCED_TYPE_A},
     "nca-k": {"type": _TYPE_A, "reduced-type": _REDUCED_TYPE_A},
-    "ncb-k": {
-        "type": (count_by_type_b, type_counts_b, lambda n: (n, True), _census("ncb-k"), type_b)
-    },
+    "ncb-k": {"type": (lambda n: (n, True), type_counts_b, _census("ncb-k", "type"))},
     # Without --by, the one row, of the empty partition, counts every parking
-    # function, and there is no --lambda.  By type, the parking function
-    # numbers are those of NC_A, tallied over the enumerator's own sequences.
+    # function, and there is no --lambda; with no column to tally, every
+    # sequence counts toward it.  By type, the parking function numbers are
+    # those of NC_A, tallied over the enumerator's own sequences.
     "pf": {
-        None: (
-            None,
-            lambda n, k, rows, products: [_parking_count(n)],
-            lambda n: (0, False),
-            lambda n, k: _listed(LISTINGS["pf"], {"n": n, "primitive": False}),
-            lambda p, k: (),
-        ),
-        "type": (
-            count_by_type,
-            type_counts,
-            lambda n: (n, False),
-            lambda n, k: _listed(LISTINGS["pf"], {"n": n, "primitive": True}),
-            lambda p, k: multiplicity_type(p),
-        ),
+        None: (lambda n: (0, False), lambda n, k, rows, products: [_parking_count(n)],
+               lambda n, k: ("pf", {"n": n, "primitive": False}, None)),
+        "type": (lambda n: (n, False), type_counts,
+                 lambda n, k: ("pf", {"n": n, "primitive": True}, "type")),
     },
 }
 BY_REFUSALS = {
@@ -510,24 +511,33 @@ def cmd_count(args):
     by = args.by or next(iter(tallies))
     if by not in tallies:
         raise ValueError(BY_REFUSALS[args.family])
-    count, counts, rows, census, statistic = tallies[by]
+    rows, counts, census = tallies[by]
     w_max, cumulative = rows(n)
     if args.lam is not None:
         if by is None:
             raise ValueError("--lambda needs --by type")
+        # one row of the table, checked against the weights it has
         lam = parse_partition(args.lam)
-        lams, numbers = [lam], [count(n, k, lam)]
+        w = sum(lam)
+        if w > w_max or w < w_max and not cumulative:
+            bound = f"weigh at most {w_max}" if cumulative else f"be a partition of {w_max}"
+            raise ValueError(f"{by.replace('-', ' ')} must {bound}, got weight {w}")
+        lams, products = [lam], [multiplicity_product(lam)]
     else:
         _guard_partitions(w_max, cumulative, "count table")
         # the row lister gives canonical order already
         lams, products = partition_rows(w_max, cumulative)
-        numbers = counts(n, k, lams, products)
+    _guard_digits(k * n, max(map(len, lams)), len(lams), "count table")
+    numbers = counts(n, k, lams, products)
     total = "count" if args.family == "pf" else "sum"
     # one row is its own total, and its text is converted once
     texts = [*map(str, numbers)]
     totals = {total: texts[0] if len(texts) == 1 else str(sum(numbers))}
     if args.check:
-        tally = Counter(map(statistic, census(n, k), repeat(k)))
+        name, params, column = census(n, k)
+        listing = LISTINGS[name]
+        value = listing.columns(_kinds(n, k))[column] if column else lambda obj: ()
+        tally = Counter(map(value, _listed(listing, params)))
         totals["check"] = "pass" if list(map(tally.__getitem__, lams)) == numbers else "fail"
     entries, table = _lambda_rows(lams, texts, "count", totals)
     params = {"family": args.family, "n": n, "k": args.k, "by": args.by, "lambda": args.lam}
@@ -679,7 +689,8 @@ LISTINGS = {
         lambda kinds: {"strip": format_strip, "path": path_from_strip, "type": strip_type},
         params=_shape_params,
         art=strip_art,
-        size=lambda shape: len(shape.cols),
+        # the path column: an E per column and an N per row it crosses
+        size=lambda shape: len(shape.cols) + (shape.hi[-1] + 1 - shape.lo[0] if shape.lo else 0),
         # one shape serves the count and the listing
         build=lambda shape: {"shape": parse_shape(shape)},
     ),
@@ -855,7 +866,7 @@ def main(argv=None) -> int:
     except CapExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, ArithmeticError) as e:
+    except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -51,7 +51,7 @@ def validate_fuss_binomial(word: str, n: int, k: int) -> None:
     validate_word(word)
     if not is_fuss_binomial(word, n, k):
         raise ValueError(
-            f"{word!r} does not have {n} E steps and {k * n} N steps"
+            f"path {word!r} does not have {n} E steps and {k * n} N steps"
         )
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -310,7 +311,8 @@ def test_non_integer_cap_is_a_usage_error():
     [
         (("biject", "--map", "psi-a", "--forward", "-n", "3", "-k", "1", "--input", "EENENN"), 0),
         (("verify", "--theorem", "1.2", "--n-max", "1", "--k-max", "1"), 0),
-        (("count", "--family", "nca-k", "-n", "4", "-k", "2", "--lambda", "2,1,1"), 0),
+        # a --lambda row is guarded on its digits, as a table is
+        (("count", "--family", "nca-k", "-n", "4", "-k", "2", "--lambda", "2,1,1"), 2),
         (("count", "--family", "nca-k", "-n", "4", "-k", "2"), 2),
         (("expand", "--shape", "3,2/1"), 2),
         (("enumerate", "--object", "rstrips", "--shape", "3,2/1"), 2),
@@ -560,17 +562,25 @@ def test_the_object_size_cap_is_the_object_cap():
     assert "the family shape would produce 101 rows, over the cap of 100" in r.stderr
 
 
-# Every case runs through cli.main in one subprocess; it prints, per case, the
-# exit code, stdout, stderr, seconds, and the int-str limit after main.
+# Every case runs through cli.main in one subprocess, read from stdin, since
+# one argv string holds at most 128 KiB; it prints, per case, the exit code
+# (argparse's too), stdout, stderr with any traceback, seconds, and the
+# int-str limit after main.
 _HOSTILE_RUNNER = """
-import contextlib, io, json, sys, time
+import contextlib, io, json, sys, time, traceback
 from ncstrip import cli
 out = []
-for argv in json.loads(sys.argv[1]):
+for argv in json.load(sys.stdin):
     stdout, stderr = io.StringIO(), io.StringIO()
     start = time.monotonic()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+        except Exception:
+            code = None
+            traceback.print_exc()
     out.append([code, stdout.getvalue(), stderr.getvalue(), time.monotonic() - start,
                 sys.get_int_max_str_digits()])
 print(json.dumps(out))
@@ -617,14 +627,91 @@ _HUGE_K = [
     ]
 ]
 
+# a k of 4,300 digits, the most argparse reads
+_K = "1" + "0" * 4299
+
+
+def _ones(m: int) -> str:
+    """m ones joined by commas: a one-column shape of m rows, or 1^m."""
+    return ",".join(["1"] * m)
+
+
+# Each once passed every guard: the two tall listings exited 1 with a
+# MemoryError, the two wide expansions ran 206 s and 13 s, and the counts,
+# whose entries are up to (kn + 1)^l, wrote megabytes of digits or ran past
+# 30 s
+_GROWN = [
+    (["enumerate", "--object", "rstrips", "--shape", _ones(20000)],
+     "r-strip enumeration would produce 400040001 elements in all objects"),
+    (["enumerate", "--object", "rstrips", "--shape", _ones(60000)],
+     "r-strip enumeration would produce 3600120001 elements in all objects"),
+    (["expand", "--shape", "20000"],
+     "expansion of the shape would produce 400020000 census entries"),
+    (["expand", "--shape", "6000"],
+     "expansion of the shape would produce 36006000 census entries"),
+    (["count", "--family", "nca-k", "-n", "24", "-k", _K, "--by", "type"],
+     "count table would produce 162555750 digits in all entries"),
+    (["count", "--family", "ncb-k", "-n", "3000", "-k", _K, "--lambda", _ones(3000)],
+     "count table would produce 12907432 digits in one entry"),
+    (["expand", "--family", "fuss-b", "--method", "formula", "-n", "24", "-k", _K],
+     "formula expansion would produce 757354980 digits in all entries"),
+]
+
+# The hostile input table: n and k in {0, 1, 10^9} for every listing, family
+# expansion, count table and map, and literals that are empty, "-", or one
+# item short or long of a valid one at (2, 1).  Each exits 0, 2 or 3.
+_VALUES = ("0", "1", "1000000000")
+_NK = [["-n", n, "-k", k] for n in _VALUES for k in _VALUES]
+_VALID_SHORT_LONG = [
+    (["biject", "--map", "psi-a", "--forward"], "EENN", "EEN", "EENNN"),
+    (["biject", "--map", "psi-a", "--inverse"], "1/2", "1", "1/2/3"),
+    (["biject", "--map", "psi-b", "--forward"], "EENN", "EEN", "EENNN"),
+    (["biject", "--map", "psi-b", "--inverse"], "-1/-2/1/2", "-1/1", "-1/-2/-3/1/2/3"),
+    (["biject", "--map", "phi-a", "--forward"], "-,0", "-", "-,0,0"),
+    (["biject", "--map", "phi-a", "--inverse"], "EENENN", "EENEN", "EENENNN"),
+    (["biject", "--map", "phi-b", "--forward"], "-,0", "-", "-,0,0"),
+    (["biject", "--map", "phi-b", "--inverse"], "ENEN", "ENE", "ENENN"),
+]
+_TABLE = [
+    *(["enumerate", "--object", o, *nk] for o in ("fuss-catalan", "binomial", "nca-k", "ncb-k")
+      for nk in _NK),
+    *(["enumerate", "--object", "pf", "-n", n, *p] for n in _VALUES for p in ([], ["--primitive"])),
+    *(["expand", "--family", f, *nk, "--method", m] for f in cli.EXPANSIONS
+      for m in ("enumerate", "formula") for nk in _NK),
+    *(["count", "--family", "nca", "-n", n, "--by", by, *c] for n in _VALUES
+      for by in ("type", "reduced-type") for c in ([], ["--check"])),
+    *(["count", "--family", f, *nk, "--by", by, *c]
+      for f, bys in (("nca-k", ("type", "reduced-type")), ("ncb-k", ("type",)))
+      for by in bys for nk in _NK for c in ([], ["--check"])),
+    *(["count", "--family", "pf", "-n", n, *by, *c] for n in _VALUES
+      for by in ([], ["--by", "type"]) for c in ([], ["--check"])),
+    *(["biject", "--map", m, d, *nk, "--input=" + i] for m in cli.MAPS
+      for d in ("--forward", "--inverse") for nk in _NK for i in ("", "-")),
+    *([*argv, "-n", "2", "-k", "1", "--input=" + i] for argv, *inputs in _VALID_SHORT_LONG
+      for i in inputs),
+    *(["count", "--family", "nca", "-n", "4", "--lambda", i]
+      for i in ("2,1,1", "2,1", "2,1,1,1", "", "-")),
+    *(["count", "--family", "ncb-k", "-n", "2", "-k", "1", "--lambda", i]
+      for i in ("1,1", "1", "1,1,1", "", "-")),
+    *(["count", "--family", "nca", "-n", "2", "--by", "reduced-type", "--lambda", i]
+      for i in ("1", "1,1", "", "-")),
+    *([*argv, "--shape", s] for argv in (["enumerate", "--object", "rstrips"], ["expand"])
+      for s in ("", "-", "0", "1/1")),
+]
+
+# a usage error names what it refuses: -n or -k, an option, or the kind of
+# literal an option holds
+_NAMES_AN_ARGUMENT = re.compile(r"\b[nk]\b|--[a-z]|\b(shape|path|letters|literal|blocks|type)\b")
+
 
 def test_hostile_counts_are_refused_at_once_or_printed_whole():
     # each case once exited 2 on CPython's 4,300-digit limit for int-to-str
     # conversion (the refusal formatted its exact count), ran past 30 s,
     # wrote 8,001 strips of 8,000 columns in 47 s, or converted a count of
     # 500,000 digits to a str twice in 8.7 s, or (an n of 401 digits) exited
-    # 2 when the digit estimate converted n to a float
-    refused = _HUGE_N + _HUGE_K + [
+    # 2 when the digit estimate converted n to a float; and the rest of the
+    # hostile table exits 0, 2 or 3 at once with no traceback
+    refused = _HUGE_N + _HUGE_K + _GROWN + [
         (["enumerate", "--object", "fuss-catalan", "-n", "7152", "-k", "1"],
          "path enumeration would produce more than 500000 objects"),
         (["enumerate", "--object", "fuss-catalan", "-n", "7153", "-k", "1"],
@@ -632,7 +719,7 @@ def test_hostile_counts_are_refused_at_once_or_printed_whole():
         (["enumerate", "--object", "pf", "-n", "1372"],
          "parking function enumeration would produce more than 500000 objects"),
         (["enumerate", "--object", "rstrips", "--shape", "8000"],
-         "r-strip enumeration would produce 64008000 elements in all objects"),
+         "r-strip enumeration would produce 64016001 elements in all objects"),
         (["count", "--family", "pf", "-n", "100000"],
          "the parking function count would produce 499996 digits, over the cap of "
          "125000 (NCSTRIP_MAX_OBJECTS / 4)"),
@@ -647,9 +734,9 @@ def test_hostile_counts_are_refused_at_once_or_printed_whole():
         ),
     ]
     printed = [(["count", "--family", "pf", "-n", str(n)], n) for n in (1371, 1372)]
-    cases = [argv for argv, _ in refused + printed]
+    cases = [argv for argv, _ in refused + printed] + _TABLE
     r = subprocess.run(
-        [sys.executable, "-c", _HOSTILE_RUNNER, json.dumps(cases)],
+        [sys.executable, "-c", _HOSTILE_RUNNER], input=json.dumps(cases),
         capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
     )
     assert r.returncode == 0, r.stderr
@@ -658,7 +745,8 @@ def test_hostile_counts_are_refused_at_once_or_printed_whole():
         assert (code, out) == (3, ""), argv
         assert f"refused: {refusal}" in err
         assert seconds < 2 and limit == sys.get_int_max_str_digits()
-    for (argv, n), (code, out, err, seconds, limit) in zip(printed, runs[len(refused):]):
+    runs = runs[len(refused):]
+    for (argv, n), (code, out, err, seconds, limit) in zip(printed, runs):
         assert code == 0, err
         count = json.loads(out)["result"]["count"]
         # (n+1)^(n-1) has 4,299 and 4,302 digits, on each side of the
@@ -666,6 +754,11 @@ def test_hostile_counts_are_refused_at_once_or_printed_whole():
         assert len(count) == int((n - 1) * math.log10(n + 1)) + 1 == {1371: 4299, 1372: 4302}[n]
         assert int(count[-18:]) == pow(n + 1, n - 1, 10**18)
         assert seconds < 2 and limit == sys.get_int_max_str_digits()
+    for argv, (code, out, err, seconds, limit) in zip(_TABLE, runs[len(printed):], strict=True):
+        assert code in (0, 2, 3) and "Traceback" not in err, (argv, err)
+        assert seconds < 2 and limit == sys.get_int_max_str_digits(), argv
+        if code == 2:
+            assert _NAMES_AN_ARGUMENT.search(err.partition("usage error: ")[2]), (argv, err)
 
 
 # NCSTRIP_MAX_OBJECTS unset (the default), caps up to 2^64, where the limit
@@ -853,6 +946,20 @@ def test_a_lambda_row_is_still_validated(monkeypatch, capsys):
     assert calls
     assert cli.main(["count", "--family", "nca-k", "-n", "4", "-k", "2", "--lambda", "2,1"]) == 2
     assert "type must be a partition of 4, got weight 3" in capsys.readouterr().err
+
+
+def test_a_broken_invariant_is_not_a_usage_error(monkeypatch):
+    # exact_div and exact_quotients raise ArithmeticError only when a closed
+    # form breaks its own invariant: that is the program's fault, not the
+    # arguments', so it propagates out of main
+    def broken(n, k, rows, products):
+        raise ArithmeticError("a count table has a row that is not an integer")
+
+    rows, _, census = cli.COUNTS["nca-k"]["type"]
+    monkeypatch.setitem(cli.COUNTS["nca-k"], "type", (rows, broken, census))
+    for lam in ([], ["--lambda", "2,1,1"]):
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            cli.main(["count", "--family", "nca-k", "-n", "4", "-k", "2", *lam])
 
 
 def test_a_count_table_is_written_in_a_number_of_writer_calls_free_of_its_rows(
