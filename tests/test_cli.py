@@ -311,12 +311,13 @@ def test_non_integer_cap_is_a_usage_error():
     [
         (("biject", "--map", "psi-a", "--forward", "-n", "3", "-k", "1", "--input", "EENENN"), 0),
         (("verify", "--theorem", "1.2", "--n-max", "1", "--k-max", "1"), 0),
-        # a --lambda row is guarded on its digits, as a table is
-        (("count", "--family", "nca-k", "-n", "4", "-k", "2", "--lambda", "2,1,1"), 2),
+        (("biject", "--map", "psi-b", "--forward", "-n", "3", "-k", "1", "--input", "EENENN"), 0),
         (("count", "--family", "nca-k", "-n", "4", "-k", "2"), 2),
         (("expand", "--shape", "3,2/1"), 2),
         (("enumerate", "--object", "rstrips", "--shape", "3,2/1"), 2),
         (("biject", "--map", "phi-a", "--forward", "-n", "1", "-k", "1", "--input", "1"), 2),
+        # a --lambda row is guarded on its digits, as a table is
+        (("count", "--family", "nca-k", "-n", "4", "-k", "2", "--lambda", "2,1,1"), 2),
     ],
 )
 def test_a_malformed_cap_is_reported_by_the_commands_that_guard(monkeypatch, capsys, args, code):
