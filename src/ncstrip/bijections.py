@@ -3,20 +3,30 @@ noncrossing partitions.
 
 All four maps work on the same primitive: a path's east steps are cut into
 k unit segments, each lying in one diagonal region between consecutive
-lines y = kx + i.  In unit coordinates (one 'e' per segment, one 'n' per
-north step) a segment starting at (x, y) lies between the lines through
-(x, y) and (x + 1, y), so its region is numbered by the integer x - y and
-no rational arithmetic is ever needed.  Each segment has a parent in the
-paper's labeling tree: the segment before it in its ascent, or, for the
-first segment of a later ascent, the most recent earlier segment in its
+lines y = kx + i.  In unit coordinates (one segment per 1/k east step, one
+unit per north step) a segment starting at (x, y) lies between the lines
+through (x, y) and (x + 1, y), so its region is numbered by the integer
+x - y and no rational arithmetic is ever needed.  Each segment has a parent
+in the paper's labeling tree: the segment before it in its ascent, or, for
+the first segment of a later ascent, the most recent earlier segment in its
 region.  Inserting every segment into the label order right after its
 parent gives the tree's preorder (attached subtree before the rest of the
 ascent) without building the tree.  It labels the segments 1..kn, and the
 label sets of the ascents are the blocks of a noncrossing partition.
+
+The arrays are indexed by segment, never by unit-word position, so they
+have length kn.  One link routine (`_link`) serves both forward maps: psi-a
+links its whole path, psi-b each piece of its path that lies on one side
+of the diagonal, a piece above read backwards.  One walk (`_walk`) serves
+both inverses: it rebuilds a piece's unit word from the noncrossing
+partition of the piece's consecutive positions, psi-a's whole of [kn] or
+one piece of psi-b's half-arc, and `_east_steps` regroups the segments of
+the joined unit word into east steps.
 """
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Sequence
 
 from .lattice_paths import (
@@ -24,65 +34,53 @@ from .lattice_paths import (
     validate_fuss_binomial,
     validate_fuss_catalan,
 )
-from .noncrossing_a import Blocks, _grouped, validate_nc_a
-from .noncrossing_b import SignedBlocks, _signed_labels, validate_nc_b
+from .noncrossing_a import Blocks, validate_nc_a
+from .noncrossing_b import SignedBlocks, validate_nc_b
 from .partitions import _check_nk
 from .shapes import RStrip, SkewShape, _path_heights, strip_from_path
 
 
-def _unit_word(word: str, k: int) -> str:
-    """'e' per 1/k segment of each east step, 'n' per north step.  The empty
-    word (n = 0) builds no run of k 'e's, so it costs nothing however large
-    k is."""
-    return word.replace("E", "e" * k).replace("N", "n") if word else word
-
-
-def _link(units: str, order: Sequence[int], after: list[int]) -> int:
-    """Link the 'e' units at the indices `order` of a unit word into the
-    preorder of their labeling tree on `after`, and return the first (-1 if
-    there is none).  Read in that order, the units walk from (0, 0) at or
-    below y = x.
+def _link(units: str, s: int, after: list[int], last: list[int], starts: list[int]) -> int:
+    """Link the segments of a unit word (one 'E' per segment, one 'N' per
+    north step) into the preorder of their labeling tree on `after`.  The
+    segments are numbered s, s + 1, ... in the order read, the first
+    segment of each ascent is appended to `starts`, and the next free
+    number is returned.  Read in that order, the units walk from (0, 0) at
+    or below y = x.
 
     A segment's tree parent is the segment before it in its ascent or, for
     the first segment of a later ascent, the most recent earlier segment in
-    its diagonal region (x - y for a segment starting at (x, y)).  Each
-    segment is linked into the label order right after its parent.  The
-    next segment of an ascent is linked before any later ascent can attach
-    to its predecessor, so an attached subtree lands ahead of the rest of
-    the ascent: the links run in preorder from the first unit, and the last
-    keeps the link that the first had, -1 on a fresh array.
+    its diagonal region r = x - y, which `last` holds (indexed by region,
+    so it has the length of the longest walk).  Each segment is linked into
+    the label order right after its parent.  The next segment of an ascent
+    is linked before any later ascent can attach to its predecessor, so an
+    attached subtree lands ahead of the rest of the ascent: the links run in
+    preorder from segment s, and the last keeps the link that s had, -1 on
+    a fresh array.
     """
-    last_in_region = [-1] * len(order)
-    x = y = 0
-    parent = -1  # tree parent of the next 'e', -1 after an 'n'
-    for i in order:
-        if units[i] == "n":
-            y += 1
+    root = s
+    r = 0  # the region of the next segment
+    parent = -1  # tree parent of the next segment, -1 after a north step
+    for u in units:
+        if u == "N":
+            r -= 1
             parent = -1
             continue
-        if parent < 0 and y:  # first segment of a later ascent
-            if x < y or last_in_region[x - y] < 0:
-                raise ValueError("segment has no earlier segment in its region" if x
-                                 else "unit word must start with an east segment")
-            parent = last_in_region[x - y]
+        if parent < 0:  # an ascent starts
+            starts.append(s)
+            if s != root:
+                if r < 0 or last[r] < 0:
+                    raise ValueError("segment has no earlier segment in its region")
+                parent = last[r]
+            elif r:
+                raise ValueError("unit word must start with an east segment")
         if parent >= 0:
-            after[i] = after[parent]
-            after[parent] = i
-        last_in_region[x - y] = parent = i
-        x += 1
-    return order[0] if order else -1
-
-
-def _preorder_ranks(units: str) -> list[int]:
-    """Preorder label of each 'e' of a unit word whose walk stays at or below
-    y = x, and 0 at each 'n'."""
-    after = [-1] * len(units)
-    v = _link(units, range(len(units)), after)
-    rank = [0] * len(units)
-    for label in range(1, units.count("e") + 1):
-        rank[v] = label
-        v = after[v]
-    return rank
+            after[s] = after[parent]
+            after[parent] = s
+        last[r] = parent = s
+        r += 1
+        s += 1
+    return s
 
 
 def path_to_noncrossing(word: str, n: int, k: int) -> Blocks:
@@ -99,29 +97,78 @@ def path_to_noncrossing(word: str, n: int, k: int) -> Blocks:
 
 def _path_to_noncrossing(word: str, k: int) -> Blocks:
     """path_to_noncrossing on a word already known to be in D_n^(k)."""
-    labels = list(filter(None, _preorder_ranks(_unit_word(word, k))))
-    # each ascent's labels are the next k * (its east steps) labels in unit
-    # order; preorder labels rise along an ascent, and blocks have distinct
-    # first elements, so sorting the tuples orders them by first element
-    out = []
-    i = 0
-    for run in word.split("N"):
-        if run:
-            j = i + k * len(run)
-            out.append(tuple(labels[i:j]))
-            i = j
-    return tuple(sorted(out))
+    m = len(word) // (k + 1) * k
+    after = [-1] * m
+    starts: list[int] = []
+    _link(word.replace("E", "E" * k), 0, after, [-1] * m, starts)
+    rank = [0] * m  # segment -> label
+    v = 0
+    for label in range(1, m + 1):
+        rank[v] = label
+        v = after[v]
+    # an ascent's block is the labels of its segment span; preorder labels
+    # rise along an ascent, and blocks have distinct first elements, so
+    # sorting the tuples orders them by first element
+    rank = tuple(rank)
+    ends = starts[1:]
+    ends.append(m)
+    return tuple(sorted(map(rank.__getitem__, map(slice, starts, ends))))
+
+
+def _walk(root: Sequence[int], hung: Sequence[Sequence[int]], runs: list[str]) -> int:
+    """The type-A inverse on one piece: append the unit word of the path
+    whose labeling has the piece's blocks to `runs`, as runs of one letter,
+    and return its segment count.
+
+    The piece is a noncrossing partition of consecutive positions; `root`
+    is the block of its first position and, for x in the piece, hung[x]
+    the block whose first position is x + 1, empty where that is the next
+    piece's root or no block's first position.  The tree is forced: preorder visits an attached child
+    immediately, so every other block hangs from the position one below its
+    first.  Ascents hit the path in preorder with children taken in reverse
+    attachment order, and each ascent's height follows from its parent
+    segment's diagonal region.  A word of one-letter runs read backwards is
+    its runs in reverse order, so a piece read backwards is put back in path
+    order by reversing what the walk appended.
+    """
+    # a block popped after `total` segments sits at height base + total:
+    # its base is its parent's base less the position of its parent
+    # segment, so the ascent starts as high as that segment's region allows
+    total = y = 0
+    stack = [(root, 0)]
+    while stack:
+        blk, base = stack.pop()
+        if total:
+            h = base + total
+            if h <= y:
+                raise ValueError("partition is not in the labeling bijection's range")
+            runs.append("N" * (h - y))
+            y = h
+        for x in blk:
+            child = hung[x]
+            if child:
+                stack.append((child, base))
+            base -= 1
+        size = len(blk)
+        runs.append("E" * size)
+        total += size
+    runs.append("N" * (total - y))  # back to the diagonal
+    return total
+
+
+def _east_steps(units: str, n: int, k: int) -> str:
+    """The word of a unit word: every k segments of an ascent are one east
+    step (at k = 1 the unit word is the word).  An ascent whose segment
+    count k does not divide leaves more than n letters 'E'."""
+    word = units.replace("E" * k, "E")
+    if word.count("E") != n:
+        raise ValueError("segments do not regroup into east steps")
+    return word
 
 
 def noncrossing_to_path(blocks, n: int, k: int) -> str:
-    """Inverse labeling: rebuild the unique path whose ascent labels are blocks.
-
-    The tree is forced: preorder visits an attached child immediately, so
-    the minimum of every non-root block hangs from the element one below it.
-    Ascents hit the path in preorder with children taken in reverse
-    attachment order, and each ascent's height follows from its parent
-    segment's diagonal region.
-    """
+    """Inverse labeling: rebuild the unique path whose ascent labels are
+    blocks, by the one walk of `_walk` over the whole of [kn]."""
     _check_nk(n, k)
     return _noncrossing_to_path(validate_nc_a(blocks, n, k), n, k)
 
@@ -130,39 +177,14 @@ def _noncrossing_to_path(blocks: Sequence[Sequence[int]], n: int, k: int) -> str
     """noncrossing_to_path on canonical blocks already known to be in NC_n^(k)."""
     if n == 0:
         return ""
-    kn = k * n
-    start = [0] * (kn + 2)  # element -> the block it is the minimum of (0: none)
-    for i, b in enumerate(blocks):
-        start[b[0]] = i
-    # one walk in preorder with later attachments first.  A block popped
-    # after `total` units sits at height base + total: its base is its
-    # parent's base less the position of its parent segment, so the ascent
-    # starts as high as that segment's diagonal region allows
-    base = [0] * len(blocks)
-    total = y = 0
-    word = []
-    stack = [0]
-    while stack:
-        b = stack.pop()
-        blk = blocks[b]
-        if b:
-            h = base[b] + total
-            if h <= y:
-                raise ValueError("partition is not in the labeling bijection's range")
-            word.append("N" * (h - y))
-            y = h
-        word.append("E" * (len(blk) // k))
-        total += len(blk)
-        hb = base[b]
-        for j, x in enumerate(blk):
-            c = start[x + 1]
-            if c:  # a child hangs from its minimum's predecessor
-                base[c] = hb - j
-                stack.append(c)
-    if total != kn:
+    m = k * n
+    hung: list[Sequence[int]] = [()] * (m + 1)
+    for b in blocks:
+        hung[b[0] - 1] = b
+    runs: list[str] = []
+    if _walk(blocks[0], hung, runs) != m:
         raise ValueError("partition does not give a connected tree")
-    word.append("N" * (kn - y))
-    return "".join(word)
+    return _east_steps("".join(runs), n, k)
 
 
 # The top box heights of the columns of each family shape (n^{kn}) / inner.
@@ -271,50 +293,82 @@ def path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
 
 def _path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:
     """path_to_signed_noncrossing on a word already known to be in B_n^(k)."""
-    m = k * n
     if n == 0:
         return ()
-    units = _unit_word(word, k)
-    # one pass: the cuts between the maximal runs below the diagonal y = x
-    # (P_1..P_s) and above it (N_1..N_s), which alternate from P_1, empty
-    # when the path starts north; n0, the segments above; and each
-    # segment's (here, there) blocks: a block on the half-arc and its mirror
-    # for an ascent off y = 0, one antipodal block for the ascent on it
-    cuts = [0]
-    below = True
-    pair = [(0, 0)] * len(units)
-    d = n0 = count = 0
+    m = k * n
+    units = word.replace("E", "E" * k)
+    # cut the walk where it leaves its side of the diagonal y = x: an 'N'
+    # from the diagonal leaves the side below, an 'E' from it the side
+    # above.  The pieces below (P_1, P_2, ...) and above (N_1, N_2, ...)
+    # alternate from P_1, empty when the path starts north
+    pieces: tuple[list[str], list[str]] = ([], [])  # below, above
+    above = False
+    start = d = 0  # d = y - x
     for i, u in enumerate(units):
-        d += u == "n"  # now y - x at the unit's upper-left end
-        if (d <= 0) != below:
-            cuts.append(i)
-            below = not below
-        if u == "e":
-            if not i or units[i - 1] == "n":  # an ascent starts
-                cur = (count, count + 1) if i else (0, 0)
-                count = cur[1] + 1
-            pair[i] = cur
-            n0 += not below
-            d -= 1
-    cuts += [len(units)] * (1 + below)  # close with an empty run above
-    runs = list(zip(cuts, cuts[1:]))
+        if not d and (u == "N") != above:
+            pieces[above].append(units[start:i])
+            start = i
+            above = not above
+        d += 1 if u == "N" else -1
+    pieces[above].append(units[start:])
+    below_pieces, above_pieces = pieces
     # the pieces below left to right, then those above right to left, each
-    # read backwards, take the positions n0+1..n0+m in their preorders
-    after = [-1] * len(units)
-    heads = [_link(units, range(a, b), after) for a, b in runs[::2]]
-    heads += [_link(units, range(b - 1, a - 1, -1), after) for a, b in reversed(runs[1::2])]
-    # position p + 1 <= m (the label p + 1) goes to index p + m of the
-    # canonical order, p + 1 > m (the label m - p - 1) to p - m, its mirror to p
-    owner = [0] * (2 * m)
-    p = n0
-    for v in heads:
-        while v >= 0:
-            here, there = pair[v]
-            owner[p + m if p < m else p - m] = here
-            owner[p] = there
-            p += 1
-            v = after[v]
-    return _grouped(_signed_labels(m), owner)
+    # read backwards, take the positions n0+1..n0+m in their preorders.
+    # Segments are numbered in that reading order, and each piece's last
+    # link is set to the next piece's first segment, so one walk of m steps
+    # reads them all (the last piece's, m, is never followed)
+    after = [-1] * m
+    last = [-1] * m
+    starts: list[int] = []
+    roots = []  # each piece's first ascent, in reading order
+    s = 0
+    for piece in below_pieces:
+        roots.append(len(starts))
+        if piece:
+            after[s] = s + piece.count("E")
+            s = _link(piece, s, after, last, starts)
+    n0 = m - s
+    first_above = len(starts)
+    for piece in reversed(above_pieces):
+        roots.append(len(starts))
+        after[s] = s + piece.count("E")
+        s = _link(piece[::-1], s, after, last, starts)
+    label = [0] * m  # segment -> label
+    v = 0
+    for x in range(n0 + 1, m + 1):
+        label[v] = x
+        v = after[v]
+    for x in range(-1, -n0 - 1, -1):
+        label[v] = x
+        v = after[v]
+    # each ascent's labels (preorder labels rise along it, and their
+    # absolute values with them) form a block on the half-arc, listed
+    # canonically, and their negatives its mirror
+    spans = [*map(slice, starts, [*starts[1:], m])]
+    label = tuple(label)
+    here = [*map(label.__getitem__, spans)]
+    label = tuple(map(neg, label))
+    there = [*map(label.__getitem__, spans)]
+    # the blocks that start negative and those that start positive: an
+    # ascent below is positive here, one above negative
+    negative = there[:first_above] + here[first_above:]
+    positive = here[:first_above] + there[first_above:]
+    # the ascent at a junction, whose segments above end N_i and whose
+    # segments below start P_{i+1}, is one block pair; so is the ascent on
+    # y = 0, the antipodal block, when the path starts east.  A canonical
+    # block that mixes signs lists its negatives first
+    for i in range(1, len(below_pieces)):
+        p, q = roots[i], roots[-i]
+        negative[p] = there[p] + there[q]
+        negative[q] = here[q] + here[p]
+        positive[p] = positive[q] = ()
+    if below_pieces[0]:
+        negative[0] = there[0] + here[0]
+        positive[0] = ()
+    # canonical order: by first element, -1 < -2 < ... < -m < 1 < ... < m
+    negative.sort(reverse=True)
+    positive.sort()
+    return tuple(negative + positive[positive.count(()) :])
 
 
 def signed_noncrossing_to_path(blocks, n: int, k: int) -> str:
@@ -328,9 +382,9 @@ def signed_noncrossing_to_path(blocks, n: int, k: int) -> str:
     into the pieces below the diagonal, left to right, and those above it,
     right to left.  A block on both sides is the ascent at a junction: its
     first position on each side starts the next piece below and the piece
-    above that the ascent leaves.  The type-A inverse turns each piece, a
-    noncrossing partition of consecutive positions, back into its
-    segments, and joined in path order they regroup into east steps.
+    above that the ascent leaves.  Each piece is a noncrossing partition of
+    consecutive positions, and the type-A walk turns it back into its
+    segments in place, writing their east steps into the word.
     """
     _check_nk(n, k)
     return _signed_noncrossing_to_path(validate_nc_b(blocks, n, k), n, k)
@@ -357,32 +411,45 @@ def _signed_noncrossing_to_path(blocks: SignedBlocks, n: int, k: int) -> str:
                 break
             if -b[j - 1] < b[j]:
                 a0 = b[j]
-    # the half-arc a0..m, -1..-(a0 - 1) wraps in canonical order
+    # the half-arc a0..m, -1..-(a0 - 1) wraps in canonical order; its
+    # positions 0..split-1 are the labels a0..m, the rest -1..-n0
     arc = owner[m + a0 - 1 :] + owner[: a0 - 1]
-    split = m + 1 - a0  # arc[:split] are the labels a0..m, the rest -1..-n0
-    # block -> its first index on the negative side
-    first = {arc[t]: t for t in range(m - 1, split - 1, -1)}
-    # P_i = arc[p_cut[i-1] : p_cut[i]] and N_i = arc[n_cut[i] : n_cut[i-1]]
-    p_cut, n_cut = [0], [m]
-    for t in range(split):
-        t_neg = first.pop(arc[t], None)
-        if t_neg is not None:  # the junction of N_i and P_{i+1}
-            p_cut.append(t)
-            n_cut.append(t_neg)
-    p_cut.append(split)
-    n_cut.append(split)
-    if n_cut != sorted(n_cut, reverse=True):
-        raise ValueError("junction blocks are inconsistent")
-
-    parts = []
-    for i in range(1, len(p_cut)):
-        for lo, hi, step in ((p_cut[i - 1], p_cut[i], 1), (n_cut[i], n_cut[i - 1], -1)):
-            # a piece is the restriction of a noncrossing partition to an
-            # arc, so its blocks, by first position, are already canonical
-            piece = _grouped(range(1, hi - lo + 1), arc[lo:hi])
-            parts.append(_noncrossing_to_path(piece, hi - lo, 1)[::step])
-    # the units regroup into east steps: every run between two north steps
-    runs = "".join(parts).split("N")
-    if any(len(r) % k for r in runs):
-        raise ValueError("segments do not regroup into east steps")
-    return "N".join("E" * (len(r) // k) for r in runs)
+    split = m + 1 - a0
+    # one pass: each block's positions on each side, listed at its first
+    # one.  A block met again across the split is a junction: its first
+    # position on each side starts P_{i+1} and N_i
+    hung: list[list[int] | tuple] = [()] * (m + 1)  # hung[-1] is never read
+    side = [None] * len(blocks)  # block -> its positions on the side read
+    p_cut, n_cut = [split], [split]  # the junctions, met from i = s-1 down
+    for t, b in enumerate(arc):
+        own = side[b]
+        if own is None or own[0] < split <= t:
+            if own is not None:
+                if own[0] >= p_cut[-1]:
+                    raise ValueError("junction blocks are inconsistent")
+                p_cut.append(own[0])
+                n_cut.append(t)
+            side[b] = hung[t - 1] = [t]
+        else:
+            own.append(t)
+    p_cut.append(0)
+    n_cut.append(m)
+    # in path order, P_i is arc[p_cut[-i] : p_cut[-i-1]], read forwards, and
+    # N_i is arc[n_cut[-i-1] : n_cut[-i]], read backwards; every piece's
+    # root is taken off `hung`, so no walk reads past its piece
+    pieces = []
+    for i in range(len(p_cut) - 1, 0, -1):
+        pieces.append((p_cut[i], p_cut[i - 1], 1))
+        pieces.append((n_cut[i - 1], n_cut[i], -1))
+    roots = [hung[lo - 1] for lo, _, _ in pieces]
+    for lo, _, _ in pieces:
+        hung[lo - 1] = ()
+    runs: list[str] = []
+    for root, (lo, hi, step) in zip(roots, pieces):
+        if lo < hi:
+            first = len(runs)
+            if _walk(root, hung, runs) != hi - lo:
+                raise ValueError("partition does not give a connected tree")
+            if step < 0:
+                runs[first:] = runs[first:][::-1]
+    return _east_steps("".join(runs), n, k)

@@ -104,6 +104,12 @@ ELEMENTS_PER_OBJECT = 64
 # 4 s at 500,000 (2-core CPython 3.11).
 OBJECTS_PER_DIGIT = 4
 
+# The entries of a `count` table hold at most this many squared digits per
+# object of the cap, all together, since their conversion time is quadratic
+# in their digits: at the default cap they convert in about the 0.25 s of
+# one 125,000-digit entry (125,000^2 / 500,000).
+SQUARED_DIGITS_PER_OBJECT = 31_250
+
 
 class CapExceeded(Exception):
     pass
@@ -184,10 +190,13 @@ def _guard_digits(kn: int, longest: int, rows: int, what: str) -> None:
     one entry and in all.  An entry of l parts is at most (kn+1)^l by
     type_counts, reduced_type_counts and type_counts_b, so it has at most
     l log10(kn+1) + 1 digits, known before it is computed (math.log10 reads
-    an int of any size)."""
+    an int of any size).  Their conversion to str, quadratic in the digits,
+    is guarded on rows times the square of that bound."""
     digits = int(longest * math.log10(kn + 1)) + 1
     _guard(digits, what, unit="digits in one entry", per=OBJECTS_PER_DIGIT)
     _guard(rows * digits, what, unit="digits in all entries", scale=ELEMENTS_PER_OBJECT)
+    _guard(rows * digits * digits, what, unit="squared digits in all entries",
+           scale=SQUARED_DIGITS_PER_OBJECT)
 
 
 def _guard_shape(text: str) -> None:

@@ -263,7 +263,10 @@ def read_blocks(text: str) -> Blocks:
     text = text.strip()
     if not text:
         return ()
-    return tuple(tuple(int(x) for x in part.split(",")) for part in text.split("/"))
+    try:
+        return tuple(tuple(int(x) for x in part.split(",")) for part in text.split("/"))
+    except ValueError as e:
+        raise ValueError(f"bad blocks literal {text!r}: {e}") from None
 
 
 def format_blocks(blocks: Blocks) -> str:

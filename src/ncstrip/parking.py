@@ -94,8 +94,12 @@ def _bounded_sequences(lo, hi) -> list[tuple[int, ...]]:
     if any(l > c for l, c in zip(low, cap)):
         return []
     values = range(low[0], cap[-1] + 1) if low else range(0)
+    # when every lower bound is the same (the classical case), a suffix of
+    # m entries may hold all m at every t: `may` carries nothing, and the
+    # states leave it empty
     states = {(tuple(bisect_right(cap, t) for t in values),
-               tuple(bisect_right(low, t) for t in values)): 0}
+               () if not low or low[0] == low[-1]
+               else tuple(bisect_right(low, t) for t in values)): 0}
     steps = []  # per level: each state's moves (head, number of the next state)
     for m in range(len(low), 0, -1):  # m entries to go
         step, following = [], {}
@@ -107,8 +111,11 @@ def _bounded_sequences(lo, hi) -> list[tuple[int, ...]]:
             while first and may[first - 1]:
                 first -= 1
             fewer = tuple(x - 1 if x else 0 for x in must)
-            room = tuple(min(x, m - 1) for x in may)
-            less_room = tuple(min(x, m) - 1 for x in may)
+            if may:
+                room = tuple(min(x, m - 1) for x in may)
+                less_room = tuple(min(x, m) - 1 for x in may)
+            else:
+                room = less_room = may
             step.append([
                 ((values[j],), following.setdefault(
                     (must[:j] + fewer[j:], room[:j] + less_room[j:]), len(following)))

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, zip_longest
 from pathlib import Path
 
 # pyproject.toml puts src/ on the path of the test process; the CLI tests'
@@ -276,3 +276,59 @@ def labeling_blocks_by_definition(word: str, k: int):
     for s, a in enumerate(ascent_of):
         blocks.setdefault(a, []).append(labels[s])
     return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
+
+
+def psi_b_blocks_by_definition(word: str, n: int, k: int):
+    """psi-b's blocks of a Fuss binomial path, from the paper's description.
+
+    Every east step is cut into k segments.  A unit of the walk (a segment,
+    or a north step) lies below the diagonal y = kx when its upper-left end
+    does, and the maximal runs of units on one side are the pieces.  The
+    pieces below, left to right, then the pieces above, right to left and
+    each read backwards, are labeled one after another, each by
+    `labeling_blocks_by_definition` with k = 1, on the positions
+    n0+1..n0+kn of the 2kn-gon (n0 segments lie above): position p <= kn
+    is the label p, p > kn the label kn - p.  An ascent's labels are a
+    block and their negatives its mirror.  An ascent that crosses the
+    diagonal, the first of the piece below it and the first read of the
+    piece above it, is one block; the ascent on y = 0 is the antipodal
+    block, its labels with their negatives.  The blocks are listed by
+    `canonical_b_by_definition`.
+    """
+    m = k * n
+    units = word.replace("E", "E" * k)
+    pieces = []  # (below, units) in path order
+    x = y = 0
+    for u in units:
+        below = (y + (u == "N")) <= x
+        if pieces and pieces[-1][0] == below:
+            pieces[-1][1].append(u)
+        else:
+            pieces.append((below, [u]))
+        if u == "N":
+            y += 1
+        else:
+            x += 1
+    below = ["".join(p) for side, p in pieces if side]
+    above = ["".join(p) for side, p in pieces if not side]
+    n0 = sum(p.count("E") for p in above)
+    label = lambda p: p if p <= m else m - p
+    first_blocks = []  # per piece read, the labels of its first ascent
+    blocks = []
+    p = n0
+    for piece in below + [piece[::-1] for piece in reversed(above)]:
+        for b in labeling_blocks_by_definition(piece, 1):
+            labels = [label(p + x) for x in b]
+            (first_blocks if b[0] == 1 else blocks).append(labels)
+        p += piece.count("E")
+    # the first piece below holds the ascent on y = 0 when the path starts
+    # east; the i-th piece above ends where the next piece below starts
+    roots_below, roots_above = first_blocks[: len(below)], first_blocks[len(below):][::-1]
+    out = []
+    if word.startswith("E"):
+        antipodal = roots_below.pop(0)
+        out.append(antipodal + [-v for v in antipodal])
+    halves = blocks + [a + b for a, b in zip_longest(roots_above, roots_below, fillvalue=[])]
+    for b in halves:
+        out += [b, [-v for v in b]]
+    return canonical_b_by_definition(out, m)

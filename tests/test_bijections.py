@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from ncstrip.bijections import (
     _path_to_noncrossing,
+    _link,
     _path_to_signed_noncrossing,
-    _preorder_ranks,
     _rectangle_strip_to_path,
     _staircase_path_to_strip,
     _staircase_strip_to_path,
@@ -48,7 +48,11 @@ from ncstrip.shapes import (
     strip_type,
 )
 
-from conftest import crossing_pair_scan, labeling_blocks_by_definition
+from conftest import (
+    crossing_pair_scan,
+    labeling_blocks_by_definition,
+    psi_b_blocks_by_definition,
+)
 
 TYPE_A_EXAMPLE_WORD = "ENEENNNNENNNEENNNN"
 TYPE_A_EXAMPLE_BLOCKS = parse_blocks("1,6/2,3,4,5/7,10,11,12/8,9")
@@ -145,6 +149,14 @@ def test_psi_b_images_are_pinned(n, k):
     assert [signed_noncrossing_to_path(b, n, k) for b in images] == words
 
 
+@pytest.mark.parametrize("n,k", list(PSI_B_DIGESTS))
+def test_psi_b_matches_the_papers_pieces(n, k):
+    # every image against the oracle that labels the pieces below and above
+    # the diagonal one by one with the type-A labeling, as the paper does
+    for word in enumerate_fuss_binomial(n, k):
+        assert path_to_signed_noncrossing(word, n, k) == psi_b_blocks_by_definition(word, n, k)
+
+
 @pytest.mark.parametrize(
     "psi,obj",
     [
@@ -168,8 +180,10 @@ def test_psi_maps_reject_bad_parameters(psi, obj, n, k):
     ],
 )
 def test_labeling_refuses_walks_off_the_fuss_catalan_region(units, message):
+    # the link reads a unit word with one 'E' per segment
+    m = units.count("e")
     with pytest.raises(ValueError, match=message):
-        _preorder_ranks(units)
+        _link(units.upper(), 0, [-1] * m, [-1] * m, [])
 
 
 class TestLabelingMapA:
@@ -552,3 +566,4 @@ def test_psi_b_on_large_paths(case):
     assert all(len(b) % k == 0 for b in blocks)
     assert type_b(blocks, k) == fb_type(word)
     assert signed_noncrossing_to_path(blocks, n, k) == word
+    assert blocks == psi_b_blocks_by_definition(word, n, k)

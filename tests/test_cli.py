@@ -640,7 +640,8 @@ def _ones(m: int) -> str:
 # Each once passed every guard: the two tall listings exited 1 with a
 # MemoryError, the two wide expansions ran 206 s and 13 s, and the counts,
 # whose entries are up to (kn + 1)^l, wrote megabytes of digits or ran past
-# 30 s
+# 30 s, or (the two last) spent 3.7 s and 6.7 s converting entries of up to
+# 77,405 digits to str, a cost quadratic in the digits
 _GROWN = [
     (["enumerate", "--object", "rstrips", "--shape", _ones(20000)],
      "r-strip enumeration would produce 400040001 elements in all objects"),
@@ -656,6 +657,18 @@ _GROWN = [
      "count table would produce 12907432 digits in one entry"),
     (["expand", "--family", "fuss-b", "--method", "formula", "-n", "24", "-k", _K],
      "formula expansion would produce 757354980 digits in all entries"),
+    (["count", "--family", "nca-k", "-n", "16", "-k", _K, "--by", "type"],
+     "count table would produce 1093551786096 squared digits in all entries"),
+    (["count", "--family", "nca-k", "-n", "18", "-k", _K, "--by", "type"],
+     "count table would produce 2306740599625 squared digits in all entries"),
+]
+
+# Block literals that int() refuses: the usage error names the literal, as
+# a bad shape literal's does, not only int()'s own message
+_BAD_BLOCKS = [
+    (["biject", "--map", m, "--inverse", "-n", "2", "-k", "1", "--input=" + i],
+     f"bad blocks literal {i!r}: invalid literal for int() with base 10: {bad!r}")
+    for m in ("psi-a", "psi-b") for i, bad in (("-", "-"), ("1,x", "x"))
 ]
 
 # The hostile input table: n and k in {0, 1, 10^9} for every listing, family
@@ -735,7 +748,7 @@ def test_hostile_counts_are_refused_at_once_or_printed_whole():
         ),
     ]
     printed = [(["count", "--family", "pf", "-n", str(n)], n) for n in (1371, 1372)]
-    cases = [argv for argv, _ in refused + printed] + _TABLE
+    cases = [argv for argv, _ in refused + printed + _BAD_BLOCKS] + _TABLE
     r = subprocess.run(
         [sys.executable, "-c", _HOSTILE_RUNNER], input=json.dumps(cases),
         capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
@@ -755,7 +768,11 @@ def test_hostile_counts_are_refused_at_once_or_printed_whole():
         assert len(count) == int((n - 1) * math.log10(n + 1)) + 1 == {1371: 4299, 1372: 4302}[n]
         assert int(count[-18:]) == pow(n + 1, n - 1, 10**18)
         assert seconds < 2 and limit == sys.get_int_max_str_digits()
-    for argv, (code, out, err, seconds, limit) in zip(_TABLE, runs[len(printed):], strict=True):
+    runs = runs[len(printed):]
+    for (argv, message), (code, out, err, seconds, limit) in zip(_BAD_BLOCKS, runs):
+        assert (code, out) == (2, ""), argv
+        assert f"usage error: {message}" in err
+    for argv, (code, out, err, seconds, limit) in zip(_TABLE, runs[len(_BAD_BLOCKS):], strict=True):
         assert code in (0, 2, 3) and "Traceback" not in err, (argv, err)
         assert seconds < 2 and limit == sys.get_int_max_str_digits(), argv
         if code == 2:

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from ncstrip import parking
 from ncstrip.expansions import parking_expansion
 from ncstrip.noncrossing_a import enumerate_k_divisible, type_a
 from ncstrip.parking import (
@@ -19,7 +20,7 @@ from ncstrip.parking import (
 from ncstrip.partitions import catalan
 from ncstrip.shapes import SkewShape, parse_shape, rectangle, stretched_staircase
 
-from conftest import rearrangements_by_permutations
+from conftest import counted, rearrangements_by_permutations
 
 
 def test_predicates():
@@ -170,3 +171,16 @@ def test_shape_parking_functions_equal_the_permutation_oracle(text):
     assert {tuple(sorted(f)) for f in expected} == set(
         enumerate_shape_parking_functions(shape, primitive_only=True)
     )
+
+
+def test_classical_lister_keys_its_states_on_the_upper_bounds(monkeypatch):
+    # every lower bound of a parking function is 1, so a suffix of m entries
+    # may hold all m at every value: the lower bounds carry nothing, and the
+    # lister searches only the upper ones, once per value
+    calls = counted(monkeypatch, "bisect_right", parking)
+    assert len(enumerate_parking_functions(4)) == 125
+    assert [t for _, t in calls] == [1, 2, 3, 4]
+    # bounds that rise from below are still searched
+    calls.clear()
+    assert parking._bounded_sequences([1, 2], [2, 2]) == [(1, 2), (2, 1), (2, 2)]
+    assert [t for _, t in calls] == [1, 2, 1, 2]
