@@ -51,7 +51,6 @@ from .noncrossing_b import (
     antipodal_block,
     count_by_type_b,
     enumerate_nc_b,
-    format_blocks_b,
     is_noncrossing_b,
     parse_blocks_b,
     type_b,

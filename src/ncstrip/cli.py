@@ -38,19 +38,19 @@ from .lattice_paths import (
 from .noncrossing_a import (
     enumerate_k_divisible,
     format_blocks,
-    parse_blocks,
+    read_blocks,
     reduced_type_a,
     reduced_type_counts,
     type_a,
     type_counts,
+    validate_nc_a,
 )
 from .noncrossing_b import (
     antipodal_block,
     enumerate_nc_b,
-    format_blocks_b,
-    parse_blocks_b,
     type_b,
     type_counts_b,
+    validate_nc_b,
 )
 from .parking import (
     count_parking_functions,
@@ -70,6 +70,8 @@ from .partitions import (
     partition_rows,
 )
 from .shapes import (
+    SkewShape,
+    _require_contiguous,
     count_r_strips,
     enumerate_r_strips,
     format_strip,
@@ -209,6 +211,22 @@ def _guard_shape(text: str) -> None:
         return  # parse_shape words the error
     _guard(outer[0] if outer else 0, "the shape", unit="columns")
     _guard(sum(outer) - sum(inner), "the shape", unit="boxes")
+
+
+def _read(option: str, read: Callable, text: str):
+    """read(text), where text is the literal of `option`: a refusal names it."""
+    try:
+        return read(text)
+    except ValueError as e:
+        raise ValueError(f"{e} (in {option})") from None
+
+
+def _strip_shape(text: str) -> SkewShape:
+    """The shape of a --shape literal, refused unless its columns are
+    contiguous, since the path of every r-strip crosses them all."""
+    shape = parse_shape(text)
+    _require_contiguous(shape)
+    return shape
 
 
 class Records(NamedTuple):
@@ -378,7 +396,7 @@ def cmd_expand(args):
     else:
         if args.shape is not None:
             _guard_shape(args.shape)
-            shape = parse_shape(args.shape)
+            shape = _read("--shape", _strip_shape, args.shape)
             count, what = count_r_strips(shape), "expansion of the shape"
             _guard(count, what)
         else:
@@ -422,7 +440,8 @@ def _sized(literal, size: int, what: str):
 
 def _kinds(n: int, k: int) -> dict[str, Kind]:
     """Every kind of object at the family parameters (n, k), named as the
-    `enumerate` object where it is one."""
+    `enumerate` object where it is one; a partition or strip is checked
+    against (n, k) as it is read."""
 
     def strips(shape) -> Kind:
         def parse(text: str):
@@ -441,7 +460,7 @@ def _kinds(n: int, k: int) -> dict[str, Kind]:
         ),
         "binomial": Kind(_word, str, {"type": fb_type}),
         "nca-k": Kind(
-            parse_blocks,
+            lambda text: validate_nc_a(read_blocks(text), n, k),
             format_blocks,
             {
                 "type": lambda blocks: type_a(blocks, k),
@@ -449,8 +468,8 @@ def _kinds(n: int, k: int) -> dict[str, Kind]:
             },
         ),
         "ncb-k": Kind(
-            parse_blocks_b,
-            format_blocks_b,
+            lambda text: validate_nc_b(read_blocks(text), n, k),
+            format_blocks,
             {"type": lambda blocks: type_b(blocks, k)},
         ),
         "staircase-strip": strips(stretched_staircase),
@@ -526,7 +545,7 @@ def cmd_count(args):
         if by is None:
             raise ValueError("--lambda needs --by type")
         # one row of the table, checked against the weights it has
-        lam = parse_partition(args.lam)
+        lam = _read("--lambda", parse_partition, args.lam)
         w = sum(lam)
         if w > w_max or w < w_max and not cumulative:
             bound = f"weigh at most {w_max}" if cumulative else f"be a partition of {w_max}"
@@ -555,21 +574,22 @@ def cmd_count(args):
 
 
 # map -> (domain, codomain, forward, inverse), each map taking (object, n, k);
-# the phi inverses check the word's length before they build the shape
+# the psi inverses and phi forwards are cores, run on what the kinds checked,
+# and the phi inverses check the word's length before they build the shape
 MAPS = {
     "phi-a": (
         "staircase-strip",
         "fuss-catalan",
-        lambda strip, n, k: bij.staircase_strip_to_path(strip),
+        lambda strip, n, k: bij._staircase_strip_to_path(strip.heights, n, k),
         lambda word, n, k: bij.staircase_path_to_strip(
             _sized(word, (k + 1) * (n + 1), "letters"), stretched_staircase(n, k)
         ),
     ),
-    "psi-a": ("fuss-catalan", "nca-k", bij.path_to_noncrossing, bij.noncrossing_to_path),
+    "psi-a": ("fuss-catalan", "nca-k", bij.path_to_noncrossing, bij._noncrossing_to_path),
     "phi-b": (
         "rectangle-strip",
         "binomial",
-        lambda strip, n, k: bij.rectangle_strip_to_path(strip),
+        lambda strip, n, k: bij._rectangle_strip_to_path(strip.heights, n, k),
         lambda word, n, k: bij.rectangle_path_to_strip(
             _sized(word, (k + 1) * n, "letters"), rectangle(n, k)
         ),
@@ -578,7 +598,7 @@ MAPS = {
         "binomial",
         "ncb-k",
         bij.path_to_signed_noncrossing,
-        bij.signed_noncrossing_to_path,
+        bij._signed_noncrossing_to_path,
     ),
 }
 
@@ -589,8 +609,8 @@ def cmd_biject(args):
     if args.inverse:
         source, target, forward = target, source, inverse
     kinds = _kinds(n, k)
-    obj = kinds[source].parse(args.input)
-    # the map validates its input before any statistic is computed
+    obj = _read("--input", kinds[source].parse, args.input)
+    # a word is checked by its map, before any statistic is computed
     image = forward(obj, n, k)
     result = {}
     for side, kind, x in (("input", source, obj), ("output", target, image)):
@@ -701,7 +721,7 @@ LISTINGS = {
         # the path column: an E per column and an N per row it crosses
         size=lambda shape: len(shape.cols) + (shape.hi[-1] + 1 - shape.lo[0] if shape.lo else 0),
         # one shape serves the count and the listing
-        build=lambda shape: {"shape": parse_shape(shape)},
+        build=lambda shape: {"shape": _read("--shape", _strip_shape, shape)},
     ),
     "fuss-catalan": Listing(
         lambda n, k: _count_within(n, k, fuss_catalan, n, k),

@@ -21,7 +21,6 @@ from .partitions import (
 from .noncrossing_a import (
     _divided,
     _grouped,
-    format_blocks,
     noncrossing_partitions_of_seq,
     owners_noncrossing,
     read_blocks,
@@ -172,11 +171,6 @@ def count_by_type_b(n: int, k: int, lam: Partition) -> int:
     if weight(lam) > n:
         raise ValueError(f"type weight must be <= n = {n}, got {weight(lam)}")
     return type_counts_b(n, k, [lam], [multiplicity_product(lam)])[0]
-
-
-# the literal of canonical signed blocks, "-1,-2,12/-3,-7,11/...", is
-# written the way type A's is
-format_blocks_b = format_blocks
 
 
 def parse_blocks_b(text: str) -> SignedBlocks:

@@ -16,7 +16,7 @@ from .bijections import _path_to_noncrossing
 from .lattice_paths import heights_word, monotone_heights
 from .noncrossing_a import Blocks
 from .partitions import Partition
-from .shapes import SkewShape, _require_full_columns, enumerate_horizontal_strips
+from .shapes import SkewShape, _require_full_columns
 
 
 def is_parking_function(seq) -> bool:
@@ -166,15 +166,10 @@ def primitive_pf_to_ncp(seq) -> Blocks:
     return _primitive_pf_to_ncp(seq)
 
 
-def enumerate_shape_parking_functions(
-    shape: SkewShape, primitive_only: bool = False
-) -> list[tuple[int, ...]]:
-    """Parking functions relative to a shape, as box height sequences.
-
-    Primitive ones are the height sequences of the shape's horizontal
-    strips; general ones are all distinct rearrangements of those.
-    """
-    if primitive_only:
-        return enumerate_horizontal_strips(shape)
+def enumerate_shape_parking_functions(shape: SkewShape) -> list[tuple[int, ...]]:
+    """Parking functions relative to a shape, as box height sequences: all
+    distinct rearrangements of the primitive ones, which are the height
+    sequences of the shape's horizontal strips
+    (`shapes.enumerate_horizontal_strips`)."""
     _require_full_columns(shape)
     return _bounded_sequences(shape.lo, shape.hi)

@@ -185,6 +185,24 @@ def test_biject_refuses_a_huge_n_before_allocating(map_, literal):
     assert "do not partition" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "args, name, checks",
+    [
+        (("psi-a", "--inverse", "-n", "4", "-k", "1", "--input=1,4/2,3"), "_owners", 1),
+        (("psi-b", "--inverse", "-n", "2", "-k", "1", "--input=-1,2/-2,1"), "validate_nc_b", 1),
+        (("phi-a", "--forward", "-n", "2", "-k", "1", "--input=-,0"), "_family_params", 0),
+        (("phi-b", "--forward", "-n", "2", "-k", "1", "--input=-,0"), "_family_params", 0),
+    ],
+)
+def test_biject_checks_each_literal_once(monkeypatch, capsys, args, name, checks):
+    # the kind that reads a partition or strip checks it against (n, k), and
+    # the map runs its core on what the kind returns
+    calls = counted(monkeypatch, name)
+    assert cli.main(["biject", "--map", *args]) == 0
+    assert len(calls) == checks
+    assert json.loads(capsys.readouterr().out)["result"]["output"]
+
+
 def test_verify_passes():
     r = run_cli("verify", "--theorem", "1.1", "--n-max", "3", "--k-max", "2")
     assert r.returncode == 0
@@ -671,6 +689,23 @@ _BAD_BLOCKS = [
     for m in ("psi-a", "psi-b") for i, bad in (("-", "-"), ("1,x", "x"))
 ]
 
+# Literals whose refusal by the library names no argument: the usage error
+# keeps the library's message whole and names the option that held it
+_UNNAMED = [
+    *((["count", "--family", "nca-k", "-n", "4", "-k", "1", "--by", "type", "--lambda", i],
+       message)
+      for i, message in (("0,1", "partition parts must be positive, got 0"),
+                         ("3,4", "parts must be weakly decreasing, got (3, 4)"))),
+    *(([*argv, "--shape", "8,6,2,1,1/7"], "column support is not contiguous: [1, 2, 3, 4, 5, 6, 8]")
+      for argv in (["expand"], ["enumerate", "--object", "rstrips"])),
+    *((["biject", "--map", m, "--forward", "-n", "2", "-k", "1", "--input=0,2"],
+       "east step over column 2 at height 3 is outside [1, 2]") for m in ("phi-a", "phi-b")),
+    (["biject", "--map", "psi-a", "--inverse", "-n", "4", "-k", "1", "--input=1,3/2,4"],
+     "partition is crossing"),
+    (["biject", "--map", "psi-b", "--inverse", "-n", "2", "-k", "1", "--input=1,2/-1/-2"],
+     "partition is not invariant under negation"),
+]
+
 # The hostile input table: n and k in {0, 1, 10^9} for every listing, family
 # expansion, count table and map, and literals that are empty, "-", or one
 # item short or long of a valid one at (2, 1).  Each exits 0, 2 or 3.
@@ -748,7 +783,8 @@ def test_hostile_counts_are_refused_at_once_or_printed_whole():
         ),
     ]
     printed = [(["count", "--family", "pf", "-n", str(n)], n) for n in (1371, 1372)]
-    cases = [argv for argv, _ in refused + printed + _BAD_BLOCKS] + _TABLE
+    named = _BAD_BLOCKS + _UNNAMED
+    cases = [argv for argv, _ in refused + printed + named] + _TABLE
     r = subprocess.run(
         [sys.executable, "-c", _HOSTILE_RUNNER], input=json.dumps(cases),
         capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
@@ -769,10 +805,11 @@ def test_hostile_counts_are_refused_at_once_or_printed_whole():
         assert int(count[-18:]) == pow(n + 1, n - 1, 10**18)
         assert seconds < 2 and limit == sys.get_int_max_str_digits()
     runs = runs[len(printed):]
-    for (argv, message), (code, out, err, seconds, limit) in zip(_BAD_BLOCKS, runs):
+    for (argv, message), (code, out, err, seconds, limit) in zip(named, runs):
         assert (code, out) == (2, ""), argv
         assert f"usage error: {message}" in err
-    for argv, (code, out, err, seconds, limit) in zip(_TABLE, runs[len(_BAD_BLOCKS):], strict=True):
+        assert _NAMES_AN_ARGUMENT.search(err.partition("usage error: ")[2]), (argv, err)
+    for argv, (code, out, err, seconds, limit) in zip(_TABLE, runs[len(named):], strict=True):
         assert code in (0, 2, 3) and "Traceback" not in err, (argv, err)
         assert seconds < 2 and limit == sys.get_int_max_str_digits(), argv
         if code == 2:

@@ -3,11 +3,11 @@ import hashlib
 import pytest
 
 from ncstrip import noncrossing_b
+from ncstrip.noncrossing_a import format_blocks
 from ncstrip.noncrossing_b import (
     antipodal_block,
     count_by_type_b,
     enumerate_nc_b,
-    format_blocks_b,
     is_noncrossing_b,
     parse_blocks_b,
     type_b,
@@ -207,7 +207,7 @@ def test_canonical_listing_b():
     assert (-8, -9, -10, 8, 9, 10) in canon
     assert (-11, 3, 7) in canon
     text = "-1,-2,12/-3,-7,11/-4,-5,-6/-8,-9,-10,8,9,10/-11,3,7/-12,1,2/4,5,6"
-    assert format_blocks_b(TYPE_B_EXAMPLE_PARTITION) == text
+    assert format_blocks(TYPE_B_EXAMPLE_PARTITION) == text
     assert parse_blocks_b(text) == TYPE_B_EXAMPLE_PARTITION
 
 

@@ -18,7 +18,13 @@ from ncstrip.parking import (
     primitive_pf_to_ncp,
 )
 from ncstrip.partitions import catalan
-from ncstrip.shapes import SkewShape, parse_shape, rectangle, stretched_staircase
+from ncstrip.shapes import (
+    SkewShape,
+    enumerate_horizontal_strips,
+    parse_shape,
+    rectangle,
+    stretched_staircase,
+)
 
 from conftest import counted, rearrangements_by_permutations
 
@@ -126,18 +132,14 @@ def test_primitive_to_noncrossing_is_a_type_preserving_bijection(n):
 
 def test_shape_parking_functions():
     staircase3 = stretched_staircase(3, 1)
-    primitives = enumerate_shape_parking_functions(staircase3, primitive_only=True)
+    primitives = enumerate_horizontal_strips(staircase3)
     assert len(primitives) == 5
     # heights-plus-one reproduces the classical primitives
     assert {tuple(h + 1 for h in p) for p in primitives} == set(enumerate_primitive(3))
     assert len(enumerate_shape_parking_functions(staircase3)) == 16
-    assert enumerate_shape_parking_functions(rectangle(1, 1), primitive_only=True) == [
-        (0,)
-    ]
+    assert enumerate_horizontal_strips(rectangle(1, 1)) == [(0,)]
     # a single two-box column has two primitives
-    assert enumerate_shape_parking_functions(
-        SkewShape((1, 1), ()), primitive_only=True
-    ) == [(0,), (1,)]
+    assert enumerate_horizontal_strips(SkewShape((1, 1), ())) == [(0,), (1,)]
     with pytest.raises(ValueError):
         enumerate_shape_parking_functions(SkewShape((3, 1), (2,)))
 
@@ -169,7 +171,7 @@ def test_shape_parking_functions_equal_the_permutation_oracle(text):
     expected = rearrangements_by_permutations(shape.lo, shape.hi)
     assert enumerate_shape_parking_functions(shape) == expected
     assert {tuple(sorted(f)) for f in expected} == set(
-        enumerate_shape_parking_functions(shape, primitive_only=True)
+        enumerate_horizontal_strips(shape)
     )
 
 
