@@ -70,8 +70,6 @@ from .partitions import (
     partition_rows,
 )
 from .shapes import (
-    SkewShape,
-    _require_contiguous,
     count_r_strips,
     enumerate_r_strips,
     format_strip,
@@ -213,20 +211,13 @@ def _guard_shape(text: str) -> None:
     _guard(sum(outer) - sum(inner), "the shape", unit="boxes")
 
 
-def _read(option: str, read: Callable, text: str):
-    """read(text), where text is the literal of `option`: a refusal names it."""
+def _named(option: str, f: Callable, value):
+    """f(value), where value comes from `option`: a refusal names the option
+    after the library's message."""
     try:
-        return read(text)
+        return f(value)
     except ValueError as e:
         raise ValueError(f"{e} (in {option})") from None
-
-
-def _strip_shape(text: str) -> SkewShape:
-    """The shape of a --shape literal, refused unless its columns are
-    contiguous, since the path of every r-strip crosses them all."""
-    shape = parse_shape(text)
-    _require_contiguous(shape)
-    return shape
 
 
 class Records(NamedTuple):
@@ -396,8 +387,9 @@ def cmd_expand(args):
     else:
         if args.shape is not None:
             _guard_shape(args.shape)
-            shape = _read("--shape", _strip_shape, args.shape)
-            count, what = count_r_strips(shape), "expansion of the shape"
+            shape = parse_shape(args.shape)
+            # the first check that the shape's columns are contiguous
+            count, what = _named("--shape", count_r_strips, shape), "expansion of the shape"
             _guard(count, what)
         else:
             count = strips(n, k)
@@ -545,7 +537,7 @@ def cmd_count(args):
         if by is None:
             raise ValueError("--lambda needs --by type")
         # one row of the table, checked against the weights it has
-        lam = _read("--lambda", parse_partition, args.lam)
+        lam = _named("--lambda", parse_partition, args.lam)
         w = sum(lam)
         if w > w_max or w < w_max and not cumulative:
             bound = f"weigh at most {w_max}" if cumulative else f"be a partition of {w_max}"
@@ -609,7 +601,7 @@ def cmd_biject(args):
     if args.inverse:
         source, target, forward = target, source, inverse
     kinds = _kinds(n, k)
-    obj = _read("--input", kinds[source].parse, args.input)
+    obj = _named("--input", kinds[source].parse, args.input)
     # a word is checked by its map, before any statistic is computed
     image = forward(obj, n, k)
     result = {}
@@ -711,8 +703,9 @@ class Listing(NamedTuple):
 
 LISTINGS = {
     "rstrips": Listing(
-        # the shape guards bound the count's own work
-        count_r_strips,
+        # the shape guards bound the count's own work, and it is the first
+        # check that the shape's columns are contiguous
+        lambda shape: _named("--shape", count_r_strips, shape),
         "r-strip enumeration",
         enumerate_r_strips,
         lambda kinds: {"strip": format_strip, "path": path_from_strip, "type": strip_type},
@@ -721,7 +714,7 @@ LISTINGS = {
         # the path column: an E per column and an N per row it crosses
         size=lambda shape: len(shape.cols) + (shape.hi[-1] + 1 - shape.lo[0] if shape.lo else 0),
         # one shape serves the count and the listing
-        build=lambda shape: {"shape": _read("--shape", _strip_shape, shape)},
+        build=lambda shape: {"shape": parse_shape(shape)},
     ),
     "fuss-catalan": Listing(
         lambda n, k: _count_within(n, k, fuss_catalan, n, k),
