@@ -43,7 +43,6 @@ from .noncrossing_a import (
     enumerate_k_divisible,
     format_blocks,
     is_noncrossing,
-    parse_blocks,
     reduced_type_a,
     type_a,
 )
@@ -52,7 +51,6 @@ from .noncrossing_b import (
     count_by_type_b,
     enumerate_nc_b,
     is_noncrossing_b,
-    parse_blocks_b,
     type_b,
 )
 from .bijections import (

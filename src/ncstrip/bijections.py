@@ -36,8 +36,15 @@ from .lattice_paths import (
 )
 from .noncrossing_a import Blocks, validate_nc_a
 from .noncrossing_b import SignedBlocks, validate_nc_b
-from .partitions import _check_nk
-from .shapes import RStrip, SkewShape, _path_heights, strip_from_path
+from .partitions import _check_nk, _check_shape_nk
+from .shapes import (
+    RStrip,
+    SkewShape,
+    _path_heights,
+    rectangle,
+    stretched_staircase,
+    strip_from_path,
+)
 
 
 def _link(units: str, s: int, after: list[int], last: list[int], starts: list[int]) -> int:
@@ -223,22 +230,24 @@ def _staircase_strip_to_path(heights: Sequence[int], n: int, k: int) -> str:
     return "E" + heights_word(heights, 0, k * n) + "N" * k
 
 
-def staircase_path_to_strip(word: str, shape: SkewShape) -> RStrip:
-    """Fuss-Catalan path (n+1, k) -> strip in the stretched staircase (n, k),
-    given as `shape`: the path without its first east step and last k north
-    steps.
+def staircase_path_to_strip(word: str, n: int, k: int) -> RStrip:
+    """Fuss-Catalan path (n+1, k) -> strip in the stretched staircase (n, k):
+    the path without its first east step and last k north steps.
 
-    The rest of the word crosses the shape exactly when the whole is a
-    Fuss-Catalan path, so `strip_from_path` and the strip's height check
-    are the whole validation.
+    A word without (k+1)(n+1) letters is refused before the shape of kn
+    rows is built.  The rest of the word crosses the shape exactly when the
+    whole is a Fuss-Catalan path, so `strip_from_path` and the strip's
+    height check are the rest of the validation.
     """
-    _, k = _family_params(shape, "stretched staircase")
+    _check_shape_nk(n, k)
+    if len(word) != (k + 1) * (n + 1):
+        raise ValueError(f"need {(k + 1) * (n + 1)} letters, got {len(word)}")
     if not (word.startswith("E") and word.endswith("N" * k)):
         raise ValueError(
             f"{word!r} is not a Fuss-Catalan path: it must start with E and "
             f"end with {k} N steps"
         )
-    return strip_from_path(shape, word[1 : len(word) - k])
+    return strip_from_path(stretched_staircase(n, k), word[1 : len(word) - k])
 
 
 def _staircase_path_to_strip(word: str, k: int) -> tuple[int, ...]:
@@ -265,14 +274,17 @@ def _rectangle_strip_to_path(heights: Sequence[int], n: int, k: int) -> str:
     return heights_word(heights, 0, k * n)
 
 
-def rectangle_path_to_strip(word: str, shape: SkewShape) -> RStrip:
-    """Fuss binomial path (n, k) -> strip in the rectangle (n, k), given as
-    `shape`; `strip_from_path` and the strip's height check accept exactly
-    the words with n E steps and kn N steps.  On a word already known to be
-    in B_n^(k), the heights of the strip are `shapes._path_heights(word, 0)`,
+def rectangle_path_to_strip(word: str, n: int, k: int) -> RStrip:
+    """Fuss binomial path (n, k) -> strip in the rectangle (n, k).  A word
+    without (k+1)n letters is refused before the shape of kn rows is built;
+    `strip_from_path` and the strip's height check accept exactly the words
+    with n E steps and kn N steps.  On a word already known to be in
+    B_n^(k), the heights of the strip are `shapes._path_heights(word, 0)`,
     the core that `strip_from_path` wraps."""
-    _family_params(shape, "rectangle")
-    return strip_from_path(shape, word)
+    _check_shape_nk(n, k)
+    if len(word) != (k + 1) * n:
+        raise ValueError(f"need {(k + 1) * n} letters, got {len(word)}")
+    return strip_from_path(rectangle(n, k), word)
 
 
 def path_to_signed_noncrossing(word: str, n: int, k: int) -> SignedBlocks:

@@ -115,6 +115,11 @@ class CapExceeded(Exception):
     pass
 
 
+class MalformedCap(Exception):
+    """A malformed NCSTRIP_MAX_OBJECTS: a usage error, but no ValueError, so
+    `_named` does not put it on the option that a guard was reading."""
+
+
 # the cap of the command that main is running, once a guard has read it
 _cap: int | None = None
 
@@ -129,7 +134,7 @@ def _max_objects() -> int:
         try:
             _cap = int(raw) if raw else DEFAULT_MAX_OBJECTS
         except ValueError:
-            raise ValueError(f"NCSTRIP_MAX_OBJECTS={raw!r} is not an integer") from None
+            raise MalformedCap(f"NCSTRIP_MAX_OBJECTS={raw!r} is not an integer") from None
     return _cap
 
 
@@ -423,13 +428,6 @@ def _word(text: str) -> str:
     return text.strip().upper()
 
 
-def _sized(literal, size: int, what: str):
-    """literal, refused unless it has `size` items."""
-    if len(literal) != size:
-        raise ValueError(f"need {size} {what}, got {len(literal)}")
-    return literal
-
-
 def _kinds(n: int, k: int) -> dict[str, Kind]:
     """Every kind of object at the family parameters (n, k), named as the
     `enumerate` object where it is one; a partition or strip is checked
@@ -566,25 +564,20 @@ def cmd_count(args):
 
 
 # map -> (domain, codomain, forward, inverse), each map taking (object, n, k);
-# the psi inverses and phi forwards are cores, run on what the kinds checked,
-# and the phi inverses check the word's length before they build the shape
+# the psi inverses and phi forwards are cores, run on what the kinds checked
 MAPS = {
     "phi-a": (
         "staircase-strip",
         "fuss-catalan",
         lambda strip, n, k: bij._staircase_strip_to_path(strip.heights, n, k),
-        lambda word, n, k: bij.staircase_path_to_strip(
-            _sized(word, (k + 1) * (n + 1), "letters"), stretched_staircase(n, k)
-        ),
+        bij.staircase_path_to_strip,
     ),
     "psi-a": ("fuss-catalan", "nca-k", bij.path_to_noncrossing, bij._noncrossing_to_path),
     "phi-b": (
         "rectangle-strip",
         "binomial",
         lambda strip, n, k: bij._rectangle_strip_to_path(strip.heights, n, k),
-        lambda word, n, k: bij.rectangle_path_to_strip(
-            _sized(word, (k + 1) * n, "letters"), rectangle(n, k)
-        ),
+        bij.rectangle_path_to_strip,
     ),
     "psi-b": (
         "binomial",
@@ -888,7 +881,7 @@ def main(argv=None) -> int:
     except CapExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_CAP
-    except ValueError as e:
+    except (ValueError, MalformedCap) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     finally:

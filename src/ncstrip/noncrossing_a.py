@@ -64,15 +64,6 @@ def _divided(sizes, k: int) -> list[int]:
     return [s // k for s in sizes]
 
 
-def validate_set_partition(blocks, n: int) -> Blocks:
-    """Canonical blocks of a set partition of [n], checked in one pass.
-
-    Raises ValueError on an empty block or when the blocks do not cover
-    [1..n] exactly once.
-    """
-    return _grouped(range(1, n + 1), _owners(blocks, n)[0])
-
-
 def validate_nc_a(blocks, n: int, k: int) -> Blocks:
     """Canonical blocks of a member of NC_n^(k), checked in one pass.
 
@@ -259,7 +250,8 @@ def count_by_reduced_type(n: int, k: int, lam: Partition) -> int:
 
 
 def read_blocks(text: str) -> Blocks:
-    """The blocks of a literal as written: "3,1/2" is ((3, 1), (2,))."""
+    """The blocks of a literal as written: "3,1/2" is ((3, 1), (2,)), which
+    `validate_nc_a` or `validate_nc_b` then checks at (n, k)."""
     text = text.strip()
     if not text:
         return ()
@@ -273,12 +265,3 @@ def format_blocks(blocks: Blocks) -> str:
     """Literal of canonical blocks: blocks joined by '/', elements by ','."""
     return "/".join(",".join(map(str, b)) for b in blocks)
 
-
-def parse_blocks(text: str) -> Blocks:
-    """Canonical blocks of a literal such as "1,2,5,6/3,4/7,8".
-
-    The literal must be a set partition of [1..N], N its number of elements;
-    noncrossing and k-divisibility are checked by whoever takes the blocks.
-    """
-    blocks = read_blocks(text)
-    return validate_set_partition(blocks, sum(map(len, blocks)))

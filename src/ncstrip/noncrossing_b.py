@@ -23,7 +23,6 @@ from .noncrossing_a import (
     _grouped,
     noncrossing_partitions_of_seq,
     owners_noncrossing,
-    read_blocks,
 )
 
 SignedBlocks = tuple[tuple[int, ...], ...]
@@ -172,13 +171,3 @@ def count_by_type_b(n: int, k: int, lam: Partition) -> int:
         raise ValueError(f"type weight must be <= n = {n}, got {weight(lam)}")
     return type_counts_b(n, k, [lam], [multiplicity_product(lam)])[0]
 
-
-def parse_blocks_b(text: str) -> SignedBlocks:
-    """Canonical blocks of a literal such as "-1,-2,12/-3,-7,11/...".
-
-    The literal must be a member of NC^B on [-m..m] minus 0, 2m its number
-    of elements: invariant under negation and noncrossing on the 2m-gon.
-    k-divisibility is checked by whoever takes the blocks.
-    """
-    blocks = read_blocks(text)
-    return validate_nc_b(blocks, sum(map(len, blocks)) // 2, 1)

@@ -19,8 +19,8 @@ from ncstrip.bijections import (
     signed_noncrossing_to_path,
 )
 from ncstrip.lattice_paths import enumerate_fuss_binomial, enumerate_fuss_catalan
-from ncstrip.noncrossing_a import is_noncrossing
-from ncstrip.noncrossing_b import is_noncrossing_b, parse_blocks_b, type_b
+from ncstrip.noncrossing_a import is_noncrossing, read_blocks
+from ncstrip.noncrossing_b import is_noncrossing_b, type_b, validate_nc_b
 from ncstrip.shapes import (
     SkewShape,
     enumerate_r_strips,
@@ -128,7 +128,7 @@ def test_criterion_4_labeling_bijection_a():
 
 def test_criterion_5_labeling_bijection_b():
     blocks = path_to_signed_noncrossing(TYPE_B_EXAMPLE_WORD, 4, 3)
-    example_ok = blocks == parse_blocks_b(TYPE_B_EXAMPLE_PARTITION)
+    example_ok = blocks == validate_nc_b(read_blocks(TYPE_B_EXAMPLE_PARTITION), 4, 3)
     example_ok = example_ok and type_b(blocks, 3) == (1, 1, 1)
     example_ok = example_ok and signed_noncrossing_to_path(blocks, 4, 3) == TYPE_B_EXAMPLE_WORD
     results = [labeling_bijection_check_b(n, k) for n, k in PAIRS_B]

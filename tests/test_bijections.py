@@ -31,11 +31,12 @@ from ncstrip.lattice_paths import (
 )
 from ncstrip.noncrossing_a import (
     enumerate_k_divisible,
-    parse_blocks,
+    read_blocks,
     reduced_type_a,
     type_a,
+    validate_nc_a,
 )
-from ncstrip.noncrossing_b import enumerate_nc_b, parse_blocks_b, type_b
+from ncstrip.noncrossing_b import enumerate_nc_b, type_b, validate_nc_b
 from ncstrip.partitions import fuss_catalan
 from ncstrip.shapes import (
     RStrip,
@@ -49,16 +50,17 @@ from ncstrip.shapes import (
 )
 
 from conftest import (
+    counted,
     crossing_pair_scan,
     labeling_blocks_by_definition,
     psi_b_blocks_by_definition,
 )
 
 TYPE_A_EXAMPLE_WORD = "ENEENNNNENNNEENNNN"
-TYPE_A_EXAMPLE_BLOCKS = parse_blocks("1,6/2,3,4,5/7,10,11,12/8,9")
+TYPE_A_EXAMPLE_BLOCKS = validate_nc_a(read_blocks("1,6/2,3,4,5/7,10,11,12/8,9"), 6, 2)
 TYPE_B_EXAMPLE_WORD = "ENNNNNNENNENNNEN"
-TYPE_B_EXAMPLE_BLOCKS = parse_blocks_b(
-    "-1,-2,12/-3,-7,11/-4,-5,-6/-8,-9,-10,8,9,10/-11,3,7/-12,1,2/4,5,6"
+TYPE_B_EXAMPLE_BLOCKS = validate_nc_b(
+    read_blocks("-1,-2,12/-3,-7,11/-4,-5,-6/-8,-9,-10,8,9,10/-11,3,7/-12,1,2/4,5,6"), 4, 3
 )
 
 
@@ -262,7 +264,7 @@ class TestStaircaseStrips:
         for strip in enumerate_r_strips(shape):
             word = staircase_strip_to_path(strip)
             assert fc_reduced_type(word) == strip_type(strip)
-            assert staircase_path_to_strip(word, shape) == strip
+            assert staircase_path_to_strip(word, n, k) == strip
             words.add(word)
         assert words == set(enumerate_fuss_catalan(n + 1, k))
         assert len(words) == fuss_catalan(n + 1, k)
@@ -272,9 +274,9 @@ class TestStaircaseStrips:
             staircase_strip_to_path(parse_strip(rectangle(2, 1), "-,-"))
         with pytest.raises(ValueError):
             # leaves 0 <= y <= x
-            staircase_path_to_strip("ENNEEN", stretched_staircase(2, 1))
-        with pytest.raises(ValueError):
-            staircase_path_to_strip("EEENNN", rectangle(2, 1))  # wrong family
+            staircase_path_to_strip("ENNEEN", 2, 1)
+        with pytest.raises(ValueError, match="need 6 letters, got 8"):
+            staircase_path_to_strip("EEEENNNN", 2, 1)  # a path of D_4^(1)
 
 
 class TestRectangleStrips:
@@ -296,17 +298,17 @@ class TestRectangleStrips:
         for strip in enumerate_r_strips(shape):
             word = rectangle_strip_to_path(strip)
             assert fb_type(word) == strip_type(strip)
-            assert rectangle_path_to_strip(word, shape) == strip
+            assert rectangle_path_to_strip(word, n, k) == strip
             words.add(word)
         assert words == set(enumerate_fuss_binomial(n, k))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             rectangle_strip_to_path(parse_strip(stretched_staircase(2, 1), "-,-"))
+        with pytest.raises(ValueError, match="need 4 letters, got 6"):
+            rectangle_path_to_strip("EEENNN", 2, 1)  # a path of B_3^(1)
         with pytest.raises(ValueError):
-            rectangle_path_to_strip("EENN", stretched_staircase(2, 1))  # wrong family
-        with pytest.raises(ValueError):
-            rectangle_path_to_strip("EENNN", rectangle(2, 1))  # one N too many
+            rectangle_path_to_strip("EENNN", 2, 1)  # one N too many
 
     def test_type_census_equality_on_2_2(self):
         strips = [strip_type(s) for s in enumerate_r_strips(rectangle(2, 2))]
@@ -321,9 +323,9 @@ def _words_near(length):
             yield "".join(letters)
 
 
-def _accepts(path_to_strip, word, shape):
+def _accepts(path_to_strip, word, n, k):
     try:
-        path_to_strip(word, shape)
+        path_to_strip(word, n, k)
     except ValueError:
         return False
     return True
@@ -333,13 +335,13 @@ def _accepts(path_to_strip, word, shape):
     "n,k", [(n, k) for k in range(1, 6) for n in range(1, 6) if (k + 1) * (n + 1) <= 12]
 )
 def test_staircase_path_to_strip_accepts_exactly_the_fuss_catalan_words(n, k):
-    # the map checks only the first and last steps itself; strip_from_path
-    # and the strip's height check must refuse every other non-path
-    shape = stretched_staircase(n, k)
+    # the map checks only the length and the first and last steps itself;
+    # strip_from_path and the strip's height check must refuse every other
+    # non-path
     wrong = [
         word
         for word in _words_near((k + 1) * (n + 1))
-        if _accepts(staircase_path_to_strip, word, shape) != is_fuss_catalan(word, n + 1, k)
+        if _accepts(staircase_path_to_strip, word, n, k) != is_fuss_catalan(word, n + 1, k)
     ]
     assert wrong == []
 
@@ -348,11 +350,10 @@ def test_staircase_path_to_strip_accepts_exactly_the_fuss_catalan_words(n, k):
     "n,k", [(n, k) for k in range(1, 6) for n in range(1, 7) if (k + 1) * n <= 12]
 )
 def test_rectangle_path_to_strip_accepts_exactly_the_fuss_binomial_words(n, k):
-    shape = rectangle(n, k)
     wrong = [
         word
         for word in _words_near((k + 1) * n)
-        if _accepts(rectangle_path_to_strip, word, shape) != is_fuss_binomial(word, n, k)
+        if _accepts(rectangle_path_to_strip, word, n, k) != is_fuss_binomial(word, n, k)
     ]
     assert wrong == []
 
@@ -382,7 +383,8 @@ def _shapes_in_box(rows, cols):
 def test_strip_maps_refuse_exactly_the_shapes_outside_their_family(
     family, build, to_path, to_strip
 ):
-    members = {build(n, k) for n in range(1, 4) for k in range(1, 7) if k * n <= 6}
+    # the inverse maps build their family shape from (n, k)
+    members = {build(n, k): (n, k) for n in range(1, 4) for k in range(1, 7) if k * n <= 6}
     refusal = f"strip does not live in a {family} shape"
     accepted = set()
     for shape in _shapes_in_box(6, 3):
@@ -390,15 +392,13 @@ def test_strip_maps_refuse_exactly_the_shapes_outside_their_family(
         contiguous = not cols or cols[-1] - cols[0] < len(cols)
         empty = RStrip(shape, shape.lo) if contiguous else None
         if shape in members:
-            assert to_strip(to_path(empty), shape) == empty
+            assert to_strip(to_path(empty), *members[shape]) == empty
             accepted.add(shape)
             continue
-        with pytest.raises(ValueError, match=refusal):
-            to_strip("", shape)
         if empty is not None:
             with pytest.raises(ValueError, match=refusal):
                 to_path(empty)
-    assert accepted == members
+    assert accepted == set(members)
 
 
 def test_public_strip_maps_equal_their_cores():
@@ -408,13 +408,33 @@ def test_public_strip_maps_equal_their_cores():
     for strip in enumerate_r_strips(shape):
         word = staircase_strip_to_path(strip)
         assert word == _staircase_strip_to_path(strip.heights, n, k)
-        assert staircase_path_to_strip(word, shape).heights == _staircase_path_to_strip(word, k)
+        assert staircase_path_to_strip(word, n, k).heights == _staircase_path_to_strip(word, k)
     n, k = 3, 2
     shape = rectangle(n, k)
     for strip in enumerate_r_strips(shape):
         word = rectangle_strip_to_path(strip)
         assert word == _rectangle_strip_to_path(strip.heights, n, k)
-        assert rectangle_path_to_strip(word, shape).heights == _path_heights(word, 0)
+        assert rectangle_path_to_strip(word, n, k).heights == _path_heights(word, 0)
+
+
+@pytest.mark.parametrize(
+    "to_strip,size",
+    [
+        (staircase_path_to_strip, (10**5 + 1) * (10**5 + 1)),
+        (rectangle_path_to_strip, (10**5 + 1) * 10**5),
+    ],
+    ids=["staircase", "rectangle"],
+)
+def test_path_to_strip_counts_the_letters_before_building_the_shape(monkeypatch, to_strip, size):
+    # the family shape at n = k = 10^5 has 10^10 rows
+    built = [
+        counted(monkeypatch, "stretched_staircase"),
+        counted(monkeypatch, "rectangle"),
+        counted(monkeypatch, "column_interval", SkewShape),
+    ]
+    with pytest.raises(ValueError, match=f"need {size} letters, got 1"):
+        to_strip("E", 10**5, 10**5)
+    assert built == [[], [], []]
 
 
 def test_public_labeling_maps_equal_their_forward_cores():

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -9,11 +10,10 @@ from ncstrip.noncrossing_a import (
     format_blocks,
     is_noncrossing,
     noncrossing_partitions_of_seq,
-    parse_blocks,
+    read_blocks,
     reduced_type_a,
     type_a,
     validate_nc_a,
-    validate_set_partition,
 )
 from ncstrip.partitions import catalan, fuss_catalan, partitions_with_weight_at_most, weight
 
@@ -23,7 +23,7 @@ from conftest import crossing_pair_scan, crossing_quadruple_scan, set_partitions
 def test_is_noncrossing_examples():
     assert is_noncrossing([(1,), (2,), (3,)], 3)
     assert not is_noncrossing([(1, 3), (2, 4)], 4)
-    assert is_noncrossing(parse_blocks("1,2,5,6/3,4/7,8"), 8)
+    assert is_noncrossing(validate_nc_a(read_blocks("1,2,5,6/3,4/7,8"), 4, 2), 8)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -41,16 +41,25 @@ def test_pair_scan_oracle_matches_quadruple_scan(n):
         assert crossing_pair_scan(blocks) == crossing_quadruple_scan(blocks)
 
 
-def test_validate_set_partition_rejects_bad_input():
-    assert validate_set_partition([[3, 1], [2]], 3) == ((1, 3), (2,))
-    assert validate_set_partition((), 0) == ()
+def test_validate_nc_a_refuses_what_does_not_partition_the_ground_set():
+    assert validate_nc_a([[3, 1], [2]], 3, 1) == ((1, 3), (2,))
+    # a missing element, one placed twice, one past kn or one below 1
     for blocks in ([(1, 2)], [(1, 2), (2,)], [(1, 2), (3, 4)], [(0, 1), (2, 3)]):
         with pytest.raises(ValueError, match="do not partition"):
-            validate_set_partition(blocks, 3)
+            validate_nc_a(blocks, 3, 1)
     with pytest.raises(ValueError, match="empty block"):
-        validate_set_partition([(1, 2, 3), ()], 3)
-    with pytest.raises(ValueError, match="do not partition"):
-        validate_nc_a([(1,)], 10**15, 1)  # refused before any allocation
+        validate_nc_a([(1, 2, 3), ()], 3, 1)
+    # a huge n or a huge element is refused without allocating: the
+    # elements are counted against kn before the owner array is built
+    tracemalloc.start()
+    try:
+        for blocks, n, k in (([(1,)], 10**15, 1), ([(1, 10**15)], 1, 2)):
+            with pytest.raises(ValueError, match="do not partition"):
+                validate_nc_a(blocks, n, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_validate_nc_a_messages_in_order():
@@ -158,7 +167,7 @@ def test_long_blocks_need_no_recursion():
 
 
 def test_types():
-    p = parse_blocks("1,2,5,6/3,4/7,8")
+    p = validate_nc_a(read_blocks("1,2,5,6/3,4/7,8"), 4, 2)
     assert type_a(p, 2) == (2, 1, 1)
     assert reduced_type_a(p, 2) == (1, 1)
     assert type_a([(1, 2, 3, 4)], 2) == (2,)
@@ -182,12 +191,12 @@ def test_reduced_type_is_type_minus_one_block():
 
 
 def test_canonical_listing():
-    assert validate_set_partition([(3, 4), (6, 5, 2, 1), (8, 7)], 8) == (
+    assert validate_nc_a([(3, 4), (6, 5, 2, 1), (8, 7)], 4, 2) == (
         (1, 2, 5, 6),
         (3, 4),
         (7, 8),
     )
-    fig = parse_blocks("1,6/2,3,4,5/7,10,11,12/8,9")
+    fig = validate_nc_a(read_blocks("1,6/2,3,4,5/7,10,11,12/8,9"), 6, 2)
     assert fig == ((1, 6), (2, 3, 4, 5), (7, 10, 11, 12), (8, 9))
     assert format_blocks(fig) == "1,6/2,3,4,5/7,10,11,12/8,9"
 
@@ -235,15 +244,16 @@ def test_pointed_double_counting_identity(n, k):
 
 def test_literal_round_trip():
     text = "1,2,5,6/3,4/7,8"
-    assert format_blocks(parse_blocks(text)) == text
-    assert parse_blocks(" 4,3/2,1 ") == ((1, 2), (3, 4))
-    assert parse_blocks("") == ()
+    assert format_blocks(validate_nc_a(read_blocks(text), 4, 2)) == text
+    assert validate_nc_a(read_blocks(" 4,3/2,1 "), 2, 2) == ((1, 2), (3, 4))
+    assert validate_nc_a(read_blocks(""), 0, 1) == ()
 
 
 def test_literal_is_a_partition_of_its_own_ground_set():
-    # the ground set is [1..N] for the N elements written, whatever the labels
+    # read at the (n, k) of its N elements, whose ground set is [1..N],
+    # whatever the labels
     with pytest.raises(ValueError, match=r"do not partition \[1\.\.2\]"):
-        parse_blocks("1,1000000000")
-    for text in ("1,2/2", "0,1", "1,3"):
+        validate_nc_a(read_blocks("1,1000000000"), 2, 1)
+    for text, n in (("1,2/2", 3), ("0,1", 2), ("1,3", 2)):
         with pytest.raises(ValueError, match="do not partition"):
-            parse_blocks(text)
+            validate_nc_a(read_blocks(text), n, 1)

@@ -3,13 +3,12 @@ import hashlib
 import pytest
 
 from ncstrip import noncrossing_b
-from ncstrip.noncrossing_a import format_blocks
+from ncstrip.noncrossing_a import format_blocks, read_blocks
 from ncstrip.noncrossing_b import (
     antipodal_block,
     count_by_type_b,
     enumerate_nc_b,
     is_noncrossing_b,
-    parse_blocks_b,
     type_b,
     validate_nc_b,
 )
@@ -17,17 +16,23 @@ from ncstrip.partitions import binomial, partitions_with_weight_at_most
 
 from conftest import canonical_b_by_definition, crossing_quadruple_scan, set_partitions
 
-TYPE_B_EXAMPLE_PARTITION = parse_blocks_b(
-    "-1,-2,12/-3,-7,11/-4,-5,-6/-8,-9,-10,8,9,10/-11,3,7/-12,1,2/4,5,6"
+
+def read_nc_b(text, n, k):
+    """The canonical blocks of a literal of NC_n^{B,(k)}."""
+    return validate_nc_b(read_blocks(text), n, k)
+
+
+TYPE_B_EXAMPLE_PARTITION = read_nc_b(
+    "-1,-2,12/-3,-7,11/-4,-5,-6/-8,-9,-10,8,9,10/-11,3,7/-12,1,2/4,5,6", 4, 3
 )
 
 NC_2_1_HAND_CENSUS = [
-    parse_blocks_b("1/-1/2/-2"),
-    parse_blocks_b("1,-1/2/-2"),
-    parse_blocks_b("2,-2/1/-1"),
-    parse_blocks_b("1,2/-1,-2"),
-    parse_blocks_b("1,-2/-1,2"),
-    parse_blocks_b("1,2,-1,-2"),
+    read_nc_b("1/-1/2/-2", 2, 1),
+    read_nc_b("1,-1/2/-2", 2, 1),
+    read_nc_b("2,-2/1/-1", 2, 1),
+    read_nc_b("1,2/-1,-2", 2, 1),
+    read_nc_b("1,-2/-1,2", 2, 1),
+    read_nc_b("1,2,-1,-2", 2, 1),
 ]
 
 
@@ -59,8 +64,8 @@ def test_is_noncrossing_b_matches_filter_oracle(m):
 
 
 def test_antipodal_block():
-    assert antipodal_block(parse_blocks_b("1,-1/2/-2")) == (-1, 1)
-    assert antipodal_block(parse_blocks_b("1/-1/2/-2")) is None
+    assert antipodal_block(read_nc_b("1,-1/2/-2", 2, 1)) == (-1, 1)
+    assert antipodal_block(read_nc_b("1/-1/2/-2", 2, 1)) is None
     assert antipodal_block(TYPE_B_EXAMPLE_PARTITION) == (-10, -9, -8, 8, 9, 10)
 
 
@@ -69,7 +74,7 @@ def test_enumerate_nc_b_hand_census():
     assert len(got) == 6
     assert set(got) == set(NC_2_1_HAND_CENSUS)
     assert enumerate_nc_b(1, 1) == sorted(
-        [parse_blocks_b("1/-1"), parse_blocks_b("1,-1")]
+        [read_nc_b("1/-1", 1, 1), read_nc_b("1,-1", 1, 1)]
     )
     assert enumerate_nc_b(0, 1) == [()]
 
@@ -163,11 +168,11 @@ def test_at_most_one_antipodal_block():
 
 
 def test_type_b_examples():
-    assert type_b(parse_blocks_b("1,2,-1,-2"), 1) == ()
+    assert type_b(read_nc_b("1,2,-1,-2", 2, 1), 1) == ()
     assert type_b(TYPE_B_EXAMPLE_PARTITION, 3) == (1, 1, 1)
-    assert type_b(parse_blocks_b("1,2/-1,-2"), 1) == (2,)
+    assert type_b(read_nc_b("1,2/-1,-2", 2, 1), 1) == (2,)
     with pytest.raises(ValueError):
-        type_b(parse_blocks_b("1,2/-1,-2"), 3)
+        type_b(read_nc_b("1,2/-1,-2", 2, 1), 3)
 
 
 def test_type_b_weight_deficit():
@@ -208,21 +213,22 @@ def test_canonical_listing_b():
     assert (-11, 3, 7) in canon
     text = "-1,-2,12/-3,-7,11/-4,-5,-6/-8,-9,-10,8,9,10/-11,3,7/-12,1,2/4,5,6"
     assert format_blocks(TYPE_B_EXAMPLE_PARTITION) == text
-    assert parse_blocks_b(text) == TYPE_B_EXAMPLE_PARTITION
+    assert read_nc_b(text, 4, 3) == TYPE_B_EXAMPLE_PARTITION
 
 
 def test_literal_b_is_a_partition_of_its_own_ground_set():
-    assert parse_blocks_b("") == ()
-    assert parse_blocks_b("2,-1/1,-2") == ((-1, 2), (-2, 1))
-    for text, message in [
-        ("1,2/-1/-2", "not invariant under negation"),
-        ("1,-1/2,-2", "crossing on the polygon"),
-        ("1,2/-1", "do not partition the signed set"),
-        ("1,3/-1,-3", "outside the signed ground set of size 2"),
-        ("1,1/-1,-1", "do not partition the signed set"),
+    # read at the (n, k) = (m, 1) of its 2m elements, m rounded down
+    assert read_nc_b("", 0, 1) == ()
+    assert read_nc_b("2,-1/1,-2", 2, 1) == ((-1, 2), (-2, 1))
+    for text, m, message in [
+        ("1,2/-1/-2", 2, "not invariant under negation"),
+        ("1,-1/2,-2", 2, "crossing on the polygon"),
+        ("1,2/-1", 1, "do not partition the signed set"),
+        ("1,3/-1,-3", 2, "outside the signed ground set of size 2"),
+        ("1,1/-1,-1", 2, "do not partition the signed set"),
     ]:
         with pytest.raises(ValueError, match=message):
-            parse_blocks_b(text)
+            read_nc_b(text, m, 1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -1,11 +1,17 @@
 """Source-level rules for the library modules."""
 
 import ast
+import importlib
+import inspect
+import re
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "ncstrip"
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "ncstrip"
 CACHES = {"lru_cache", "cache"}
+# calls that README.md writes of what the project does not define
+NOT_DEFINED_HERE = {"dumps"}
 
 
 def nodes():
@@ -91,3 +97,49 @@ def test_only_the_cli_main_writes_stdout():
     ]
     assert any(id(node) in inside for node in reads)
     assert [node.lineno for node in reads if id(node) not in inside] == []
+
+
+
+def test_readme_names_resolve():
+    # a README that names a deleted function or an old signature misleads
+    # its reader.  Each `module.name` of an ncstrip module must exist; each
+    # call `name(...)` must name a function or class of the project, with
+    # arguments that a library function's signature accepts; and each bare
+    # `snake_name` must be a name the project binds or a string it uses (a
+    # JSON key, an environment variable)
+    modules = {p.stem: importlib.import_module(f"ncstrip.{p.stem}") for p in SRC.glob("[!_]*.py")}
+    callables, names = set(), set(modules)
+    sources = [*SRC.glob("*.py"), *(ROOT / "tools").glob("*.py"), TESTS / "conftest.py"]
+    for path in sources + [*(ROOT / "perfbench").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                callables.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    names |= callables
+    found = []
+    for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text()):
+        if re.fullmatch(r"\w+_\w*", span) and span not in names:
+            found.append(span)
+        for module, name in re.findall(r"(?<![\w./])(\w+)\.(\w+)", span):
+            if module in modules and not hasattr(modules[module], name):
+                found.append(f"{module}.{name}")
+        for call in re.findall(r"[\w.]+\(", span):
+            if call[:-1].split(".")[-1] not in callables | NOT_DEFINED_HERE:
+                found.append(f"{call})")
+        try:
+            call = ast.parse(span, mode="eval").body
+        except SyntaxError:
+            continue
+        if isinstance(call, ast.Call):
+            *module, name = ast.unparse(call.func).split(".")
+            owners = [modules[m] for m in module if m in modules] if module else modules.values()
+            f = next((getattr(m, name) for m in owners if hasattr(m, name)), None)
+            if callable(f):
+                try:
+                    inspect.signature(f).bind(*call.args, **{kw.arg: kw for kw in call.keywords})
+                except TypeError:
+                    found.append(span)
+    assert found == []
