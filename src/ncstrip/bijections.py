@@ -194,22 +194,12 @@ def _noncrossing_to_path(blocks: Sequence[Sequence[int]], n: int, k: int) -> str
     return _east_steps("".join(runs), n, k)
 
 
-# The top box heights of the columns of each family shape (n^{kn}) / inner.
-# Under the outer n^{kn}, n of them fix the inner partition.
-_FAMILY_TOPS = {
-    "stretched staircase": lambda n, k: tuple(range(k - 1, k * n, k)),
-    "rectangle": lambda n, k: (k * n - 1,) * n,
-}
-
-
-def _family_params(shape: SkewShape, family: str) -> tuple[int, int]:
-    """(n, k) of a shape of the family, read off its outer partition and
-    column profile without building the family shape."""
-    outer = shape.outer
-    if outer:
-        n = outer[0]
-        k, rest = divmod(len(outer), n)
-        if not rest and outer[-1] == n and shape.hi == _FAMILY_TOPS[family](n, k):
+def _family_params(shape: SkewShape, build, family: str) -> tuple[int, int]:
+    """(n, k) of a shape equal to `build(n, k)`: n its width, kn its rows."""
+    n = shape.width
+    if n:
+        k, rest = divmod(shape.rows, n)
+        if not rest and shape == build(n, k):
             return n, k
     raise ValueError(f"strip does not live in a {family} shape")
 
@@ -220,7 +210,7 @@ def staircase_strip_to_path(strip: RStrip) -> str:
     Prepends the east step along y = 0 and appends the final k north steps
     up the right wall; the strip's type becomes the path's reduced type.
     """
-    n, k = _family_params(strip.shape, "stretched staircase")
+    n, k = _family_params(strip.shape, stretched_staircase, "stretched staircase")
     return _staircase_strip_to_path(strip.heights, n, k)
 
 
@@ -264,7 +254,7 @@ def rectangle_strip_to_path(strip: RStrip) -> str:
     ascent that fb_type discards is exactly the boxless prefix, and the
     strip's type equals the path's type.
     """
-    n, k = _family_params(strip.shape, "rectangle")
+    n, k = _family_params(strip.shape, rectangle, "rectangle")
     return _rectangle_strip_to_path(strip.heights, n, k)
 
 

@@ -61,6 +61,7 @@ from .parking import (
 )
 from .partitions import (
     _check_nk,
+    _check_shape_nk,
     binomial,
     format_partition,
     fuss_catalan,
@@ -591,6 +592,9 @@ MAPS = {
 def cmd_biject(args):
     n, k = _require_nk(args)
     source, target, forward, inverse = MAPS[args.map]
+    if args.map.startswith("phi"):
+        # the family shape's own bound, refused before a strip literal is read
+        _check_shape_nk(n, k)
     if args.inverse:
         source, target, forward = target, source, inverse
     kinds = _kinds(n, k)

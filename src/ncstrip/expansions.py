@@ -73,17 +73,16 @@ def expand_skew_by_columns(shape: SkewShape) -> HExpansion:
             if y == l:
                 states[y, 0] = dict(below)
                 continue
-            start = dict(below)
+            # a boxless state sits at its column's bottom, and this column's
+            # bottom l is no lower, so every state at y > l is a run that
+            # the step extends: its one successor takes the census uncopied
             j = i  # the states at y, which the next y passes
             while j < len(preds) and preds[j][0][0] == y:
                 (_, run), census = preds[j]
-                if run:  # its one successor: hand the census on uncopied
-                    states[y, run + 1] = census
-                else:
-                    _add(start, census)
+                states[y, run + 1] = census
                 j += 1
-            if start:
-                states[y, 1] = start
+            if below:
+                states[y, 1] = dict(below)
     out: HExpansion = {}
     for (_, run), census in states.items():
         _add(out, _close(census, run))

@@ -39,10 +39,11 @@ def is_noncrossing_b(blocks, m: int) -> bool:
 
 
 def antipodal_block(blocks) -> tuple[int, ...] | None:
-    """The unique self-negating block, or None."""
+    """The unique self-negating block, or None; only a block that holds the
+    negative of its first element is compared as a set with its negation."""
     found = None
     for b in blocks:
-        if set(b) == {-x for x in b}:
+        if (not b or -b[0] in b) and set(b) == {-x for x in b}:
             if found is not None:
                 raise ValueError("more than one antipodal block")
             found = tuple(sorted(b))

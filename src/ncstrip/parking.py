@@ -10,7 +10,6 @@ to arbitrary skew shapes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate
 
 from .bijections import _path_to_noncrossing
 from .lattice_paths import heights_word, monotone_heights
@@ -78,7 +77,8 @@ def count_parking_functions(n: int) -> int:
 
 def _bounded_sequences(lo, hi) -> list[tuple[int, ...]]:
     """Every sequence whose sorted rearrangement b has lo_i <= b_i <= hi_i,
-    in lexicographic order.
+    in lexicographic order, for bounds read as given that weakly rise with
+    lo_i <= hi_i: a parking function's, or a full-column shape's lo and hi.
 
     b <= hi holds exactly when, for each value t, the sequence has at least
     as many entries <= t as hi has, and b >= lo when it has at most as many
@@ -89,19 +89,15 @@ def _bounded_sequences(lo, hi) -> list[tuple[int, ...]]:
     lists are built from the back one length at a time, each entry one
     tuple concatenation onto a suffix of the level before, and each list of
     that level is freed once its last reader has read it."""
-    low = list(accumulate(lo, max))
-    cap = list(accumulate(reversed(hi), min))[::-1]
-    if any(l > c for l, c in zip(low, cap)):
-        return []
-    values = range(low[0], cap[-1] + 1) if low else range(0)
+    values = range(lo[0], hi[-1] + 1) if lo else range(0)
     # when every lower bound is the same (the classical case), a suffix of
     # m entries may hold all m at every t: `may` carries nothing, and the
     # states leave it empty
-    states = {(tuple(bisect_right(cap, t) for t in values),
-               () if not low or low[0] == low[-1]
-               else tuple(bisect_right(low, t) for t in values)): 0}
+    states = {(tuple(bisect_right(hi, t) for t in values),
+               () if not lo or lo[0] == lo[-1]
+               else tuple(bisect_right(lo, t) for t in values)): 0}
     steps = []  # per level: each state's moves (head, number of the next state)
-    for m in range(len(low), 0, -1):  # m entries to go
+    for m in range(len(lo), 0, -1):  # m entries to go
         step, following = [], {}
         for must, may in states:
             # the next entry is a v with room left at every t >= v, and at

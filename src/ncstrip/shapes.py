@@ -29,7 +29,9 @@ class SkewShape:
     outer: Partition
     inner: Partition
     # The column profile, filled once by __post_init__: the nonempty columns
-    # in order and their inclusive (lo, hi) height intervals.
+    # in order and their inclusive (lo, hi) height intervals.  The rows are
+    # left-aligned and weakly decreasing, so lo and hi never fall from one
+    # column to the next, and lo <= hi in every column.
     cols: tuple[int, ...] = field(init=False, compare=False, repr=False)
     lo: tuple[int, ...] = field(init=False, compare=False, repr=False)
     hi: tuple[int, ...] = field(init=False, compare=False, repr=False)

@@ -162,6 +162,20 @@ def rearrangements_by_permutations(lo, hi) -> list[tuple[int, ...]]:
     return sorted({p for b in primitives for p in permutations(b)})
 
 
+def skew_shapes_in_box(rows, cols):
+    """(outer, inner) of every skew shape whose outer partition fits in a
+    rows x cols box."""
+    parts = [
+        p
+        for r in range(rows + 1)
+        for p in combinations_with_replacement(range(cols, 0, -1), r)
+    ]
+    for outer in parts:
+        for inner in parts:
+            if len(inner) <= len(outer) and all(map(int.__le__, inner, outer)):
+                yield outer, inner
+
+
 def pascal_binomial(n: int, k: int) -> int:
     """Pascal triangle, no factorials."""
     row = [1]

@@ -54,6 +54,7 @@ from conftest import (
     crossing_pair_scan,
     labeling_blocks_by_definition,
     psi_b_blocks_by_definition,
+    skew_shapes_in_box,
 )
 
 TYPE_A_EXAMPLE_WORD = "ENEENNNNENNNEENNNN"
@@ -358,19 +359,6 @@ def test_rectangle_path_to_strip_accepts_exactly_the_fuss_binomial_words(n, k):
     assert wrong == []
 
 
-def _shapes_in_box(rows, cols):
-    """Every skew shape whose outer partition fits in a rows x cols box."""
-    parts = [
-        p
-        for r in range(rows + 1)
-        for p in itertools.combinations_with_replacement(range(cols, 0, -1), r)
-    ]
-    for outer in parts:
-        for inner in parts:
-            if len(inner) <= len(outer) and all(map(int.__le__, inner, outer)):
-                yield SkewShape(outer, inner)
-
-
 @pytest.mark.parametrize(
     "family,build,to_path,to_strip",
     [
@@ -387,7 +375,7 @@ def test_strip_maps_refuse_exactly_the_shapes_outside_their_family(
     members = {build(n, k): (n, k) for n in range(1, 4) for k in range(1, 7) if k * n <= 6}
     refusal = f"strip does not live in a {family} shape"
     accepted = set()
-    for shape in _shapes_in_box(6, 3):
+    for shape in itertools.starmap(SkewShape, skew_shapes_in_box(6, 3)):
         cols = shape.cols
         contiguous = not cols or cols[-1] - cols[0] < len(cols)
         empty = RStrip(shape, shape.lo) if contiguous else None

@@ -462,6 +462,16 @@ def test_reduced_type_at_zero_names_its_bound(args):
     assert "the reduced type needs n >= 1" in r.stderr
 
 
+@pytest.mark.parametrize("literal", ["", "0"])
+@pytest.mark.parametrize("map_name", ["phi-a", "phi-b"])
+def test_phi_forward_at_zero_names_the_shape_bound(map_name, literal):
+    # the family shape needs n >= 1, refused before the literal is read, as
+    # the inverse refuses it before it counts letters
+    r = run_cli("biject", "--map", map_name, "--forward", "-n", "0", "-k", "1", "--input=" + literal)
+    assert r.returncode == 2
+    assert "usage error: need n >= 1 and k >= 1\n" in r.stderr
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -42,6 +42,7 @@ from ncstrip.verification import CAP_A, CAP_B
 from conftest import (
     parking_coefficient,
     reduced_type_count_a,
+    skew_shapes_in_box,
     type_count_a,
     type_count_b,
 )
@@ -234,6 +235,15 @@ CENSUS_SHAPES = [
 @pytest.mark.parametrize("shape", CENSUS_SHAPES, ids=format_shape)
 def test_column_census_equals_the_strip_listing(shape):
     assert expand_skew_by_columns(shape) == expand_skew(shape)
+
+
+def test_column_census_equals_the_strip_listing_in_a_box():
+    for outer, inner in skew_shapes_in_box(5, 4):
+        shape = SkewShape(outer, inner)
+        cols = shape.cols
+        if cols and cols[-1] - cols[0] >= len(cols):
+            continue  # no monotone path crosses a gap
+        assert expand_skew_by_columns(shape) == expand_skew(shape), format_shape(shape)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

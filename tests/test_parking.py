@@ -26,7 +26,7 @@ from ncstrip.shapes import (
     stretched_staircase,
 )
 
-from conftest import counted, rearrangements_by_permutations
+from conftest import counted, rearrangements_by_permutations, skew_shapes_in_box
 
 
 def test_predicates():
@@ -173,6 +173,14 @@ def test_shape_parking_functions_equal_the_permutation_oracle(text):
     assert {tuple(sorted(f)) for f in expected} == set(
         enumerate_horizontal_strips(shape)
     )
+
+
+def test_shape_parking_functions_equal_the_permutation_oracle_in_a_box():
+    for outer, inner in skew_shapes_in_box(4, 4):
+        shape = SkewShape(outer, inner)
+        if len(shape.lo) == shape.width:  # a box in every column
+            expected = rearrangements_by_permutations(shape.lo, shape.hi)
+            assert enumerate_shape_parking_functions(shape) == expected, (outer, inner)
 
 
 def test_classical_lister_keys_its_states_on_the_upper_bounds(monkeypatch):

@@ -22,6 +22,8 @@ from ncstrip.shapes import (
     strip_type,
 )
 
+from conftest import skew_shapes_in_box
+
 SHAPE_32_1 = SkewShape((3, 2), (1,))
 
 
@@ -237,3 +239,13 @@ def test_disconnected_column_support_is_rejected_by_strip_entry_points():
         parse_strip(shape, "-,-")
     with pytest.raises(ValueError):
         strip_from_path(shape, "EENN")
+
+
+def test_column_bottoms_and_tops_never_fall():
+    # the column census and the parking lister read lo and hi as given
+    for outer, inner in skew_shapes_in_box(5, 5):
+        shape = SkewShape(outer, inner)
+        lo, hi = shape.lo, shape.hi
+        assert all(map(int.__le__, lo, lo[1:])), format_shape(shape)
+        assert all(map(int.__le__, hi, hi[1:])), format_shape(shape)
+        assert all(map(int.__le__, lo, hi)), format_shape(shape)

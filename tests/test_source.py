@@ -4,7 +4,11 @@ import ast
 import importlib
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import ncstrip
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -143,3 +147,19 @@ def test_readme_names_resolve():
                 except TypeError:
                     found.append(span)
     assert found == []
+
+
+def test_source_size_tool_counts_this_tree():
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "source_size.py"), "--checkout", str(ROOT)],
+        capture_output=True, text=True, check=True,
+    )
+    counts = {name: int(v) for name, v in (line.rsplit(": ", 1) for line in r.stdout.splitlines())}
+    modules = {name: v for name, v in counts.items() if name.endswith(".py")}
+    assert set(modules) == {path.name for path in SRC.glob("*.py")}
+    assert sum(modules.values()) == counts["total"]
+    exported = [
+        name for name, v in vars(ncstrip).items()
+        if not name.startswith("_") and not inspect.ismodule(v)
+    ]
+    assert counts["package exports"] == len(exported)
