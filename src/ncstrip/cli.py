@@ -592,7 +592,7 @@ MAPS = {
 def cmd_biject(args):
     n, k = _require_nk(args)
     source, target, forward, inverse = MAPS[args.map]
-    if args.map.startswith("phi"):
+    if source.endswith("-strip") and not args.inverse:
         # the family shape's own bound, refused before a strip literal is read
         _check_shape_nk(n, k)
     if args.inverse:

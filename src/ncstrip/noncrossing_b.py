@@ -39,8 +39,7 @@ def is_noncrossing_b(blocks, m: int) -> bool:
 
 
 def antipodal_block(blocks) -> tuple[int, ...] | None:
-    """The unique self-negating block, or None; only a block that holds the
-    negative of its first element is compared as a set with its negation."""
+    """The unique self-negating block, or None."""
     found = None
     for b in blocks:
         if (not b or -b[0] in b) and set(b) == {-x for x in b}:

@@ -151,7 +151,7 @@ def test_readme_names_resolve():
 
 def test_source_size_tool_counts_this_tree():
     r = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "source_size.py"), "--checkout", str(ROOT)],
+        [sys.executable, str(ROOT / "tools" / "source_size.py")],
         capture_output=True, text=True, check=True,
     )
     counts = {name: int(v) for name, v in (line.rsplit(": ", 1) for line in r.stdout.splitlines())}

@@ -1,19 +1,20 @@
 """Count the source lines of the package, its tests and its tools.
 
-    python3 tools/source_size.py [--checkout DIR]
+    python3 tools/source_size.py
 
 Counts the non-blank lines that do not start with '#'.  Prints one line per
-module of DIR's src/ncstrip, then their total, then the totals of DIR's
-tests/*.py and tools/*.py, then the number of names src/ncstrip/__init__.py
-imports, read with `ast`.  These are the counts CHANGES.md and ROADMAP.md
-quote: a record, not a gate.  DIR defaults to the working directory.
+module of src/ncstrip, then their total, then the totals of tests/*.py and
+tools/*.py, then the number of names src/ncstrip/__init__.py imports, read
+with `ast`.  These are the counts CHANGES.md and ROADMAP.md quote: a record,
+not a gate.  The tree counted is the one this file sits in.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def counted(path: Path) -> int:
@@ -38,9 +39,7 @@ def report(root: Path) -> list[str]:
 
 
 def main() -> None:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--checkout", type=Path, default=Path("."))
-    print("\n".join(report(p.parse_args().checkout)))
+    print("\n".join(report(ROOT)))
 
 
 if __name__ == "__main__":
