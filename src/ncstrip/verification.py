@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
+from operator import itemgetter, ne
 
 from .bijections import (
     _noncrossing_to_path,
@@ -138,7 +140,7 @@ def theorem_21_check(n: int) -> CheckResult:
     )
     # the primitives are the enumerator's own, so the type and the map to
     # NC_n run without their parking checks
-    ncp_census = Counter(type_a(_primitive_pf_to_ncp(p), 1) for p in primitives)
+    ncp_census = Counter(map(type_a, map(_primitive_pf_to_ncp, primitives), repeat(1)))
     _expansions_must_match(result, "formula vs noncrossing census", expansion, ncp_census)
     if n <= 6:
         total, expected = len(enumerate_parking_functions(n)), count_parking_functions(n)
@@ -155,30 +157,63 @@ def _round_trip(
     agree at every position (tags name the positions), and the image is
     exactly the set of targets.
 
+    The per-object work runs as whole-list passes.  `forward` is mapped
+    over the listed sources, and one set of the images decides injectivity
+    and the target check together: the images are exactly the targets when
+    the images, the distinct images and the listed targets are equally
+    many and no image is left once the targets are taken out of the set,
+    which is then freed.  The targets stay a list, since a second set would
+    raise the peak memory of the largest checks.  The statistics, then
+    `inverse`, are mapped over the objects that got this far, keeping only
+    the objects where they disagree.  Only when a pass has found a mismatch
+    does a loop write its messages, object by object in source order, from
+    the values already computed: no map or statistic runs twice on an
+    object.  When the images are not exactly the targets, the targets
+    become a set, and one loop over the images already computed reports
+    each repeat and each image outside the targets, in the same order.
+
     `inverse` and `image_stats` only see images that are targets, and the
     enumerators list those canonically, so `inverse` is the map's unchecked
     core: the membership test does the work of its input check.
     """
     result = CheckResult(name, {"n": n, "k": k})
-    targets = set(targets)
-    images = {}
-    for x in sources:
-        y = forward(x)
-        if y in images:
-            result.fail(f"not injective: {x} and {images[y]}")
-            continue
-        images[y] = x
-        if y not in targets:
-            result.fail(f"image of {x} is not a target")
-            continue
-        for tag, a, b in zip(tags, source_stats(x), image_stats(y), strict=True):
-            if a != b:
-                result.fail(f"{tag} not preserved on {x}")
-        if inverse(y) != x:
-            result.fail(f"inverse fails on {x}")
-    result.objects = len(images)
-    if images.keys() != targets:
-        result.fail(f"image has {len(images)} members, target has {len(targets)}")
+    targets = list(targets)
+    sources = list(sources)
+    images = list(map(forward, sources))
+    image_set = set(images)
+    result.objects = len(image_set)
+    image_set.difference_update(targets)
+    exact = len(images) == result.objects == len(targets) and not image_set
+    del image_set
+    events = []  # (source position, message), each object's in the order its checks run
+    if exact:
+        kept = range(len(sources))
+    else:
+        targets = set(targets)
+        kept, seen = [], {}
+        for i, (x, y) in enumerate(zip(sources, images)):
+            if y in seen:
+                events.append((i, f"not injective: {x} and {seen[y]}"))
+                continue
+            seen[y] = x
+            if y in targets:
+                kept.append(i)
+            else:
+                events.append((i, f"image of {x} is not a target"))
+        if seen.keys() != targets:
+            message = f"image has {len(seen)} members, target has {len(targets)}"
+            events.append((len(sources), message))
+        sources = [sources[i] for i in kept]
+        images = [images[i] for i in kept]
+    del targets
+    stats = zip(count(), map(source_stats, sources), map(image_stats, images))
+    for j, a, b in [t for t in stats if t[1] != t[2]]:
+        events += ((kept[j], f"{tag} not preserved on {sources[j]}")
+                   for tag, p, q in zip(tags, a, b, strict=True) if p != q)
+    for j in compress(count(), map(ne, map(inverse, images), sources)):
+        events.append((kept[j], f"inverse fails on {sources[j]}"))
+    for _, message in sorted(events, key=itemgetter(0)):
+        result.fail(message)
     return result
 
 
@@ -234,13 +269,13 @@ def counting_check_a(n: int, k: int) -> CheckResult:
     """Type and reduced-type counting formulas against the census, plus the
     pointed double-counting identity."""
     result = CheckResult("counting-A", {"n": n, "k": k})
+    census = Counter(map(_types_a, enumerate_k_divisible(n, k), repeat(k)))
+    result.objects = census.total()
     census_type = Counter()
     census_reduced = Counter()
-    for blocks in enumerate_k_divisible(n, k):
-        zeta, lam = _types_a(blocks, k)
-        census_type[zeta] += 1
-        census_reduced[lam] += 1
-        result.objects += 1
+    for (zeta, lam), c in census.items():
+        census_type[zeta] += c
+        census_reduced[lam] += c
     types, products = partition_rows(n)
     by_type = dict(zip(types, type_counts(n, k, types, products)))
     reduced, products = partition_rows(n - 1, True)

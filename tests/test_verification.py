@@ -1,6 +1,7 @@
 import pytest
 
 from ncstrip import bijections, noncrossing_a, noncrossing_b, shapes, verification
+from ncstrip.lattice_paths import enumerate_fuss_catalan
 from ncstrip.partitions import binomial, fuss_catalan
 from ncstrip.shapes import SkewShape
 from ncstrip.verification import (
@@ -58,8 +59,9 @@ def first_call_wrong(f):
     return broken
 
 
-def first_call_replaced(replace):
-    """A breaker: f, except that its first call returns replace(f(...))."""
+def calls_replaced(replace, broken_calls):
+    """A breaker: f, except that its i-th call (from 0), for each i in
+    broken_calls, returns replace(f(...))."""
 
     def breaker(f):
         calls = []
@@ -67,11 +69,16 @@ def first_call_replaced(replace):
         def broken(*args):
             calls.append(args)
             out = f(*args)
-            return replace(out) if len(calls) == 1 else out
+            return replace(out) if len(calls) - 1 in broken_calls else out
 
         return broken
 
     return breaker
+
+
+def first_call_replaced(replace):
+    """A breaker: f, except that its first call returns replace(f(...))."""
+    return calls_replaced(replace, {0})
 
 
 def first_call_wrong_at(i):
@@ -165,10 +172,109 @@ def test_checks_fail_when_one_piece_is_broken(monkeypatch, check, args, name, br
 def test_an_image_outside_the_targets_is_a_failure(monkeypatch, check, args, name, replace):
     # the inverse runs unchecked on targets only: any other image is
     # reported, and neither the inverse nor a statistic sees it
-    monkeypatch.setattr(verification, name, first_call_replaced(replace)(getattr(verification, name)))
+    _, inverse, _, image_stats = ROUND_TRIP_NAMES[check]
+    readers = {other: counted(monkeypatch, other, verification) for other in (inverse, *image_stats)}
+    broken = first_call_replaced(replace)(getattr(verification, name))
+    images = []
+    monkeypatch.setattr(verification, name, lambda *a: images.append(broken(*a)) or images[-1])
     result = check(*args)
     assert not result.passed
     assert any("is not a target" in m for m in result.mismatches), result.mismatches
+    outside = images[0]
+    assert {other: [c for c in calls if c[0] == outside] for other, calls in readers.items()} == {
+        other: [] for other in readers
+    }
+    assert {other: len(calls) for other, calls in readers.items()} == {
+        other: len(images) - 1 for other in readers
+    }
+
+
+def test_a_forward_map_that_is_not_injective_is_a_failure(monkeypatch):
+    # the second word goes where the first went: the repeat is reported,
+    # and then the image misses a target
+    forward = verification._path_to_noncrossing
+    images = []
+
+    def repeats_the_first(*args):
+        images.append(forward(*args))
+        return images[0] if len(images) == 2 else images[-1]
+
+    monkeypatch.setattr(verification, "_path_to_noncrossing", repeats_the_first)
+    result = labeling_bijection_check_a(3, 2)
+    words = list(enumerate_fuss_catalan(3, 2))
+    total = fuss_catalan(3, 2)
+    assert not result.passed
+    assert result.mismatches == [
+        f"not injective: {words[1]} and {words[0]}",
+        f"image has {total - 1} members, target has {total}",
+    ]
+    assert result.objects == total - 1
+
+
+def test_mismatches_are_listed_object_by_object_in_source_order(monkeypatch):
+    # each object's statistic tags come in tag order, then its inverse, as
+    # one pass per object writes them; the count goes past the sample
+    type_calls, reduced_calls, inverse_calls = range(0, 55, 3), range(0, 55, 4), range(0, 55, 2)
+    for name, replace, broken_calls in [
+        ("fc_types", lambda out: ((99,), out[1]), type_calls),
+        ("_types_a", lambda out: (out[0], (99,)), reduced_calls),
+        ("_noncrossing_to_path", lambda out: "", inverse_calls),
+    ]:
+        breaker = calls_replaced(replace, set(broken_calls))
+        monkeypatch.setattr(verification, name, breaker(getattr(verification, name)))
+    result = labeling_bijection_check_a(4, 2)
+    words = list(enumerate_fuss_catalan(4, 2))
+    assert len(words) == result.objects == 55
+    expected = [
+        message
+        for i, w in enumerate(words)
+        for message, calls in [
+            (f"type not preserved on {w}", type_calls),
+            (f"reduced type not preserved on {w}", reduced_calls),
+            (f"inverse fails on {w}", inverse_calls),
+        ]
+        if i in calls
+    ]
+    assert not result.passed
+    assert result.mismatches == expected[:MISMATCH_SAMPLE]
+    assert result.mismatch_count == len(expected) == len(type_calls) + len(reduced_calls) + len(inverse_calls)
+
+
+# each bijection check's names in `ncstrip.verification`: its forward core,
+# its inverse core, what its source statistic calls and what its image
+# statistic calls on the image
+ROUND_TRIP_NAMES = {
+    labeling_bijection_check_a: ("_path_to_noncrossing", "_noncrossing_to_path", ("fc_types",), ("_types_a",)),
+    labeling_bijection_check_b: (
+        "_path_to_signed_noncrossing", "_signed_noncrossing_to_path", ("fb_type",), ("type_b",)
+    ),
+    strip_bijection_check_a: (
+        "_staircase_strip_to_path", "_staircase_path_to_strip", ("run_type",),
+        ("fc_reduced_type", "_path_to_noncrossing"),
+    ),
+    strip_bijection_check_b: (
+        "_rectangle_strip_to_path", "_path_heights", ("run_type",),
+        ("fb_type", "_path_to_signed_noncrossing"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "check,n,k",
+    [
+        (labeling_bijection_check_a, 4, 2),
+        (labeling_bijection_check_b, 3, 2),
+        (strip_bijection_check_a, 3, 2),
+        (strip_bijection_check_b, 2, 3),
+    ],
+)
+def test_bijection_checks_run_each_map_and_statistic_once_per_object(monkeypatch, check, n, k):
+    forward, inverse, source_stats, image_stats = ROUND_TRIP_NAMES[check]
+    names = (forward, inverse, *source_stats, *image_stats)
+    calls = {name: counted(monkeypatch, name, verification) for name in names}
+    result = check(n, k)
+    assert result.passed and result.objects > 0
+    assert {name: len(c) for name, c in calls.items()} == {name: result.objects for name in names}
 
 
 def test_labeling_check_a_reads_each_word_once_and_validates_no_image(monkeypatch):
