@@ -156,6 +156,25 @@ def test_checks_fail_when_one_piece_is_broken(monkeypatch, check, args, name, br
     assert any(tag in m for m in result.mismatches), result.mismatches
 
 
+# each bijection check's names in `ncstrip.verification`: its forward core,
+# its inverse core, what its source statistic calls and what its image
+# statistic calls on the image
+ROUND_TRIP_NAMES = {
+    labeling_bijection_check_a: ("_path_to_noncrossing", "_noncrossing_to_path", ("fc_types",), ("_types_a",)),
+    labeling_bijection_check_b: (
+        "_path_to_signed_noncrossing", "_signed_noncrossing_to_path", ("fb_type",), ("type_b",)
+    ),
+    strip_bijection_check_a: (
+        "_staircase_strip_to_path", "_staircase_path_to_strip", ("run_type",),
+        ("fc_reduced_type", "_path_to_noncrossing"),
+    ),
+    strip_bijection_check_b: (
+        "_rectangle_strip_to_path", "_path_heights", ("run_type",),
+        ("fb_type", "_path_to_signed_noncrossing"),
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "check,args,name,replace",
     [
@@ -237,26 +256,8 @@ def test_mismatches_are_listed_object_by_object_in_source_order(monkeypatch):
     ]
     assert not result.passed
     assert result.mismatches == expected[:MISMATCH_SAMPLE]
-    assert result.mismatch_count == len(expected) == len(type_calls) + len(reduced_calls) + len(inverse_calls)
-
-
-# each bijection check's names in `ncstrip.verification`: its forward core,
-# its inverse core, what its source statistic calls and what its image
-# statistic calls on the image
-ROUND_TRIP_NAMES = {
-    labeling_bijection_check_a: ("_path_to_noncrossing", "_noncrossing_to_path", ("fc_types",), ("_types_a",)),
-    labeling_bijection_check_b: (
-        "_path_to_signed_noncrossing", "_signed_noncrossing_to_path", ("fb_type",), ("type_b",)
-    ),
-    strip_bijection_check_a: (
-        "_staircase_strip_to_path", "_staircase_path_to_strip", ("run_type",),
-        ("fc_reduced_type", "_path_to_noncrossing"),
-    ),
-    strip_bijection_check_b: (
-        "_rectangle_strip_to_path", "_path_heights", ("run_type",),
-        ("fb_type", "_path_to_signed_noncrossing"),
-    ),
-}
+    assert len(expected) == len(type_calls) + len(reduced_calls) + len(inverse_calls)
+    assert result.mismatch_count == len(expected)
 
 
 @pytest.mark.parametrize(
