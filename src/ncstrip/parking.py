@@ -9,6 +9,7 @@ to arbitrary skew shapes.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_right
 
 from .bijections import _path_to_noncrossing
@@ -89,53 +90,63 @@ def _bounded_sequences(lo, hi) -> list[tuple[int, ...]]:
     lists are built from the back one length at a time, each entry one
     tuple concatenation onto a suffix of the level before, and each list of
     that level is freed once its last reader has read it."""
-    values = range(lo[0], hi[-1] + 1) if lo else range(0)
-    # when every lower bound is the same (the classical case), a suffix of
-    # m entries may hold all m at every t: `may` carries nothing, and the
-    # states leave it empty
-    states = {(tuple(bisect_right(hi, t) for t in values),
-               () if not lo or lo[0] == lo[-1]
-               else tuple(bisect_right(lo, t) for t in values)): 0}
-    steps = []  # per level: each state's moves (head, number of the next state)
-    for m in range(len(lo), 0, -1):  # m entries to go
-        step, following = [], {}
-        for must, may in states:
-            # the next entry is a v with room left at every t >= v, and at
-            # most the first t that still owes all m entries; the rest owes
-            # one entry fewer at each t >= v, and never more than m - 1
-            first = len(may)
-            while first and may[first - 1]:
-                first -= 1
-            fewer = tuple(x - 1 if x else 0 for x in must)
-            if may:
-                room = tuple(min(x, m - 1) for x in may)
-                less_room = tuple(min(x, m) - 1 for x in may)
-            else:
-                room = less_room = may
-            step.append([
-                ((values[j],), following.setdefault(
-                    (must[:j] + fewer[j:], room[:j] + less_room[j:]), len(following)))
-                for j in range(first, must.index(m) + 1)
-            ])
-        readers = [0] * len(following)
-        for moves in step:
-            for _, rest in moves:
-                readers[rest] += 1
-        steps.append((step, readers))
-        states = following
-    suffixes = [[()]] * len(states)
-    for step, readers in reversed(steps):
-        level = []
-        for moves in step:
-            out = []
-            for head, rest in moves:
-                out += map(head.__add__, suffixes[rest])
-                readers[rest] -= 1
-                if not readers[rest]:
-                    suffixes[rest] = None
-            level.append(out)
-        suffixes = level
-    return suffixes[0]
+    # the lists hold tuples of ints, which can form no cycle, yet each
+    # collection the allocations set off scans every tuple still tracked:
+    # with the collector on, about 35% of the time at n = 6 and 7.  Pause
+    # it, and leave it as it was found, also when the bounds raise.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        values = range(lo[0], hi[-1] + 1) if lo else range(0)
+        # when every lower bound is the same (the classical case), a suffix of
+        # m entries may hold all m at every t: `may` carries nothing, and the
+        # states leave it empty
+        states = {(tuple(bisect_right(hi, t) for t in values),
+                   () if not lo or lo[0] == lo[-1]
+                   else tuple(bisect_right(lo, t) for t in values)): 0}
+        steps = []  # per level: each state's moves (head, number of the next state)
+        for m in range(len(lo), 0, -1):  # m entries to go
+            step, following = [], {}
+            for must, may in states:
+                # the next entry is a v with room left at every t >= v, and at
+                # most the first t that still owes all m entries; the rest owes
+                # one entry fewer at each t >= v, and never more than m - 1
+                first = len(may)
+                while first and may[first - 1]:
+                    first -= 1
+                fewer = tuple(x - 1 if x else 0 for x in must)
+                if may:
+                    room = tuple(min(x, m - 1) for x in may)
+                    less_room = tuple(min(x, m) - 1 for x in may)
+                else:
+                    room = less_room = may
+                step.append([
+                    ((values[j],), following.setdefault(
+                        (must[:j] + fewer[j:], room[:j] + less_room[j:]), len(following)))
+                    for j in range(first, must.index(m) + 1)
+                ])
+            readers = [0] * len(following)
+            for moves in step:
+                for _, rest in moves:
+                    readers[rest] += 1
+            steps.append((step, readers))
+            states = following
+        suffixes = [[()]] * len(states)
+        for step, readers in reversed(steps):
+            level = []
+            for moves in step:
+                out = []
+                for head, rest in moves:
+                    out += map(head.__add__, suffixes[rest])
+                    readers[rest] -= 1
+                    if not readers[rest]:
+                        suffixes[rest] = None
+                level.append(out)
+            suffixes = level
+        return suffixes[0]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def enumerate_parking_functions(n: int) -> list[tuple[int, ...]]:

@@ -169,8 +169,11 @@ def _round_trip(
     does a loop write its messages, object by object in source order, from
     the values already computed: no map or statistic runs twice on an
     object.  When the images are not exactly the targets, the targets
-    become a set, and one loop over the images already computed reports
-    each repeat and each image outside the targets, in the same order.
+    are counted, and one loop over the images already computed reports
+    each repeat and each image outside the targets, in the same order;
+    then each target listed more than once is reported.  The exact case
+    needs no such count: as many listed targets as distinct images, with
+    every image among them, leaves no room for a repeat.
 
     `inverse` and `image_stats` only see images that are targets, and the
     enumerators list those canonically, so `inverse` is the map's unchecked
@@ -189,7 +192,7 @@ def _round_trip(
     if exact:
         kept = range(len(sources))
     else:
-        targets = set(targets)
+        targets = Counter(targets)
         kept, seen = [], {}
         for i, (x, y) in enumerate(zip(sources, images)):
             if y in seen:
@@ -200,7 +203,9 @@ def _round_trip(
                 kept.append(i)
             else:
                 events.append((i, f"image of {x} is not a target"))
-        if seen.keys() != targets:
+        events += ((len(sources), f"target {t} is listed {times} times")
+                   for t, times in targets.items() if times > 1)
+        if seen.keys() != targets.keys():
             message = f"image has {len(seen)} members, target has {len(targets)}"
             events.append((len(sources), message))
         sources = [sources[i] for i in kept]

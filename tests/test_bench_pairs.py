@@ -4,6 +4,7 @@ call counts and payload digest of tools/work_counts.py."""
 import importlib.util
 import json
 import os
+import py_compile
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,39 @@ def test_a_workload_the_benchmark_does_not_list_is_refused_before_any_run(
                         "--workload", "verify-labeling", "--workload", "verify-labelling")
     assert code == 2
     assert "--workload verify-labelling is not in BENCHMARK.json" in err
+
+
+def test_bytecode_that_does_not_match_its_source_is_refused_before_any_run(
+    monkeypatch, tmp_path, capsys
+):
+    # a cache that importlib would not use, and that no run rewrites when
+    # PYTHONDONTWRITEBYTECODE is set, makes every run compile the module
+    for side in ("a", "b"):
+        for package in ("perfbench", "src/ncstrip"):
+            (tmp_path / side / package).mkdir(parents=True)
+            source = tmp_path / side / package / "mod.py"
+            source.write_text("x = 1\n")
+            py_compile.compile(str(source), doraise=True)
+    args = ("--parent", str(tmp_path / "a"), "--change", str(tmp_path / "b"),
+            "--workload", "cli-requests")
+    assert bench_pairs.stale_bytecode(tmp_path / "a") == []
+    # the parent's perfbench source is touched, the change's library
+    # source grows by one byte within the same mtime
+    touched = tmp_path / "a" / "perfbench" / "mod.py"
+    os.utime(touched, ns=(0, touched.stat().st_mtime_ns + 10**10))
+    grown = tmp_path / "b" / "src/ncstrip" / "mod.py"
+    mtime = grown.stat().st_mtime_ns
+    grown.write_text("x = 12\n")
+    os.utime(grown, ns=(0, mtime))
+    stale = [p for side in ("a", "b") for p in bench_pairs.stale_bytecode(tmp_path / side)]
+    assert [p.relative_to(tmp_path) for p in stale] == [
+        Path(importlib.util.cache_from_source(name))
+        for name in ("a/perfbench/mod.py", "b/src/ncstrip/mod.py")
+    ]
+    code, err = refused(monkeypatch, tmp_path, capsys, *args)
+    assert code == 2
+    assert "bytecode that does not match its source" in err
+    assert all(str(p) in err for p in stale)
 
 
 @pytest.mark.parametrize("failing", [False, True])

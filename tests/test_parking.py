@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from math import factorial
 
@@ -194,3 +195,32 @@ def test_classical_lister_keys_its_states_on_the_upper_bounds(monkeypatch):
     calls.clear()
     assert parking._bounded_sequences([1, 2], [2, 2]) == [(1, 2), (2, 1), (2, 2)]
     assert [t for _, t in calls] == [1, 2, 1, 2]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "lister",
+    [
+        lambda: enumerate_parking_functions(4),
+        lambda: enumerate_shape_parking_functions(parse_shape("4,3,3,1/2,1")),
+        lambda: parking._bounded_sequences([1.0], [1.0]),  # range() refuses floats
+    ],
+    ids=["classical", "shape", "raises"],
+)
+def test_the_lister_pauses_the_collector_and_leaves_it_as_it_was(monkeypatch, enabled, lister):
+    # while the lists are built the collector is off; afterwards, and after
+    # a raise, it is on exactly when it was on before
+    during = []
+    search = parking.bisect_right
+    monkeypatch.setattr(parking, "bisect_right", lambda *a: during.append(gc.isenabled()) or search(*a))
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        try:
+            lister()
+        except TypeError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert not any(during)

@@ -92,6 +92,26 @@ def drop_first(f):
     return lambda *args: list(f(*args))[1:]
 
 
+def repeat_first(f):
+    """The enumerator f with its first member listed twice."""
+
+    def repeated(*args):
+        members = list(f(*args))
+        return members[:1] + members
+
+    return repeated
+
+
+def repeat_last(f):
+    """The enumerator f with its last member listed twice."""
+
+    def repeated(*args):
+        members = list(f(*args))
+        return members + members[-1:]
+
+    return repeated
+
+
 def extra_term(f):
     """The expansion f with one term it does not have."""
     return lambda *args: {**f(*args), (99,): 1}
@@ -144,6 +164,8 @@ singletons = first_call_replaced(lambda blocks: tuple((x,) for b in blocks for x
         (counting_check_a, (3, 2), "type_counts", first_row_plus_one, "type counts sum"),
         (counting_check_a, (3, 2), "reduced_type_counts", first_row_plus_one, "double counting fails"),
         (theorem_21_check, (3,), "enumerate_parking_functions", drop_first, "parking function count"),
+        (labeling_bijection_check_a, (3, 2), "enumerate_k_divisible", repeat_first, "is listed 2 times"),
+        (strip_bijection_check_b, (2, 2), "enumerate_fuss_binomial", repeat_last, "is listed 2 times"),
     ],
 )
 def test_checks_fail_when_one_piece_is_broken(monkeypatch, check, args, name, breaker, tag):
@@ -228,6 +250,25 @@ def test_a_forward_map_that_is_not_injective_is_a_failure(monkeypatch):
         f"image has {total - 1} members, target has {total}",
     ]
     assert result.objects == total - 1
+
+
+@pytest.mark.parametrize(
+    "check,args,name,breaker,at",
+    [
+        (labeling_bijection_check_a, (3, 2), "enumerate_k_divisible", repeat_first, 0),
+        (strip_bijection_check_b, (2, 2), "enumerate_fuss_binomial", repeat_last, -1),
+    ],
+)
+def test_a_target_listed_twice_is_a_failure(monkeypatch, check, args, name, breaker, at):
+    # every image is a target and every target an image, so the repeat is
+    # the one message, and each object still gets its statistics checked
+    member = list(getattr(verification, name)(*args))[at]
+    passed = check(*args)
+    monkeypatch.setattr(verification, name, breaker(getattr(verification, name)))
+    result = check(*args)
+    assert not result.passed
+    assert result.mismatches == [f"target {member} is listed 2 times"]
+    assert result.objects == passed.objects
 
 
 def test_mismatches_are_listed_object_by_object_in_source_order(monkeypatch):

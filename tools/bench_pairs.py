@@ -18,6 +18,10 @@ pass's payloads, equal on both sides when the change prints the same
 bytes, counted by this tree's tools/work_counts.py: a record, comparable
 from one BENCH file to the next whatever their --seed (the cli-requests
 stream depends on its seed), not a gate.
+Before the first pair the script stops, naming the files, when either
+checkout holds bytecode under the benchmarked packages that does not match
+its source: with PYTHONDONTWRITEBYTECODE set such a cache is never
+rewritten, and every run of that side compiles the module again.
 Standard library only; the file is rewritten after each workload, so a cut
 run keeps what it has.  Each pair's line on stderr gives its failed
 operations, and the script exits 1, after writing the file, when any run
@@ -27,6 +31,7 @@ reported `"correct": false`.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -39,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 300
 WORK_SEED = 1  # the seed of every work block
+CACHED = ("perfbench", "src/ncstrip")  # the packages whose bytecode a run loads
 
 
 def directions(benchmark: dict) -> dict[str, str]:
@@ -106,6 +112,26 @@ def work(checkout: Path, workload: str, seed: int) -> dict:
     return json.loads(proc.stdout)
 
 
+def stale_bytecode(checkout: Path) -> list[Path]:
+    """The timestamp-based .pyc files of this interpreter under CACHED in
+    checkout whose header does not match their source's: the magic number,
+    or the source mtime or size they record, as importlib checks them."""
+    stale = []
+    for package in CACHED:
+        for pyc in sorted((checkout / package).rglob(f"*.{sys.implementation.cache_tag}.pyc")):
+            source = pyc.parent.parent / f"{pyc.name.split('.')[0]}.py"
+            header = pyc.read_bytes()[:16]
+            if not source.is_file() or header[4:8] != bytes(4):
+                continue  # no source, or hash-based: importlib reads no times
+            st = source.stat()
+            expected = importlib.util.MAGIC_NUMBER + bytes(4) + b"".join(
+                (x & 0xFFFFFFFF).to_bytes(4, "little") for x in (int(st.st_mtime), st.st_size)
+            )
+            if header != expected:
+                stale.append(pyc)
+    return stale
+
+
 def commit_of(checkout: Path) -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
@@ -134,6 +160,10 @@ def main(argv=None) -> int:
     if unknown:
         p.error(f"--workload {', '.join(unknown)} is not in BENCHMARK.json"
                 f" (it lists {', '.join(listed)})")
+    stale = [pyc for checkout in checkouts.values() for pyc in stale_bytecode(checkout)]
+    if stale:
+        p.error("bytecode that does not match its source, which every run would"
+                f" compile again; delete it: {', '.join(map(str, stale))}")
 
     better, seconds = directions(benchmark), benchmark["run_seconds"]
     result = {
