@@ -90,10 +90,10 @@ def _bounded_sequences(lo, hi) -> list[tuple[int, ...]]:
     lists are built from the back one length at a time, each entry one
     tuple concatenation onto a suffix of the level before, and each list of
     that level is freed once its last reader has read it."""
-    # the lists hold tuples of ints, which can form no cycle, yet each
-    # collection the allocations set off scans every tuple still tracked:
-    # with the collector on, about 35% of the time at n = 6 and 7.  Pause
-    # it, and leave it as it was found, also when the bounds raise.
+    # the lists hold only tuples of ints, which form no cycle, yet each
+    # collection their allocations set off scans every tuple still tracked:
+    # about 35% of the listing's time at n = 6 and 7.  Pause the collector,
+    # and leave it as it was found, also when the bounds raise.
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -215,12 +215,12 @@ def test_the_lister_pauses_the_collector_and_leaves_it_as_it_was(monkeypatch, en
     monkeypatch.setattr(parking, "bisect_right", lambda *a: during.append(gc.isenabled()) or search(*a))
     was = gc.isenabled()
     try:
-        gc.enable() if enabled else gc.disable()
+        (gc.enable if enabled else gc.disable)()
         try:
             lister()
         except TypeError:
             pass
         assert gc.isenabled() is enabled
     finally:
-        gc.enable() if was else gc.disable()
+        (gc.enable if was else gc.disable)()
     assert not any(during)

@@ -252,25 +252,6 @@ def test_a_forward_map_that_is_not_injective_is_a_failure(monkeypatch):
     assert result.objects == total - 1
 
 
-@pytest.mark.parametrize(
-    "check,args,name,breaker,at",
-    [
-        (labeling_bijection_check_a, (3, 2), "enumerate_k_divisible", repeat_first, 0),
-        (strip_bijection_check_b, (2, 2), "enumerate_fuss_binomial", repeat_last, -1),
-    ],
-)
-def test_a_target_listed_twice_is_a_failure(monkeypatch, check, args, name, breaker, at):
-    # every image is a target and every target an image, so the repeat is
-    # the one message, and each object still gets its statistics checked
-    member = list(getattr(verification, name)(*args))[at]
-    passed = check(*args)
-    monkeypatch.setattr(verification, name, breaker(getattr(verification, name)))
-    result = check(*args)
-    assert not result.passed
-    assert result.mismatches == [f"target {member} is listed 2 times"]
-    assert result.objects == passed.objects
-
-
 def test_mismatches_are_listed_object_by_object_in_source_order(monkeypatch):
     # each object's statistic tags come in tag order, then its inverse, as
     # one pass per object writes them; the count goes past the sample
