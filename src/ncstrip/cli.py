@@ -58,6 +58,7 @@ from .parking import (
     enumerate_primitive,
     is_weakly_increasing,
     multiplicity_type,
+    primitive_type_census,
 )
 from .partitions import (
     _check_nk,
@@ -486,16 +487,22 @@ def _parking_count(n: int) -> int:
 
 
 def _census(name: str, column: str) -> Callable:
-    """census(n, k): `enumerate --object name -n n -k k` and its column."""
-    return lambda n, k: (name, {"n": n, "k": k}, column)
+    """census(n, k): `enumerate --object name -n n -k k`, tallied by its column."""
+
+    def census(n: int, k: int):
+        value = LISTINGS[name].columns(_kinds(n, k))[column]
+        return name, {"n": n, "k": k}, lambda objects: Counter(map(value, objects))
+
+    return census
 
 
 # family -> {--by: (rows, counts, census)}; the first --by is the default.
 # rows(n) gives the largest row weight and whether every lighter weight has
 # rows too, or refuses n.  counts(n, k, rows, products) counts partition_rows'
-# own rows and multiplicity products, or one --lambda row, in order.  --check
-# tallies the column of the `enumerate` listing that census(n, k) names, by
-# its name and parameters, capped as that listing is.
+# own rows and multiplicity products, or one --lambda row, in order.
+# census(n, k) names the `enumerate` listing that --check tallies, by its
+# name and parameters, capped as that listing is, and the tally of its
+# objects: a Counter by row.
 _TYPE_A = (lambda n: (n, False), type_counts, _census("nca-k", "type"))
 _REDUCED_TYPE_A = (_reduced_type_rows, reduced_type_counts, _census("nca-k", "reduced_type"))
 COUNTS = {
@@ -503,14 +510,16 @@ COUNTS = {
     "nca-k": {"type": _TYPE_A, "reduced-type": _REDUCED_TYPE_A},
     "ncb-k": {"type": (lambda n: (n, True), type_counts_b, _census("ncb-k", "type"))},
     # Without --by, the one row, of the empty partition, counts every parking
-    # function, and there is no --lambda; with no column to tally, every
+    # function, and there is no --lambda; with no statistic to tally, every
     # sequence counts toward it.  By type, the parking function numbers are
-    # those of NC_A, tallied over the enumerator's own sequences.
+    # those of NC_A, tallied over the enumerator's own sequences by their
+    # step patterns.
     "pf": {
         None: (lambda n: (0, False), lambda n, k, rows, products: [_parking_count(n)],
-               lambda n, k: ("pf", {"n": n, "primitive": False}, None)),
+               lambda n, k: ("pf", {"n": n, "primitive": False},
+                             lambda objects: Counter({(): len(objects)}))),
         "type": (lambda n: (n, False), type_counts,
-                 lambda n, k: ("pf", {"n": n, "primitive": True}, "type")),
+                 lambda n, k: ("pf", {"n": n, "primitive": True}, primitive_type_census)),
     },
 }
 BY_REFUSALS = {
@@ -553,10 +562,8 @@ def cmd_count(args):
     texts = [*map(str, numbers)]
     totals = {total: texts[0] if len(texts) == 1 else str(sum(numbers))}
     if args.check:
-        name, params, column = census(n, k)
-        listing = LISTINGS[name]
-        value = listing.columns(_kinds(n, k))[column] if column else lambda obj: ()
-        tally = Counter(map(value, _listed(listing, params)))
+        name, params, tally = census(n, k)
+        tally = tally(_listed(LISTINGS[name], params))
         totals["check"] = "pass" if list(map(tally.__getitem__, lams)) == numbers else "fail"
     entries, table = _lambda_rows(lams, texts, "count", totals)
     params = {"family": args.family, "n": n, "k": args.k, "by": args.by, "lambda": args.lam}
@@ -804,7 +811,9 @@ def _require_nk(args) -> tuple[int, int]:
     return args.n, args.k
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by name: the
+    parsers the top-level one hands a command's arguments to."""
     parser = argparse.ArgumentParser(
         prog="ncstrip",
         description=(
@@ -813,26 +822,31 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    def add_command(name: str, help: str) -> argparse.ArgumentParser:
+        commands[name] = sub.add_parser(name, help=help)
+        return commands[name]
 
     def add_common(p):
         p.add_argument("-n", type=int, default=None)
         p.add_argument("-k", type=int, default=None)
         p.add_argument("--format", choices=("json", "table"), default="json")
 
-    p = sub.add_parser("expand", help="h-basis expansion of a shape or family")
+    p = add_command("expand", "h-basis expansion of a shape or family")
     p.add_argument("--shape", help='shape literal, e.g. "3,2/1"')
     p.add_argument("--family", choices=tuple(EXPANSIONS))
     p.add_argument("--method", choices=("enumerate", "formula"), default="enumerate")
     add_common(p)
 
-    p = sub.add_parser("count", help="counting formulas, optionally census-checked")
+    p = add_command("count", "counting formulas, optionally census-checked")
     p.add_argument("--family", choices=tuple(COUNTS), required=True)
     p.add_argument("--by", choices=("type", "reduced-type"), default=None)
     p.add_argument("--lambda", dest="lam", default=None, help='partition literal, e.g. "2,1"')
     p.add_argument("--check", action="store_true", help="cross-verify against enumeration")
     add_common(p)
 
-    p = sub.add_parser("biject", help="apply one of the four bijections")
+    p = add_command("biject", "apply one of the four bijections")
     p.add_argument("--map", choices=tuple(MAPS), required=True)
     direction = p.add_mutually_exclusive_group()
     direction.add_argument("--forward", action="store_true")
@@ -840,31 +854,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     add_common(p)
 
-    p = sub.add_parser("verify", help="run a theorem's exhaustive check suite")
+    p = add_command("verify", "run a theorem's exhaustive check suite")
     p.add_argument("--theorem", choices=tuple(THEOREMS), required=True)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--format", choices=("json", "table"), default="json")
 
-    p = sub.add_parser("enumerate", help="stream objects with their statistics")
+    p = add_command("enumerate", "stream objects with their statistics")
     p.add_argument("--object", choices=tuple(LISTINGS), required=True)
     p.add_argument("--shape")
     p.add_argument("--primitive", action="store_true")
     p.add_argument("--ascii-art", action="store_true")
     add_common(p)
 
-    return parser
+    return parser, commands
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+# One parser tree serves every call in the process; it keeps no per-call
+# state.  _commands holds its command parsers by name.
 _parser: argparse.ArgumentParser | None = None
+_commands: dict[str, argparse.ArgumentParser] = {}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the top-level parser parses it.  For a request that
+    names a command, the top-level parser only sets `command` and hands the
+    rest to that command's parser, which prints the same help and errors
+    when called here directly.  The top-level parser runs where it decides
+    the outcome: no arguments, a first word that is no command, or words
+    the command's parser leaves over, refused under the top-level usage."""
+    command = _commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, left = command.parse_known_args(argv[1:])
+        if not left:
+            args.command = argv[0]
+            return args
+    return _parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    # One parser serves every call in the process; it keeps no per-call state.
-    global _parser, _cap
+    global _parser, _commands, _cap
     if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+        _parser, _commands = _build_parsers()
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     start = time.monotonic()
     # an exact answer prints whole: CPython (3.10.7 on) refuses to convert
     # an int of more than 4,300 digits to a str unless the limit is lifted

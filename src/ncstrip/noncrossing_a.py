@@ -159,7 +159,11 @@ def noncrossing_partitions_of_seq(seq, k: int = 1) -> list[Blocks]:
             else:
                 return out
 
-    return listed(0, len(seq))
+    out = listed(0, len(seq))
+    # the closure refers to itself through its cell, a cycle that would keep
+    # it, its memo and every interval's list alive until a collection
+    del listed
+    return out
 
 
 def enumerate_k_divisible(n: int, k: int) -> list[Blocks]:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import gc
 from bisect import bisect_right
+from collections import Counter
+from itertools import accumulate, repeat
+from operator import ne
 
 from .bijections import _path_to_noncrossing
 from .lattice_paths import heights_word, monotone_heights
@@ -52,6 +55,21 @@ def multiplicity_type(seq) -> Partition:
             prev = x
     sizes.sort(reverse=True)
     return tuple(sizes)
+
+
+def primitive_type_census(seqs) -> Counter:
+    """Counter(map(multiplicity_type, seqs)) for a list of weakly increasing
+    tuples of positive integers, such as `enumerate_primitive` gives.  Their
+    runs depend only on which neighbours differ, so the census tallies the
+    step pattern of each sequence, a 1 where a term differs from the one
+    before (the first differs from a 0 put in front), in C-level passes, and
+    then runs `multiplicity_type` once per distinct pattern (at most 2^(n-1)
+    at length n) on the sequence 1, 1 or 2, ... that steps as it says."""
+    steps = Counter(map(bytes, map(map, repeat(ne), seqs, map((0,).__add__, seqs))))
+    census: Counter = Counter()
+    for pattern, count in steps.items():
+        census[multiplicity_type(accumulate(pattern))] += count
+    return census
 
 
 def pf_type(seq) -> Partition:

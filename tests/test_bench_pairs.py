@@ -151,6 +151,36 @@ def test_bytecode_that_does_not_match_its_source_is_refused_before_any_run(
     assert all(str(p) in err for p in stale)
 
 
+def test_both_checkouts_are_compiled_before_the_first_run(monkeypatch, tmp_path):
+    # run.py compiles only src/ncstrip: a side with no cache for perfbench/
+    # would compile it in every pass while the other loads its bytecode
+    sources = {side: [tmp_path / side / package / "mod.py" for package in bench_pairs.CACHED]
+               for side in bench_pairs.SIDES}
+    for side, paths in sources.items():
+        for source in paths:
+            source.parent.mkdir(parents=True)
+            source.write_text("x = 1\n")
+    py_compile.compile(str(sources["parent"][0]), doraise=True)
+    names = bench_pairs.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    cached = []
+
+    def run(checkout, workload, seed, seconds):
+        cached.append(all(Path(importlib.util.cache_from_source(str(source))).is_file()
+                          for paths in sources.values() for source in paths))
+        metrics = {name: {"value": 1.0} for name in names}
+        return {"correct": True, "attempted": 100, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    monkeypatch.setattr(bench_pairs, "work", lambda *args: {"calls": 1, "modules": {}})
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"),
+                             "--workload", "cli-requests", "--pairs", "2", "--seed", "1",
+                             "--out", str(tmp_path / "bench.json")]) == 0
+    assert cached == [True] * 4
+    assert bench_pairs.stale_bytecode(tmp_path / "parent") == []
+    assert bench_pairs.stale_bytecode(tmp_path / "change") == []
+
+
 @pytest.mark.parametrize("failing", [False, True])
 def test_a_run_that_fails_its_gate_is_printed_and_exits_1(monkeypatch, tmp_path, capsys, failing):
     names = bench_pairs.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))

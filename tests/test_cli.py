@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,11 +8,12 @@ import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ncstrip import cli
+from ncstrip import cli, parking
 from ncstrip.noncrossing_b import count_by_type_b
 from ncstrip.parking import (
     count_parking_functions,
@@ -21,6 +24,9 @@ from ncstrip.parking import (
 from ncstrip.partitions import binomial, fuss_catalan, partitions_with_weight_at_most
 
 from conftest import counted
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 CLI = [sys.executable, "-m", "ncstrip.cli"]
 
@@ -87,6 +93,62 @@ def test_one_parser_serves_successive_calls(columns, capsys, monkeypatch):
     help_text = fresh.stdout
     assert help_text == cli.build_parser().format_help()
     assert help_text.startswith("usage: ncstrip [-h]")
+
+
+# the requests that argparse itself decides: no arguments, no command, the
+# help of the tree and of one command, a bad choice, and a word left over
+_PARSER_DECIDES = [[], ["bogus"], ["--help"], ["count", "--help"], ["count", "--family", "bad"],
+                   ["count", "--family", "pf", "-n", "3", "extra"]]
+
+
+def test_main_answers_what_argparse_decides_as_a_fresh_process_does(capsys):
+    for argv in _PARSER_DECIDES:
+        try:
+            got = cli.main(argv)
+        except SystemExit as e:
+            got = e.code
+        fresh = run_cli(*argv)
+        assert (got, *capsys.readouterr()) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def _parsed(parse, argv):
+    """parse(argv)'s Namespace, or argparse's exit code and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as e:
+            return e.code, out.getvalue(), err.getvalue()
+
+
+def test_a_command_parser_parses_as_the_top_level_parser_does(monkeypatch):
+    # main parses a request with its command's own parser: on every request
+    # of the benchmark stream, the golden replay and the hostile table it
+    # gives the top-level parser's Namespace, or its exit and messages
+    parser, commands = cli._build_parsers()
+    monkeypatch.setattr(cli, "_parser", parser)
+    monkeypatch.setattr(cli, "_commands", commands)
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    hostile = _HUGE_N + _HUGE_K + _GROWN + _BAD_BLOCKS + _UNNAMED
+    argvs = [
+        *(r.argv for seed in (7, 201, 2221) for r in workloads.cli_requests(seed)),
+        *(case["argv"] for case in golden),
+        *(argv for argv, _ in hostile),
+        *_TABLE,
+        *_PARSER_DECIDES,
+    ]
+    assert len(argvs) > 1500
+    for argv in argvs:
+        assert _parsed(cli._parse, argv) == _parsed(parser.parse_args, argv), argv
+
+
+def test_a_wrong_type_fails_the_parking_census(capsys, monkeypatch):
+    # the pattern census runs multiplicity_type once per step pattern, so a
+    # wrong statistic reaches the --check of count --family pf --by type
+    right = parking.multiplicity_type
+    monkeypatch.setattr(parking, "multiplicity_type", lambda seq: right(seq)[:-1])
+    assert cli.main(["count", "--family", "pf", "-n", "4", "--by", "type", "--check"]) == 1
+    assert json.loads(capsys.readouterr().out)["result"]["check"] == "fail"
 
 
 def test_main_looks_its_command_up_at_call_time(capsys, monkeypatch):

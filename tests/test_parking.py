@@ -17,6 +17,7 @@ from ncstrip.parking import (
     multiplicity_type,
     pf_type,
     primitive_pf_to_ncp,
+    primitive_type_census,
 )
 from ncstrip.partitions import catalan
 from ncstrip.shapes import (
@@ -65,6 +66,16 @@ def test_unchecked_type_equals_the_checked_one_on_the_enumerators_output(n):
         for f in enumerate_parking_functions(n):
             assert multiplicity_type(f) == pf_type(f)
             assert is_weakly_increasing(f) is is_primitive(f)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_the_step_pattern_census_equals_the_census_by_object(n):
+    # count --family pf --by type --check tallies the primitive ones by
+    # their step patterns; n = 0 is the one empty sequence, of type ()
+    primitives = enumerate_primitive(n)
+    census = primitive_type_census(primitives)
+    assert census == Counter(map(multiplicity_type, primitives))
+    assert sum(census.values()) == catalan(n)
 
 
 def test_counts():

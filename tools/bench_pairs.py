@@ -21,7 +21,10 @@ stream depends on its seed), not a gate.
 Before the first pair the script stops, naming the files, when either
 checkout holds bytecode under the benchmarked packages that does not match
 its source: with PYTHONDONTWRITEBYTECODE set such a cache is never
-rewritten, and every run of that side compiles the module again.
+rewritten, and every run of that side compiles the module again.  Then it
+compiles those packages in both checkouts, so both sides load bytecode
+alike: perfbench/run.py compiles only src/ncstrip, and a checkout with no
+cache for perfbench/ would compile it again in every pass.
 Standard library only; the file is rewritten after each workload, so a cut
 run keeps what it has.  Each pair's line on stderr gives its failed
 operations, and the script exits 1, after writing the file, when any run
@@ -31,6 +34,7 @@ reported `"correct": false`.
 from __future__ import annotations
 
 import argparse
+import compileall
 import importlib.util
 import json
 import os
@@ -164,6 +168,10 @@ def main(argv=None) -> int:
     if stale:
         p.error("bytecode that does not match its source, which every run would"
                 f" compile again; delete it: {', '.join(map(str, stale))}")
+    for checkout in checkouts.values():
+        for package in CACHED:
+            if not compileall.compile_dir(str(checkout / package), quiet=1):
+                p.error(f"{checkout / package} does not compile")
 
     better, seconds = directions(benchmark), benchmark["run_seconds"]
     result = {
