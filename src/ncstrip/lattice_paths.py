@@ -11,10 +11,10 @@ order on their east-step heights: at the first difference, E steps lower.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterator
 
-from .partitions import Partition, _check_nk, remove_part
+from .partitions import Partition, _check_nk, finish_each, remove_part
 
 
 def validate_word(word: str) -> None:
@@ -128,22 +128,40 @@ def enumerate_fuss_binomial(n: int, k: int) -> Iterator[str]:
     yield from _words(n, k, [k * n] * (n + 1))
 
 
-def _runs(word: str) -> list[str]:
-    """The word's E-runs, piece i the run at height i (after i N steps)."""
-    # two C-level counts in place of validate_word's set: the checks'
-    # statistics read words an enumerator or a bijection core just built
-    if word.count("E") + word.count("N") != len(word):
-        validate_word(word)  # raises, naming the bad letters
-    return word.split("N")
+def ascent_runs(words) -> Iterator[tuple[str, ...]]:
+    """Each word's ascents, its nonempty runs between N steps in order, read
+    in C-level passes: the signature its statistics depend on.  A letter
+    other than E or N stays in a run, where the finisher refuses it."""
+    # through a list, as `noncrossing_a._sizes` builds its tuples
+    return map(tuple, map(list, map(filter, repeat(None), map(str.split, words, repeat("N")))))
+
+
+def _fc_type_of(runs: tuple[str, ...]) -> Partition:
+    """fc_type of a word with these ascents: their sorted lengths."""
+    letters = "".join(runs)
+    if letters.count("E") != len(letters):
+        validate_word(letters)  # raises, naming the bad letters
+    return tuple(sorted(map(len, runs), reverse=True))
+
+
+def _fc_types_of(runs: tuple[str, ...]) -> tuple[Partition, Partition]:
+    """(fc_type, fc_reduced_type) of a word with these ascents: the reduced
+    type drops one part equal to the length of the first ascent."""
+    zeta = _fc_type_of(runs)
+    return zeta, (remove_part(zeta, len(runs[0])) if runs else zeta)
+
+
+def fc_types_each(words) -> Iterator[tuple[Partition, Partition]]:
+    """fc_types of each word, in order, finished once per distinct sequence
+    of ascents (at most 2^(n-1) at n east steps)."""
+    return finish_each(_fc_types_of, ascent_runs(words))
 
 
 def fc_types(word: str) -> tuple[Partition, Partition]:
     """(fc_type, fc_reduced_type) from one split of the word: the ascents
     are the nonempty E-runs, and the reduced type drops one part equal to
     the length of the first ascent."""
-    lengths = [*filter(None, map(len, _runs(word)))]
-    zeta = tuple(sorted(lengths, reverse=True))
-    return zeta, (remove_part(zeta, lengths[0]) if lengths else zeta)
+    return _fc_types_of(*ascent_runs((word,)))
 
 
 def fc_type(word: str) -> Partition:
@@ -156,7 +174,13 @@ def fc_reduced_type(word: str) -> Partition:
     return fc_types(word)[1]
 
 
+def fb_type_each(words) -> Iterator[Partition]:
+    """fb_type of each word, in order: the type of the word without its
+    leading E-run, finished once per distinct sequence of ascents."""
+    return finish_each(_fc_type_of, ascent_runs(map(str.lstrip, words, repeat("E"))))
+
+
 def fb_type(word: str) -> Partition:
-    """Sorted lengths of the ascents not lying on y = 0 (every E-run but
-    the first piece)."""
-    return tuple(sorted(filter(None, map(len, _runs(word)[1:])), reverse=True))
+    """Sorted lengths of the ascents not lying on y = 0: the type of the word
+    without its leading E-run."""
+    return _fc_type_of(*ascent_runs((word.lstrip("E"),)))

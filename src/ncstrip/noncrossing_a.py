@@ -6,7 +6,10 @@ of elements in increasing order, blocks sorted by their minimum.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain, repeat, tee
 from operator import mul
+from typing import Iterator
 
 from .partitions import (
     Partition,
@@ -14,6 +17,8 @@ from .partitions import (
     as_partition,
     exact_quotients,
     falling_factorials,
+    finish_census,
+    finish_each,
     multiplicity_product,
     remove_part,
     weight,
@@ -173,35 +178,119 @@ def enumerate_k_divisible(n: int, k: int) -> list[Blocks]:
     return noncrossing_partitions_of_seq(range(1, k * n + 1), k)
 
 
-def type_a(blocks, k: int = 1) -> Partition:
+def _sizes(members) -> Iterator[tuple[int, ...]]:
+    """Each member's block sizes in its order, read in C-level passes: the
+    signature of its type."""
+    # through a list: CPython builds a tuple from an iterator at a guessed
+    # length and cuts it down, and once dropped it waits on the free list of
+    # its cut length, which the next guessed-length tuple does not take
+    # from; over NC_9^(1) that left about 0.4 MB allocated
+    return map(tuple, map(list, map(map, repeat(len), members)))
+
+
+def block_signatures(members) -> Iterator[tuple[int | None, tuple[int, ...]]]:
+    """(least element of the first block, block sizes) of each canonical
+    member, read in C-level passes: the signature its type and reduced type
+    depend on.  On a canonical member (blocks ordered by least element, each
+    increasing, as the listers, psi-a's forward and `validate_nc_a` give
+    them) the block that holds 1, if any, is the first one.  The least
+    element is None for a member with no blocks.  Each member is read
+    twice, so it must be a sequence of blocks."""
+    members, again = tee(members)
+    return zip(map(next, map(chain.from_iterable, again), repeat(None)), _sizes(members))
+
+
+def _holder_first(blocks) -> tuple[int | None, tuple[int, ...]]:
+    """The signature of one member whose blocks come in any order: 1 and its
+    block sizes with the one block that holds 1 moved first."""
+    blocks = tuple(blocks)
+    if not blocks:
+        return None, ()
+    holders = [i for i, b in enumerate(blocks) if 1 in b]
+    if len(holders) != 1:
+        raise ValueError("no unique block contains the symbol 1")
+    sizes = [*map(len, blocks)]
+    return 1, (sizes.pop(holders[0]), *sizes)
+
+
+def _type_a_of(sizes, k: int) -> Partition:
     """Sorted block sizes, each divided by k."""
-    sizes = sorted(map(len, blocks), reverse=True)
+    sizes = sorted(sizes, reverse=True)
     return tuple(sizes if k == 1 else _divided(sizes, k))
 
 
-def _types_a(blocks, k: int = 1) -> tuple[Partition, Partition]:
-    """(type_a, reduced_type_a) from one pass over the block sizes: the
-    reduced type drops one part equal to the block that holds 1, so, like
-    type_a, this refuses a block holding 1 whose size k does not divide."""
-    blocks = tuple(blocks)
-    if not blocks:
+def _refuse_holder(first) -> None:
+    """Refuse a signature whose first block does not hold 1."""
+    if first is None:
         raise ValueError("the reduced type needs n >= 1")
-    holders = [len(b) for b in blocks if 1 in b]
-    if len(holders) != 1:
-        raise ValueError("no unique block contains the symbol 1")
-    zeta = type_a(blocks, k)
-    return zeta, remove_part(zeta, holders[0] // k)
+    raise ValueError("no unique block contains the symbol 1")
+
+
+def _types_a_of(signature, k: int) -> tuple[Partition, Partition]:
+    """(type, reduced type) from one sort of the block sizes: the reduced
+    type drops one part equal to the block that holds 1, so, as the type
+    does, this refuses a block holding 1 whose size k does not divide."""
+    first, sizes = signature
+    if first != 1:
+        _refuse_holder(first)
+    zeta = _type_a_of(sizes, k)
+    return zeta, remove_part(zeta, sizes[0] // k)
+
+
+def _reduced_type_a_of(signature, k: int) -> Partition:
+    """The type of the blocks other than the one that holds 1, whose size is
+    not checked."""
+    first, sizes = signature
+    if first != 1:
+        _refuse_holder(first)
+    return _type_a_of(sizes[1:], k)
+
+
+def type_a(blocks, k: int = 1) -> Partition:
+    """Sorted block sizes, each divided by k."""
+    return _type_a_of(map(len, blocks), k)
+
+
+def type_a_census(members, k: int = 1) -> Counter:
+    """Counter of type_a over the members, finished once per distinct
+    sequence of block sizes."""
+    return finish_census(_type_a_of, _sizes(members), k)
+
+
+def _types_a(blocks, k: int = 1) -> tuple[Partition, Partition]:
+    """(type_a, reduced_type_a), except that the block holding 1 must have a
+    size that k divides."""
+    return _types_a_of(_holder_first(blocks), k)
+
+
+def types_a_each(members, k: int = 1) -> Iterator[tuple[Partition, Partition]]:
+    """_types_a of each canonical member, in order, finished once per
+    distinct signature (`block_signatures`)."""
+    return finish_each(_types_a_of, block_signatures(members), k)
+
+
+def types_a_census(members, k: int = 1) -> Counter:
+    """Counter of _types_a over canonical members, finished once per
+    distinct signature."""
+    return finish_census(_types_a_of, block_signatures(members), k)
 
 
 def reduced_type_a(blocks, k: int = 1) -> Partition:
     """Type after deleting the block containing the symbol 1; the size of
     that block is not checked."""
-    if not blocks:
-        raise ValueError("the reduced type needs n >= 1")
-    rest = [b for b in blocks if 1 not in b]
-    if len(rest) != len(tuple(blocks)) - 1:
-        raise ValueError("no unique block contains the symbol 1")
-    return type_a(rest, k)
+    return _reduced_type_a_of(_holder_first(blocks), k)
+
+
+def reduced_type_a_each(members, k: int = 1) -> Iterator[Partition]:
+    """reduced_type_a of each canonical member, in order, finished once per
+    distinct signature."""
+    return finish_each(_reduced_type_a_of, block_signatures(members), k)
+
+
+def reduced_type_a_census(members, k: int = 1) -> Counter:
+    """Counter of reduced_type_a over canonical members, finished once per
+    distinct signature."""
+    return finish_census(_reduced_type_a_of, block_signatures(members), k)
 
 
 def type_counts(n: int, k: int, rows, products) -> list[int]:

@@ -9,18 +9,26 @@ from -1.  Arrays are indexed by it (-j at j - 1, j at m + j - 1).
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import compress, count
+from operator import ne
+from typing import Iterator
+
 from .partitions import (
     Partition,
     _check_nk,
     as_partition,
     exact_quotients,
     falling_factorials,
+    finish_census,
+    finish_each,
     multiplicity_product,
     weight,
 )
 from .noncrossing_a import (
     _divided,
     _grouped,
+    _sizes,
     noncrossing_partitions_of_seq,
     owners_noncrossing,
 )
@@ -97,17 +105,39 @@ def validate_nc_b(blocks, n: int, k: int) -> SignedBlocks:
     return out
 
 
+def _type_b_of(sizes, k: int) -> Partition:
+    """Sorted |B|/k over one block per {B, -B} orbit, the antipodal block
+    dropped, from the block sizes of a member of NC_B alone: there the blocks
+    other than the antipodal one come in pairs B, -B of equal size, so an
+    odd number of blocks means an antipodal one, whose size is the one with
+    odd multiplicity, and each orbit is one of every two equal sizes."""
+    sizes = sorted(sizes, reverse=True)
+    if len(sizes) % 2:
+        # sorted, the pairs line up until the antipodal size: drop the first
+        # of a pair that differs, or the last size when none does
+        del sizes[next(compress(count(0, 2), map(ne, sizes[::2], sizes[1::2])), len(sizes) - 1)]
+    return tuple(_divided(sizes[::2], k))
+
+
 def type_b(blocks, k: int = 1) -> Partition:
     """Sorted |B|/k over one block per {B, -B} orbit; antipodal block dropped.
 
     The blocks must be a member of NC_B (as `validate_nc_b` and
-    `enumerate_nc_b` give them).  There a block is antipodal exactly when it
-    holds the negative of its first element, and the other blocks come in
-    pairs B, -B of equal size, so every second size of the sorted rest is
-    one per orbit.
+    `enumerate_nc_b` give them): the type is read from the block sizes alone.
     """
-    sizes = sorted((len(b) for b in blocks if -b[0] not in b), reverse=True)[::2]
-    return tuple(_divided(sizes, k))
+    return _type_b_of(map(len, blocks), k)
+
+
+def type_b_each(members, k: int = 1) -> Iterator[Partition]:
+    """type_b of each member of NC_B, in order, finished once per distinct
+    sequence of block sizes."""
+    return finish_each(_type_b_of, _sizes(members), k)
+
+
+def type_b_census(members, k: int = 1) -> Counter:
+    """Counter of type_b over members of NC_B, finished once per distinct
+    sequence of block sizes."""
+    return finish_census(_type_b_of, _sizes(members), k)
 
 
 def enumerate_nc_b(n: int, k: int) -> list[SignedBlocks]:

@@ -9,6 +9,7 @@ then reverse-lexicographic within a weight.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import accumulate
 from operator import itemgetter, mul
 from typing import Iterator
@@ -37,6 +38,37 @@ def remove_part(p: Partition, part: int) -> Partition:
     """p without one of its parts equal to part; what is left stays sorted."""
     i = p.index(part)
     return p[:i] + p[i + 1 :]
+
+
+class _Finished(dict):
+    """finish(signature, *args) by signature, each computed at its first
+    lookup; a hit is the dict's own C-level lookup."""
+
+    __slots__ = ("finish", "args")
+
+    def __missing__(self, signature):
+        value = self[signature] = self.finish(signature, *self.args)
+        return value
+
+
+def finish_each(finish, signatures, *args) -> Iterator:
+    """finish(s, *args) for each signature s, in order, finish running once
+    per distinct signature: the values are kept in a dict local to the call.
+    A refusal of finish is raised at the first object that has its
+    signature."""
+    finished = _Finished()
+    finished.finish, finished.args = finish, args
+    return map(finished.__getitem__, signatures)
+
+
+def finish_census(finish, signatures, *args) -> Counter:
+    """Counter(finish_each(finish, signatures, *args)), the signatures
+    counted first and each distinct one finished once, in the order of its
+    first appearance, so a refusal names the first object that has it."""
+    census: Counter = Counter()
+    for signature, count in Counter(signatures).items():
+        census[finish(signature, *args)] += count
+    return census
 
 
 def multiplicity_product(p: Partition) -> int:

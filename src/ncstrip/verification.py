@@ -30,25 +30,26 @@ from .expansions import (
 from .lattice_paths import (
     enumerate_fuss_binomial,
     enumerate_fuss_catalan,
-    fb_type,
-    fc_reduced_type,
-    fc_types,
+    fb_type_each,
+    fc_types_each,
 )
 from .noncrossing_a import (
-    _types_a,
     enumerate_k_divisible,
-    reduced_type_a,
+    reduced_type_a_census,
+    reduced_type_a_each,
     reduced_type_counts,
-    type_a,
+    type_a_census,
     type_counts,
+    types_a_census,
+    types_a_each,
 )
-from .noncrossing_b import enumerate_nc_b, type_b
+from .noncrossing_b import enumerate_nc_b, type_b_census, type_b_each
 from .parking import (
     _primitive_pf_to_ncp,
     count_parking_functions,
     enumerate_parking_functions,
     enumerate_primitive,
-    multiplicity_type,
+    primitive_type_census,
 )
 from .partitions import (
     binomial,
@@ -93,11 +94,11 @@ def _expansions_must_match(result: CheckResult, tag: str, a, b) -> None:
         result.fail(f"{tag}: lambda={format_partition(lam)} lhs={ca} rhs={cb}")
 
 
-def _three_way(name, params, enumerated, formula, members, statistic, sums) -> CheckResult:
-    """enumerated = formula = census of `statistic` over `members`, and the
-    formula's coefficient sum equals every (value, label) in sums."""
+def _three_way(name, params, enumerated, formula, census, sums) -> CheckResult:
+    """enumerated = formula = census, a Counter of a statistic over the
+    objects of the other side, and the formula's coefficient sum equals
+    every (value, label) in sums."""
     result = CheckResult(name, params)
-    census = Counter(map(statistic, members))
     result.objects = census.total()
     _expansions_must_match(result, "enumeration vs formula", enumerated, formula)
     _expansions_must_match(result, "formula vs census", formula, census)
@@ -115,8 +116,8 @@ def theorem_11_check(n: int, k: int) -> CheckResult:
         sums.append((catalan(n + 1), f"catalan({n + 1})"))
     return _three_way(
         "theorem-1.1", {"n": n, "k": k}, expand_skew(stretched_staircase(n, k)),
-        fuss_a_expansion_formula(n, k), enumerate_k_divisible(n + 1, k),
-        lambda b: reduced_type_a(b, k), sums,
+        fuss_a_expansion_formula(n, k),
+        reduced_type_a_census(enumerate_k_divisible(n + 1, k), k), sums,
     )
 
 
@@ -124,7 +125,7 @@ def theorem_12_check(n: int, k: int) -> CheckResult:
     """Rectangle expansion = closed formula = signed type census."""
     return _three_way(
         "theorem-1.2", {"n": n, "k": k}, expand_skew(rectangle(n, k)),
-        fuss_b_expansion_formula(n, k), enumerate_nc_b(n, k), lambda b: type_b(b, k),
+        fuss_b_expansion_formula(n, k), type_b_census(enumerate_nc_b(n, k), k),
         [(binomial((k + 1) * n, n), f"binomial({(k + 1) * n},{n})")],
     )
 
@@ -136,11 +137,11 @@ def theorem_21_check(n: int) -> CheckResult:
     result = _three_way(
         "theorem-2.1", {"n": n},
         top_homogeneous_part(expand_skew(stretched_staircase(n, 1)), n), expansion,
-        primitives, multiplicity_type, [(catalan(n), f"catalan({n})")],
+        primitive_type_census(primitives), [(catalan(n), f"catalan({n})")],
     )
-    # the primitives are the enumerator's own, so the type and the map to
+    # the primitives are the enumerator's own, so the census and the map to
     # NC_n run without their parking checks
-    ncp_census = Counter(map(type_a, map(_primitive_pf_to_ncp, primitives), repeat(1)))
+    ncp_census = type_a_census(map(_primitive_pf_to_ncp, primitives))
     _expansions_must_match(result, "formula vs noncrossing census", expansion, ncp_census)
     if n <= 6:
         total, expected = len(enumerate_parking_functions(n)), count_parking_functions(n)
@@ -153,9 +154,13 @@ def _round_trip(
     name, n, k, sources, forward, inverse, tags, source_stats, image_stats, targets
 ) -> CheckResult:
     """Two-sided check of one bijection: `forward` is injective on the
-    sources, `inverse` undoes it, source_stats(x) and image_stats(forward(x))
-    agree at every position (tags name the positions), and the image is
-    exactly the set of targets.
+    sources, `inverse` undoes it, the statistics of each source and of its
+    image agree at every position (tags name the positions), and the image
+    is exactly the set of targets.  The statistics are whole-list forms:
+    source_stats(sources) and image_stats(images) give one tuple per object,
+    in order, so a statistic that depends on a small signature (a word's
+    ascents, a partition's block sizes) is finished once per distinct
+    signature, and the check compares the two streams of values.
 
     The per-object work runs as whole-list passes.  `forward` is mapped
     over the listed sources, and one set of the images decides injectivity
@@ -163,12 +168,12 @@ def _round_trip(
     the images, the distinct images and the listed targets are equally
     many and no image is left once the targets are taken out of the set,
     which is then freed.  The targets stay a list, since a second set would
-    raise the peak memory of the largest checks.  The statistics, then
-    `inverse`, are mapped over the objects that got this far, keeping only
-    the objects where they disagree.  Only when a pass has found a mismatch
-    does a loop write its messages, object by object in source order, from
-    the values already computed: no map or statistic runs twice on an
-    object.  When the images are not exactly the targets, the targets
+    raise the peak memory of the largest checks.  The two statistics'
+    streams, then `inverse`, run over the objects that got this far,
+    keeping only the objects where they disagree.  Only when a pass has
+    found a mismatch does a loop write its messages, object by object in
+    source order, from the values already computed: no map or statistic
+    runs twice on an object.  When the images are not exactly the targets, the targets
     are counted, and one loop over the images already computed reports
     each repeat and each image outside the targets, in the same order;
     then each target listed more than once is reported.  The exact case
@@ -211,7 +216,7 @@ def _round_trip(
         sources = [sources[i] for i in kept]
         images = [images[i] for i in kept]
     del targets
-    stats = zip(count(), map(source_stats, sources), map(image_stats, images))
+    stats = zip(count(), source_stats(sources), image_stats(images))
     for j, a, b in [t for t in stats if t[1] != t[2]]:
         events += ((kept[j], f"{tag} not preserved on {sources[j]}")
                    for tag, p, q in zip(tags, a, b, strict=True) if p != q)
@@ -227,7 +232,7 @@ def labeling_bijection_check_a(n: int, k: int) -> CheckResult:
     return _round_trip(
         "labeling-bijection-A", n, k, enumerate_fuss_catalan(n, k),
         lambda w: _path_to_noncrossing(w, k), lambda b: _noncrossing_to_path(b, n, k),
-        ("type", "reduced type"), fc_types, lambda b: _types_a(b, k),
+        ("type", "reduced type"), fc_types_each, lambda images: types_a_each(images, k),
         enumerate_k_divisible(n, k),
     )
 
@@ -238,7 +243,8 @@ def labeling_bijection_check_b(n: int, k: int) -> CheckResult:
         "labeling-bijection-B", n, k, enumerate_fuss_binomial(n, k),
         lambda w: _path_to_signed_noncrossing(w, n, k),
         lambda b: _signed_noncrossing_to_path(b, n, k),
-        ("type",), lambda w: (fb_type(w),), lambda b: (type_b(b, k),),
+        ("type",), lambda words: zip(fb_type_each(words)),
+        lambda images: zip(type_b_each(images, k)),
         enumerate_nc_b(n, k),
     )
 
@@ -251,8 +257,12 @@ def strip_bijection_check_a(n: int, k: int) -> CheckResult:
     return _round_trip(
         "strip-bijection-A", n, k, iter_strip_heights(shape),
         lambda h: _staircase_strip_to_path(h, n, k), lambda w: _staircase_path_to_strip(w, k),
-        ("reduced type", "composite reduced type"), lambda h: (run_type(shape.lo, h),) * 2,
-        lambda w: (fc_reduced_type(w), reduced_type_a(_path_to_noncrossing(w, k), k)),
+        ("reduced type", "composite reduced type"),
+        lambda strips: map(lambda h: (run_type(shape.lo, h),) * 2, strips),
+        lambda words: zip(
+            map(itemgetter(1), fc_types_each(words)),
+            reduced_type_a_each(map(_path_to_noncrossing, words, repeat(k)), k),
+        ),
         enumerate_fuss_catalan(n + 1, k),
     )
 
@@ -264,8 +274,12 @@ def strip_bijection_check_b(n: int, k: int) -> CheckResult:
     return _round_trip(
         "strip-bijection-B", n, k, iter_strip_heights(shape),
         lambda h: _rectangle_strip_to_path(h, n, k), lambda w: _path_heights(w, 0),
-        ("type", "composite type"), lambda h: (run_type(shape.lo, h),) * 2,
-        lambda w: (fb_type(w), type_b(_path_to_signed_noncrossing(w, n, k), k)),
+        ("type", "composite type"),
+        lambda strips: map(lambda h: (run_type(shape.lo, h),) * 2, strips),
+        lambda words: zip(
+            fb_type_each(words),
+            type_b_each(map(_path_to_signed_noncrossing, words, repeat(n), repeat(k)), k),
+        ),
         enumerate_fuss_binomial(n, k),
     )
 
@@ -274,7 +288,7 @@ def counting_check_a(n: int, k: int) -> CheckResult:
     """Type and reduced-type counting formulas against the census, plus the
     pointed double-counting identity."""
     result = CheckResult("counting-A", {"n": n, "k": k})
-    census = Counter(map(_types_a, enumerate_k_divisible(n, k), repeat(k)))
+    census = types_a_census(enumerate_k_divisible(n, k), k)
     result.objects = census.total()
     census_type = Counter()
     census_reduced = Counter()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import sys
 from itertools import combinations_with_replacement, permutations, zip_longest
 from pathlib import Path
@@ -32,6 +33,15 @@ def counted(monkeypatch, name, *modules):
         f = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, _f=f: calls.append(args) or _f(*args))
     return calls
+
+
+def list_variants(members: list) -> list[list]:
+    """The lists a whole-list statistic is checked on: the members as
+    listed, shuffled, with repeats (every second member of the shuffled
+    list again, ahead of all of them) and empty."""
+    shuffled = list(members)
+    random.Random(len(members)).shuffle(shuffled)
+    return [list(members), shuffled, shuffled[::2] + list(members), []]
 
 
 def set_partitions(elements):

@@ -222,6 +222,41 @@ def test_a_run_that_fails_its_gate_is_printed_and_exits_1(monkeypatch, tmp_path,
         assert "correct: false" not in err
 
 
+def test_each_workload_ends_with_one_line_per_end_to_end_metric(monkeypatch, tmp_path, capsys):
+    # the change is 30% slower at the median op (bound 25%), 10% larger in
+    # RSS (bound 15%) and 25% lower in objects/s (higher is better, bound
+    # 20%); every other metric is equal
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+    factors = {"op_p50_ms": 1.3, "peak_rss_mb": 1.1, "objects_per_s": 0.75}
+
+    def run(checkout, workload, seed, seconds):
+        scale = checkout.name == "change"
+        metrics = {name: {"value": 2.0 * (factors.get(name, 1.0) if scale else 1.0)}
+                   for name in bounds}
+        return {"correct": True, "attempted": 100, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    monkeypatch.setattr(bench_pairs, "work", lambda *args: {"calls": 1, "modules": {}})
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"),
+                             "--workload", "verify-labeling", "--pairs", "3", "--seed", "1",
+                             "--out", str(tmp_path / "bench.json")]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if "change_vs_parent" in line]
+    assert [line.split(":")[0] for line in lines] == [f"verify-labeling {name}" for name in bounds]
+    by_name = dict(zip(bounds, lines))
+    assert by_name["op_p50_ms"] == (
+        "verify-labeling op_p50_ms: parent 2 change 2.6 ms, change_vs_parent +30.00%,"
+        " better in 0 of 3 pairs; WORSE than the parent by more than the bound 25%"
+    )
+    assert "change_vs_parent +10.00%, better in 0 of 3 pairs" in by_name["peak_rss_mb"]
+    assert "change_vs_parent -25.00%, better in 0 of 3 pairs; WORSE" in by_name["objects_per_s"]
+    assert "change_vs_parent +0.00%, better in 0 of 3 pairs" in by_name["wall_s"]
+    assert [name for name, line in by_name.items() if "WORSE" in line] == ["objects_per_s", "op_p50_ms"]
+
+
 def test_the_work_block_is_counted_at_seed_1_whatever_the_runs_seed(monkeypatch, tmp_path):
     # the cli-requests stream depends on its seed, so a work block at the
     # run's --seed would not chain from one BENCH file to the next

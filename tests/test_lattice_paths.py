@@ -8,9 +8,11 @@ from ncstrip.lattice_paths import (
     enumerate_fuss_binomial,
     enumerate_fuss_catalan,
     fb_type,
+    fb_type_each,
     fc_reduced_type,
     fc_type,
     fc_types,
+    fc_types_each,
     heights_word,
     is_fuss_catalan,
     monotone_heights,
@@ -18,8 +20,9 @@ from ncstrip.lattice_paths import (
     validate_fuss_catalan,
 )
 from ncstrip.partitions import binomial, fuss_catalan, weight
+from ncstrip.verification import PAIRS_A, PAIRS_B
 
-from conftest import ascents_by_walk, words_by_heights
+from conftest import ascents_by_walk, list_variants, words_by_heights
 
 TYPE_A_EXAMPLE_WORD = "ENEENNNNENNNEENNNN"  # the worked type A example, 6 E / 12 N
 
@@ -92,6 +95,31 @@ def test_path_statistics_match_the_ascent_walk_on_every_short_word():
 def test_statistics_refuse_letters_other_than_e_and_n(statistic, word, bad):
     with pytest.raises(ValueError, match=re.escape(f"path word must be over {{E, N}}, found {bad}")):
         statistic(word)
+
+
+@pytest.mark.parametrize(
+    "lister,n,k",
+    [(enumerate_fuss_catalan, n, k) for n, k in PAIRS_A]
+    + [(enumerate_fuss_binomial, n, k) for n, k in PAIRS_B],
+)
+def test_whole_list_statistics_equal_the_one_word_values(lister, n, k):
+    # each distinct sequence of ascents is finished once, whatever the
+    # order of the words and however often a word comes
+    variants = list_variants(list(lister(n, k)))
+    # the one-word values, computed once per word
+    one = {w: (fc_types(w), fb_type(w)) for w in variants[0]}
+    for words in variants:
+        assert list(fc_types_each(words)) == [one[w][0] for w in words]
+        assert list(fb_type_each(words)) == [one[w][1] for w in words]
+    # a one-pass iterator, as the strip checks hand over their images
+    assert list(fc_types_each(iter(variants[0]))) == [one[w][0] for w in variants[0]]
+
+
+@pytest.mark.parametrize("statistic", [fc_types_each, fb_type_each])
+def test_whole_list_statistics_refuse_a_bad_last_word(statistic):
+    words = list(enumerate_fuss_catalan(4, 1)) + ["ENEXN"]
+    with pytest.raises(ValueError, match=re.escape("path word must be over {E, N}, found ['X']")):
+        list(statistic(words))
 
 
 def test_worked_example_word_is_enumerated():

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -10,11 +11,14 @@ from ncstrip.noncrossing_b import (
     enumerate_nc_b,
     is_noncrossing_b,
     type_b,
+    type_b_census,
+    type_b_each,
     validate_nc_b,
 )
 from ncstrip.partitions import binomial, partitions_with_weight_at_most
+from ncstrip.verification import PAIRS_B
 
-from conftest import canonical_b_by_definition, crossing_quadruple_scan, set_partitions
+from conftest import canonical_b_by_definition, crossing_quadruple_scan, list_variants, set_partitions
 
 
 def read_nc_b(text, n, k):
@@ -173,6 +177,35 @@ def test_type_b_examples():
     assert type_b(read_nc_b("1,2/-1,-2", 2, 1), 1) == (2,)
     with pytest.raises(ValueError):
         type_b(read_nc_b("1,2/-1,-2", 2, 1), 3)
+
+
+def type_b_by_orbits(blocks, k):
+    """The definition: |B|/k over one block per {B, -B} orbit, the antipodal
+    block (B = -B) dropped."""
+    orbits = {frozenset(map(abs, b)) for b in blocks if set(b) != {-x for x in b}}
+    return tuple(sorted((len(orbit) // k for orbit in orbits), reverse=True))
+
+
+@pytest.mark.parametrize("n,k", PAIRS_B)
+def test_whole_list_type_b_equals_the_one_member_values_and_the_definition(n, k):
+    # type_b reads block sizes alone: on a member of NC_B the antipodal
+    # block's size is the one with odd multiplicity
+    members = enumerate_nc_b(n, k)
+    one = {b: type_b(b, k) for b in members}
+    assert list(one.values()) == [type_b_by_orbits(b, k) for b in members]
+    for blocks in list_variants(members):
+        types = [one[b] for b in blocks]
+        assert list(type_b_each(blocks, k)) == types
+        assert type_b_census(blocks, k) == Counter(types)
+    # a one-pass iterator, as the strip checks hand over psi-b's images
+    assert list(type_b_each(iter(members), k)) == list(one.values())
+
+
+@pytest.mark.parametrize("statistic", [type_b_each, type_b_census])
+def test_whole_list_type_b_refuses_a_bad_last_member(statistic):
+    members = [*enumerate_nc_b(2, 2), ((-1,), (-2, -3, -4), (1,), (2, 3, 4))]
+    with pytest.raises(ValueError, match="block size 3 is not divisible by 2"):
+        list(statistic(members, 2))
 
 
 def test_type_b_weight_deficit():

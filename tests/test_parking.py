@@ -28,7 +28,7 @@ from ncstrip.shapes import (
     stretched_staircase,
 )
 
-from conftest import counted, rearrangements_by_permutations, skew_shapes_in_box
+from conftest import counted, list_variants, rearrangements_by_permutations, skew_shapes_in_box
 
 
 def test_predicates():
@@ -76,6 +76,8 @@ def test_the_step_pattern_census_equals_the_census_by_object(n):
     census = primitive_type_census(primitives)
     assert census == Counter(map(multiplicity_type, primitives))
     assert sum(census.values()) == catalan(n)
+    for seqs in list_variants(primitives):
+        assert primitive_type_census(seqs) == Counter(map(multiplicity_type, seqs))
 
 
 def test_counts():

@@ -1,6 +1,8 @@
+from itertools import chain, islice
+
 import pytest
 
-from ncstrip import bijections, noncrossing_a, noncrossing_b, shapes, verification
+from ncstrip import bijections, lattice_paths, noncrossing_a, noncrossing_b, shapes, verification
 from ncstrip.lattice_paths import enumerate_fuss_catalan
 from ncstrip.partitions import binomial, fuss_catalan
 from ncstrip.shapes import SkewShape
@@ -81,10 +83,60 @@ def first_call_replaced(replace):
     return calls_replaced(replace, {0})
 
 
-def first_call_wrong_at(i):
-    """Like first_call_wrong, for a statistic that returns a tuple: on the
-    first call only its entry i is wrong."""
-    return first_call_replaced(lambda out: out[:i] + ((99,),) + out[i + 1 :])
+def values_replaced(replace, positions):
+    """A breaker for a whole-list statistic: f, except that the values at
+    the given positions (from 0) of each stream it returns are
+    replace(value)."""
+
+    def breaker(f):
+        def broken(*args):
+            return (replace(v) if i in positions else v for i, v in enumerate(f(*args)))
+
+        return broken
+
+    return breaker
+
+
+def first_value_replaced(replace):
+    """A breaker for a whole-list statistic: f, except that the first value
+    of the first stream it returns is replace(value)."""
+
+    def breaker(f):
+        calls = []
+
+        def broken(*args):
+            calls.append(args)
+            values = iter(f(*args))
+            return chain(map(replace, islice(values, 1)), values) if len(calls) == 1 else values
+
+        return broken
+
+    return breaker
+
+
+def wrong_at(i):
+    """Entry i of a tuple of partitions replaced by one no check expects."""
+    return lambda out: out[:i] + ((99,),) + out[i + 1 :]
+
+
+first_value_wrong = first_value_replaced(lambda value: (99,))
+
+
+def census_moved(replace):
+    """A breaker for a census: f, except that one object of the first key of
+    each Counter it returns is counted at replace(key) instead."""
+
+    def breaker(f):
+        def broken(*args):
+            census = f(*args)
+            key = next(iter(census))
+            census[key] -= 1
+            census[replace(key)] += 1
+            return census
+
+        return broken
+
+    return breaker
 
 
 def drop_first(f):
@@ -133,33 +185,33 @@ singletons = first_call_replaced(lambda blocks: tuple((x,) for b in blocks for x
     "check,args,name,breaker,tag",
     [
         (theorem_11_check, (3, 1), "expand_skew", extra_term, "enumeration vs formula"),
-        (theorem_11_check, (3, 1), "reduced_type_a", first_call_wrong, "formula vs census"),
+        (theorem_11_check, (3, 1), "reduced_type_a_census", census_moved(lambda key: (99,)), "formula vs census"),
         (theorem_11_check, (3, 1), "enumerate_k_divisible", drop_first, "formula vs census"),
         (theorem_12_check, (2, 2), "expand_skew", extra_term, "enumeration vs formula"),
-        (theorem_12_check, (2, 2), "type_b", first_call_wrong, "formula vs census"),
+        (theorem_12_check, (2, 2), "type_b_census", census_moved(lambda key: (99,)), "formula vs census"),
         (theorem_12_check, (2, 2), "enumerate_nc_b", drop_first, "formula vs census"),
         (labeling_bijection_check_a, (3, 2), "_noncrossing_to_path", first_call_wrong, "inverse fails"),
-        (labeling_bijection_check_a, (3, 2), "fc_types", first_call_wrong_at(0), "type not preserved"),
-        (labeling_bijection_check_a, (3, 2), "_types_a", first_call_wrong_at(1), "reduced type not preserved"),
+        (labeling_bijection_check_a, (3, 2), "fc_types_each", first_value_replaced(wrong_at(0)), "type not preserved"),
+        (labeling_bijection_check_a, (3, 2), "types_a_each", first_value_replaced(wrong_at(1)), "reduced type not preserved"),
         (labeling_bijection_check_a, (3, 2), "enumerate_k_divisible", drop_first, "image has"),
         (labeling_bijection_check_b, (2, 2), "_signed_noncrossing_to_path", first_call_wrong, "inverse fails"),
-        (labeling_bijection_check_b, (2, 2), "type_b", first_call_wrong, "type not preserved"),
+        (labeling_bijection_check_b, (2, 2), "type_b_each", first_value_wrong, "type not preserved"),
         (labeling_bijection_check_b, (2, 2), "enumerate_nc_b", drop_first, "image has"),
         (strip_bijection_check_a, (3, 2), "_staircase_path_to_strip", first_call_wrong, "inverse fails"),
-        (strip_bijection_check_a, (3, 2), "fc_reduced_type", first_call_wrong, "reduced type not preserved"),
-        (strip_bijection_check_a, (3, 2), "reduced_type_a", first_call_wrong, "composite reduced type not preserved"),
+        (strip_bijection_check_a, (3, 2), "fc_types_each", first_value_replaced(wrong_at(1)), "reduced type not preserved"),
+        (strip_bijection_check_a, (3, 2), "reduced_type_a_each", first_value_wrong, "composite reduced type not preserved"),
         (strip_bijection_check_a, (3, 2), "enumerate_fuss_catalan", drop_first, "image has"),
         (strip_bijection_check_b, (2, 2), "_path_heights", first_call_wrong, "inverse fails"),
-        (strip_bijection_check_b, (2, 2), "fb_type", first_call_wrong, "type not preserved"),
-        (strip_bijection_check_b, (2, 2), "type_b", first_call_wrong, "composite type not preserved"),
+        (strip_bijection_check_b, (2, 2), "fb_type_each", first_value_wrong, "type not preserved"),
+        (strip_bijection_check_b, (2, 2), "type_b_each", first_value_wrong, "composite type not preserved"),
         (strip_bijection_check_b, (2, 2), "iter_strip_heights", drop_first, "image has"),
         (theorem_21_check, (3,), "parking_expansion", extra_term, "enumeration vs formula"),
-        (theorem_21_check, (3,), "multiplicity_type", first_call_wrong, "formula vs census"),
+        (theorem_21_check, (3,), "primitive_type_census", census_moved(lambda key: (99,)), "formula vs census"),
         (theorem_21_check, (3,), "enumerate_primitive", drop_first, "formula vs census"),
         (theorem_21_check, (3,), "expand_skew", doubled, "enumeration vs formula"),
         (theorem_21_check, (3,), "_primitive_pf_to_ncp", singletons, "noncrossing census"),
-        (counting_check_a, (3, 2), "_types_a", first_call_wrong_at(0), "type formula vs census"),
-        (counting_check_a, (3, 2), "_types_a", first_call_wrong_at(1), "reduced type formula vs census"),
+        (counting_check_a, (3, 2), "types_a_census", census_moved(wrong_at(0)), "type formula vs census"),
+        (counting_check_a, (3, 2), "types_a_census", census_moved(wrong_at(1)), "reduced type formula vs census"),
         (counting_check_a, (3, 2), "enumerate_k_divisible", drop_first, "type formula vs census"),
         (counting_check_a, (3, 2), "type_counts", first_row_plus_one, "type counts sum"),
         (counting_check_a, (3, 2), "reduced_type_counts", first_row_plus_one, "double counting fails"),
@@ -179,22 +231,52 @@ def test_checks_fail_when_one_piece_is_broken(monkeypatch, check, args, name, br
 
 
 # each bijection check's names in `ncstrip.verification`: its forward core,
-# its inverse core, what its source statistic calls and what its image
-# statistic calls on the image
+# its inverse core, what reads the sources for its source statistic and
+# what reads the images for its image statistic
 ROUND_TRIP_NAMES = {
-    labeling_bijection_check_a: ("_path_to_noncrossing", "_noncrossing_to_path", ("fc_types",), ("_types_a",)),
+    labeling_bijection_check_a: (
+        "_path_to_noncrossing", "_noncrossing_to_path", ("fc_types_each",), ("types_a_each",)
+    ),
     labeling_bijection_check_b: (
-        "_path_to_signed_noncrossing", "_signed_noncrossing_to_path", ("fb_type",), ("type_b",)
+        "_path_to_signed_noncrossing", "_signed_noncrossing_to_path", ("fb_type_each",), ("type_b_each",)
     ),
     strip_bijection_check_a: (
         "_staircase_strip_to_path", "_staircase_path_to_strip", ("run_type",),
-        ("fc_reduced_type", "_path_to_noncrossing"),
+        ("fc_types_each", "_path_to_noncrossing", "reduced_type_a_each"),
     ),
     strip_bijection_check_b: (
         "_rectangle_strip_to_path", "_path_heights", ("run_type",),
-        ("fb_type", "_path_to_signed_noncrossing"),
+        ("fb_type_each", "_path_to_signed_noncrossing", "type_b_each"),
     ),
 }
+# the whole-list statistics, which take a list of objects and return one
+# value per object
+WHOLE_LIST = {"fc_types_each", "fb_type_each", "types_a_each", "reduced_type_a_each", "type_b_each"}
+# the finishers behind them, each run once per distinct signature
+FINISHERS = [
+    (lattice_paths, "_fc_types_of"),
+    (noncrossing_a, "_types_a_of"),
+    (noncrossing_a, "_reduced_type_a_of"),
+    (noncrossing_b, "_type_b_of"),
+]
+
+
+def read(monkeypatch, name):
+    """The objects that `name` in `ncstrip.verification` reads from here
+    on: each call's first argument, or, for a whole-list statistic, each
+    object of its first argument as the statistic reads it."""
+    f = getattr(verification, name)
+    objects = []
+
+    def record(x):
+        objects.append(x)
+        return x
+
+    if name in WHOLE_LIST:
+        monkeypatch.setattr(verification, name, lambda xs, *rest: f(map(record, xs), *rest))
+    else:
+        monkeypatch.setattr(verification, name, lambda x, *rest: f(record(x), *rest))
+    return objects
 
 
 @pytest.mark.parametrize(
@@ -214,7 +296,7 @@ def test_an_image_outside_the_targets_is_a_failure(monkeypatch, check, args, nam
     # the inverse runs unchecked on targets only: any other image is
     # reported, and neither the inverse nor a statistic sees it
     _, inverse, _, image_stats = ROUND_TRIP_NAMES[check]
-    readers = {other: counted(monkeypatch, other, verification) for other in (inverse, *image_stats)}
+    readers = {other: read(monkeypatch, other) for other in (inverse, *image_stats)}
     broken = first_call_replaced(replace)(getattr(verification, name))
     images = []
     monkeypatch.setattr(verification, name, lambda *a: images.append(broken(*a)) or images[-1])
@@ -222,10 +304,10 @@ def test_an_image_outside_the_targets_is_a_failure(monkeypatch, check, args, nam
     assert not result.passed
     assert any("is not a target" in m for m in result.mismatches), result.mismatches
     outside = images[0]
-    assert {other: [c for c in calls if c[0] == outside] for other, calls in readers.items()} == {
+    assert {other: [x for x in objects if x == outside] for other, objects in readers.items()} == {
         other: [] for other in readers
     }
-    assert {other: len(calls) for other, calls in readers.items()} == {
+    assert {other: len(objects) for other, objects in readers.items()} == {
         other: len(images) - 1 for other in readers
     }
 
@@ -255,13 +337,12 @@ def test_a_forward_map_that_is_not_injective_is_a_failure(monkeypatch):
 def test_mismatches_are_listed_object_by_object_in_source_order(monkeypatch):
     # each object's statistic tags come in tag order, then its inverse, as
     # one pass per object writes them; the count goes past the sample
-    type_calls, reduced_calls, inverse_calls = range(0, 55, 3), range(0, 55, 4), range(0, 55, 2)
-    for name, replace, broken_calls in [
-        ("fc_types", lambda out: ((99,), out[1]), type_calls),
-        ("_types_a", lambda out: (out[0], (99,)), reduced_calls),
-        ("_noncrossing_to_path", lambda out: "", inverse_calls),
+    type_at, reduced_at, inverse_at = range(0, 55, 3), range(0, 55, 4), range(0, 55, 2)
+    for name, breaker in [
+        ("fc_types_each", values_replaced(lambda out: ((99,), out[1]), set(type_at))),
+        ("types_a_each", values_replaced(lambda out: (out[0], (99,)), set(reduced_at))),
+        ("_noncrossing_to_path", calls_replaced(lambda out: "", set(inverse_at))),
     ]:
-        breaker = calls_replaced(replace, set(broken_calls))
         monkeypatch.setattr(verification, name, breaker(getattr(verification, name)))
     result = labeling_bijection_check_a(4, 2)
     words = list(enumerate_fuss_catalan(4, 2))
@@ -269,16 +350,16 @@ def test_mismatches_are_listed_object_by_object_in_source_order(monkeypatch):
     expected = [
         message
         for i, w in enumerate(words)
-        for message, calls in [
-            (f"type not preserved on {w}", type_calls),
-            (f"reduced type not preserved on {w}", reduced_calls),
-            (f"inverse fails on {w}", inverse_calls),
+        for message, positions in [
+            (f"type not preserved on {w}", type_at),
+            (f"reduced type not preserved on {w}", reduced_at),
+            (f"inverse fails on {w}", inverse_at),
         ]
-        if i in calls
+        if i in positions
     ]
     assert not result.passed
     assert result.mismatches == expected[:MISMATCH_SAMPLE]
-    assert len(expected) == len(type_calls) + len(reduced_calls) + len(inverse_calls)
+    assert len(expected) == len(type_at) + len(reduced_at) + len(inverse_at)
     assert result.mismatch_count == len(expected)
 
 
@@ -292,22 +373,42 @@ def test_mismatches_are_listed_object_by_object_in_source_order(monkeypatch):
     ],
 )
 def test_bijection_checks_run_each_map_and_statistic_once_per_object(monkeypatch, check, n, k):
+    # the maps run once per object and each whole-list statistic reads
+    # every object once, in one call; behind the statistics, each finisher
+    # runs at most once per distinct signature, so fewer times than there
+    # are objects
     forward, inverse, source_stats, image_stats = ROUND_TRIP_NAMES[check]
     names = (forward, inverse, *source_stats, *image_stats)
-    calls = {name: counted(monkeypatch, name, verification) for name in names}
+    objects = {name: read(monkeypatch, name) for name in names}
+    lists = {name: counted(monkeypatch, name, verification) for name in names if name in WHOLE_LIST}
+    finished = {name: counted(monkeypatch, name, module) for module, name in FINISHERS}
     result = check(n, k)
     assert result.passed and result.objects > 0
-    assert {name: len(c) for name, c in calls.items()} == {name: result.objects for name in names}
+    assert {name: len(o) for name, o in objects.items()} == {name: result.objects for name in names}
+    assert {name: len(c) for name, c in lists.items()} == {name: 1 for name in lists}
+    signatures = [c for c in finished.values() if c]
+    assert signatures
+    assert all(len(set(c)) == len(c) < result.objects for c in signatures), finished
 
 
 def test_labeling_check_a_reads_each_word_once_and_validates_no_image(monkeypatch):
-    types = counted(monkeypatch, "fc_types", verification)
+    words = read(monkeypatch, "fc_types_each")
     validations = counted(monkeypatch, "validate_nc_a", noncrossing_a, bijections)
     result = labeling_bijection_check_a(5, 2)
     assert result.passed
     assert result.objects == fuss_catalan(5, 2)
-    assert len(types) == result.objects
+    assert len(words) == result.objects
     assert validations == []
+
+
+def test_a_signature_that_drops_the_first_ascent_is_a_failure(monkeypatch):
+    # the reduced type is read off the signature alone: without the first
+    # ascent it drops the wrong part
+    runs = lattice_paths.ascent_runs
+    monkeypatch.setattr(lattice_paths, "ascent_runs", lambda words: (r[1:] for r in runs(words)))
+    result = labeling_bijection_check_a(4, 2)
+    assert not result.passed
+    assert any("reduced type not preserved" in m for m in result.mismatches), result.mismatches
 
 
 def test_labeling_check_b_runs_only_the_inverse_core(monkeypatch):

@@ -27,8 +27,11 @@ alike: perfbench/run.py compiles only src/ncstrip, and a checkout with no
 cache for perfbench/ would compile it again in every pass.
 Standard library only; the file is rewritten after each workload, so a cut
 run keeps what it has.  Each pair's line on stderr gives its failed
-operations, and the script exits 1, after writing the file, when any run
-reported `"correct": false`.
+operations, and after each workload one line per end-to-end metric gives
+both medians, `change_vs_parent` and the pairs the change won, marked
+WORSE when the change is worse than the parent by more than the metric's
+bound in BENCHMARK.json.  The script exits 1, after writing the file,
+when any run reported `"correct": false`.
 """
 
 from __future__ import annotations
@@ -88,6 +91,26 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
     out["failed"] = {s: sum(p[s]["failed"] for p in pairs) for s in SIDES}
     out["pairs"] = len(pairs)
     return out
+
+
+def metric_lines(workload: str, summary: dict, benchmark: dict) -> list[str]:
+    """One line per end-to-end metric of BENCHMARK.json in a workload's
+    summary: both medians, the change's relative difference and its better
+    pairs, flagged when the change is worse than the parent by more than
+    the metric's bound."""
+    lines = []
+    for metric in benchmark["end_to_end"]:
+        m = summary[metric["name"]]
+        worse = m["change_vs_parent"] * (1 if metric["better"] == "lower" else -1)
+        lines.append(
+            f"{workload} {metric['name']}: parent {m['parent_median']:.6g} change"
+            f" {m['change_median']:.6g} {metric['unit']}, change_vs_parent"
+            f" {m['change_vs_parent']:+.2%}, better in {m['change_better_pairs']} of"
+            f" {summary['pairs']} pairs"
+            + (f"; WORSE than the parent by more than the bound {metric['bound']:.0%}"
+               if worse > metric["bound"] else "")
+        )
+    return lines
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -207,8 +230,11 @@ def main(argv=None) -> int:
                   f"{pair['parent']['failed']} change {pair['change']['failed']}",
                   file=sys.stderr)
             pairs.append(pair)
+        summary = summarise(pairs, better)
+        for line in metric_lines(workload, summary, benchmark):
+            print(line, file=sys.stderr)
         result["workloads"][workload] = {
-            "summary": summarise(pairs, better),
+            "summary": summary,
             "work": {side: work(checkouts[side], workload, WORK_SEED) for side in SIDES},
             "pairs": pairs,
         }
