@@ -136,6 +136,11 @@ def ascent_runs(words) -> Iterator[tuple[str, ...]]:
     return map(tuple, map(list, map(filter, repeat(None), map(str.split, words, repeat("N")))))
 
 
+def _ascents(word: str) -> tuple[str, ...]:
+    """ascent_runs of one word, read without the map chain."""
+    return tuple([*filter(None, word.split("N"))])
+
+
 def _fc_type_of(runs: tuple[str, ...]) -> Partition:
     """fc_type of a word with these ascents: their sorted lengths."""
     letters = "".join(runs)
@@ -161,7 +166,7 @@ def fc_types(word: str) -> tuple[Partition, Partition]:
     """(fc_type, fc_reduced_type) from one split of the word: the ascents
     are the nonempty E-runs, and the reduced type drops one part equal to
     the length of the first ascent."""
-    return _fc_types_of(*ascent_runs((word,)))
+    return _fc_types_of(_ascents(word))
 
 
 def fc_type(word: str) -> Partition:
@@ -183,4 +188,4 @@ def fb_type_each(words) -> Iterator[Partition]:
 def fb_type(word: str) -> Partition:
     """Sorted lengths of the ascents not lying on y = 0: the type of the word
     without its leading E-run."""
-    return _fc_type_of(*ascent_runs((word.lstrip("E"),)))
+    return _fc_type_of(_ascents(word.lstrip("E")))

@@ -18,7 +18,7 @@ from operator import ne
 from .bijections import _path_to_noncrossing
 from .lattice_paths import heights_word, monotone_heights
 from .noncrossing_a import Blocks
-from .partitions import Partition, finish_census
+from .partitions import Partition
 from .shapes import SkewShape, _require_full_columns
 
 
@@ -57,12 +57,6 @@ def multiplicity_type(seq) -> Partition:
     return tuple(sizes)
 
 
-def _pattern_type(pattern: bytes) -> Partition:
-    """multiplicity_type of the sequence 1, 1 or 2, ... that steps as the
-    pattern says."""
-    return multiplicity_type(accumulate(pattern))
-
-
 def primitive_type_census(seqs) -> Counter:
     """Counter(map(multiplicity_type, seqs)) for a list of weakly increasing
     tuples of positive integers, such as `enumerate_primitive` gives.  Their
@@ -71,9 +65,11 @@ def primitive_type_census(seqs) -> Counter:
     before (the first differs from a 0 put in front), in C-level passes, and
     then runs `multiplicity_type` once per distinct pattern (at most 2^(n-1)
     at length n) on the sequence 1, 1 or 2, ... that steps as it says."""
-    return finish_census(
-        _pattern_type, map(bytes, map(map, repeat(ne), seqs, map((0,).__add__, seqs)))
-    )
+    steps = Counter(map(bytes, map(map, repeat(ne), seqs, map((0,).__add__, seqs))))
+    census: Counter = Counter()
+    for pattern, count in steps.items():
+        census[multiplicity_type(accumulate(pattern))] += count
+    return census
 
 
 def pf_type(seq) -> Partition:
