@@ -251,26 +251,15 @@ def type_a(blocks, k: int = 1) -> Partition:
     return _type_a_of(map(len, blocks), k)
 
 
-def type_a_census(members, k: int = 1) -> Counter:
-    """Counter of type_a over the members, finished once per distinct
-    sequence of block sizes."""
-    return finish_census(_type_a_of, _sizes(members), k)
-
-
-def _types_a(blocks, k: int = 1) -> tuple[Partition, Partition]:
-    """(type_a, reduced_type_a), except that the block holding 1 must have a
-    size that k divides."""
-    return _types_a_of(_holder_first(blocks), k)
-
-
 def types_a_each(members, k: int = 1) -> Iterator[tuple[Partition, Partition]]:
-    """_types_a of each canonical member, in order, finished once per
-    distinct signature (`block_signatures`)."""
+    """(type_a, reduced_type_a) of each canonical member, in order, except
+    that the block holding 1 must have a size that k divides; finished once
+    per distinct signature (`block_signatures`)."""
     return finish_each(_types_a_of, block_signatures(members), k)
 
 
 def types_a_census(members, k: int = 1) -> Counter:
-    """Counter of _types_a over canonical members, finished once per
+    """Counter of `types_a_each` over canonical members, finished once per
     distinct signature."""
     return finish_census(_types_a_of, block_signatures(members), k)
 
@@ -279,18 +268,6 @@ def reduced_type_a(blocks, k: int = 1) -> Partition:
     """Type after deleting the block containing the symbol 1; the size of
     that block is not checked."""
     return _reduced_type_a_of(_holder_first(blocks), k)
-
-
-def reduced_type_a_each(members, k: int = 1) -> Iterator[Partition]:
-    """reduced_type_a of each canonical member, in order, finished once per
-    distinct signature."""
-    return finish_each(_reduced_type_a_of, block_signatures(members), k)
-
-
-def reduced_type_a_census(members, k: int = 1) -> Counter:
-    """Counter of reduced_type_a over canonical members, finished once per
-    distinct signature."""
-    return finish_census(_reduced_type_a_of, block_signatures(members), k)
 
 
 def type_counts(n: int, k: int, rows, products) -> list[int]:

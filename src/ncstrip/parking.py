@@ -18,7 +18,7 @@ from operator import ne
 from .bijections import _path_to_noncrossing
 from .lattice_paths import heights_word, monotone_heights
 from .noncrossing_a import Blocks
-from .partitions import Partition
+from .partitions import Partition, finish_census
 from .shapes import SkewShape, _require_full_columns
 
 
@@ -65,11 +65,10 @@ def primitive_type_census(seqs) -> Counter:
     before (the first differs from a 0 put in front), in C-level passes, and
     then runs `multiplicity_type` once per distinct pattern (at most 2^(n-1)
     at length n) on the sequence 1, 1 or 2, ... that steps as it says."""
-    steps = Counter(map(bytes, map(map, repeat(ne), seqs, map((0,).__add__, seqs))))
-    census: Counter = Counter()
-    for pattern, count in steps.items():
-        census[multiplicity_type(accumulate(pattern))] += count
-    return census
+    return finish_census(
+        lambda pattern: multiplicity_type(accumulate(pattern)),
+        map(bytes, map(map, repeat(ne), seqs, map((0,).__add__, seqs))),
+    )
 
 
 def pf_type(seq) -> Partition:

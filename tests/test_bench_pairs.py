@@ -118,67 +118,79 @@ def test_a_workload_the_benchmark_does_not_list_is_refused_before_any_run(
     assert "--workload verify-labelling is not in BENCHMARK.json" in err
 
 
-def test_bytecode_that_does_not_match_its_source_is_refused_before_any_run(
-    monkeypatch, tmp_path, capsys
-):
-    # a cache that importlib would not use, and that no run rewrites when
-    # PYTHONDONTWRITEBYTECODE is set, makes every run compile the module
-    for side in ("a", "b"):
-        for package in ("perfbench", "src/ncstrip"):
-            (tmp_path / side / package).mkdir(parents=True)
-            source = tmp_path / side / package / "mod.py"
-            source.write_text("x = 1\n")
-            py_compile.compile(str(source), doraise=True)
-    args = ("--parent", str(tmp_path / "a"), "--change", str(tmp_path / "b"),
-            "--workload", "cli-requests")
-    assert bench_pairs.stale_bytecode(tmp_path / "a") == []
-    # the parent's perfbench source is touched, the change's library
-    # source grows by one byte within the same mtime
-    touched = tmp_path / "a" / "perfbench" / "mod.py"
-    os.utime(touched, ns=(0, touched.stat().st_mtime_ns + 10**10))
-    grown = tmp_path / "b" / "src/ncstrip" / "mod.py"
-    mtime = grown.stat().st_mtime_ns
-    grown.write_text("x = 12\n")
-    os.utime(grown, ns=(0, mtime))
-    stale = [p for side in ("a", "b") for p in bench_pairs.stale_bytecode(tmp_path / side)]
-    assert [p.relative_to(tmp_path) for p in stale] == [
-        Path(importlib.util.cache_from_source(name))
-        for name in ("a/perfbench/mod.py", "b/src/ncstrip/mod.py")
-    ]
-    code, err = refused(monkeypatch, tmp_path, capsys, *args)
-    assert code == 2
-    assert "bytecode that does not match its source" in err
-    assert all(str(p) in err for p in stale)
+def matches_source(source: Path) -> bool:
+    """Whether the timestamp-based cache of source records its magic number,
+    mtime and size as importlib checks them."""
+    pyc = Path(importlib.util.cache_from_source(str(source)))
+    st = source.stat()
+    expected = importlib.util.MAGIC_NUMBER + bytes(4) + b"".join(
+        (x & 0xFFFFFFFF).to_bytes(4, "little") for x in (int(st.st_mtime), st.st_size)
+    )
+    return pyc.is_file() and pyc.read_bytes()[:16] == expected
 
 
-def test_both_checkouts_are_compiled_before_the_first_run(monkeypatch, tmp_path):
-    # run.py compiles only src/ncstrip: a side with no cache for perfbench/
-    # would compile it in every pass while the other loads its bytecode
-    sources = {side: [tmp_path / side / package / "mod.py" for package in bench_pairs.CACHED]
-               for side in bench_pairs.SIDES}
-    for side, paths in sources.items():
-        for source in paths:
-            source.parent.mkdir(parents=True)
-            source.write_text("x = 1\n")
-    py_compile.compile(str(sources["parent"][0]), doraise=True)
+def fake_runs(monkeypatch, sources):
+    """Replace run and work by canned ones; the list returned gets, at each
+    run, its checkout's name and whether every cache of sources then
+    matches its source."""
     names = bench_pairs.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
-    cached = []
+    runs = []
 
     def run(checkout, workload, seed, seconds):
-        cached.append(all(Path(importlib.util.cache_from_source(str(source))).is_file()
-                          for paths in sources.values() for source in paths))
+        runs.append((checkout.name, all(map(matches_source, sources))))
         metrics = {name: {"value": 1.0} for name in names}
         return {"correct": True, "attempted": 100, "failed": 0, "metrics": metrics}
 
     monkeypatch.setattr(bench_pairs, "run", run)
     monkeypatch.setattr(bench_pairs, "work", lambda *args: {"calls": 1, "modules": {}})
-    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+    return runs
+
+
+def main_on_both_sides(tmp_path) -> int:
+    return bench_pairs.main(["--parent", str(tmp_path / "parent"),
                              "--change", str(tmp_path / "change"),
                              "--workload", "cli-requests", "--pairs", "2", "--seed", "1",
-                             "--out", str(tmp_path / "bench.json")]) == 0
-    assert cached == [True] * 4
-    assert bench_pairs.stale_bytecode(tmp_path / "parent") == []
-    assert bench_pairs.stale_bytecode(tmp_path / "change") == []
+                             "--out", str(tmp_path / "bench.json")])
+
+
+def test_bytecode_that_does_not_match_its_source_is_rewritten_before_the_first_run(
+    monkeypatch, tmp_path
+):
+    # a cache that importlib would not use makes the runs that load the
+    # module compile it; compileall without force checks only the mtime
+    sources = [tmp_path / side / package / "mod.py"
+               for side in bench_pairs.SIDES for package in bench_pairs.CACHED]
+    for source in sources:
+        source.parent.mkdir(parents=True)
+        source.write_text("x = 1\n")
+        py_compile.compile(str(source), doraise=True)
+    assert all(map(matches_source, sources))
+    # the parent's perfbench source is touched, the change's library
+    # source grows by one byte within the same mtime
+    touched = tmp_path / "parent" / "perfbench" / "mod.py"
+    os.utime(touched, ns=(0, touched.stat().st_mtime_ns + 10**10))
+    grown = tmp_path / "change" / "src/ncstrip" / "mod.py"
+    mtime = grown.stat().st_mtime_ns
+    grown.write_text("x = 12\n")
+    os.utime(grown, ns=(0, mtime))
+    assert [s for s in sources if not matches_source(s)] == [touched, grown]
+    runs = fake_runs(monkeypatch, sources)
+    assert main_on_both_sides(tmp_path) == 0
+    assert runs == [("parent", True), ("change", True), ("change", True), ("parent", True)]
+
+
+def test_both_checkouts_are_compiled_before_the_first_run(monkeypatch, tmp_path):
+    # run.py compiles only src/ncstrip: a side with no cache for perfbench/
+    # would compile it in every pass while the other loads its bytecode
+    sources = [tmp_path / side / package / "mod.py"
+               for side in bench_pairs.SIDES for package in bench_pairs.CACHED]
+    for source in sources:
+        source.parent.mkdir(parents=True)
+        source.write_text("x = 1\n")
+    py_compile.compile(str(sources[0]), doraise=True)
+    runs = fake_runs(monkeypatch, sources)
+    assert main_on_both_sides(tmp_path) == 0
+    assert [cached for _, cached in runs] == [True] * 4
 
 
 @pytest.mark.parametrize("failing", [False, True])

@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from ncstrip.noncrossing_a import (
-    _types_a,
     count_by_reduced_type,
     count_by_type,
     enumerate_k_divisible,
@@ -15,17 +14,14 @@ from ncstrip.noncrossing_a import (
     noncrossing_partitions_of_seq,
     read_blocks,
     reduced_type_a,
-    reduced_type_a_census,
-    reduced_type_a_each,
     type_a,
-    type_a_census,
     types_a_census,
     types_a_each,
     validate_nc_a,
 )
 from ncstrip.noncrossing_b import enumerate_nc_b
 from ncstrip.partitions import catalan, fuss_catalan, partitions_with_weight_at_most, weight
-from ncstrip.verification import PAIRS_A
+from ncstrip.verification import PAIRS_A, _marginal
 
 from conftest import crossing_pair_scan, crossing_quadruple_scan, list_variants, set_partitions
 
@@ -214,56 +210,55 @@ def test_whole_list_types_equal_the_one_member_values(n, k):
     # members and however often a member comes
     variants = list_variants(enumerate_k_divisible(n, k))
     # the one-member values, computed once per member
-    one = {b: (_types_a(b, k), reduced_type_a(b, k), type_a(b, k)) for b in variants[0]}
+    one = {b: (type_a(b, k), reduced_type_a(b, k)) for b in variants[0]}
     for members in variants:
-        both, reduced, types = ([one[b][i] for b in members] for i in range(3))
+        both = [one[b] for b in members]
         assert list(types_a_each(members, k)) == both
-        assert list(reduced_type_a_each(members, k)) == reduced
-        assert types_a_census(members, k) == Counter(both)
-        assert reduced_type_a_census(members, k) == Counter(reduced)
-        assert type_a_census(members, k) == Counter(types)
+        census = types_a_census(members, k)
+        assert census == Counter(both)
+        for i in range(2):
+            assert _marginal(census, i) == Counter(value[i] for value in both)
     # a one-pass iterator, as the strip checks hand over psi-a's images
-    assert list(reduced_type_a_each(iter(variants[0]), k)) == [one[b][1] for b in variants[0]]
+    assert list(types_a_each(iter(variants[0]), k)) == [one[b] for b in variants[0]]
 
 
 @pytest.mark.parametrize(
-    "bad,k,message,forms",
+    "bad,k,message",
     [
-        ((), 1, "the reduced type needs n >= 1", "both reduced"),
-        (((2, 3), (4, 5)), 1, "no unique block contains the symbol 1", "both reduced"),
+        ((), 1, "the reduced type needs n >= 1"),
+        (((2, 3), (4, 5)), 1, "no unique block contains the symbol 1"),
         # the whole-list forms read canonical members, where the block that
         # holds 1 comes first
-        (((2, 3), (1, 4)), 1, "no unique block contains the symbol 1", "both reduced"),
-        (((1, 2), (3, 4, 5), (6,)), 2, "block size 3 is not divisible by 2", "both reduced type"),
-        # the reduced type does not check the block that holds 1
-        (((1,), (2, 3)), 2, "block size 1 is not divisible by 2", "both type"),
+        (((2, 3), (1, 4)), 1, "no unique block contains the symbol 1"),
+        (((1, 2), (3, 4, 5), (6,)), 2, "block size 3 is not divisible by 2"),
+        # unlike reduced_type_a, they check the block that holds 1
+        (((1,), (2, 3)), 2, "block size 1 is not divisible by 2"),
     ],
 )
-def test_whole_list_types_refuse_a_bad_last_member(bad, k, message, forms):
+def test_whole_list_types_refuse_a_bad_last_member(bad, k, message):
     members = [*enumerate_k_divisible(3, k), bad]
-    statistics = {
-        "both": (types_a_each, types_a_census),
-        "reduced": (reduced_type_a_each, reduced_type_a_census),
-        "type": (type_a_census,),
-    }
-    for form in forms.split():
-        for statistic in statistics[form]:
-            with pytest.raises(ValueError, match=message):
-                list(statistic(members, k))
-    if "reduced" not in forms:
-        assert list(reduced_type_a_each(members, k))[-1] == reduced_type_a(bad, k)
+    for statistic in (types_a_each, types_a_census):
+        with pytest.raises(ValueError, match=message):
+            list(statistic(members, k))
 
 
 def test_one_member_types_find_the_block_of_1_in_any_order():
-    assert _types_a(((2, 3), (1, 4), (5, 6)), 2) == ((1, 1, 1), (1, 1))
+    blocks = ((2, 3), (1, 4), (5, 6))
+    assert (type_a(blocks, 2), reduced_type_a(blocks, 2)) == ((1, 1, 1), (1, 1))
     assert reduced_type_a(((3, 4, 5), (1, 2)), 1) == (3,)
-    for blocks in [((1, 2), (1, 3)), ((2, 3), (4, 5))]:
-        for statistic in (_types_a, reduced_type_a):
-            with pytest.raises(ValueError, match="no unique block contains the symbol 1"):
-                statistic(blocks, 1)
-    for statistic in (_types_a, reduced_type_a):
-        with pytest.raises(ValueError, match="the reduced type needs n >= 1"):
-            statistic((), 1)
+    refusals = [
+        (((1, 2), (1, 3)), "no unique block contains the symbol 1"),
+        (((2, 3), (4, 5)), "no unique block contains the symbol 1"),
+        ((), "the reduced type needs n >= 1"),
+    ]
+    for blocks, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            reduced_type_a(blocks, 1)
+    # types_a_each reads the first block of a canonical member, so it does
+    # not look for a second block holding 1
+    for blocks, message in refusals[1:]:
+        with pytest.raises(ValueError, match=message):
+            list(types_a_each([blocks], 1))
 
 
 def test_reduced_type_is_type_minus_one_block():

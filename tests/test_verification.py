@@ -1,10 +1,19 @@
 from itertools import chain, islice
+from operator import ne
 
 import pytest
 
-from ncstrip import bijections, lattice_paths, noncrossing_a, noncrossing_b, shapes, verification
+from ncstrip import (
+    bijections,
+    lattice_paths,
+    noncrossing_a,
+    noncrossing_b,
+    parking,
+    shapes,
+    verification,
+)
 from ncstrip.lattice_paths import enumerate_fuss_catalan
-from ncstrip.partitions import binomial, fuss_catalan
+from ncstrip.partitions import binomial, catalan, fuss_catalan
 from ncstrip.shapes import SkewShape
 from ncstrip.verification import (
     MISMATCH_SAMPLE,
@@ -185,7 +194,7 @@ singletons = first_call_replaced(lambda blocks: tuple((x,) for b in blocks for x
     "check,args,name,breaker,tag",
     [
         (theorem_11_check, (3, 1), "expand_skew", extra_term, "enumeration vs formula"),
-        (theorem_11_check, (3, 1), "reduced_type_a_census", census_moved(lambda key: (99,)), "formula vs census"),
+        (theorem_11_check, (3, 1), "types_a_census", census_moved(wrong_at(1)), "formula vs census"),
         (theorem_11_check, (3, 1), "enumerate_k_divisible", drop_first, "formula vs census"),
         (theorem_12_check, (2, 2), "expand_skew", extra_term, "enumeration vs formula"),
         (theorem_12_check, (2, 2), "type_b_census", census_moved(lambda key: (99,)), "formula vs census"),
@@ -199,7 +208,7 @@ singletons = first_call_replaced(lambda blocks: tuple((x,) for b in blocks for x
         (labeling_bijection_check_b, (2, 2), "enumerate_nc_b", drop_first, "image has"),
         (strip_bijection_check_a, (3, 2), "_staircase_path_to_strip", first_call_wrong, "inverse fails"),
         (strip_bijection_check_a, (3, 2), "fc_types_each", first_value_replaced(wrong_at(1)), "reduced type not preserved"),
-        (strip_bijection_check_a, (3, 2), "reduced_type_a_each", first_value_wrong, "composite reduced type not preserved"),
+        (strip_bijection_check_a, (3, 2), "types_a_each", first_value_replaced(wrong_at(1)), "composite reduced type not preserved"),
         (strip_bijection_check_a, (3, 2), "enumerate_fuss_catalan", drop_first, "image has"),
         (strip_bijection_check_b, (2, 2), "_path_heights", first_call_wrong, "inverse fails"),
         (strip_bijection_check_b, (2, 2), "fb_type_each", first_value_wrong, "type not preserved"),
@@ -242,7 +251,7 @@ ROUND_TRIP_NAMES = {
     ),
     strip_bijection_check_a: (
         "_staircase_strip_to_path", "_staircase_path_to_strip", ("run_type",),
-        ("fc_types_each", "_path_to_noncrossing", "reduced_type_a_each"),
+        ("fc_types_each", "_path_to_noncrossing", "types_a_each"),
     ),
     strip_bijection_check_b: (
         "_rectangle_strip_to_path", "_path_heights", ("run_type",),
@@ -251,12 +260,11 @@ ROUND_TRIP_NAMES = {
 }
 # the whole-list statistics, which take a list of objects and return one
 # value per object
-WHOLE_LIST = {"fc_types_each", "fb_type_each", "types_a_each", "reduced_type_a_each", "type_b_each"}
+WHOLE_LIST = {"fc_types_each", "fb_type_each", "types_a_each", "type_b_each"}
 # the finishers behind them, each run once per distinct signature
 FINISHERS = [
     (lattice_paths, "_fc_types_of"),
     (noncrossing_a, "_types_a_of"),
-    (noncrossing_a, "_reduced_type_a_of"),
     (noncrossing_b, "_type_b_of"),
 ]
 
@@ -389,6 +397,19 @@ def test_bijection_checks_run_each_map_and_statistic_once_per_object(monkeypatch
     signatures = [c for c in finished.values() if c]
     assert signatures
     assert all(len(set(c)) == len(c) < result.objects for c in signatures), finished
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_theorem_21_types_each_step_pattern_once(monkeypatch, n):
+    # the primitive census runs multiplicity_type once per distinct step
+    # pattern, of which there are at most 2^(n-1), fewer than the catalan(n)
+    # primitives from n = 3 on
+    patterns = {tuple(map(ne, s, (0, *s))) for s in parking.enumerate_primitive(n)}
+    calls = counted(monkeypatch, "multiplicity_type", parking)
+    assert theorem_21_check(n).passed
+    assert len(calls) == len(patterns) <= 2 ** (n - 1)
+    if n >= 3:
+        assert len(calls) < catalan(n)
 
 
 def test_labeling_check_a_reads_each_word_once_and_validates_no_image(monkeypatch):

@@ -18,13 +18,10 @@ pass's payloads, equal on both sides when the change prints the same
 bytes, counted by this tree's tools/work_counts.py: a record, comparable
 from one BENCH file to the next whatever their --seed (the cli-requests
 stream depends on its seed), not a gate.
-Before the first pair the script stops, naming the files, when either
-checkout holds bytecode under the benchmarked packages that does not match
-its source: with PYTHONDONTWRITEBYTECODE set such a cache is never
-rewritten, and every run of that side compiles the module again.  Then it
-compiles those packages in both checkouts, so both sides load bytecode
-alike: perfbench/run.py compiles only src/ncstrip, and a checkout with no
-cache for perfbench/ would compile it again in every pass.
+Before the first pair it compiles the benchmarked packages in both
+checkouts, rewriting every cache, so both sides load bytecode alike:
+perfbench/run.py compiles only src/ncstrip, and a module whose cache is
+missing or does not match its source is compiled by the runs that load it.
 Standard library only; the file is rewritten after each workload, so a cut
 run keeps what it has.  Each pair's line on stderr gives its failed
 operations, and after each workload one line per end-to-end metric gives
@@ -38,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import compileall
-import importlib.util
 import json
 import os
 import platform
@@ -139,26 +135,6 @@ def work(checkout: Path, workload: str, seed: int) -> dict:
     return json.loads(proc.stdout)
 
 
-def stale_bytecode(checkout: Path) -> list[Path]:
-    """The timestamp-based .pyc files of this interpreter under CACHED in
-    checkout whose header does not match their source's: the magic number,
-    or the source mtime or size they record, as importlib checks them."""
-    stale = []
-    for package in CACHED:
-        for pyc in sorted((checkout / package).rglob(f"*.{sys.implementation.cache_tag}.pyc")):
-            source = pyc.parent.parent / f"{pyc.name.split('.')[0]}.py"
-            header = pyc.read_bytes()[:16]
-            if not source.is_file() or header[4:8] != bytes(4):
-                continue  # no source, or hash-based: importlib reads no times
-            st = source.stat()
-            expected = importlib.util.MAGIC_NUMBER + bytes(4) + b"".join(
-                (x & 0xFFFFFFFF).to_bytes(4, "little") for x in (int(st.st_mtime), st.st_size)
-            )
-            if header != expected:
-                stale.append(pyc)
-    return stale
-
-
 def commit_of(checkout: Path) -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
@@ -187,13 +163,9 @@ def main(argv=None) -> int:
     if unknown:
         p.error(f"--workload {', '.join(unknown)} is not in BENCHMARK.json"
                 f" (it lists {', '.join(listed)})")
-    stale = [pyc for checkout in checkouts.values() for pyc in stale_bytecode(checkout)]
-    if stale:
-        p.error("bytecode that does not match its source, which every run would"
-                f" compile again; delete it: {', '.join(map(str, stale))}")
     for checkout in checkouts.values():
         for package in CACHED:
-            if not compileall.compile_dir(str(checkout / package), quiet=1):
+            if not compileall.compile_dir(str(checkout / package), quiet=1, force=True):
                 p.error(f"{checkout / package} does not compile")
 
     better, seconds = directions(benchmark), benchmark["run_seconds"]
