@@ -235,6 +235,23 @@ class Records(NamedTuple):
     columns: tuple[Sequence, ...]
 
 
+class Rendered(list):
+    """A list that carries the JSON texts of its values, rendered for items
+    on a line whose newline and indent are pad.  The writer takes the texts
+    only at that pad, and renders the values itself anywhere else."""
+
+    __slots__ = ("texts", "pad")
+
+    def __init__(self, values, texts: Sequence[str], pad: str):
+        super().__init__(values)
+        self.texts, self.pad = texts, pad
+
+
+# the pad of a field of a result's records, four levels in: the payload,
+# the result, the list of records and the record
+RECORD_FIELD_PAD = "\n" + "  " * 4
+
+
 def _write_json(value, out: list[str], pad: str) -> None:
     """Append to out exactly what json.dumps(value, indent=2) writes, with
     pad the newline and indent of the enclosing line; Records are written
@@ -272,7 +289,8 @@ def _write_json(value, out: list[str], pad: str) -> None:
 def _write_records(records: Records, out: list[str], pad: str) -> None:
     """_write_json of Records, column by column: the keys and indents are
     rendered once, each column's values in one pass (_column_texts), and
-    each row is one join of its key heads and value texts."""
+    each row's pieces are appended to out as they are, joined only with the
+    whole payload."""
     keys, columns = records
     if not any(columns):
         out.append("[]")
@@ -281,12 +299,15 @@ def _write_records(records: Records, out: list[str], pad: str) -> None:
     field = inner + "  "
     # a key that is not a str raises TypeError here
     first, *rest = [field + encode_basestring_ascii(key) + ": " for key in keys]
-    # per row: head, text, head, text, ..., close
-    parts = []
-    for head, column in zip(["{" + first, *("," + key for key in rest)], columns):
-        parts += (repeat(head), _column_texts(column, field))
+    # per row: opening, text, head, text, ..., close; a row after the first
+    # opens with the comma that ends the one before
+    opening = chain(("[" + inner + "{" + first,), repeat("," + inner + "{" + first))
+    parts = [opening, _column_texts(columns[0], field)]
+    for head, column in zip(rest, columns[1:]):
+        parts += (repeat("," + head), _column_texts(column, field))
     parts.append(repeat(inner + "}"))
-    out += ("[" + inner, ("," + inner).join(map("".join, zip(*parts))), pad + "]")
+    out += chain.from_iterable(zip(*parts))
+    out.append(pad + "]")
 
 
 def _column_texts(column: Sequence, pad: str):
@@ -295,7 +316,9 @@ def _column_texts(column: Sequence, pad: str):
     escaped in one map, an all-int column rendered in one, and a column of
     flat lists and tuples of exact ints in C-level passes, the text of each
     distinct int rendered once; any other column goes through _write_json
-    one value at a time."""
+    one value at a time.  A column Rendered at pad gives its own texts."""
+    if type(column) is Rendered and column.pad == pad:
+        return column.texts
     kinds = {*map(type, column)}
     if kinds == {str}:
         return map(encode_basestring_ascii, column)
@@ -553,8 +576,10 @@ def cmd_count(args):
         lams, products = [lam], [multiplicity_product(lam)]
     else:
         _guard_partitions(w_max, cumulative, "count table")
-        # the row lister gives canonical order already
-        lams, products = partition_rows(w_max, cumulative)
+        # the row lister gives canonical order already, and each row's text
+        # in the entries' lambda field
+        lams, products, lam_texts = partition_rows(w_max, cumulative, RECORD_FIELD_PAD)
+        lams = Rendered(lams, lam_texts, RECORD_FIELD_PAD)
     _guard_digits(k * n, max(map(len, lams)), len(lams), "count table")
     numbers = counts(n, k, lams, products)
     total = "count" if args.family == "pf" else "sum"

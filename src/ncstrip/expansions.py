@@ -8,6 +8,7 @@ variables are never evaluated, so a dict is the whole story.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, repeat
 
 from .noncrossing_a import reduced_type_counts, type_counts
 from .noncrossing_b import type_counts_b
@@ -30,17 +31,13 @@ def expand_skew(shape: SkewShape) -> HExpansion:
     return dict(census)
 
 
-def _close(census: HExpansion, run: int) -> HExpansion:
-    """The census with an open run of `run` boxed columns closed into each
-    type.  Adding one part is injective, so no two types collide."""
-    if not run:
-        return census
-    return {tuple(sorted((*lam, run), reverse=True)): c for lam, c in census.items()}
-
-
-def _add(total: HExpansion, census: HExpansion) -> None:
-    for lam, c in census.items():
-        total[lam] = total.get(lam, 0) + c
+def _close_into(total: dict[int, int], census: dict[int, int], part: int) -> None:
+    """Add to total the census with an open run closed into each type: part
+    is the packed key of that run's one part, 0 for no run.  Adding one
+    part is injective, so no two types of census collide."""
+    for key, c in census.items():
+        key += part
+        total[key] = total.get(key, 0) + c
 
 
 def expand_skew_by_columns(shape: SkewShape) -> HExpansion:
@@ -53,14 +50,24 @@ def expand_skew_by_columns(shape: SkewShape) -> HExpansion:
     closed.  Over the next column, with bottom l, a step at y' = l has no
     box; a boxed step at the same height extends the run; any other boxed
     step, or a boxless one, closes it.
+
+    A census is keyed by the type's packed multiplicities, sum m_r 2^(b r)
+    with b the bit length of the shape's width: no part is longer than the
+    width and no part occurs more often, so each m_r fits its field, and
+    closing a run of r is one addition of 2^(b r).  Each final key is
+    decoded once.
     """
     _require_contiguous(shape)
     lo, hi = shape.lo, shape.hi
-    states: dict[tuple[int, int], HExpansion] = {(lo[0] if lo else 0, 0): {(): 1}}
+    width = len(lo)
+    b = width.bit_length()
+    # close[r]: the key of one part r; closing no run adds nothing
+    close = [0, *(1 << b * r for r in range(1, width + 1))]
+    states: dict[tuple[int, int], dict[int, int]] = {(lo[0] if lo else 0, 0): {0: 1}}
     for l, h in zip(lo, hi):
         preds = sorted(states.items())
         states = {}
-        below: HExpansion = {}  # closed censuses of the states passed so far
+        below: dict[int, int] = {}  # closed censuses of the states passed so far
         i = 0
         for y in range(l, h + 2):
             # pass the states below y; a boxless step (y = l) closes the
@@ -68,7 +75,7 @@ def expand_skew_by_columns(shape: SkewShape) -> HExpansion:
             top = y if y == l else y - 1
             while i < len(preds) and preds[i][0][0] <= top:
                 (_, run), census = preds[i]
-                _add(below, _close(census, run))
+                _close_into(below, census, close[run])
                 i += 1
             if y == l:
                 states[y, 0] = dict(below)
@@ -83,10 +90,17 @@ def expand_skew_by_columns(shape: SkewShape) -> HExpansion:
                 j += 1
             if below:
                 states[y, 1] = dict(below)
-    out: HExpansion = {}
+    out: dict[int, int] = {}
     for (_, run), census in states.items():
-        _add(out, _close(census, run))
-    return out
+        _close_into(out, census, close[run])
+    # a key's m_r for r = width..1, each r repeated m_r times
+    mask = (1 << b) - 1
+    parts = range(width, 0, -1)
+    shifts = [b * r for r in parts]
+    return {
+        tuple(chain.from_iterable(map(repeat, parts, map(mask.__and__, map(key.__rshift__, shifts))))): c
+        for key, c in out.items()
+    }
 
 
 def fuss_a_expansion_formula(n: int, k: int) -> HExpansion:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import itemgetter, mul
 from typing import Iterator
 
@@ -96,8 +96,9 @@ def partition_sort_key(p: Partition):
     return (sum(p), tuple(-x for x in p))
 
 
-def partition_rows(w_max: int, cumulative: bool = False) -> tuple[list[Partition], list[int]]:
-    """The rows of a table and the multiplicity product of each row.
+def partition_rows(w_max: int, cumulative: bool = False, pad: str | None = None):
+    """The rows of a table and the multiplicity product of each row, and,
+    given pad, the JSON text of each row.
 
     The rows are every partition of w_max, or of every weight 0..w_max when
     cumulative, in canonical order.  Within a weight they follow the
@@ -106,6 +107,10 @@ def partition_rows(w_max: int, cumulative: bool = False) -> tuple[list[Partition
     most top - 1.  `head` holds the parts above 1 and `ones` counts the 1s;
     `mult`, the product of the factorials of head's multiplicities, follows
     each pop and push, so a row's product is mult * ones!.
+
+    A row's text is what json.dumps(row, indent=2) writes on a line whose
+    newline and indent are pad: its head's text, kept on `stack` through the
+    same pops and pushes, and the text of its run of 1s and bracket.
     """
     if w_max < 0:
         raise ValueError("the weight must be nonnegative")
@@ -114,14 +119,27 @@ def partition_rows(w_max: int, cumulative: bool = False) -> tuple[list[Partition
     rows: list[Partition] = []
     products: list[int] = []
     row, product = rows.append, products.append
+    render = pad is not None
+    if render:
+        texts: list[str] = []
+        text = texts.append
+        deep = pad + "  "
+        digits = list(map(str, range(w_max + 1)))
+        # a part opening the head, a later part, and j 1s closing a head
+        first = ["[" + deep + d for d in digits]
+        later = ["," + deep + d for d in digits]
+        one = "," + deep + "1"
+        tails = [one * j + pad + "]" for j in range(w_max + 1)]
     for m in range(0 if cumulative else w_max, w_max + 1):
         head, ones = ([m], 0) if m > 1 else ([], m)
+        if render:
+            stack = first[m : m + 1] if m > 1 else []
         mult = 1
-        while True:
+        while head:
             row((*head, *units[ones]))
             product(mult * fact[ones])
-            if not head:
-                break
+            if render:
+                text(stack.pop() + tails[ones])
             top = head.pop()
             mult //= head.count(top) + 1
             x = top - 1
@@ -131,12 +149,22 @@ def partition_rows(w_max: int, cumulative: bool = False) -> tuple[list[Partition
                 continue
             # q + 1 copies of x open a run, since the parts left are > x
             q, ones = divmod(rest, x)
+            if render:
+                opened = stack[-1] + later[x] if head else first[x]
+                stack += accumulate(repeat(later[x], q), initial=opened)
             head += [x] * (q + 1)
             mult *= fact[q + 1]
             if ones > 1:  # the remainder part is alone in its run
+                if render:
+                    stack.append(stack[-1] + later[ones])
                 head.append(ones)
                 ones = 0
-    return rows, products
+        # the last row of a weight is its 1s alone
+        row(units[ones])
+        product(fact[ones])
+        if render:
+            text(first[1] + tails[ones - 1] if ones else "[]")
+    return (rows, products, texts) if render else (rows, products)
 
 
 def partitions_of(m: int) -> list[Partition]:

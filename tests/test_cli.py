@@ -21,7 +21,12 @@ from ncstrip.parking import (
     is_primitive,
     pf_type,
 )
-from ncstrip.partitions import binomial, fuss_catalan, partitions_with_weight_at_most
+from ncstrip.partitions import (
+    binomial,
+    fuss_catalan,
+    partition_rows,
+    partitions_with_weight_at_most,
+)
 
 from conftest import counted
 
@@ -1272,6 +1277,49 @@ def test_record_columns_are_written_as_the_stdlib_writes_them(case):
                 write_json(payload)
         else:
             assert write_json(payload) == json.dumps({"result": {"entries": rows}}, indent=2)
+
+
+@pytest.mark.parametrize("cumulative", [False, True])
+@pytest.mark.parametrize("pad", [cli.RECORD_FIELD_PAD, "\n"])
+def test_the_row_lister_renders_each_row_as_the_writer_does(pad, cumulative):
+    for w in range(25):
+        rows, products, texts = partition_rows(w, cumulative, pad)
+        assert (rows, products) == partition_rows(w, cumulative)
+        assert texts == list(cli._column_texts(rows, pad))
+
+
+def plain(value):
+    """value with every Records replaced by the list of dicts it stands for."""
+    if type(value) is cli.Records:
+        return [dict(zip(value.keys, map(plain, row))) for row in zip(*value.columns)]
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(plain, value))
+    return value
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("family", ["nca-k", "ncb-k"])
+def test_a_large_count_table_prints_as_the_stdlib_writes_it(family, k, capsys):
+    argv = ["count", "--family", family, "--by", "type", "-n", "22", "-k", str(k)]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    params, result, _, _ = cli.cmd_count(cli.build_parser().parse_args(argv))
+    payload = {"command": "count", "parameters": params, "result": plain(result)}
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_a_count_table_writes_the_texts_its_row_lister_rendered():
+    argv = ["count", "--family", "ncb-k", "--by", "type", "-n", "5", "-k", "2"]
+    params, result, _, _ = cli.cmd_count(cli.build_parser().parse_args(argv))
+    lams = result["entries"].columns[0]
+    assert type(lams) is cli.Rendered and lams.pad == cli.RECORD_FIELD_PAD
+    lams.texts = [f'"row {i}"' for i in range(len(lams))]
+    written = json.loads(write_json({"command": "count", "parameters": params, "result": result}))
+    assert [e["lambda"] for e in written["result"]["entries"]] == [f"row {i}" for i in range(len(lams))]
+    # at any other pad the writer renders the rows themselves
+    assert json.loads(write_json(lams)) == list(map(list, lams))
 
 
 def test_a_count_table_takes_its_multiplicity_products_from_the_row_lister(monkeypatch, capsys):

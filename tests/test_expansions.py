@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ncstrip import expansions
 from ncstrip.expansions import (
     expand_skew,
     expand_skew_by_columns,
@@ -270,6 +271,35 @@ def test_column_census_refuses_a_gap_as_the_listing_does():
     with pytest.raises(ValueError) as census:
         expand_skew_by_columns(shape)
     assert str(census.value) == str(listing.value) == "column support is not contiguous: [1, 3]"
+
+
+# A staircase of width w has a strip of w runs of one column each, so its
+# type (1^w) holds the largest multiplicity a packed census key must: the
+# widths sit on both sides of the powers of two where the key's field
+# widens by a bit.
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 9])
+def test_column_census_holds_one_part_per_column(width):
+    shape = SkewShape(tuple(range(width, 0, -1)), ())
+    listed = expand_skew(shape)
+    assert listed[(1,) * width] == 1
+    assert expand_skew_by_columns(shape) == listed
+
+
+def test_the_listing_and_the_column_census_share_no_type_keys(monkeypatch):
+    # the listing keys its census by run_type's tuples, the column census by
+    # packed multiplicities; each still counts with the other's keys broken
+    shape = stretched_staircase(3, 2)
+    expect = fuss_a_expansion_formula(3, 2)
+
+    def broken(*args):
+        raise AssertionError("the other census's keys")
+
+    with monkeypatch.context() as m:
+        m.setattr(expansions, "run_type", broken)
+        assert expand_skew_by_columns(shape) == expect
+    with monkeypatch.context() as m:
+        m.setattr(expansions, "_close_into", broken)
+        assert expand_skew(shape) == expect
 
 
 # Past the census caps the column census is checked against the closed forms.
