@@ -899,10 +899,10 @@ def build_parser() -> argparse.ArgumentParser:
     return _build_parsers()[0]
 
 
-# One parser tree serves every call in the process; it keeps no per-call
-# state.  _commands holds its command parsers by name.
-_parser: argparse.ArgumentParser | None = None
-_commands: dict[str, argparse.ArgumentParser] = {}
+# One parser tree, built once the tables it names are, serves every call in
+# the process; it keeps no per-call state.  _commands holds its command
+# parsers by name.
+_parser, _commands = _build_parsers()
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -922,9 +922,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    global _parser, _commands, _cap
-    if _parser is None:
-        _parser, _commands = _build_parsers()
+    global _cap
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     start = time.monotonic()
     # an exact answer prints whole: CPython (3.10.7 on) refuses to convert

@@ -7,8 +7,10 @@ variables are never evaluated, so a dict is the whole story.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from struct import calcsize
 
 from .noncrossing_a import reduced_type_counts, type_counts
 from .noncrossing_b import type_counts_b
@@ -51,21 +53,21 @@ def expand_skew_by_columns(shape: SkewShape) -> HExpansion:
     box; a boxed step at the same height extends the run; any other boxed
     step, or a boxless one, closes it.
 
-    A census is keyed by the type's packed multiplicities, sum m_r 2^(b r)
-    with b the bit length of the shape's width: no part is longer than the
-    width and no part occurs more often, so each m_r fits its field, and
-    closing a run of r is one addition of 2^(b r).  Each final key is
-    decoded once.
+    A census is keyed by the type's packed multiplicities, sum m_r 2^(8 s r)
+    with fields of s whole bytes (`_field_format`), each holding one m_r,
+    so closing a run of r is one addition of 2^(8 s r).  Each final key is
+    decoded once (`_unpacked`).
     """
     _require_contiguous(shape)
     lo, hi = shape.lo, shape.hi
     width = len(lo)
-    b = width.bit_length()
-    # close[r]: the key of one part r; closing no run adds nothing
-    close = [0, *(1 << b * r for r in range(1, width + 1))]
+    fmt = _field_format(width)
+    bits = 8 * calcsize(fmt)
     states: dict[tuple[int, int], dict[int, int]] = {(lo[0] if lo else 0, 0): {0: 1}}
     for l, h in zip(lo, hi):
-        preds = sorted(states.items())
+        # the states were made in (y, run) order, as each column makes them
+        preds = list(states.items())
+        last = len(preds)
         states = {}
         below: dict[int, int] = {}  # closed censuses of the states passed so far
         i = 0
@@ -73,34 +75,48 @@ def expand_skew_by_columns(shape: SkewShape) -> HExpansion:
             # pass the states below y; a boxless step (y = l) closes the
             # runs at its own height too
             top = y if y == l else y - 1
-            while i < len(preds) and preds[i][0][0] <= top:
+            while i < last and preds[i][0][0] <= top:
                 (_, run), census = preds[i]
-                _close_into(below, census, close[run])
+                # the key of one part run; closing no run adds nothing
+                _close_into(below, census, run and 1 << bits * run)
                 i += 1
             if y == l:
                 states[y, 0] = dict(below)
                 continue
+            if below:
+                states[y, 1] = dict(below)
             # a boxless state sits at its column's bottom, and this column's
             # bottom l is no lower, so every state at y > l is a run that
             # the step extends: its one successor takes the census uncopied
             j = i  # the states at y, which the next y passes
-            while j < len(preds) and preds[j][0][0] == y:
+            while j < last and preds[j][0][0] == y:
                 (_, run), census = preds[j]
                 states[y, run + 1] = census
                 j += 1
-            if below:
-                states[y, 1] = dict(below)
     out: dict[int, int] = {}
     for (_, run), census in states.items():
-        _close_into(out, census, close[run])
-    # a key's m_r for r = width..1, each r repeated m_r times
-    mask = (1 << b) - 1
-    parts = range(width, 0, -1)
-    shifts = [b * r for r in parts]
-    return {
-        tuple(chain.from_iterable(map(repeat, parts, map(mask.__and__, map(key.__rshift__, shifts))))): c
-        for key, c in out.items()
-    }
+        _close_into(out, census, run and 1 << bits * run)
+    return _unpacked(out, width, fmt)
+
+
+def _field_format(width: int) -> str:
+    """The memoryview format of a packed census field at a shape's width: an
+    unsigned int of whole bytes that holds one m_r, which is at most the
+    width, as no part is longer and no part occurs more often."""
+    return "B" if width < 1 << 8 else "H" if width < 1 << 16 else "I"
+
+
+def _unpacked(census: dict[int, int], width: int, fmt: str) -> HExpansion:
+    """The census with each key, m_r in field r of format fmt, read as its
+    type: one conversion to bytes per key, viewed as fields from r = width
+    down, the parts of the zero fields skipped in C."""
+    length, order = calcsize(fmt) * (width + 1), sys.byteorder
+    parts = range(width, -1, -1)
+    out = {}
+    for key, c in census.items():
+        fields = memoryview(key.to_bytes(length, order)).cast(fmt)[::-1]
+        out[tuple(chain.from_iterable(map(repeat, compress(parts, fields), compress(fields, fields))))] = c
+    return out
 
 
 def fuss_a_expansion_formula(n: int, k: int) -> HExpansion:

@@ -219,31 +219,17 @@ def _type_a_of(sizes, k: int) -> Partition:
     return tuple(sizes if k == 1 else _divided(sizes, k))
 
 
-def _refuse_holder(first) -> None:
-    """Refuse a signature whose first block does not hold 1."""
-    if first is None:
-        raise ValueError("the reduced type needs n >= 1")
-    raise ValueError("no unique block contains the symbol 1")
-
-
 def _types_a_of(signature, k: int) -> tuple[Partition, Partition]:
-    """(type, reduced type) from one sort of the block sizes: the reduced
-    type drops one part equal to the block that holds 1, so, as the type
-    does, this refuses a block holding 1 whose size k does not divide."""
+    """(type, reduced type) from one sort of the block sizes, the reduced
+    type dropping one part for the first block, which must hold 1 and, as
+    for the type, have a size that k divides."""
     first, sizes = signature
     if first != 1:
-        _refuse_holder(first)
+        if first is None:
+            raise ValueError("the reduced type needs n >= 1")
+        raise ValueError("no unique block contains the symbol 1")
     zeta = _type_a_of(sizes, k)
     return zeta, remove_part(zeta, sizes[0] // k)
-
-
-def _reduced_type_a_of(signature, k: int) -> Partition:
-    """The type of the blocks other than the one that holds 1, whose size is
-    not checked."""
-    first, sizes = signature
-    if first != 1:
-        _refuse_holder(first)
-    return _type_a_of(sizes[1:], k)
 
 
 def type_a(blocks, k: int = 1) -> Partition:
@@ -252,9 +238,8 @@ def type_a(blocks, k: int = 1) -> Partition:
 
 
 def types_a_each(members, k: int = 1) -> Iterator[tuple[Partition, Partition]]:
-    """(type_a, reduced_type_a) of each canonical member, in order, except
-    that the block holding 1 must have a size that k divides; finished once
-    per distinct signature (`block_signatures`)."""
+    """(type_a, reduced_type_a) of each canonical member, in order, finished
+    once per distinct signature (`block_signatures`)."""
     return finish_each(_types_a_of, block_signatures(members), k)
 
 
@@ -265,9 +250,10 @@ def types_a_census(members, k: int = 1) -> Counter:
 
 
 def reduced_type_a(blocks, k: int = 1) -> Partition:
-    """Type after deleting the block containing the symbol 1; the size of
-    that block is not checked."""
-    return _reduced_type_a_of(_holder_first(blocks), k)
+    """Type after deleting the block containing the symbol 1, from the one
+    finisher the whole-list forms run (`_types_a_of`), so a block holding 1
+    whose size k does not divide is refused."""
+    return _types_a_of(_holder_first(blocks), k)[1]
 
 
 def type_counts(n: int, k: int, rows, products) -> list[int]:

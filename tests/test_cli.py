@@ -1310,6 +1310,22 @@ def test_a_large_count_table_prints_as_the_stdlib_writes_it(family, k, capsys):
     assert out == json.dumps(payload, indent=2) + "\n"
 
 
+def test_a_command_runs_on_the_parse_of_a_fresh_process():
+    # the parser tree is built at import, so a command runs without main
+    argv = ["count", "--family", "nca-k", "--by", "type", "-n", "6", "-k", "2"]
+    script = (
+        "import sys\n"
+        "from ncstrip import cli\n"
+        "params, result, _, _ = cli.cmd_count(cli._parse(sys.argv[1:]))\n"
+        "out = []\n"
+        "cli._write_json({'command': 'count', 'parameters': params, 'result': result}, out, '\\n')\n"
+        "print(''.join(out))\n"
+    )
+    direct = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    assert direct.returncode == 0, direct.stderr
+    assert direct.stdout == run_cli(*argv).stdout
+
+
 def test_a_count_table_writes_the_texts_its_row_lister_rendered():
     argv = ["count", "--family", "ncb-k", "--by", "type", "-n", "5", "-k", "2"]
     params, result, _, _ = cli.cmd_count(cli.build_parser().parse_args(argv))

@@ -1,6 +1,7 @@
 import sys
 from collections import Counter
 from pathlib import Path
+from struct import calcsize
 
 import pytest
 
@@ -274,15 +275,39 @@ def test_column_census_refuses_a_gap_as_the_listing_does():
 
 
 # A staircase of width w has a strip of w runs of one column each, so its
-# type (1^w) holds the largest multiplicity a packed census key must: the
-# widths sit on both sides of the powers of two where the key's field
-# widens by a bit.
+# type (1^w) holds the largest multiplicity a packed census key must.
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 9])
 def test_column_census_holds_one_part_per_column(width):
     shape = SkewShape(tuple(range(width, 0, -1)), ())
     listed = expand_skew(shape)
     assert listed[(1,) * width] == 1
     assert expand_skew_by_columns(shape) == listed
+
+
+# A row of w boxes has a strip of one run of each length 0..w; its fields
+# take one byte up to width 255 and two from 256.
+@pytest.mark.parametrize("width", [255, 256, 1000])
+def test_column_census_of_one_row(width):
+    shape = SkewShape((width,), ())
+    expect = {(r,) if r else (): 1 for r in range(width + 1)}
+    assert expand_skew_by_columns(shape) == expect
+    assert expand_skew(shape) == expect
+
+
+def test_a_census_field_holds_the_width():
+    for width, fmt in [(1, "B"), (255, "B"), (256, "H"), (65535, "H"), (65536, "I")]:
+        assert expansions._field_format(width) == fmt
+        assert 1 << 8 * calcsize(fmt) > width
+
+
+# Each key converts to bytes once, so a wide key decodes in time linear in
+# its length: one part as long as a width of 50,000, and m parts of 1 and 2,
+# which fill a field of each format.
+@pytest.mark.parametrize("fmt,m", [("B", 255), ("H", 65535), ("I", 65537)])
+def test_a_packed_census_key_decodes_at_each_field_size(fmt, m):
+    width, bits = 50_000, 8 * calcsize(fmt)
+    census = {1 << bits * width: 1, m << bits | m << 2 * bits: 2}
+    assert expansions._unpacked(census, width, fmt) == {(width,): 1, (2,) * m + (1,) * m: 2}
 
 
 def test_the_listing_and_the_column_census_share_no_type_keys(monkeypatch):

@@ -195,8 +195,9 @@ def test_types():
     assert reduced_type_a(p, 2) == (1, 1)
     assert type_a([(1, 2, 3, 4)], 2) == (2,)
     assert reduced_type_a([(1, 2, 3, 4)], 2) == ()
-    # the block holding 1 is deleted before the divisibility check
-    assert reduced_type_a([(1, 2, 3), (4, 5)], 2) == (1,)
+    # the block holding 1 is checked as the type checks it
+    with pytest.raises(ValueError, match="block size 3 is not divisible by 2"):
+        reduced_type_a([(1, 2, 3), (4, 5)], 2)
     singles = [(i,) for i in range(1, 5)]
     assert type_a(singles, 1) == (1, 1, 1, 1)
     assert reduced_type_a(singles, 1) == (1, 1, 1)
@@ -231,7 +232,6 @@ def test_whole_list_types_equal_the_one_member_values(n, k):
         # holds 1 comes first
         (((2, 3), (1, 4)), 1, "no unique block contains the symbol 1"),
         (((1, 2), (3, 4, 5), (6,)), 2, "block size 3 is not divisible by 2"),
-        # unlike reduced_type_a, they check the block that holds 1
         (((1,), (2, 3)), 2, "block size 1 is not divisible by 2"),
     ],
 )
@@ -240,6 +240,14 @@ def test_whole_list_types_refuse_a_bad_last_member(bad, k, message):
     for statistic in (types_a_each, types_a_census):
         with pytest.raises(ValueError, match=message):
             list(statistic(members, k))
+    # the one-member form refuses a canonical member alike; type_a reads no
+    # block of 1, so it refuses only the sizes that k does not divide
+    if list(bad) == sorted(bad):
+        with pytest.raises(ValueError, match=message):
+            reduced_type_a(bad, k)
+    if "divisible" in message:
+        with pytest.raises(ValueError, match=message):
+            type_a(bad, k)
 
 
 def test_one_member_types_find_the_block_of_1_in_any_order():
