@@ -126,13 +126,10 @@ def _parsed(parse, argv):
             return e.code, out.getvalue(), err.getvalue()
 
 
-def test_a_command_parser_parses_as_the_top_level_parser_does(monkeypatch):
+def test_a_command_parser_parses_as_the_top_level_parser_does():
     # main parses a request with its command's own parser: on every request
     # of the benchmark stream, the golden replay and the hostile table it
     # gives the top-level parser's Namespace, or its exit and messages
-    parser, commands = cli._build_parsers()
-    monkeypatch.setattr(cli, "_parser", parser)
-    monkeypatch.setattr(cli, "_commands", commands)
     golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
     hostile = _HUGE_N + _HUGE_K + _GROWN + _BAD_BLOCKS + _UNNAMED
     argvs = [
@@ -144,7 +141,7 @@ def test_a_command_parser_parses_as_the_top_level_parser_does(monkeypatch):
     ]
     assert len(argvs) > 1500
     for argv in argvs:
-        assert _parsed(cli._parse, argv) == _parsed(parser.parse_args, argv), argv
+        assert _parsed(cli._parse, argv) == _parsed(cli._parser.parse_args, argv), argv
 
 
 def test_a_wrong_type_fails_the_parking_census(capsys, monkeypatch):
