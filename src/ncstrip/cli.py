@@ -19,6 +19,7 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import bijections as bij
@@ -31,24 +32,25 @@ from .expansions import (
 from .lattice_paths import (
     enumerate_fuss_binomial,
     enumerate_fuss_catalan,
-    fb_type,
-    fc_reduced_type,
-    fc_type,
+    fb_type_each,
+    fc_types_each,
 )
 from .noncrossing_a import (
+    _sizes,
+    _type_a_of,
     enumerate_k_divisible,
     format_blocks,
     read_blocks,
-    reduced_type_a,
     reduced_type_counts,
-    type_a,
     type_counts,
+    types_a_each,
     validate_nc_a,
 )
 from .noncrossing_b import (
     antipodal_block,
     enumerate_nc_b,
-    type_b,
+    type_b_census,
+    type_b_each,
     type_counts_b,
     validate_nc_b,
 )
@@ -64,6 +66,7 @@ from .partitions import (
     _check_nk,
     _check_shape_nk,
     binomial,
+    finish_census,
     format_partition,
     fuss_catalan,
     multiplicity_product,
@@ -218,11 +221,11 @@ def _guard_shape(text: str) -> None:
     _guard(sum(outer) - sum(inner), "the shape", unit="boxes")
 
 
-def _named(option: str, f: Callable, value):
-    """f(value), where value comes from `option`: a refusal names the option
-    after the library's message."""
+def _named(option: str, f: Callable, value, *args):
+    """f(value, *args), where value comes from `option`: a refusal names the
+    option after the library's message."""
     try:
-        return f(value)
+        return f(value, *args)
     except ValueError as e:
         raise ValueError(f"{e} (in {option})") from None
 
@@ -437,59 +440,49 @@ def cmd_expand(args):
 
 
 class Kind(NamedTuple):
-    """One kind of object: how its literal is read and written, and its
-    statistics, each a partition."""
+    """One kind of object: parse(text, n, k) reads its literal and checks it
+    at the family parameters (n, k), and format writes it.  stats(objects,
+    k), its one whole-list statistic, gives a tuple per object, in order, of
+    the statistics that names name, each a partition."""
 
     parse: Callable
     format: Callable
-    stats: dict[str, Callable]
-
-    def columns(self, header: str) -> dict[str, Callable]:
-        """The literal, as column `header`, then the statistics."""
-        return {header: self.format, **self.stats}
+    names: tuple[str, ...]
+    stats: Callable
 
 
-def _word(text: str) -> str:
+def _word(text: str, n: int, k: int) -> str:
     return text.strip().upper()
 
 
-def _kinds(n: int, k: int) -> dict[str, Kind]:
-    """Every kind of object at the family parameters (n, k), named as the
-    `enumerate` object where it is one; a partition or strip is checked
-    against (n, k) as it is read."""
+def _strips(shape: Callable) -> Kind:
+    """The strips of the family shape shape(n, k), typed by a map of
+    strip_type, since a strip has no small signature."""
 
-    def strips(shape) -> Kind:
-        def parse(text: str):
-            # one entry per column, counted before the shape of kn rows is
-            # built; the rows are capped, as the forward's work is bounded
-            # only by its output word
-            strip_entries(text, n)
-            _guard(k * n, "the family shape", unit="rows")
-            return parse_strip(shape(n, k), text)
+    def parse(text: str, n: int, k: int):
+        # one entry per column, counted before the shape of kn rows is
+        # built; the rows are capped, as the forward's work is bounded
+        # only by its output word
+        strip_entries(text, n)
+        _guard(k * n, "the family shape", unit="rows")
+        return parse_strip(shape(n, k), text)
 
-        return Kind(parse, format_strip, {"type": strip_type})
+    return Kind(parse, format_strip, ("type",), lambda strips, k: zip(map(strip_type, strips)))
 
-    return {
-        "fuss-catalan": Kind(
-            _word, str, {"type": fc_type, "reduced_type": fc_reduced_type}
-        ),
-        "binomial": Kind(_word, str, {"type": fb_type}),
-        "nca-k": Kind(
-            lambda text: validate_nc_a(read_blocks(text), n, k),
-            format_blocks,
-            {
-                "type": lambda blocks: type_a(blocks, k),
-                "reduced_type": lambda blocks: reduced_type_a(blocks, k),
-            },
-        ),
-        "ncb-k": Kind(
-            lambda text: validate_nc_b(read_blocks(text), n, k),
-            format_blocks,
-            {"type": lambda blocks: type_b(blocks, k)},
-        ),
-        "staircase-strip": strips(stretched_staircase),
-        "rectangle-strip": strips(rectangle),
-    }
+
+# every kind of object, named as the `enumerate` object where it is one; a
+# partition or strip is checked against (n, k) as it is read
+KINDS = {
+    "fuss-catalan": Kind(_word, str, ("type", "reduced_type"),
+                         lambda words, k: fc_types_each(words)),
+    "binomial": Kind(_word, str, ("type",), lambda words, k: zip(fb_type_each(words))),
+    "nca-k": Kind(lambda text, n, k: validate_nc_a(read_blocks(text), n, k), format_blocks,
+                  ("type", "reduced_type"), lambda members, k: types_a_each(members, k)),
+    "ncb-k": Kind(lambda text, n, k: validate_nc_b(read_blocks(text), n, k), format_blocks,
+                  ("type",), lambda members, k: zip(type_b_each(members, k))),
+    "staircase-strip": _strips(stretched_staircase),
+    "rectangle-strip": _strips(rectangle),
+}
 
 
 def _reduced_type_rows(n: int) -> tuple[int, bool]:
@@ -509,14 +502,10 @@ def _parking_count(n: int) -> int:
     return count_parking_functions(n)
 
 
-def _census(name: str, column: str) -> Callable:
-    """census(n, k): `enumerate --object name -n n -k k`, tallied by its column."""
-
-    def census(n: int, k: int):
-        value = LISTINGS[name].columns(_kinds(n, k))[column]
-        return name, {"n": n, "k": k}, lambda objects: Counter(map(value, objects))
-
-    return census
+def _census(name: str, tally: Callable) -> Callable:
+    """census(n, k): `enumerate --object name -n n -k k`, tallied by
+    tally(objects, k)."""
+    return lambda n, k: (name, {"n": n, "k": k}, lambda objects: tally(objects, k))
 
 
 # family -> {--by: (rows, counts, census)}; the first --by is the default.
@@ -525,13 +514,18 @@ def _census(name: str, column: str) -> Callable:
 # own rows and multiplicity products, or one --lambda row, in order.
 # census(n, k) names the `enumerate` listing that --check tallies, by its
 # name and parameters, capped as that listing is, and the tally of its
-# objects: a Counter by row.
-_TYPE_A = (lambda n: (n, False), type_counts, _census("nca-k", "type"))
-_REDUCED_TYPE_A = (_reduced_type_rows, reduced_type_counts, _census("nca-k", "reduced_type"))
+# objects: a Counter by row.  The type of NC_A is tallied by block sizes
+# alone, so the empty member of NC_0 needs no reduced type.
+_TYPE_A = (lambda n: (n, False), type_counts,
+           _census("nca-k", lambda members, k: finish_census(_type_a_of, _sizes(members), k)))
+_REDUCED_TYPE_A = (
+    _reduced_type_rows, reduced_type_counts,
+    _census("nca-k", lambda members, k: Counter(map(itemgetter(1), types_a_each(members, k)))),
+)
 COUNTS = {
     "nca": {"type": _TYPE_A, "reduced-type": _REDUCED_TYPE_A},
     "nca-k": {"type": _TYPE_A, "reduced-type": _REDUCED_TYPE_A},
-    "ncb-k": {"type": (lambda n: (n, True), type_counts_b, _census("ncb-k", "type"))},
+    "ncb-k": {"type": (lambda n: (n, True), type_counts_b, _census("ncb-k", type_b_census))},
     # Without --by, the one row, of the empty partition, counts every parking
     # function, and there is no --lambda; with no statistic to tally, every
     # sequence counts toward it.  By type, the parking function numbers are
@@ -629,14 +623,13 @@ def cmd_biject(args):
         _check_shape_nk(n, k)
     if args.inverse:
         source, target, forward = target, source, inverse
-    kinds = _kinds(n, k)
-    obj = _named("--input", kinds[source].parse, args.input)
+    obj = _named("--input", KINDS[source].parse, args.input, n, k)
     # a word is checked by its map, before any statistic is computed
     image = forward(obj, n, k)
     result = {}
-    for side, kind, x in (("input", source, obj), ("output", target, image)):
-        result[side] = kinds[kind].format(x)
-        result[f"{side}_stats"] = {s: f(x) for s, f in kinds[kind].stats.items()}
+    for side, kind, x in (("input", KINDS[source], obj), ("output", KINDS[target], image)):
+        result[side] = kind.format(x)
+        result[f"{side}_stats"] = dict(zip(kind.names, next(kind.stats([x], k))))
 
     def table() -> list[str]:
         rows = []
@@ -709,6 +702,24 @@ def _pf_params(args) -> dict:
     return {"n": args.n, "primitive": bool(args.primitive)}
 
 
+def _mapped(objects, **columns: Callable) -> dict[str, list]:
+    """Each column header with its value on each object, in order."""
+    return {header: [*map(value, objects)] for header, value in columns.items()}
+
+
+def _kind_columns(name: str, header: str, **more: Callable) -> Callable:
+    """columns(objects, n, k) of a listing of the kind `name`: the literals,
+    as column `header`, the kind's statistics from one run of its
+    whole-list form, then each of more mapped over the objects."""
+    kind = KINDS[name]
+
+    def columns(objects, n: int, k: int) -> dict[str, Sequence]:
+        stats = zip(kind.names, zip(*kind.stats(objects, k)))
+        return {header: [*map(kind.format, objects)], **dict(stats), **_mapped(objects, **more)}
+
+    return columns
+
+
 class Listing(NamedTuple):
     """One `enumerate --object`.  params(args) checks the options and returns
     the parameters, and build(**parameters) the arguments they stand for;
@@ -716,8 +727,8 @@ class Listing(NamedTuple):
     cap), and size(**arguments), where given, the elements (letters,
     labels) of the largest; the count, the size and their product, the
     elements of all objects, are checked against the cap before
-    objects(**arguments) lists them.  columns(kinds), given the kinds at
-    the parameters, maps each column header to its value on an object;
+    objects(**arguments) lists them.  columns(objects, **parameters) maps
+    each column header to its values on the listed objects, in order;
     art(object) draws the object for --ascii-art."""
 
     count: Callable
@@ -737,7 +748,8 @@ LISTINGS = {
         lambda shape: _named("--shape", count_r_strips, shape),
         "r-strip enumeration",
         enumerate_r_strips,
-        lambda kinds: {"strip": format_strip, "path": path_from_strip, "type": strip_type},
+        lambda strips, shape: _mapped(strips, strip=format_strip, path=path_from_strip,
+                                      type=strip_type),
         params=_shape_params,
         art=strip_art,
         # the path column: an E per column and an N per row it crosses
@@ -749,28 +761,28 @@ LISTINGS = {
         lambda n, k: _count_within(n, k, fuss_catalan, n, k),
         "path enumeration",
         enumerate_fuss_catalan,
-        lambda kinds: kinds["fuss-catalan"].columns("path"),
+        _kind_columns("fuss-catalan", "path"),
         size=lambda n, k: (k + 1) * n,
     ),
     "binomial": Listing(
         lambda n, k: _count_within(n, k, binomial, (k + 1) * n, n),
         "path enumeration",
         enumerate_fuss_binomial,
-        lambda kinds: kinds["binomial"].columns("path"),
+        _kind_columns("binomial", "path"),
         size=lambda n, k: (k + 1) * n,
     ),
     "nca-k": Listing(
         lambda n, k: _count_within(n, k, fuss_catalan, n, k),
         "noncrossing enumeration",
         enumerate_k_divisible,
-        lambda kinds: kinds["nca-k"].columns("partition"),
+        _kind_columns("nca-k", "partition"),
         size=lambda n, k: k * n,
     ),
     "ncb-k": Listing(
         lambda n, k: _count_within(n, k, binomial, (k + 1) * n, n),
         "noncrossing enumeration",
         enumerate_nc_b,
-        lambda kinds: {**kinds["ncb-k"].columns("partition"), "antipodal": antipodal_block},
+        _kind_columns("ncb-k", "partition", antipodal=antipodal_block),
         size=lambda n, k: 2 * k * n,
     ),
     "pf": Listing(
@@ -785,9 +797,9 @@ LISTINGS = {
         ),
         # the enumerators' own sequences, so neither the type nor the
         # primitive column repeats the parking check
-        lambda kinds: {
-            "sequence": tuple, "type": multiplicity_type, "primitive": is_weakly_increasing
-        },
+        lambda seqs, n, primitive: _mapped(
+            seqs, sequence=tuple, type=multiplicity_type, primitive=is_weakly_increasing
+        ),
         params=_pf_params,
     ),
 }
@@ -811,8 +823,8 @@ def cmd_enumerate(args):
     listing = LISTINGS[args.object]
     params = listing.params(args)
     found = list(_listed(listing, params))
-    columns = listing.columns(_kinds(params.get("n"), params.get("k")))
-    objects = Records(tuple(columns), tuple(list(map(value, found)) for value in columns.values()))
+    columns = listing.columns(found, **params)
+    objects = Records(tuple(columns), tuple(columns.values()))
     count = len(found)
     # the table keeps the objects only to draw them, so without --ascii-art
     # they are freed before the payload is written

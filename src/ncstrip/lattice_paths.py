@@ -136,11 +136,6 @@ def ascent_runs(words) -> Iterator[tuple[str, ...]]:
     return map(tuple, map(list, map(filter, repeat(None), map(str.split, words, repeat("N")))))
 
 
-def _ascents(word: str) -> tuple[str, ...]:
-    """ascent_runs of one word, read without the map chain."""
-    return tuple([*filter(None, word.split("N"))])
-
-
 def _fc_type_of(runs: tuple[str, ...]) -> Partition:
     """fc_type of a word with these ascents: their sorted lengths."""
     letters = "".join(runs)
@@ -157,26 +152,20 @@ def _fc_types_of(runs: tuple[str, ...]) -> tuple[Partition, Partition]:
 
 
 def fc_types_each(words) -> Iterator[tuple[Partition, Partition]]:
-    """fc_types of each word, in order, finished once per distinct sequence
-    of ascents (at most 2^(n-1) at n east steps)."""
+    """(fc_type, fc_reduced_type) of each word, in order, finished once per
+    distinct sequence of ascents (at most 2^(n-1) at n east steps)."""
     return finish_each(_fc_types_of, ascent_runs(words))
 
 
-def fc_types(word: str) -> tuple[Partition, Partition]:
-    """(fc_type, fc_reduced_type) from one split of the word: the ascents
-    are the nonempty E-runs, and the reduced type drops one part equal to
-    the length of the first ascent."""
-    return _fc_types_of(_ascents(word))
-
-
 def fc_type(word: str) -> Partition:
-    """Sorted ascent lengths."""
-    return fc_types(word)[0]
+    """Sorted ascent lengths: `fc_types_each` of the one word."""
+    return next(fc_types_each([word]))[0]
 
 
 def fc_reduced_type(word: str) -> Partition:
-    """Sorted ascent lengths, excluding the ascent containing the first step."""
-    return fc_types(word)[1]
+    """Sorted ascent lengths, excluding the ascent containing the first
+    step: `fc_types_each` of the one word."""
+    return next(fc_types_each([word]))[1]
 
 
 def fb_type_each(words) -> Iterator[Partition]:
@@ -186,6 +175,6 @@ def fb_type_each(words) -> Iterator[Partition]:
 
 
 def fb_type(word: str) -> Partition:
-    """Sorted lengths of the ascents not lying on y = 0: the type of the word
-    without its leading E-run."""
-    return _fc_type_of(_ascents(word.lstrip("E")))
+    """Sorted lengths of the ascents not lying on y = 0: `fb_type_each` of
+    the one word."""
+    return next(fb_type_each([word]))

@@ -123,9 +123,10 @@ def type_b(blocks, k: int = 1) -> Partition:
     """Sorted |B|/k over one block per {B, -B} orbit; antipodal block dropped.
 
     The blocks must be a member of NC_B (as `validate_nc_b` and
-    `enumerate_nc_b` give them): the type is read from the block sizes alone.
+    `enumerate_nc_b` give them): `type_b_each` of the one member reads the
+    type from the block sizes alone.
     """
-    return _type_b_of(map(len, blocks), k)
+    return next(type_b_each([blocks], k))
 
 
 def type_b_each(members, k: int = 1) -> Iterator[Partition]:

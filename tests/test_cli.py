@@ -28,7 +28,7 @@ from ncstrip.partitions import (
     partitions_with_weight_at_most,
 )
 
-from conftest import counted
+from conftest import ascents_by_walk, counted
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -151,6 +151,72 @@ def test_a_wrong_type_fails_the_parking_census(capsys, monkeypatch):
     monkeypatch.setattr(parking, "multiplicity_type", lambda seq: right(seq)[:-1])
     assert cli.main(["count", "--family", "pf", "-n", "4", "--by", "type", "--check"]) == 1
     assert json.loads(capsys.readouterr().out)["result"]["check"] == "fail"
+
+
+@pytest.mark.parametrize("family", [("nca",), ("nca-k", "-k", "2")])
+def test_the_nc_0_type_check_passes(capsys, family):
+    # the type tally reads block sizes alone, so the one empty member of
+    # NC_0 needs no reduced type, which would refuse n = 0
+    assert cli.main(["count", "--family", *family, "-n", "0", "--by", "type", "--check"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["check"] == "pass"
+
+
+def _blocks(literal):
+    return [[int(x) for x in block.split(",")] for block in literal.split("/") if block]
+
+
+def _by_size(sizes, k):
+    return sorted((s // k for s in sizes), reverse=True)
+
+
+def _type_a_columns(literal, k):
+    """type and reduced_type by definition: the sorted block sizes over k,
+    and the same without the block of 1."""
+    blocks = _blocks(literal)
+    return {
+        "type": _by_size(map(len, blocks), k),
+        "reduced_type": _by_size((len(b) for b in blocks if 1 not in b), k),
+    }
+
+
+def _type_b_columns(literal, k):
+    """type by definition: one block per {B, -B} orbit, the antipodal block
+    dropped; the orbits of a partition hold disjoint absolute values."""
+    orbits = {frozenset(map(abs, b)): len(b) for b in _blocks(literal) if {*b} != {-x for x in b}}
+    return {"type": _by_size(orbits.values(), k)}
+
+
+def _path_columns(word, k):
+    """type and reduced_type of a Fuss-Catalan path by its ascent walk."""
+    runs = [length for _, length in ascents_by_walk(word)]
+    return {"type": _by_size(runs, 1), "reduced_type": _by_size(runs[1:], 1)}
+
+
+def _binomial_columns(word, k):
+    """type of a Fuss binomial path: the ascents off y = 0."""
+    return {"type": _by_size((length for y, length in ascents_by_walk(word) if y), 1)}
+
+
+@pytest.mark.parametrize(
+    "obj,n,k,header,definition",
+    [
+        ("nca-k", 6, 1, "partition", _type_a_columns),
+        ("nca-k", 4, 2, "partition", _type_a_columns),
+        ("ncb-k", 4, 1, "partition", _type_b_columns),
+        ("ncb-k", 3, 2, "partition", _type_b_columns),
+        ("fuss-catalan", 6, 1, "path", _path_columns),
+        ("binomial", 3, 2, "path", _binomial_columns),
+    ],
+)
+def test_enumerate_columns_equal_the_definitions(capsys, obj, n, k, header, definition):
+    # an oracle on the CLI independent of the whole-list forms it runs
+    assert cli.main(["enumerate", "--object", obj, "-n", str(n), "-k", str(k)]) == 0
+    objects = json.loads(capsys.readouterr().out)["result"]["objects"]
+    assert len(objects) == (fuss_catalan(n, k) if obj in ("nca-k", "fuss-catalan")
+                            else binomial((k + 1) * n, n))
+    for record in objects:
+        expected = definition(record[header], k)
+        assert {key: record[key] for key in expected} == expected, record
 
 
 def test_main_looks_its_command_up_at_call_time(capsys, monkeypatch):

@@ -11,7 +11,6 @@ from ncstrip.lattice_paths import (
     fb_type_each,
     fc_reduced_type,
     fc_type,
-    fc_types,
     fc_types_each,
     heights_word,
     is_fuss_catalan,
@@ -81,11 +80,11 @@ def test_path_statistics_match_the_ascent_walk_on_every_short_word():
             reduced = list(zeta)
             if runs:
                 reduced.remove(runs[0][1])
-            assert fc_types(word) == (zeta, tuple(reduced)), word
+            assert (fc_type(word), fc_reduced_type(word)) == (zeta, tuple(reduced)), word
             assert fb_type(word) == tuple(sorted((ln for y, ln in runs if y > 0), reverse=True)), word
     for word, bad in [("EXN", "['X']"), ("NEe N", "[' ', 'e']"), ("x", "['x']")]:
         message = re.escape(f"path word must be over {{E, N}}, found {bad}")
-        for statistic in (fc_types, fb_type):
+        for statistic in (fc_type, fb_type):
             with pytest.raises(ValueError, match=message):
                 statistic(word)
 
@@ -107,7 +106,7 @@ def test_whole_list_statistics_equal_the_one_word_values(lister, n, k):
     # order of the words and however often a word comes
     variants = list_variants(list(lister(n, k)))
     # the one-word values, computed once per word
-    one = {w: (fc_types(w), fb_type(w)) for w in variants[0]}
+    one = {w: ((fc_type(w), fc_reduced_type(w)), fb_type(w)) for w in variants[0]}
     for words in variants:
         assert list(fc_types_each(words)) == [one[w][0] for w in words]
         assert list(fb_type_each(words)) == [one[w][1] for w in words]

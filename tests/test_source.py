@@ -104,6 +104,23 @@ def test_only_the_cli_main_writes_stdout():
 
 
 
+def test_the_cli_reads_each_type_statistic_through_a_whole_list_form():
+    # enumerate, biject and count --check compute statistics through the
+    # forms that verify runs, never through a one-object statistic
+    one_object = {"type_a", "reduced_type_a", "type_b", "fc_type", "fc_reduced_type", "fb_type"}
+    tree = ast.parse((SRC / "cli.py").read_text())
+    found = [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(tree)
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else [node.attr] if isinstance(node, ast.Attribute) else []
+        )
+        if name in one_object
+    ]
+    assert found == []
+
+
 def test_readme_names_resolve():
     # a README that names a deleted function or an old signature misleads
     # its reader.  Each `module.name` of an ncstrip module must exist; each
